@@ -31,7 +31,7 @@ SUITES = ("schwartz-oracle", "zeta1d-epsilon", "identity-A", "double-star",
 def _row(suite, case_id, inputs, expected, got):
     return {"suite": suite, "case_id": case_id, "inputs": inputs,
             "expected": str(expected), "got": str(got),
-            "pass": str(expected) == str(got)}
+            "pass": expected == got}
 
 
 def _flag_row(suite, case_id, inputs, ok):
@@ -46,6 +46,19 @@ def _coset_basis(q, maxlev):
             if not c.rep.is_zero():
                 out.append(SBFunction.char(c))
     return out
+
+
+def _measure(text):
+    """--mu: the Haar measure of the ring of integers, a positive
+    rational number."""
+    try:
+        mu = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            "not a rational number: %r" % text) from None
+    if mu <= 0:
+        raise argparse.ArgumentTypeError("must be positive: %r" % text)
+    return mu
 
 
 def _characters(q, rmax, p=None):
@@ -346,7 +359,7 @@ def build_parser():
                        help="residue field size (prime)")
         p.add_argument("--p", type=int, default=None,
                        help="override for the character enumeration prime")
-        p.add_argument("--mu", type=Fraction, default=Fraction(1),
+        p.add_argument("--mu", type=_measure, default=Fraction(1),
                        help="Haar measure of the ring of integers")
         p.add_argument("--d", type=int, default=0,
                        help="conductor of the additive character")

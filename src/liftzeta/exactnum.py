@@ -382,10 +382,6 @@ def cyc_one():
 # polynomials in T over CycRat
 
 
-def _czero(p):
-    return all(c.is_zero() for c in p)
-
-
 def _ctrim(p):
     n = len(p)
     while n and p[n - 1].is_zero():
@@ -503,9 +499,20 @@ class ZetaValue:
         return cls(q, {x_exp: (num, den)})
 
     @classmethod
-    def q_power(cls, q, k):
-        """q^(k/2) for integer k (half-integer powers of q)."""
-        return cls.constant(q, CycRat.sqrt_q(q, k))
+    def geometric(cls, q, c, a, start):
+        """The series sum over k >= start of c a^k T^k, that is
+        c a^start T^start / (1 - a T); start may be negative."""
+        if not isinstance(c, CycRat):
+            c = CycRat.from_rational(c)
+        z = cyc_zero()
+        lead = c * a ** start
+        den = (cyc_one(), -a)
+        if start >= 0:
+            num = (z,) * start + (lead,)
+        else:
+            num = (lead,)
+            den = (z,) * (-start) + den
+        return cls(q, {0: (num, den)})
 
     @classmethod
     def from_fraction(cls, q, num_coeffs, den_coeffs, x_exp=0):

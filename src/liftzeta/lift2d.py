@@ -16,7 +16,7 @@ import re
 
 from .exactnum import CycRat, ZetaValue, cyc_one, cyc_zero
 from .localfield import (
-    AdditiveCharacter, KCoset, KElement, KSingleton, _unit_keys,
+    AdditiveCharacter, KCoset, KElement, KSingleton, gauss_sum,
 )
 from .schwartz import SBFunction, cyc_abs
 from .setring import AtomFamily, DddSet, KCosetFamily
@@ -476,10 +476,6 @@ class DistinguishedSetF:
         self.S = S
 
     @classmethod
-    def from_coset(cls, a, gamma, coset, family):
-        return cls(coset.q, a, gamma, DddSet.atom(family.kfam, coset))
-
-    @classmethod
     def null_ideal(cls, q, gamma, a=None):
         """The ideal a + t^gamma O as a level gamma-1 set with a measure
         zero residue part."""
@@ -651,13 +647,6 @@ def abs_F(alpha):
                               x_exp=alpha.nu())
 
 
-def mult_integral(f, psi):
-    """Integral over the nonzero elements against the multiplicative
-    measure; the caller supplies the lifted extension of the integrand
-    already divided by the absolute value."""
-    return f.integrate(psi)
-
-
 def _pv_gauss(q, mu, c, omega, d):
     """Principal value of the integral over the nonzero K elements of
     psi_K(c x) omega(x) |x|^s against the multiplicative measure, for a
@@ -671,21 +660,14 @@ def _pv_gauss(q, mu, c, omega, d):
     total = ZetaValue.zero(q)
     for n in range(lo, hi):
         lev = max(r, d - wc - n, 1)
-        shell = cyc_zero()
-        base = c.shift(n)
-        for key in _unit_keys(q, lev):
-            theta = KElement(q, {i: dig for i, dig in enumerate(key) if dig})
-            shell = shell + omega(theta) * psi_k(base * theta)
+        shell = gauss_sum(omega, psi_k, c.shift(n), lev)
         total = total + ZetaValue.monomial(
             q, shell * omega.pi_value ** n
             * CycRat.from_rational(mu * Fraction(q) ** (-lev)), t_exp=n)
     if r == 0:
-        head = ZetaValue.monomial(
-            q, omega.pi_value ** hi
-            * CycRat.from_rational(mu * Fraction(q - 1, q)), t_exp=hi)
-        tail = ZetaValue(q, {0: ((cyc_one(),),
-                                 (cyc_one(), -omega.pi_value))})
-        total = total + head * tail
+        total = total + ZetaValue.geometric(
+            q, CycRat.from_rational(mu * Fraction(q - 1, q)),
+            omega.pi_value, hi)
     return total
 
 
@@ -815,7 +797,3 @@ class LiftedFn2:
             total = total + coeff * ZetaValue.monomial(
                 self.q, v, x_exp=g1 + g2)
         return total
-
-
-def integrate_F2(f):
-    return f.integrate()

@@ -11,7 +11,7 @@ import math
 import re
 from fractions import Fraction
 
-from .exactnum import CycRat
+from .exactnum import CycRat, cyc_zero
 
 INF = math.inf
 
@@ -282,15 +282,6 @@ class AdditiveCharacter:
                 t += d * c
         return t % self.q
 
-    def twisted_value(self, b, x):
-        """psi(b x)."""
-        return CycRat.root_of_unity(self.q, self.twist_digit(b, x))
-
-    def residue_char_value(self, c, digit):
-        """Value of the residue character psi-bar_c at a residue digit:
-        zeta_p^(c*digit) for c in F_q."""
-        return CycRat.root_of_unity(self.q, c * digit)
-
 
 def primitive_root(p):
     for g in range(2, p):
@@ -318,6 +309,17 @@ def _key_of_unit(x, r):
     return tuple(x.digit(i) for i in range(r))
 
 
+def gauss_sum(omega, psi, x, level):
+    """Sum of omega(theta) psi(x theta) over the unit representatives
+    theta of O^x/(1 + pi^level O)."""
+    q = omega.q
+    total = cyc_zero()
+    for key in _unit_keys(q, level):
+        theta = KElement(q, {i: dig for i, dig in enumerate(key) if dig})
+        total = total + omega(theta) * psi(x * theta)
+    return total
+
+
 class QuasiCharacter:
     """omega on K^x: unit-group table at level r plus the value at pi."""
 
@@ -338,9 +340,6 @@ class QuasiCharacter:
     def trivial(cls, q, pi_value=None):
         return cls(q, 0, {(): CycRat.from_rational(1)}, pi_value,
                    label="unram")
-
-    def is_unramified(self):
-        return self.r == 0
 
     def unit_value(self, x):
         """omega on the unit part of x (x a unit of O)."""

@@ -190,12 +190,6 @@ class DddSet:
 class IntervalFamily(AtomFamily):
     """Half-open rational intervals [lo, hi) on the line."""
 
-    def validate(self, a):
-        lo, hi = a
-        if not lo < hi:
-            raise ValueError("empty interval")
-        return a
-
     def nested(self, a, b):
         return b[0] <= a[0] and a[1] <= b[1]
 

@@ -11,8 +11,8 @@ points.
 
 from fractions import Fraction
 
-from .exactnum import CycRat, ZetaValue, cyc_one, cyc_zero
-from .localfield import KCoset, KElement, KSingleton, _unit_keys
+from .exactnum import CycRat, ZetaValue
+from .localfield import KCoset, KElement, KSingleton, gauss_sum
 from .schwartz import SBFunction
 
 
@@ -25,13 +25,9 @@ def _coset_zeta(coset, coeff, omega, mu):
         if omega.r > 0:
             # each shell integral of a ramified character vanishes
             return ZetaValue.zero(q)
-        rho = omega.pi_value
-        head = ZetaValue.monomial(
-            q,
-            coeff * rho ** m * CycRat.from_rational(mu * Fraction(q - 1, q)),
-            t_exp=m)
-        tail = ZetaValue(q, {0: ((cyc_one(),), (cyc_one(), -rho))})
-        return head * tail
+        return ZetaValue.geometric(
+            q, coeff * CycRat.from_rational(mu * Fraction(q - 1, q)),
+            omega.pi_value, m)
     need = v + max(omega.r, 1)
     if coset.level >= need:
         # omega and |.| are constant on the coset; the multiplicative
@@ -63,11 +59,9 @@ def zeta(g, omega):
 
 def l_function(omega):
     """(1 - omega(pi) T)^-1 when omega is unramified, 1 otherwise."""
-    q = omega.q
     if omega.r == 0:
-        one = ZetaValue.constant(q, 1)
-        return (one - ZetaValue.monomial(q, omega.pi_value, t_exp=1)).inverse()
-    return ZetaValue.constant(q, 1)
+        return ZetaValue.geometric(omega.q, 1, omega.pi_value, 0)
+    return ZetaValue.constant(omega.q, 1)
 
 
 def z_normalized(g, omega):
@@ -93,11 +87,7 @@ def rho0(omega, psi, pi):
     # psi reads a single digit, so the shifted uniformizer power only
     # needs to be correct through exponent d
     shift = _power(pi, d - r, 2 * abs(d - r) + r + abs(d) + 4)
-    total = cyc_zero()
-    for key in _unit_keys(q, r):
-        theta = KElement(q, {i: dig for i, dig in enumerate(key) if dig})
-        total = total + omega(theta) * psi(shift * theta)
-    return CycRat.sqrt_q(q, -r) * total
+    return CycRat.sqrt_q(q, -r) * gauss_sum(omega, psi, shift, r)
 
 
 def _test_functions(omega, pi, mu):

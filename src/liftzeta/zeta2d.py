@@ -11,8 +11,8 @@ identity is verified by an explicit double shell sum.
 
 from fractions import Fraction
 
-from .exactnum import CycRat, ZetaValue, cyc_zero
-from .lift2d import FElement, LiftedFn, LiftedFn2, abs_F, integrate_F2
+from .exactnum import CycRat, ZetaValue
+from .lift2d import FElement, LiftedFn, LiftedFn2, abs_F
 from .localfield import KCoset, KElement, KSingleton, QuasiCharacter
 from .schwartz import SBFunction
 from .zeta1d import (
@@ -45,9 +45,6 @@ class ChiCharacter:
     def inverse(self):
         return ChiCharacter(self.omega1.inverse(), self.omega2.inverse())
 
-    def value(self, xbar, ybar):
-        return self.omega1(xbar) * self.omega2(ybar)
-
     def t1_value(self):
         """Value on the pair (t1, 1): the first component at the prime."""
         return self.omega1.pi_value
@@ -73,9 +70,6 @@ class TPoint:
     def symbol_abs(self):
         """|t(x, y)| = |x| |y|."""
         return abs_F(self.x) * abs_F(self.y)
-
-    def chi_value(self, chi):
-        return chi.value(self.x.rho(), self.y.rho())
 
 
 def zeta2(tensor, chi):
@@ -109,6 +103,23 @@ def _shell_restriction(g, omega, k):
     return SBFunction(q, out, g.mu)
 
 
+def _shells(g, omega):
+    """(k, shell restriction of g at k) for each k of the shell window."""
+    lo, hi = _shell_window(g)
+    return [(k, _shell_restriction(g, omega, k)) for k in range(lo, hi)]
+
+
+def _shell_series(q, shells):
+    """Sum of q^k T^k times the Haar integral of each shell restriction:
+    the shells' share of the multiplicative zeta integral."""
+    total = ZetaValue.zero(q)
+    for k, h in shells:
+        total = total + ZetaValue.monomial(
+            q, h.haar_integral() * CycRat.from_rational(Fraction(q) ** k),
+            t_exp=k)
+    return total
+
+
 def _shell_window(g):
     """Valuation range [lo, hi) outside of which g is constant on shells."""
     lo, hi = 0, 1
@@ -131,12 +142,9 @@ def _shell_tail(g, omega):
     g0 = g.evaluate(KElement.zero(q))
     if g0.is_zero():
         return ZetaValue.zero(q)
-    head = ZetaValue.monomial(
-        q, g0 * omega.pi_value ** hi
-        * CycRat.from_rational(g.mu * Fraction(q - 1, q)), t_exp=hi)
-    geo = (ZetaValue.constant(q, 1)
-           - ZetaValue.monomial(q, omega.pi_value, t_exp=1)).inverse()
-    return head * geo
+    return ZetaValue.geometric(
+        q, g0 * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
+        omega.pi_value, hi)
 
 
 def zeta2_direct(tensor, chi):
@@ -146,33 +154,21 @@ def zeta2_direct(tensor, chi):
     q = tensor.q
     total = ZetaValue.zero(q)
     for f, g in tensor.pairs:
-        lo1, hi1 = _shell_window(f)
-        lo2, hi2 = _shell_window(g)
-        part = ZetaValue.zero(q)
-        sum1 = ZetaValue.zero(q)
-        sum2 = ZetaValue.zero(q)
-        for n in range(lo1, hi1):
-            hf = _shell_restriction(f, chi.omega1, n)
+        shells1 = _shells(f, chi.omega1)
+        shells2 = _shells(g, chi.omega2)
+        lifts2 = [(m, LiftedFn.lift(hg)) for m, hg in shells2]
+        for n, hf in shells1:
             lift_f = LiftedFn.lift(hf)
-            pref_n = ZetaValue.monomial(q, Fraction(q) ** n, t_exp=n)
-            fn = ZetaValue.zero(q)
-            for m in range(lo2, hi2):
-                hg = _shell_restriction(g, chi.omega2, m)
-                pair = LiftedFn2.outer(lift_f, LiftedFn.lift(hg))
-                pref_m = ZetaValue.monomial(q, Fraction(q) ** m, t_exp=m)
-                fn = fn + pref_m * integrate_F2(pair)
-            part = part + pref_n * fn
-            sum1 = sum1 + pref_n * ZetaValue.constant(
-                q, hf.haar_integral())
-        for m in range(lo2, hi2):
-            hg = _shell_restriction(g, chi.omega2, m)
-            sum2 = sum2 + ZetaValue.monomial(
-                q, Fraction(q) ** m, t_exp=m) * ZetaValue.constant(
-                q, hg.haar_integral())
+            for m, lift_g in lifts2:
+                pref = ZetaValue.monomial(q, Fraction(q) ** (n + m),
+                                          t_exp=n + m)
+                total = total + pref * LiftedFn2.outer(
+                    lift_f, lift_g).integrate()
+        sum1 = _shell_series(q, shells1)
+        sum2 = _shell_series(q, shells2)
         tail1 = _shell_tail(f, chi.omega1)
         tail2 = _shell_tail(g, chi.omega2)
-        part = part + tail1 * sum2 + sum1 * tail2 + tail1 * tail2
-        total = total + part
+        total = total + tail1 * sum2 + sum1 * tail2 + tail1 * tail2
     return total
 
 
@@ -233,12 +229,9 @@ def rho2(x_data, y_data, pi=None):
 def _boundary_prefactor(omega, mu):
     """mu(units) (1 + omega(pi) T) / (1 - omega(pi) T)."""
     q = omega.q
-    rho = omega.pi_value
-    one = ZetaValue.constant(q, 1)
-    t = ZetaValue.monomial(q, rho, t_exp=1)
-    scale = ZetaValue.constant(
-        q, CycRat.from_rational(mu * Fraction(q - 1, q)))
-    return scale * (one + t) * (one - t).inverse()
+    c = CycRat.from_rational(mu * Fraction(q - 1, q))
+    return (ZetaValue.geometric(q, c, omega.pi_value, 0)
+            + ZetaValue.geometric(q, c, omega.pi_value, 1))
 
 
 def zeta_rho2(g, omega):
@@ -246,30 +239,15 @@ def zeta_rho2(g, omega):
 
     The left side is the double shell sum: for shells of valuations n and
     m the integrand depends on the smaller one only, and the sum over the
-    larger index is a geometric series in omega(pi) T.  The right side is
-    the one-variable zeta evaluated at the doubled exponent, obtained by
-    substituting omega(pi) T^2 for T.  Returns (left, right, equal).
+    larger index is a geometric series in omega(pi) T.  That sum is the
+    shell decomposition of Z(g, omega) -- q^k T^k times the integral of
+    g omega over each shell k of the window, plus the geometric tail
+    above it -- under T -> omega(pi) T^2.  The right side is the
+    one-variable zeta integral itself under the same substitution.  Both
+    carry the boundary prefactor.  Returns (left, right, equal).
     """
-    q = g.q
-    lo, hi = _shell_window(g)
-    # sum over the shared shell value k of B(k) (omega(pi) T^2)^k
-    doubled = ZetaValue.zero(q)
-    for k in range(lo, hi):
-        h = _shell_restriction(g, omega, k)
-        doubled = doubled + ZetaValue.monomial(
-            q, h.haar_integral() * omega.pi_value ** k
-            * CycRat.from_rational(Fraction(q) ** k), t_exp=2 * k)
-    if omega.r == 0:
-        g0 = g.evaluate(KElement.zero(q))
-        if not g0.is_zero():
-            head = ZetaValue.monomial(
-                q, g0 * omega.pi_value ** (2 * hi)
-                * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
-                t_exp=2 * hi)
-            geo = (ZetaValue.constant(q, 1) - ZetaValue.monomial(
-                q, omega.pi_value ** 2, t_exp=2)).inverse()
-            doubled = doubled + head * geo
-    left = _boundary_prefactor(omega, g.mu) * doubled
-    right = _boundary_prefactor(omega, g.mu) * zeta_k(g, omega).subst_scale(
-        omega.pi_value, 2)
+    prefactor = _boundary_prefactor(omega, g.mu)
+    shells = _shell_series(g.q, _shells(g, omega)) + _shell_tail(g, omega)
+    left = prefactor * shells.subst_scale(omega.pi_value, 2)
+    right = prefactor * zeta_k(g, omega).subst_scale(omega.pi_value, 2)
     return left, right, left == right

@@ -1,9 +1,15 @@
 import csv
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from liftzeta.cli import SUITES, build_parser, main
+from liftzeta.cli import SUITES, _row, build_parser, main
+from liftzeta.exactnum import CycRat, ZetaValue
+
+GOLDEN = json.loads(
+    (Path(__file__).parent.parent / "bench" / "golden.json").read_text())
 
 
 def run(argv):
@@ -25,6 +31,36 @@ class TestArgs:
         assert run(["verify", "--q", "3", "--rmax", "7"]) == 2
         assert "out of supported range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "epsilon-table"])
+    @pytest.mark.parametrize("mu,message", [
+        ("0", "must be positive"),
+        ("-1", "must be positive"),
+        ("1/0", "not a rational number"),
+    ])
+    def test_bad_measure_rejected(self, command, mu, message, tmp_path,
+                                  capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--q", "2", "--mu", mu,
+                 "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--mu" in err and message in err
+        assert not list(tmp_path.iterdir())
+
+
+class TestRow:
+    def test_verdict_is_exact_equality(self):
+        # the same value built in two cyclotomic orders prints two ways
+        z3 = CycRat.root_of_unity(3)
+        expected = ZetaValue.constant(3, z3)
+        got = ZetaValue.constant(3, z3.embed(6))
+        row = _row("s", "c", {}, expected, got)
+        assert row["expected"] == str(expected)
+        assert row["got"] == str(got)
+        assert row["expected"] != row["got"]
+        assert row["pass"] is True
+        assert _row("s", "c", {}, expected, got + 1)["pass"] is False
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", SUITES)
@@ -34,6 +70,9 @@ class TestVerify:
         assert code == 0
         out = capsys.readouterr().out
         assert "0 failed" in out
+        text = (tmp_path / "report.json").read_text()
+        text = text.replace('"seed": 20260823', '"seed": "SEED"')
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[suite]
 
     def test_report_schema(self, tmp_path):
         run(["verify", "--q", "2", "--suite", "measure",

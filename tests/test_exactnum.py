@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftzeta.exactnum import CycRat, ZetaValue, cyclotomic_poly
+from liftzeta.localfield import QuasiCharacter
+from liftzeta.zeta1d import l_function
 
 
 def zeta(m, k=1):
@@ -113,6 +115,23 @@ class TestZetaValue:
             lhs = got.evaluate(t)
             rhs = expect.evaluate(t)
             assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("a", [
+        CycRat.from_rational(1), CycRat.root_of_unity(4),
+        CycRat.from_rational(Fraction(2, 3)),
+    ], ids=["one", "z4", "two-thirds"])
+    @pytest.mark.parametrize("start", range(-2, 4))
+    def test_geometric(self, start, a):
+        c = 2 + CycRat.root_of_unity(3)
+        one_minus_at = (ZetaValue.constant(self.q, 1)
+                        - ZetaValue.monomial(self.q, a, t_exp=1))
+        got = ZetaValue.geometric(self.q, c, a, start)
+        assert got * one_minus_at == ZetaValue.monomial(
+            self.q, c * a ** start, t_exp=start)
+        # the L-factor of an unramified character is the series from 0
+        want = one_minus_at.inverse()
+        got_l = l_function(QuasiCharacter.trivial(self.q, pi_value=a))
+        assert got_l == want and str(got_l) == str(want)
 
     @given(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3))
     @settings(max_examples=40)
