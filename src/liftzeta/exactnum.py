@@ -276,9 +276,6 @@ class CycRat:
         o = other if isinstance(other, CycRat) else CycRat.from_rational(other)
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return CycRat.from_rational(other) * self.inverse()
-
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)

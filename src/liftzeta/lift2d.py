@@ -14,7 +14,7 @@ from fractions import Fraction
 import math
 import re
 
-from .exactnum import CycRat, ZetaValue, cyc_one, cyc_zero
+from .exactnum import CycRat, ZetaValue, cyc_one
 from .localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, gauss_sum,
 )
@@ -732,22 +732,20 @@ def zeta_F1_regularized(f, omega, psi):
 # -- products -------------------------------------------------------------------
 
 class LiftedFn2:
-    """Finite sums of lifted tensors on the product of two copies of F."""
+    """Finite sums of lifted tensors on the product of two copies of F:
+    terms (fa, fb, a1, a2, g1, g2, coeff) stand for coeff times the lift
+    of fa at (a1, g1) in x times the lift of fb at (a2, g2) in y."""
 
     __slots__ = ("q", "terms")
 
     def __init__(self, q, terms=()):
         cleaned = []
-        for pairs, a1, a2, g1, g2, coeff in terms:
+        for fa, fb, a1, a2, g1, g2, coeff in terms:
             coeff = _zcoeff(q, coeff)
-            if not coeff.is_zero() and pairs:
-                cleaned.append((pairs, a1, a2, g1, g2, coeff))
+            if not coeff.is_zero():
+                cleaned.append((fa, fb, a1, a2, g1, g2, coeff))
         self.q = q
         self.terms = tuple(cleaned)
-
-    @classmethod
-    def lift(cls, tensor, a1, a2, g1, g2, coeff=1):
-        return cls(tensor.q, [(tensor.pairs, a1, a2, g1, g2, coeff)])
 
     @classmethod
     def outer(cls, f1, f2):
@@ -757,43 +755,30 @@ class LiftedFn2:
         terms = []
         for ga, aa, gam_a, _, ca in f1.terms:
             for gb, ab, gam_b, _, cb in f2.terms:
-                terms.append((((ga, gb),), aa, ab, gam_a, gam_b, ca * cb))
+                terms.append((ga, gb, aa, ab, gam_a, gam_b, ca * cb))
         return cls(f1.q, terms)
-
-    def __add__(self, other):
-        if not isinstance(other, LiftedFn2) or other.q != self.q:
-            return NotImplemented
-        return LiftedFn2(self.q, self.terms + other.terms)
-
-    def scale(self, c):
-        c = _zcoeff(self.q, c)
-        return LiftedFn2(self.q, [t[:-1] + (t[-1] * c,) for t in self.terms])
 
     def evaluate(self, x, y):
         total = ZetaValue.zero(self.q)
-        for pairs, a1, a2, g1, g2, coeff in self.terms:
+        for fa, fb, a1, a2, g1, g2, coeff in self.terms:
             dx, dy = x - a1, y - a2
             if not (dx.is_zero() or dx.nu() >= g1):
                 continue
             if not (dy.is_zero() or dy.nu() >= g2):
                 continue
-            v = cyc_zero()
-            for fa, fb in pairs:
-                v = v + fa.evaluate(dx.coeff(g1)) * fb.evaluate(dy.coeff(g2))
+            v = fa.evaluate(dx.coeff(g1)) * fb.evaluate(dy.coeff(g2))
             total = total + coeff * ZetaValue.constant(self.q, v)
         return total
 
     def translate(self, tau1, tau2):
-        return LiftedFn2(self.q, [(pairs, a1 + tau1, a2 + tau2, g1, g2, c)
-                                  for pairs, a1, a2, g1, g2, c
+        return LiftedFn2(self.q, [(fa, fb, a1 + tau1, a2 + tau2, g1, g2, c)
+                                  for fa, fb, a1, a2, g1, g2, c
                                   in self.terms])
 
     def integrate(self):
         total = ZetaValue.zero(self.q)
-        for pairs, _, _, g1, g2, coeff in self.terms:
-            v = cyc_zero()
-            for fa, fb in pairs:
-                v = v + fa.haar_integral() * fb.haar_integral()
+        for fa, fb, _, _, g1, g2, coeff in self.terms:
+            v = fa.haar_integral() * fb.haar_integral()
             total = total + coeff * ZetaValue.monomial(
                 self.q, v, x_exp=g1 + g2)
         return total

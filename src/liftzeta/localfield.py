@@ -59,10 +59,6 @@ class KElement:
     def digit(self, e):
         return self.digits.get(e, 0)
 
-    def residue(self):
-        """Digit at u^0, the image under O_K -> F_q (caller checks v >= 0)."""
-        return self.digits.get(0, 0)
-
     def __add__(self, other):
         if not isinstance(other, KElement):
             return NotImplemented
@@ -270,12 +266,11 @@ class AdditiveCharacter:
     def __call__(self, x):
         return CycRat.root_of_unity(self.q, x.digit(self.d - 1))
 
-    def twist_digit(self, b, x):
-        """The digit of b x that determines psi(b x), read off without
-        forming the whole product."""
+    def twist_digit(self, b, xd):
+        """The digit of b x that determines psi(b x), read off the digit
+        dict xd of x without forming the whole product."""
         k = self.d - 1
         t = 0
-        xd = x.digits
         for e, d in b.digits.items():
             c = xd.get(k - e)
             if c:
@@ -428,10 +423,8 @@ def enumerate_characters(q, r, p=None):
 
     # discrete-log table: exponent tuple -> canonical unit key
     key_to_exps = {}
-    exps = [0] * len(gens)
     total = math.prod(orders)
-    elt = KElement.one(q)
-    # iterate mixed-radix counting, maintaining the running product
+    # powers of each generator modulo 1 + pi^r O
     pow_cache = [[KElement.one(q)] for _ in gens]
     for j, g in enumerate(gens):
         acc = KElement.one(q)

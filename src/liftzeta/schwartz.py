@@ -4,13 +4,15 @@ transform, and the W / nabla / star operators.
 An SBFunction is a finite sum of terms coeff * psi(b*x) * Char(atom) where
 the atom is a coset a + pi^n O or a single point {c}.  The canonical
 ("plain") form has no twists, pairwise disjoint cosets, and no full family
-of q sibling cosets with equal coefficients.  Point atoms ride along for the
+of q sibling cosets with equal coefficients; it is computed on digit keys,
+and once only for a function without twists.  Point atoms ride along for the
 pointwise calculus (evaluation, Haar integral, absolute value) but are
 rejected by the transforms, which only make sense on locally constant
 functions.
 """
 
 from fractions import Fraction
+import itertools
 import math
 import re
 
@@ -60,7 +62,7 @@ def _coerce_coeff(c):
 class SBFunction:
     """Finite combination of (possibly twisted) coset indicators on K."""
 
-    __slots__ = ("q", "mu", "terms", "_normal")
+    __slots__ = ("q", "mu", "terms", "_canon")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
@@ -71,7 +73,7 @@ class SBFunction:
             if not coeff.is_zero():
                 cleaned.append((atom, twist, coeff))
         self.terms = tuple(cleaned)
-        self._normal = False
+        self._canon = None  # the normal form, once known not to need psi
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -149,11 +151,16 @@ class SBFunction:
 
     # -- canonicalization ------------------------------------------------------------
     def normalize(self, psi=None):
-        """Plain canonical form: twist expansion, then trie merging."""
-        if self._normal:
-            return self
+        """Plain canonical form: twist expansion into digit keys, then
+        push-down and folding on the key trie.  The form of a twist-free
+        function is computed once and kept, so every later call returns
+        the same object; a twisted function's form depends on psi and is
+        not kept."""
+        if self._canon is not None:
+            return self._canon
+        q = self.q
         singles = {}  # point -> coeff
-        pending = []
+        pending = []  # (rep digits, level, coeff) per coset
         for atom, twist, coeff in self.terms:
             if isinstance(atom, KSingleton):
                 v = coeff
@@ -165,97 +172,79 @@ class SBFunction:
                 singles[key] = singles[key] + v if key in singles else v
                 continue
             if twist is None or twist.is_zero():
-                pending.append((atom, coeff))
+                pending.append((atom.rep.digits, atom.level, coeff))
                 continue
             if psi is None:
                 raise ValueError("twisted term needs psi")
             # psi(b x) is constant on cosets of level d - w(b)
             lev = max(atom.level, psi.d - twist.valuation())
-            subs = atom.subcosets(lev)
-            if len(self.terms) * len(subs) > TERM_CAP:
+            if len(self.terms) * q ** (lev - atom.level) > TERM_CAP:
                 raise ValueError("term cap exceeded")
-            vals = [coeff * CycRat.root_of_unity(self.q, t)
-                    for t in range(self.q)]
-            for sub in subs:
-                pending.append((sub, vals[psi.twist_digit(twist, sub.rep)]))
+            vals = [coeff * CycRat.root_of_unity(q, t) for t in range(q)]
+            for tail in itertools.product(range(q), repeat=lev - atom.level):
+                xd = dict(atom.rep.digits)
+                xd.update((e, d) for e, d in zip(range(atom.level, lev), tail)
+                          if d)
+                pending.append((xd, lev, vals[psi.twist_digit(twist, xd)]))
 
-        if not pending:
-            out = []
-        else:
-            base = min(min(c.level, c.rep.valuation() if not c.rep.is_zero()
-                           else c.level) for c, _ in pending)
+        out = []
+        if pending:
+            base = min(min(lev, min(dg, default=lev)) for dg, lev, _ in pending)
             keymap = {}
-            for c, coeff in pending:
-                key = tuple(c.rep.digit(e) for e in range(base, c.level))
+            for dg, lev, coeff in pending:
+                key = tuple(dg.get(e, 0) for e in range(base, lev))
                 keymap[key] = keymap[key] + coeff if key in keymap else coeff
-            keymap = self._push_down(keymap)
-            keymap = {k: v for k, v in keymap.items() if not v.is_zero()}
-            keymap = self._merge_up(keymap)
-            out = []
+            keymap = self._canonical(keymap)
             for key in sorted(keymap, key=lambda k: (len(k), k)):
-                rep = KElement(self.q, {base + i: d for i, d in enumerate(key)})
-                out.append((KCoset(self.q, rep, base + len(key)), None,
+                rep = KElement(q, {base + i: d for i, d in enumerate(key)})
+                out.append((KCoset(q, rep, base + len(key)), None,
                             keymap[key]))
 
         for pt in sorted(singles, key=lambda p: tuple(sorted(p.digits.items()))):
             v = singles[pt]
             if not v.is_zero():
-                out.append((KSingleton(self.q, pt), None, v))
-        result = SBFunction(self.q, out, self.mu)
-        result._normal = True
+                out.append((KSingleton(q, pt), None, v))
+        result = SBFunction(q, out, self.mu)
+        result._canon = result
+        if self.is_plain():
+            self._canon = result
         return result
 
-    def _push_down(self, keymap):
-        """Split any key that is a proper prefix of another key."""
-        while True:
-            prefixes = set()
-            for k in keymap:
-                for i in range(len(k)):
-                    prefixes.add(k[:i])
-            split = [k for k in keymap if k in prefixes]
-            if not split:
-                return keymap
-            for k in split:
-                c = keymap.pop(k)
-                for d in range(self.q):
-                    child = k + (d,)
-                    keymap[child] = keymap[child] + c \
-                        if child in keymap else c
-            if len(keymap) > TERM_CAP:
+    def _canonical(self, keymap):
+        """Canonical digit-key map of the function sum c Char(key): every
+        key with longer keys below it passes its coefficient down to its q
+        children, then each full family of q equal siblings folds into its
+        parent, deepest first, and zero coefficients drop out.  The trie is
+        swept by prefix length, not recursively, so long keys do not hit
+        the recursion limit."""
+        q = self.q
+        inner = sorted({k[:i] for k in keymap for i in range(len(k))}, key=len)
+        splits = 0
+        for key in inner:
+            c = keymap.pop(key, None)
+            if c is None:
+                continue
+            splits += 1
+            if splits > TERM_CAP:
                 raise ValueError("term cap exceeded")
-
-    def _merge_up(self, keymap):
-        """Collapse full sibling families with equal coefficients."""
-        changed = True
-        while changed:
-            changed = False
-            parents = sorted({k[:-1] for k in keymap if k},
-                             key=len, reverse=True)
-            for p in parents:
-                kids = [p + (d,) for d in range(self.q)]
-                if all(k in keymap for k in kids):
-                    c0 = keymap[kids[0]]
-                    if all(keymap[k] == c0 for k in kids[1:]):
-                        for k in kids:
-                            del keymap[k]
-                        keymap[p] = c0
-                        changed = True
-        return keymap
+            for d in range(q):
+                kid = key + (d,)
+                keymap[kid] = keymap[kid] + c if kid in keymap else c
+        mixed = set()  # inner keys whose subtree is not constant
+        zero = cyc_zero()
+        for key in reversed(inner):
+            kids = [key + (d,) for d in range(q)]
+            vals = [keymap.get(k, zero) for k in kids]
+            if mixed.isdisjoint(kids) and all(v == vals[0] for v in vals[1:]):
+                for k in kids:
+                    keymap.pop(k, None)
+                keymap[key] = vals[0]
+            else:
+                mixed.add(key)
+        return {k: v for k, v in keymap.items() if not v.is_zero()}
 
     def equals(self, other, psi=None):
-        a = self.normalize(psi)
-        b = other.normalize(psi)
-        return a._canon_key() == b._canon_key()
-
-    def _canon_key(self):
-        out = []
-        for atom, _, coeff in self.terms:
-            if isinstance(atom, KSingleton):
-                out.append(("pt", tuple(sorted(atom.point.digits.items())), coeff))
-            else:
-                out.append(("cs", atom.level,
-                            tuple(sorted(atom.rep.digits.items())), coeff))
-        return tuple(out)
+        return self.normalize(psi).terms == other.normalize(psi).terms
 
     def __eq__(self, other):
         if not isinstance(other, SBFunction):

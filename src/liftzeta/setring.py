@@ -88,10 +88,6 @@ class DddSet:
         self.components = tuple(cleaned)
 
     @classmethod
-    def empty(cls, family):
-        return cls(family, ())
-
-    @classmethod
     def atom(cls, family, a):
         return cls(family, [(a, ())])
 

@@ -136,9 +136,9 @@ def _shell_tail(g, omega):
     """Sum of the shell contributions above the window: a geometric
     series when the character is unramified, zero otherwise."""
     q = g.q
-    lo, hi = _shell_window(g)
     if omega.r > 0:
         return ZetaValue.zero(q)
+    lo, hi = _shell_window(g)
     g0 = g.evaluate(KElement.zero(q))
     if g0.is_zero():
         return ZetaValue.zero(q)

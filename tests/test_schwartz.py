@@ -73,6 +73,62 @@ class TestNormalize:
         f = SBFunction.char_ideal(q, 2, Fraction(1, 2))
         assert f.normalize().terms
 
+    def test_twist_free_form_computed_once(self):
+        q = 3
+        f = (SBFunction.char_ideal(q, 0)
+             - SBFunction.char(KCoset(q, KElement.parse(q, "1 + u"), 2), 2))
+        g = f.normalize()
+        assert f.normalize() is g
+        assert g.normalize() is g
+
+    def test_twisted_form_follows_psi(self):
+        q = 3
+        f = SBFunction.char_ideal(q, 0).twisted(KElement.uniformizer(q, -1))
+        for d, size in ((0, q), (1, q * q), (0, q)):
+            psi = AdditiveCharacter(q, d)
+            g = f.normalize(psi)
+            assert len(g.terms) == size
+            for x in window_points(q, 0, 2):
+                assert g.evaluate(x) == f.evaluate(x, psi)
+
+    @pytest.mark.parametrize("q,count", [(2, 15), (3, 10), (5, 6)])
+    def test_canonical_random(self, q, count):
+        rng = random.Random(40 + q)
+        for _ in range(count):
+            terms = []
+            for _ in range(rng.randint(1, 4)):
+                lev = rng.randint(0, 1)
+                rep = KElement(q, {e: rng.randrange(q)
+                                   for e in range(lev - 2, lev)})
+                twist = None
+                if rng.random() < 0.4:
+                    twist = KElement(q, {e: rng.randrange(q)
+                                         for e in (-1, 0)})
+                terms.append((KCoset(q, rep, lev), twist,
+                              rng.choice([1, -1, 2])))
+            f = SBFunction(q, terms)
+            psi = AdditiveCharacter(q, rng.randint(0, 1))
+            g = f.normalize(psi)
+            assert SBFunction(q, g.terms).normalize().terms == g.terms
+            for x in window_points(q, -2, 2):
+                assert g.evaluate(x) == f.evaluate(x, psi)
+            split = SBFunction(q, [(sub, t, c) for a, t, c in terms
+                                   for sub in a.subcosets(a.level + 1)])
+            assert split.normalize(psi).terms == g.terms
+
+    def test_term_cap(self):
+        q = 3
+        psi = AdditiveCharacter(q, 0)
+        # 50 distinct cosets of level 0, each splitting into 3^8 pieces
+        cosets = [KCoset(q, KElement(q, {-1 - i: j // q ** i
+                                         for i in range(4)}), 0)
+                  for j in range(50)]
+        assert len(set(cosets)) == 50
+        f = SBFunction(q, [(c, KElement.uniformizer(q, -8), 1)
+                           for c in cosets])
+        with pytest.raises(ValueError, match="term cap exceeded"):
+            f.normalize(psi)
+
 
 class TestHaar:
     def test_values(self):
