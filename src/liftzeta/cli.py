@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .exactnum import CycRat, ZetaValue
 from .localfield import (
-    AdditiveCharacter, KCoset, KElement, QuasiCharacter,
+    ENUMERATION_BOUND, AdditiveCharacter, KCoset, KElement, QuasiCharacter,
     enumerate_characters, is_prime,
 )
 from .schwartz import SBFunction
@@ -61,9 +62,21 @@ def _measure(text):
     return mu
 
 
-def _characters(q, rmax, p=None):
+def _tolerance(text):
+    """--tol: a positive finite number."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("not a number: %r" % text) from None
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be positive and finite: %r" % text)
+    return tol
+
+
+def _characters(q, rmax):
     pi4 = CycRat.root_of_unity(4)
-    return [w.with_pi_value(pi4) for w in enumerate_characters(q, rmax, p)]
+    return [w.with_pi_value(pi4) for w in enumerate_characters(q, rmax)]
 
 
 def suite_schwartz_oracle(cfg):
@@ -92,7 +105,7 @@ def suite_zeta1d_epsilon(cfg):
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
     rows = []
-    for om in _characters(q, cfg.rmax, cfg.p):
+    for om in _characters(q, cfg.rmax):
         eps = zeta1d.epsilon_star(om, psi, pi, mu)
         et = eps.is_exponential_type()
         rows.append(_flag_row(
@@ -122,7 +135,7 @@ def suite_identity_a(cfg):
     pi = KElement.uniformizer(q)
     rows = []
     basis = _coset_basis(q, cfg.level)
-    for om in _characters(q, cfg.rmax, cfg.p):
+    for om in _characters(q, cfg.rmax):
         ok = all(zeta1d.check_identity_A(f, om, psi, pi) for f in basis)
         rows.append(_flag_row("identity-A", "basis-%s" % om.label,
                               {"q": q, "d": d, "r": om.r}, ok))
@@ -224,7 +237,7 @@ def suite_fe2(cfg):
     q, d = cfg.q, cfg.d
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
-    chars = _characters(q, min(cfg.rmax, 1), cfg.p)
+    chars = _characters(q, min(cfg.rmax, 1))
     basis = _coset_basis(q, min(cfg.level, 2))
     rows = []
     for om1 in chars:
@@ -249,7 +262,7 @@ def suite_rho2(cfg):
               KCoset(q, KElement.one(q), 1)))]
     oms = [QuasiCharacter.trivial(q, pi_value=CycRat.from_rational(1)),
            QuasiCharacter.trivial(q, pi_value=CycRat.root_of_unity(4))]
-    oms += _characters(q, min(cfg.rmax, 1), cfg.p)
+    oms += _characters(q, min(cfg.rmax, 1))
     for name, g in gs:
         for om in oms:
             _, _, equal = zeta2d.zeta_rho2(g, om)
@@ -335,7 +348,7 @@ def cmd_epsilon_table(cfg):
     psi = AdditiveCharacter(cfg.q, cfg.d)
     pi = KElement.uniformizer(cfg.q)
     rows = []
-    for om in _characters(cfg.q, cfg.rmax, cfg.p):
+    for om in _characters(cfg.q, cfg.rmax):
         eps = zeta1d.epsilon_star(om, psi, pi, cfg.mu)
         a, b = eps.is_exponential_type()
         rows.append({"suite": "epsilon-table", "case_id": om.label,
@@ -357,8 +370,6 @@ def build_parser():
         p = sub.add_parser(name)
         p.add_argument("--q", type=int, default=3,
                        help="residue field size (prime)")
-        p.add_argument("--p", type=int, default=None,
-                       help="override for the character enumeration prime")
         p.add_argument("--mu", type=_measure, default=Fraction(1),
                        help="Haar measure of the ring of integers")
         p.add_argument("--d", type=int, default=0,
@@ -367,7 +378,7 @@ def build_parser():
                        help="largest character conductor")
         p.add_argument("--level", type=int, default=2,
                        help="largest coset level in test bases")
-        p.add_argument("--tol", type=float, default=1e-6,
+        p.add_argument("--tol", type=_tolerance, default=1e-6,
                        help="numeric tolerance (archfe suite)")
         p.add_argument("--seed", type=int, default=20260823,
                        help="seed for randomized cases")
@@ -382,11 +393,16 @@ def build_parser():
 
 def main(argv=None):
     cfg = build_parser().parse_args(argv)
-    if not is_prime(cfg.q):
-        print("q must be prime", file=sys.stderr)
-        return 2
     if cfg.rmax < 0 or cfg.level < 0 or cfg.level > 4 or cfg.rmax > 3:
         print("rmax/level out of supported range", file=sys.stderr)
+        return 2
+    size = cfg.q ** max(cfg.rmax, 1)
+    if size > ENUMERATION_BOUND:
+        print("q^rmax = %d is above the enumeration bound %d"
+              % (size, ENUMERATION_BOUND), file=sys.stderr)
+        return 2
+    if not is_prime(cfg.q):
+        print("q must be prime", file=sys.stderr)
         return 2
     if cfg.command == "verify":
         return cmd_verify(cfg)

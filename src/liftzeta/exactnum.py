@@ -2,11 +2,12 @@
 
 Two layers:
 
-* CycRat -- elements of a cyclotomic field Q(zeta_m), optionally extended by a
-  formal square root of the residue cardinality q (needed because root numbers
-  carry a factor q^(-r/2)).  Power-basis representation modulo the m-th
-  cyclotomic polynomial, Fraction coordinates, automatic embedding into the
-  lcm order on mixed arithmetic.
+* CycRat -- elements of a cyclotomic field Q(zeta_m).  Power-basis
+  representation modulo the m-th cyclotomic polynomial, Fraction
+  coordinates, automatic embedding into the lcm order on mixed arithmetic.
+  Root numbers carry a factor q^(-r/2); sqrt(q) for a prime q is a
+  quadratic Gauss sum, so it lies in Q(zeta_8) for q = 2 and in
+  Q(zeta_4q) otherwise, and needs no symbol of its own.
 
 * ZetaValue -- Laurent "polynomials" in a group-algebra generator X whose
   coefficients are rational functions in T over CycRat.  T stands for q^(-s).
@@ -119,25 +120,45 @@ def _reduce_mod_cyc(p, m):
     return tuple(out)
 
 
+def _remap(coords, k, m):
+    """Coordinates in Q(zeta_m) of the sum of c_i zeta_m^(i k) over the
+    given power-basis coordinates c_i."""
+    p = [_ZERO] * m
+    for i, c in enumerate(coords):
+        if c:
+            p[i * k % m] += c
+    return _reduce_mod_cyc(p, m)
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(m):
+    """Tr(zeta_m^i)/phi(m) for each power-basis index i.  zeta_m^i is a
+    primitive n-th root, n = m/gcd(i, m), so this is mu(n)/phi(n), where
+    mu(n), the sum of the primitive n-th roots, is minus the next-to-top
+    coefficient of the monic n-th cyclotomic polynomial."""
+    out = []
+    for i in range(_phi_deg(m)):
+        phi = cyclotomic_poly(m // math.gcd(i, m))
+        out.append(-phi[-2] / (len(phi) - 1))
+    return tuple(out)
+
+
 class CycRat:
-    """Element a + b*sqrt(q) with a, b in Q(zeta_m)."""
+    """Element of the cyclotomic field Q(zeta_m), as its coordinates in
+    the power basis 1, zeta_m, ..., zeta_m^(phi(m)-1).
 
-    __slots__ = ("m", "a", "b", "q")
+    One value has exactly one coordinate vector at each order m, so
+    equality embeds both sides into the lcm order and compares
+    coordinates.  The hash is the normalized trace to Q, which does not
+    depend on the order, and is the value's own hash when it is rational.
+    """
 
-    def __init__(self, m, a, b=None, q=None):
-        d = _phi_deg(m)
+    __slots__ = ("m", "a")
+
+    def __init__(self, m, a):
         a = tuple(x if type(x) is Fraction else Fraction(x) for x in a)
-        assert len(a) == d
-        if b is None:
-            b = (Fraction(0),) * d
-        else:
-            b = tuple(x if type(x) is Fraction else Fraction(x) for x in b)
-            assert len(b) == d
-        if any(b) and q is None:
-            raise ValueError("sqrt part needs a base q")
-        if not any(b):
-            q = None
-        self.m, self.a, self.b, self.q = m, a, b, q
+        assert len(a) == _phi_deg(m)
+        self.m, self.a = m, a
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -153,12 +174,11 @@ class CycRat:
 
     @classmethod
     def sqrt_q(cls, q, power=1):
-        """q^(power/2) as an exact element, power any integer."""
+        """q^(power/2) as an exact element, power any integer.  An odd
+        power needs a prime q, whose square root is a Gauss sum."""
         whole, half = divmod(power, 2)
-        c = Fraction(q) ** whole
-        if half == 0:
-            return cls.from_rational(c)
-        return cls(1, (Fraction(0),), (c,), q)
+        c = cls.from_rational(Fraction(q) ** whole)
+        return c * _sqrt_prime(q) if half else c
 
     # -- representation management ----------------------------------------
     def embed(self, m2):
@@ -166,35 +186,20 @@ class CycRat:
             return self
         if m2 % self.m:
             raise ValueError("can only embed into a multiple order")
-        k = m2 // self.m
-
-        def up(coords):
-            p = []
-            for i, c in enumerate(coords):
-                if c:
-                    while len(p) < i * k + 1:
-                        p.append(Fraction(0))
-                    p[i * k] += c
-            return _reduce_mod_cyc(p, m2)
-
-        return CycRat(m2, up(self.a), up(self.b), self.q)
+        return CycRat(m2, _remap(self.a, m2 // self.m, m2))
 
     def _align(self, other):
         if not isinstance(other, CycRat):
             other = CycRat.from_rational(other)
         m = math.lcm(self.m, other.m)
-        x, y = self.embed(m), other.embed(m)
-        q = x.q if x.q is not None else y.q
-        if x.q is not None and y.q is not None and x.q != y.q:
-            raise ValueError("mixed sqrt bases")
-        return x, y, q
+        return self.embed(m), other.embed(m)
 
     # -- predicates ---------------------------------------------------------
     def is_zero(self):
-        return not any(self.a) and not any(self.b)
+        return not any(self.a)
 
     def is_rational(self):
-        return not any(self.b) and not any(self.a[1:])
+        return not any(self.a[1:])
 
     def as_fraction(self):
         if not self.is_rational():
@@ -203,23 +208,19 @@ class CycRat:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
-        if type(other) is CycRat and other.m == self.m and \
-                (self.q is None or other.q is None or self.q == other.q):
+        if type(other) is CycRat and other.m == self.m:
             x, y = self, other
-            q = self.q if self.q is not None else other.q
         else:
             try:
-                x, y, q = self._align(other)
+                x, y = self._align(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return CycRat(x.m, tuple(u + v for u, v in zip(x.a, y.a)),
-                      tuple(u + v for u, v in zip(x.b, y.b)), q)
+        return CycRat(x.m, tuple(u + v for u, v in zip(x.a, y.a)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycRat(self.m, tuple(-u for u in self.a),
-                      tuple(-u for u in self.b), self.q)
+        return CycRat(self.m, tuple(-u for u in self.a))
 
     def __sub__(self, other):
         o = other if isinstance(other, CycRat) else CycRat.from_rational(other)
@@ -229,36 +230,20 @@ class CycRat:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is CycRat and other.m == self.m and \
-                (self.q is None or other.q is None or self.q == other.q):
+        if type(other) is CycRat and other.m == self.m:
             x, y = self, other
-            q = self.q if self.q is not None else other.q
         else:
             try:
-                x, y, q = self._align(other)
+                x, y = self._align(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        m = x.m
-        aa = _reduce_mod_cyc(_pmul(list(x.a), list(y.a)), m)
-        if q is None:
-            return CycRat(m, aa)
-        bb = _reduce_mod_cyc(_pmul(list(x.b), list(y.b)), m)
-        ab = _reduce_mod_cyc(_padd(_pmul(list(x.a), list(y.b)),
-                                   _pmul(list(x.b), list(y.a))), m)
-        a = tuple(u + q * v for u, v in zip(aa, bb))
-        return CycRat(m, a, ab, q)
+        return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a), x.m))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        if any(self.b):
-            # rationalize: 1/(a+b sqrt q) = (a - b sqrt q)/(a^2 - q b^2)
-            conj = CycRat(self.m, self.a, tuple(-v for v in self.b), self.q)
-            norm = self * conj
-            assert not any(norm.b)
-            return conj * CycRat(norm.m, norm.a).inverse()
         # extended euclid against the cyclotomic polynomial
         phi = list(cyclotomic_poly(self.m))
         r0, r1 = phi, _ptrim(list(self.a))
@@ -289,65 +274,37 @@ class CycRat:
         return out
 
     def conjugate(self):
-        """Complex conjugation: zeta_m -> zeta_m^(m-1); sqrt(q) is fixed."""
-        def conj(coords):
-            p = []
-            for i, c in enumerate(coords):
-                if c:
-                    j = (i * (self.m - 1)) % self.m
-                    while len(p) < j + 1:
-                        p.append(Fraction(0))
-                    p[j] += c
-            return _reduce_mod_cyc(p, self.m)
-        return CycRat(self.m, conj(self.a), conj(self.b), self.q)
+        """Complex conjugation: zeta_m -> zeta_m^(m-1)."""
+        return CycRat(self.m, _remap(self.a, self.m - 1, self.m))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycRat.from_rational(other)
         if not isinstance(other, CycRat):
             return NotImplemented
-        try:
-            x, y, _ = self._align(other)
-        except ValueError:
-            return False
-        return x.a == y.a and x.b == y.b
+        x, y = self._align(other)
+        return x.a == y.a
 
     def __hash__(self):
-        if self.is_rational():
-            return hash(self.a[0])
-        return hash((self.m, self.a, self.b, self.q))
+        return hash(sum(c * w for c, w in zip(self.a, _trace_weights(self.m))
+                        if c))
 
     def to_complex(self):
         z = cmath.exp(2j * cmath.pi / self.m)
-        val = sum(c * z ** i for i, c in enumerate(self.a) if c)
-        if any(self.b):
-            val += math.sqrt(self.q) * sum(c * z ** i
-                                           for i, c in enumerate(self.b) if c)
-        return complex(val)
+        return complex(sum(c * z ** i for i, c in enumerate(self.a) if c))
 
     # -- printing -----------------------------------------------------------
-    def _part_str(self, coords, tag=""):
+    def __str__(self):
         bits = []
-        for i, c in enumerate(coords):
+        for i, c in enumerate(self.a):
             if not c:
                 continue
-            sym = ""
-            if i > 0:
-                sym = "z%d" % self.m if i == 1 else "z%d^%d" % (self.m, i)
-            if tag:
-                sym = sym + "*" + tag if sym else tag
-            if sym:
-                piece = sym if c == 1 else ("-" + sym if c == -1
-                                            else "%s*%s" % (c, sym))
-            else:
-                piece = str(c)
-            bits.append(piece)
-        return bits
-
-    def __str__(self):
-        bits = self._part_str(self.a)
-        if any(self.b):
-            bits += self._part_str(self.b, "sqrt(%d)" % self.q)
+            if i == 0:
+                bits.append(str(c))
+                continue
+            sym = "z%d" % self.m if i == 1 else "z%d^%d" % (self.m, i)
+            bits.append(sym if c == 1 else ("-" + sym if c == -1
+                                            else "%s*%s" % (c, sym)))
         if not bits:
             return "0"
         out = bits[0]
@@ -361,6 +318,31 @@ class CycRat:
 @lru_cache(maxsize=None)
 def _cached_root(m, k):
     return CycRat(m, _xpow_mod_cyc(m, k))
+
+
+def is_prime(n):
+    if n < 2:
+        return False
+    for k in range(2, int(n ** 0.5) + 1):
+        if n % k == 0:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _sqrt_prime(q):
+    """The positive square root of the prime q in Q(zeta_8) for q = 2 and
+    in Q(zeta_q) or Q(zeta_4q) otherwise, from the quadratic Gauss sum
+    g = sum of (k/q) zeta_q^k, which is sqrt(q) for q = 1 mod 4 and
+    i sqrt(q) for q = 3 mod 4."""
+    if not is_prime(q):
+        raise ValueError("odd power of sqrt(%r): q is not prime" % (q,))
+    if q == 2:
+        return CycRat.root_of_unity(8) + CycRat.root_of_unity(8, 7)
+    g = sum((CycRat.root_of_unity(q, k)
+             * (1 if pow(k, (q - 1) // 2, q) == 1 else -1)
+             for k in range(1, q)), CycRat.from_rational(0))
+    return g if q % 4 == 1 else -CycRat.root_of_unity(4) * g
 
 
 _CYC_ZERO = CycRat.from_rational(0)
@@ -434,7 +416,7 @@ def _cgcd(p, q):
 
 
 class ZetaValue:
-    """Element of Q(zeta, sqrt q)(T)[X, X^-1] bound to a residue size q.
+    """Element of Q(zeta)(T)[X, X^-1] bound to a residue size q.
 
     Stored as a map from X-exponent to a reduced fraction (num, den) of
     T-polynomials.  Denominator normalization: lowest nonzero coefficient

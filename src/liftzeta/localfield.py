@@ -11,18 +11,13 @@ import math
 import re
 from fractions import Fraction
 
-from .exactnum import CycRat, cyc_zero
+from .exactnum import CycRat, cyc_zero, is_prime
 
 INF = math.inf
 
-
-def is_prime(n):
-    if n < 2:
-        return False
-    for k in range(2, int(n ** 0.5) + 1):
-        if n % k == 0:
-            return False
-    return True
+# enumerate_characters(q, r) refuses q^max(r, 1) above this: the group
+# O^x/(1+pi^r O) has (q-1) q^(r-1) elements and as many characters
+ENUMERATION_BOUND = 10 ** 4
 
 
 class KElement:
@@ -386,20 +381,18 @@ class QuasiCharacter:
         return QuasiCharacter(self.q, rp, table, self.pi_value, self.label)
 
 
-def enumerate_characters(q, r, p=None):
+def enumerate_characters(q, r):
     """All (q-1) q^(r-1) characters of O^x/(1+pi^r O), deterministic order.
 
     Built from explicit generators: a primitive root of F_q^x (order q-1)
-    and the principal units 1+u^i for p not dividing i, whose order modulo
-    1+pi^r O is p^e with e minimal such that i p^e >= r.
+    and the principal units 1+u^i for q not dividing i, whose order modulo
+    1+pi^r O is q^e with e minimal such that i q^e >= r.
     """
     if r < 0:
         raise ValueError("conductor bound must be >= 0")
-    if p is None:
-        p = q
     if not is_prime(q):
         raise ValueError("q must be prime")
-    if q ** max(r, 1) > 10 ** 4:
+    if q ** max(r, 1) > ENUMERATION_BOUND:
         raise ValueError("conductor bound too large for enumeration")
     if r == 0:
         return [QuasiCharacter.trivial(q)]
@@ -410,13 +403,13 @@ def enumerate_characters(q, r, p=None):
     gens.append(KElement.constant(q, c))
     orders.append(q - 1)
     for i in range(1, r):
-        if i % p == 0:
+        if i % q == 0:
             continue
         e = 0
-        while i * p ** e < r:
+        while i * q ** e < r:
             e += 1
         gens.append(KElement(q, {0: 1, i: 1}))
-        orders.append(p ** e)
+        orders.append(q ** e)
 
     group_order = (q - 1) * q ** (r - 1)
     assert math.prod(orders) == group_order, "generator orders inconsistent"

@@ -11,6 +11,15 @@ from liftzeta.exactnum import CycRat, ZetaValue
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "bench" / "golden.json").read_text())
 
+# sha256 of report.json, seed blanked, for runs whose printed values go
+# through sqrt(q): q = 2 (order 8) and the order-20 epsilon factors at q = 5
+PINNED = {
+    ("--q", "2"):
+        "c0a0ea1ea4b5fdb0fd3c8c3f1b1d9384693483c99d1c5fc0415dca2654d05c1a",
+    ("--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "2", "--d", "1"):
+        "82241571e6a952f7f457f2c91d6dbfc73ee8620f221dcfc548e7113b4759c682",
+}
+
 
 def run(argv):
     return main(argv)
@@ -47,6 +56,40 @@ class TestArgs:
         assert "--mu" in err and message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["verify", "epsilon-table"])
+    def test_no_prime_override(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--q", "3", "--p", "2", "--rmax", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--q", "23", "--rmax", "3", "--suite", "zeta1d-epsilon"],
+        ["epsilon-table", "--q", "10007"],
+    ])
+    def test_enumeration_bound(self, argv, tmp_path, capsys):
+        assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "enumeration bound" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["verify", "epsilon-table"])
+    @pytest.mark.parametrize("tol,message", [
+        ("nan", "must be positive and finite"),
+        ("inf", "must be positive and finite"),
+        ("0", "must be positive and finite"),
+        ("-1", "must be positive and finite"),
+        ("x", "not a number"),
+    ])
+    def test_bad_tolerance_rejected(self, command, tol, message, tmp_path,
+                                    capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--q", "2", "--tol", tol,
+                 "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and message in err
+        assert not list(tmp_path.iterdir())
+
 
 class TestRow:
     def test_verdict_is_exact_equality(self):
@@ -73,6 +116,14 @@ class TestVerify:
         text = (tmp_path / "report.json").read_text()
         text = text.replace('"seed": 20260823', '"seed": "SEED"')
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[suite]
+
+    @pytest.mark.parametrize("args", list(PINNED), ids=["q2", "q5-epsilon"])
+    def test_pinned_report(self, args, tmp_path):
+        assert run(["verify", *args, "--out-dir", str(tmp_path)]) == 0
+        # blanked as in test_each_suite_passes
+        text = (tmp_path / "report.json").read_text()
+        text = text.replace('"seed": 20260823', '"seed": "SEED"')
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED[args]
 
     def test_report_schema(self, tmp_path):
         run(["verify", "--q", "2", "--suite", "measure",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,46 @@ class TestCycRat:
     def test_sqrt_q_inverse(self):
         x = CycRat.sqrt_q(2) + 1
         assert x * x.inverse() == 1
+
+    def test_sqrt_q_lies_in_the_field(self):
+        # z3 - z3^2 = i sqrt(3): i written two ways is one value
+        w = zeta(3) - zeta(3, 2)
+        assert w * CycRat.sqrt_q(3, -1) == zeta(4)
+        assert (w - zeta(4) * CycRat.sqrt_q(3)).is_zero()
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    def test_sqrt_q_is_the_positive_root(self, q):
+        s = CycRat.sqrt_q(q)
+        assert s ** 2 == q
+        assert abs(s.to_complex() - math.sqrt(q)) < 1e-12
+
+    def test_odd_power_needs_prime_q(self):
+        with pytest.raises(ValueError):
+            CycRat.sqrt_q(4)
+        assert CycRat.sqrt_q(4, 2) == 4
+
+    def test_hash_across_orders(self):
+        z = zeta(3)
+        assert z == z.embed(6) and hash(z) == hash(z.embed(6))
+        assert z.embed(6) in {z}
+        assert hash(CycRat.from_rational(Fraction(1, 3))) == \
+            hash(Fraction(1, 3))
+
+    @given(st.sampled_from([1, 3, 4, 5, 8, 12]),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+           st.sampled_from([None, 2, 3, 5]),
+           st.fractions(max_denominator=9))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_hash_equal(self, m, coeffs, q, r):
+        x = sum((c * zeta(m, i) for i, c in enumerate(coeffs)),
+                CycRat.from_rational(0))
+        if q is not None:
+            x = x * CycRat.sqrt_q(q)
+        for k in (2, 3):
+            y = x.embed(k * x.m)
+            assert x == y and hash(x) == hash(y)
+        rat = CycRat.from_rational(r).embed(m)
+        assert rat == r and hash(rat) == hash(r)
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     def test_field_axioms(self, a, b, c):
