@@ -11,13 +11,38 @@ from liftzeta.exactnum import CycRat, ZetaValue
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "bench" / "golden.json").read_text())
 
-# sha256 of report.json, seed blanked, for runs whose printed values go
-# through sqrt(q): q = 2 (order 8) and the order-20 epsilon factors at q = 5
+# sha256 of the report file, seed blanked, for the standard runs besides
+# `verify --q 3` (pinned per suite in bench/golden.json): their printed
+# values go through sqrt(q) at orders 8, 12 and 20, other measures and
+# negative conductors
 PINNED = {
-    ("--q", "2"):
-        "c0a0ea1ea4b5fdb0fd3c8c3f1b1d9384693483c99d1c5fc0415dca2654d05c1a",
-    ("--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "2", "--d", "1"):
-        "82241571e6a952f7f457f2c91d6dbfc73ee8620f221dcfc548e7113b4759c682",
+    "q2": (
+        ("verify", "--q", "2"),
+        "c0a0ea1ea4b5fdb0fd3c8c3f1b1d9384693483c99d1c5fc0415dca2654d05c1a"),
+    "q5-epsilon": (
+        ("verify", "--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "2",
+         "--d", "1"),
+        "82241571e6a952f7f457f2c91d6dbfc73ee8620f221dcfc548e7113b4759c682"),
+    "q5-epsilon-mu": (
+        ("verify", "--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "2",
+         "--d", "0", "--mu", "5/4"),
+        "72ab59b21b7ef94389c39fe596ee1af1615fd14a65a9089dbd56c59c552fe1ae"),
+    "q5-rho2": (
+        ("verify", "--q", "5", "--suite", "rho2"),
+        "289f264538ccad4cb6bb91a5f49d1a8a6e99c313cfa91a3824ee686c539533bd"),
+    "q3-epsilon-rmax3": (
+        ("verify", "--q", "3", "--suite", "zeta1d-epsilon", "--rmax", "3",
+         "--d", "-1"),
+        "a631ea545331f287b99be2acccb1c127c13b846cec8f7d598acf0a37e30d5eeb"),
+    "table-q5": (
+        ("epsilon-table", "--q", "5", "--rmax", "2", "--d", "1"),
+        "c1935cfe402f58fb8b1a2584aeb4e04849bdc42cb2bac1e7c848488551e91204"),
+    "table-q3": (
+        ("epsilon-table", "--q", "3", "--rmax", "3", "--d", "-1"),
+        "27d91a43b169dbebd5a8d252d2cd03dc49ac47fc5a025ffef9b2b731d0959af1"),
+    "table-q2": (
+        ("epsilon-table", "--q", "2", "--rmax", "3", "--d", "0"),
+        "56e08848130c80e60c5d5f69740c905590dbc6d33bf1e3a4e092f06b7bd07830"),
 }
 
 
@@ -117,13 +142,15 @@ class TestVerify:
         text = text.replace('"seed": 20260823', '"seed": "SEED"')
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[suite]
 
-    @pytest.mark.parametrize("args", list(PINNED), ids=["q2", "q5-epsilon"])
-    def test_pinned_report(self, args, tmp_path):
-        assert run(["verify", *args, "--out-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pinned_report(self, name, tmp_path):
+        args, digest = PINNED[name]
+        assert run([*args, "--out-dir", str(tmp_path)]) == 0
+        report = "report.json" if args[0] == "verify" else "epsilon-table.json"
         # blanked as in test_each_suite_passes
-        text = (tmp_path / "report.json").read_text()
+        text = (tmp_path / report).read_text()
         text = text.replace('"seed": 20260823', '"seed": "SEED"')
-        assert hashlib.sha256(text.encode()).hexdigest() == PINNED[args]
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_report_schema(self, tmp_path):
         run(["verify", "--q", "2", "--suite", "measure",
