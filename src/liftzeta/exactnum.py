@@ -244,6 +244,8 @@ class CycRat:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
+        if self.is_rational():
+            return CycRat(self.m, (1 / self.a[0],) + self.a[1:])
         # extended euclid against the cyclotomic polynomial
         phi = list(cyclotomic_poly(self.m))
         r0, r1 = phi, _ptrim(list(self.a))
@@ -421,6 +423,11 @@ class ZetaValue:
     Stored as a map from X-exponent to a reduced fraction (num, den) of
     T-polynomials.  Denominator normalization: lowest nonzero coefficient
     equals 1, so equality is plain structural comparison.
+
+    A monomial denominator c T^k, which every Laurent polynomial has, is
+    reduced by cancelling the common power of T and dividing by c.  Any
+    other denominator (the L-factor binomials 1 - aT, their products, a
+    quotient of zeta integrals) is reduced by the polynomial gcd.
     """
 
     __slots__ = ("q", "terms")
@@ -441,6 +448,13 @@ class ZetaValue:
             raise ZeroDivisionError("division by zero")
         if not num:
             return (), (cyc_one(),)
+        k = len(den) - 1
+        if all(c.is_zero() for c in den[:k]):
+            # den = c T^k: cancel the common power of T, divide by c
+            j = min(k, next(i for i, c in enumerate(num) if not c.is_zero()))
+            inv = den[k].inverse()
+            return (tuple(c * inv for c in num[j:]),
+                    (cyc_zero(),) * (k - j) + (cyc_one(),))
         g = _cgcd(num, den)
         if len(g) > 1 or not g[0] == 1:
             num, _ = _cdivmod(num, g)
@@ -466,16 +480,25 @@ class ZetaValue:
     @classmethod
     def monomial(cls, q, c, t_exp=0, x_exp=0):
         """c * T^t_exp * X^x_exp; t_exp may be negative."""
-        if not isinstance(c, CycRat):
-            c = CycRat.from_rational(c)
-        z = cyc_zero()
-        if t_exp >= 0:
-            num = (z,) * t_exp + (c,)
-            den = (cyc_one(),)
-        else:
-            num = (c,)
-            den = (z,) * (-t_exp) + (cyc_one(),)
-        return cls(q, {x_exp: (num, den)})
+        return cls.laurent(q, [(t_exp, c)], x_exp)
+
+    @classmethod
+    def laurent(cls, q, terms, x_exp=0):
+        """The sum of c * T^k * X^x_exp over the (k, c) pairs, collected
+        by T exponent into one fraction over a power of T; k may be
+        negative."""
+        coeffs = {}
+        for k, c in terms:
+            if not isinstance(c, CycRat):
+                c = CycRat.from_rational(c)
+            coeffs[k] = coeffs[k] + c if k in coeffs else c
+        if not coeffs:
+            return cls.zero(q)
+        lo = min(0, min(coeffs))
+        num = [cyc_zero()] * (max(coeffs) - lo + 1)
+        for k, c in coeffs.items():
+            num[k - lo] = c
+        return cls(q, {x_exp: (num, (cyc_zero(),) * -lo + (cyc_one(),))})
 
     @classmethod
     def geometric(cls, q, c, a, start):

@@ -657,13 +657,13 @@ def _pv_gauss(q, mu, c, omega, d):
     lo = d - max(r, 1) - 1 - wc
     hi = d - wc
     psi_k = AdditiveCharacter(q, d)
-    total = ZetaValue.zero(q)
+    shells = []
     for n in range(lo, hi):
         lev = max(r, d - wc - n, 1)
         shell = gauss_sum(omega, psi_k, c.shift(n), lev)
-        total = total + ZetaValue.monomial(
-            q, shell * omega.pi_value ** n
-            * CycRat.from_rational(mu * Fraction(q) ** (-lev)), t_exp=n)
+        shells.append((n, shell * omega.pi_value ** n
+                       * CycRat.from_rational(mu * Fraction(q) ** (-lev))))
+    total = ZetaValue.laurent(q, shells)
     if r == 0:
         total = total + ZetaValue.geometric(
             q, CycRat.from_rational(mu * Fraction(q - 1, q)),

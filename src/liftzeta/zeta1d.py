@@ -16,31 +16,6 @@ from .localfield import KCoset, KElement, KSingleton, gauss_sum
 from .schwartz import SBFunction
 
 
-def _coset_zeta(coset, coeff, omega, mu):
-    q = coset.q
-    v = coset.rep.valuation()
-    if v >= coset.level:
-        # the ideal pi^m O: a union of shells pi^k O^x, k >= m
-        m = coset.level
-        if omega.r > 0:
-            # each shell integral of a ramified character vanishes
-            return ZetaValue.zero(q)
-        return ZetaValue.geometric(
-            q, coeff * CycRat.from_rational(mu * Fraction(q - 1, q)),
-            omega.pi_value, m)
-    need = v + max(omega.r, 1)
-    if coset.level >= need:
-        # omega and |.| are constant on the coset; the multiplicative
-        # measure of a + pi^n O is mu q^(v - n) by d*x = |x|^-1 dx
-        c = coeff * omega(coset.rep) * CycRat.from_rational(
-            mu * Fraction(q) ** (v - coset.level))
-        return ZetaValue.monomial(q, c, t_exp=v)
-    total = ZetaValue.zero(q)
-    for sub in coset.subcosets(need):
-        total = total + _coset_zeta(sub, coeff, omega, mu)
-    return total
-
-
 def zeta(g, omega):
     """Exact rational function in T for the multiplicative integral of
     g(x) omega(x) |x|^s.  Point masses carry no measure; g must be free
@@ -49,12 +24,28 @@ def zeta(g, omega):
         raise ValueError("zeta integral needs a twist-free function")
     if g.q != omega.q:
         raise ValueError("mixed residue sizes")
-    total = ZetaValue.zero(g.q)
+    q = g.q
+    tails = ZetaValue.zero(q)
+    monomials = []
     for atom, _, coeff in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
-        total = total + _coset_zeta(atom, coeff, omega, g.mu)
-    return total
+        v = atom.rep.valuation()
+        if v < atom.level:
+            # omega and |.| are constant on each coset of level need; the
+            # multiplicative measure of a + pi^n O is mu q^(v - n) by
+            # d*x = |x|^-1 dx
+            need = v + max(omega.r, 1)
+            subs = [atom] if atom.level >= need else atom.subcosets(need)
+            monomials += [(v, coeff * omega(sub.rep) * CycRat.from_rational(
+                g.mu * Fraction(q) ** (v - sub.level))) for sub in subs]
+        elif omega.r == 0:
+            # the ideal pi^m O: a union of shells pi^k O^x, k >= m; each
+            # shell integral of a ramified character vanishes
+            tails = tails + ZetaValue.geometric(
+                q, coeff * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
+                omega.pi_value, atom.level)
+    return tails + ZetaValue.laurent(q, monomials)
 
 
 def l_function(omega):

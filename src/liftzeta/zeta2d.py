@@ -112,12 +112,9 @@ def _shells(g, omega):
 def _shell_series(q, shells):
     """Sum of q^k T^k times the Haar integral of each shell restriction:
     the shells' share of the multiplicative zeta integral."""
-    total = ZetaValue.zero(q)
-    for k, h in shells:
-        total = total + ZetaValue.monomial(
-            q, h.haar_integral() * CycRat.from_rational(Fraction(q) ** k),
-            t_exp=k)
-    return total
+    return ZetaValue.laurent(q, [
+        (k, h.haar_integral() * CycRat.from_rational(Fraction(q) ** k))
+        for k, h in shells])
 
 
 def _shell_window(g):

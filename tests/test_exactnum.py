@@ -2,9 +2,11 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from liftzeta.exactnum import CycRat, ZetaValue, cyclotomic_poly
+from liftzeta.exactnum import (
+    CycRat, ZetaValue, _cdivmod, _cgcd, _ctrim, cyclotomic_poly,
+)
 from liftzeta.localfield import QuasiCharacter
 from liftzeta.zeta1d import l_function
 
@@ -225,3 +227,59 @@ class TestZetaValue:
         z = ZetaValue.constant(self.q, b) + ZetaValue.monomial(self.q, 1, x_exp=1)
         assert (x + y) * z == x * z + y * z
         assert (x * y) * z == x * (y * z)
+
+
+def euclid_reduce(num, den):
+    """The general reduction of num/den: divide both by their gcd, then
+    scale the lowest nonzero denominator coefficient to 1.  Reference for
+    the monomial-denominator branch of ZetaValue._reduce."""
+    num, den = _ctrim(num), _ctrim(den)
+    if not num:
+        return (), (CycRat.from_rational(1),)
+    g = _cgcd(num, den)
+    if len(g) > 1 or not g[0] == 1:
+        num, _ = _cdivmod(num, g)
+        den, _ = _cdivmod(den, g)
+    low = next(c for c in den if not c.is_zero())
+    if not low == 1:
+        inv = low.inverse()
+        num = tuple(c * inv for c in num)
+        den = tuple(c * inv for c in den)
+    return num, den
+
+
+# orders a coefficient may take inside Q(zeta_m), and the square root
+# that lies in Q(zeta_m)
+DIVISORS = {1: (1,), 12: (1, 3, 4, 12), 20: (1, 4, 5, 20)}
+SQRT = {1: None, 12: 3, 20: 5}
+
+
+class TestMonomialDenominator:
+    @given(st.sampled_from([1, 12, 20]), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_euclid(self, m, one_order, data):
+        def coeff():
+            n = m if one_order else data.draw(st.sampled_from(DIVISORS[m]))
+            coords = data.draw(st.lists(
+                st.fractions(-3, 3, max_denominator=4),
+                min_size=1, max_size=4))
+            x = sum((c * zeta(n, i) for i, c in enumerate(coords)),
+                    CycRat.from_rational(0).embed(n))
+            if SQRT[m] and data.draw(st.booleans()):
+                x = x * CycRat.sqrt_q(SQRT[m])
+            return x.embed(m) if one_order else x
+
+        zeros = data.draw(st.integers(0, 3))
+        num = ([CycRat.from_rational(0).embed(m)] * zeros
+               + [coeff() for _ in range(data.draw(st.integers(1, 4)))])
+        c = coeff()
+        assume(not c.is_zero())
+        k = data.draw(st.integers(0, 4))
+        den = [CycRat.from_rational(0)] * k + [c]
+
+        got = ZetaValue._reduce(num, den)
+        want = euclid_reduce(num, den)
+        assert got == want
+        if one_order:
+            assert [ZetaValue._poly_str(p) for p in got] == \
+                [ZetaValue._poly_str(p) for p in want]

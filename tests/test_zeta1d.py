@@ -3,11 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liftzeta.exactnum import CycRat, ZetaValue
+from liftzeta.exactnum import (
+    CycRat, ZetaValue, _padd, _pdivmod, _pmul, _ptrim, _reduce_mod_cyc,
+    cyclotomic_poly,
+)
 from liftzeta.localfield import (
     AdditiveCharacter, KCoset, KElement, QuasiCharacter, enumerate_characters,
 )
+from liftzeta import zeta1d as zeta1d_module
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import (
     SBTensor, check_identity_A, double_star_invariance, epsilon_star,
@@ -88,6 +93,59 @@ class TestZeta:
             rhs = ZetaValue.monomial(
                 q, w.inverse()(alpha), t_exp=-alpha.valuation()) * zeta(g, w)
             assert lhs == rhs
+
+
+def euclid_inverse(x):
+    """x^-1 by the extended Euclid against the cyclotomic polynomial: the
+    reference for the rational fast path of CycRat.inverse."""
+    r0, r1 = list(cyclotomic_poly(x.m)), _ptrim(list(x.a))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        qq, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, [-c for c in _pmul(qq, s1)])
+    return CycRat(x.m, _reduce_mod_cyc([c / r0[0] for c in s0], x.m))
+
+
+class TestZetaAdditive:
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sum_over_atoms(self, q, data):
+        omega = data.draw(st.sampled_from(enumerate_characters(q, 2)))
+        if data.draw(st.booleans()):
+            omega = omega.with_pi_value(CycRat.root_of_unity(4))
+        mu = data.draw(st.sampled_from([Fraction(1), Fraction(5, 4)]))
+        pieces = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            kind = data.draw(st.sampled_from(["ideal", "point", "coset"]))
+            c = data.draw(st.sampled_from(
+                [1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]))
+            if kind == "ideal":
+                n = data.draw(st.integers(-2, 2))
+                pieces.append(SBFunction.char_ideal(q, n, c, mu))
+            elif kind == "point":
+                x = KElement(q, {data.draw(st.integers(-1, 2)):
+                                 data.draw(st.integers(1, q - 1))})
+                pieces.append(SBFunction.char_point(q, x, c, mu))
+            else:
+                lev = data.draw(st.integers(-2, 3))
+                digits = data.draw(st.lists(st.integers(0, q - 1),
+                                            min_size=3, max_size=3))
+                rep = KElement(q, {lev - 3 + i: b
+                                   for i, b in enumerate(digits)})
+                pieces.append(SBFunction.char(KCoset(q, rep, lev), c, mu))
+        g = sum(pieces[1:], pieces[0])
+        assert zeta(g, omega) == sum((zeta(p, omega) for p in pieces),
+                                     ZetaValue.zero(q))
+
+        # the rational inverse keeps the order, as the Euclid one does
+        m = math.lcm(omega.pi_value.m,
+                     *(v.m for v in omega.unit_table.values()))
+        for p in pieces:
+            (_, _, c), = p.terms
+            x = (c * mu).embed(m)
+            got, want = x.inverse(), euclid_inverse(x)
+            assert (got.m, got.a) == (want.m, want.a)
 
 
 class TestLFunction:
@@ -196,6 +254,32 @@ class TestEpsilonStar:
                     q, CycRat.from_rational(Fraction(q) ** (-d) * delta)
                     * w.at_minus_one())
                 assert prod == expect
+
+    @pytest.mark.parametrize("calls,factor,message", [
+        # the second test function's integral doubled
+        ({2}, ZetaValue.constant(3, 2),
+         "epsilon depends on the test function"),
+        # both test functions' integrals times 1 + T
+        ({0, 2}, ZetaValue.constant(3, 1) + ZetaValue.monomial(3, 1, 1),
+         "epsilon not of exponential type"),
+    ], ids=["test-function", "exponential-type"])
+    def test_inconsistent_integrals_raise(self, calls, factor, message,
+                                          monkeypatch):
+        # epsilon_star integrates g1, g1*, g2, g2* in this order
+        real = zeta1d_module.z_normalized
+        seen = []
+
+        def bent(g, omega):
+            seen.append(g)
+            z = real(g, omega)
+            return z * factor if len(seen) - 1 in calls else z
+
+        monkeypatch.setattr(zeta1d_module, "z_normalized", bent)
+        q = 3
+        with pytest.raises(ArithmeticError, match=message):
+            epsilon_star(QuasiCharacter.trivial(q), AdditiveCharacter(q, 0),
+                         KElement.uniformizer(q))
+        assert len(seen) == 4
 
     def test_nowhere_vanishing(self):
         q = 3
