@@ -308,14 +308,12 @@ SUITE_FUNCS = {
 
 
 def _write_report(rows, out_dir, fmt, name):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the report and return its path; on a file-system error print
+    the message and return None."""
+    path = Path(out_dir) / ("%s.%s" % (name, fmt))
     if fmt == "json":
-        path = out_dir / ("%s.json" % name)
-        path.write_text(json.dumps(rows, indent=2, sort_keys=True,
-                                   default=str) + "\n")
+        text = json.dumps(rows, indent=2, sort_keys=True, default=str) + "\n"
     else:
-        path = out_dir / ("%s.csv" % name)
         buf = io.StringIO()
         fields = ["suite", "case_id", "inputs", "expected", "got", "pass"]
         writer = csv.DictWriter(buf, fieldnames=fields)
@@ -325,7 +323,13 @@ def _write_report(rows, out_dir, fmt, name):
             r["inputs"] = json.dumps(r["inputs"], sort_keys=True,
                                      default=str)
             writer.writerow(r)
-        path.write_text(buf.getvalue())
+        text = buf.getvalue()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        print("cannot write report: %s" % exc, file=sys.stderr)
+        return None
     return path
 
 
@@ -335,6 +339,8 @@ def cmd_verify(cfg):
     for name in suites:
         rows.extend(SUITE_FUNCS[name](cfg))
     path = _write_report(rows, cfg.out_dir, cfg.format, "report")
+    if path is None:
+        return 2
     failed = [r for r in rows if not r["pass"]]
     print("%d cases, %d failed; report: %s"
           % (len(rows), len(failed), path))
@@ -356,6 +362,8 @@ def cmd_epsilon_table(cfg):
                      "expected": "exponential type",
                      "got": "(%s)*T^%d" % (a, b), "pass": True})
     path = _write_report(rows, cfg.out_dir, cfg.format, "epsilon-table")
+    if path is None:
+        return 2
     print("wrote %s (%d characters)" % (path, len(rows)))
     return 0
 

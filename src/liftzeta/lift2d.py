@@ -495,7 +495,13 @@ class DistinguishedSetF:
 class DistinguishedFamily(AtomFamily):
     """Distinguished subsets of F form an atom family: two meeting sets
     are nested unless they share a level, in which case the residue sets
-    combine."""
+    combine.
+
+    Residue sets are compared by Haar measure, not by probing: S1 and S2
+    are disjoint when mu(S1 & S2) = 0 and S1 lies in S2 when
+    mu(S1 & S2) = mu(S1).  This is exact because every component of a
+    DddSet is a coset minus disjoint proper subcosets, so it is either
+    empty or contains a whole coset, and because mu > 0."""
 
     def __init__(self, q, mu=Fraction(1)):
         self.q = q
@@ -512,27 +518,23 @@ class DistinguishedFamily(AtomFamily):
                                 for i in inners)))
         return DddSet(S.family, moved)
 
-    def _s_empty(self, S):
-        if isinstance(S, _PointS):
-            return False
-        pts = self.kfam.probe_points(S.atoms())
-        return not any(S.contains(p) for p in pts)
-
-    def _s_nested(self, S1, S2):
+    def _s_relation(self, S1, S2):
+        """(kind, meet) of two residue sets, kind as in _rel, decided by
+        Haar measure as the class docstring explains."""
         if isinstance(S1, _PointS):
-            return S2.contains(S1.point)
+            if not S2.contains(S1.point):
+                return "disjoint", None
+            return ("equal" if isinstance(S2, _PointS) else "a_in_b"), S1
         if isinstance(S2, _PointS):
-            return self._s_empty(S1)
-        return self._s_empty(S1.difference(S2))
-
-    def _s_meet(self, S1, S2):
-        """Intersection, or None when empty."""
-        if isinstance(S1, _PointS):
-            return S1 if S2.contains(S1.point) else None
-        if isinstance(S2, _PointS):
-            return S2 if S1.contains(S2.point) else None
+            return ("b_in_a", S2) if S1.contains(S2.point) else (
+                "disjoint", None)
         meet = S1.intersection(S2)
-        return None if self._s_empty(meet) else meet
+        m, m1, m2 = (S.measure(self.kfam.haar) for S in (meet, S1, S2))
+        if m == 0:
+            return "disjoint", None
+        if m == m1:
+            return ("equal" if m == m2 else "a_in_b"), meet
+        return ("b_in_a" if m == m2 else "overlap"), meet
 
     def _s_join(self, S1, S2):
         if isinstance(S1, _PointS):
@@ -543,8 +545,9 @@ class DistinguishedFamily(AtomFamily):
 
     # family interface -----------------------------------------------------------
     def _rel(self, A, B):
-        """(kind, payload): "disjoint", "a_in_b", "b_in_a", or
-        ("overlap", meet-set in A coordinates)."""
+        """(kind, payload): kind is "disjoint", "equal", "a_in_b", "b_in_a"
+        or "overlap"; at one level the payload is (meet, residue set of B),
+        both in A coordinates."""
         if A.gamma > B.gamma:
             kind, payload = self._rel(B, A)
             flip = {"a_in_b": "b_in_a", "b_in_a": "a_in_b"}
@@ -557,18 +560,8 @@ class DistinguishedFamily(AtomFamily):
             return ("b_in_a", None) if A.S.contains(c) else ("disjoint",
                                                              None)
         sb = self._s_translate(B.S, c)
-        meet = self._s_meet(A.S, sb)
-        if meet is None:
-            return "disjoint", None
-        a_in = self._s_nested(A.S, sb)
-        b_in = self._s_nested(sb, A.S)
-        if a_in and b_in:
-            return "equal", None
-        if a_in:
-            return "a_in_b", None
-        if b_in:
-            return "b_in_a", None
-        return "overlap", (meet, sb)
+        kind, meet = self._s_relation(A.S, sb)
+        return kind, (meet, sb)
 
     def nested(self, a, b):
         return self._rel(a, b)[0] in ("equal", "a_in_b")

@@ -8,8 +8,10 @@ intersection and difference, which is all a finitely additive measure
 needs.
 
 Normal forms are not canonical: two structurally different descriptions
-can denote the same set, so equality is decided by membership on probe
-points supplied by the atom family.
+can denote the same set.  ``same_set`` decides equality by membership on
+probe points supplied by the atom family; the library's own comparisons
+of residue sets use Haar measure instead (see lift2d.DistinguishedFamily),
+and the probe points otherwise serve the tests as a membership oracle.
 """
 
 from fractions import Fraction
@@ -228,6 +230,9 @@ class KCosetFamily(AtomFamily):
     def __init__(self, q, mu=Fraction(1)):
         self.q = q
         self.mu = Fraction(mu)
+        if self.mu <= 0:
+            raise ValueError("Haar measure mu must be positive, got %s"
+                             % self.mu)
 
     def nested(self, a, b):
         return a.relation(b) in ("equal", "in")

@@ -115,6 +115,17 @@ class TestArgs:
         assert "--tol" in err and message in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--q", "3", "--suite", "archfe"],
+        ["epsilon-table", "--q", "2"],
+    ])
+    def test_unwritable_out_dir(self, argv, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(argv + ["--out-dir", str(blocker / "x")]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert blocker.read_text() == ""
+
 
 class TestRow:
     def test_verdict_is_exact_equality(self):

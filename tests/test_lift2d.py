@@ -13,7 +13,7 @@ from liftzeta.localfield import (
     KCoset, KElement, QuasiCharacter, enumerate_characters,
 )
 from liftzeta.schwartz import SBFunction, cyc_abs
-from liftzeta.setring import DddSet
+from liftzeta.setring import DddSet, KCosetFamily
 from liftzeta.zeta1d import rho0, zeta as zeta_k
 
 
@@ -301,17 +301,20 @@ class TestDistinguishedSets:
             S = piece if S is None else S.union(piece)
         return DistinguishedSetF(self.q, a, gamma, S)
 
+    def rand_cosets(self, rng):
+        q = self.q
+        return [KCoset(q, KElement(q, {k: rng.randrange(q)
+                                       for k in (-1, 0, 1)}),
+                       rng.randrange(-1, 3))
+                for _ in range(rng.randrange(1, 3))]
+
     def rand_atom(self, rng):
         q = self.q
         a = rand_felement(q, rng, density=0.7)
         gamma = rng.randrange(-1, 3)
         if rng.random() < 0.15:
             return DistinguishedSetF.null_ideal(q, gamma, a)
-        cosets = [KCoset(q, KElement(q, {k: rng.randrange(q)
-                                         for k in (-1, 0, 1)}),
-                         rng.randrange(-1, 3))
-                  for _ in range(rng.randrange(1, 3))]
-        return self.dset(a, gamma, cosets)
+        return self.dset(a, gamma, self.rand_cosets(rng))
 
     def test_atom_measure(self):
         A = self.dset(fe(3, "u*t^-1"), 2, [KCoset.ideal(3, 1)])
@@ -367,6 +370,70 @@ class TestDistinguishedSets:
                    else [FElement.zero(self.q)])
             for p in pts:
                 assert s.contains(p) == oracle(p)
+
+    def test_residue_set_empty_but_not_structurally(self):
+        # O minus its q level-1 subcosets keeps the component
+        # ([O], (three subcosets)) although it denotes the empty set
+        q, kfam = self.q, self.fam.kfam
+        S = DddSet.atom(kfam, KCoset.ideal(q, 0))
+        for c in KCoset.ideal(q, 0).subcosets(1):
+            S = S.difference(DddSet.atom(kfam, c))
+        assert len(S.components) == 1 and len(S.components[0][1]) == q
+        a = fe(q, "u*t^-1")
+        E = DistinguishedSetF(q, a, 1, S)
+        for n in (1, 0):
+            B = self.dset(a, 1, [KCoset.ideal(q, n)])
+            assert self.fam.disjoint(E, B) and self.fam.disjoint(B, E)
+        assert measure_F(DddSet.atom(self.fam, E), self.fam).is_zero()
+
+    def test_same_level_relations_match_membership(self):
+        q, kfam = self.q, self.fam.kfam
+        rng = random.Random(11)
+
+        def residue_atom(a, gamma):
+            if rng.random() < 0.3:
+                return DistinguishedSetF.null_ideal(q, gamma + 1, a)
+            return self.dset(a, gamma, self.rand_cosets(rng))
+
+        kinds = set()
+        for _ in range(200):
+            a = rand_felement(q, rng, density=0.7)
+            gamma = rng.randrange(-1, 3)
+            x = residue_atom(a, gamma)
+            if rng.random() < 0.2 and not x.is_null():
+                # the same set through a different description
+                extra = DddSet.atom(kfam, KCoset(
+                    q, KElement(q, {k: rng.randrange(q) for k in (0, 1)}),
+                    rng.randrange(0, 3)))
+                y = DistinguishedSetF(
+                    q, a, gamma, x.S.union(x.S.intersection(extra)))
+            elif rng.random() < 0.4:
+                # a base t^gamma kappa away keeps the same-level branch
+                # and moves y's residue set by kappa
+                kappa = KElement(q, {k: rng.randrange(q) for k in (0, 1)})
+                y = residue_atom(a + FElement(q, {gamma: kappa}), gamma)
+            else:
+                y = residue_atom(a, gamma)
+            pts = self.fam.probe_points([x, y])
+            inx = [x.contains(p) for p in pts]
+            iny = [y.contains(p) for p in pts]
+            x_in_y = all(v <= w for v, w in zip(inx, iny))
+            y_in_x = all(w <= v for v, w in zip(inx, iny))
+            meets = any(v and w for v, w in zip(inx, iny))
+            assert self.fam.nested(x, y) == x_in_y
+            assert self.fam.nested(y, x) == y_in_x
+            assert self.fam.disjoint(x, y) == (not meets)
+            assert self.fam.equal(x, y) == (x_in_y and y_in_x)
+            kinds.add((x_in_y, y_in_x, meets))
+        # disjoint, equal, either nesting and a proper overlap all occur
+        assert len(kinds) == 5
+
+    @pytest.mark.parametrize("cls,mu", [
+        (KCosetFamily, 0), (DistinguishedFamily, -1),
+    ], ids=["KCosetFamily-0", "DistinguishedFamily-neg1"])
+    def test_non_positive_mu_rejected(self, cls, mu):
+        with pytest.raises(ValueError, match="must be positive"):
+            cls(3, mu)
 
 
 class TestZetaOnF:
