@@ -120,6 +120,18 @@ def _reduce_mod_cyc(p, m):
     return tuple(out)
 
 
+def _from_ints(m, p, den):
+    """sum p_k zeta_m^k / den for integers p_k, k < m: reduced by the
+    integral rows of _xpow_mod_cyc before making Fractions."""
+    d = _phi_deg(m)
+    out = list(p[:d])
+    for k in range(d, len(p)):
+        if p[k]:
+            for i, r in enumerate(_xpow_mod_cyc(m, k)):
+                out[i] += p[k] * r.numerator
+    return CycRat(m, [Fraction(c, den) if c else _ZERO for c in out])
+
+
 def _remap(coords, k, m):
     """Coordinates in Q(zeta_m) of the sum of c_i zeta_m^(i k) over the
     given power-basis coordinates c_i."""
@@ -230,6 +242,10 @@ class CycRat:
         return (-self) + other
 
     def __mul__(self, other):
+        if type(other) is CycRat and 1 in (self.m, other.m):
+            # a rational factor scales the coordinates at the other order
+            x, s = (self, other.a[0]) if other.m == 1 else (other, self.a[0])
+            return CycRat(x.m, tuple(u * s for u in x.a))
         if type(other) is CycRat and other.m == self.m:
             x, y = self, other
         else:

@@ -93,6 +93,15 @@ class KElement:
             n >>= 1
         return out
 
+    def power_mod(self, k, n):
+        """self^k modulo pi^n for k of either sign; k < 0 inverts self^-k."""
+        w = self.valuation()
+        prec = max(n - k * w, 1)
+        unit, out = self.shift(-w), KElement.one(self.q)
+        for _ in range(abs(k)):
+            out = (out * unit).truncate(prec)
+        return (out.invert(prec) if k < 0 else out).shift(k * w).truncate(n)
+
     def shift(self, k):
         """Multiply by u^k."""
         return KElement(self.q, {e + k: d for e, d in self.digits.items()})
@@ -261,16 +270,13 @@ class AdditiveCharacter:
     def __call__(self, x):
         return CycRat.root_of_unity(self.q, x.digit(self.d - 1))
 
-    def twist_digit(self, b, xd):
-        """The digit of b x that determines psi(b x), read off the digit
-        dict xd of x without forming the whole product."""
+    def twist_form(self, b, x, lo, hi):
+        """psi(b y) = zeta_q^t for y = x + sum of y_e u^e over lo <= e < hi,
+        x free of digits there: t = t0 + sum of w_e y_e mod q is linear in
+        the digits y_e.  Returns t0 and the weights w_lo, ..., w_(hi-1)."""
         k = self.d - 1
-        t = 0
-        for e, d in b.digits.items():
-            c = xd.get(k - e)
-            if c:
-                t += d * c
-        return t % self.q
+        t0 = sum(c * x.digit(k - e) for e, c in b.digits.items()) % self.q
+        return t0, [b.digit(k - e) for e in range(lo, hi)]
 
 
 def primitive_root(p):

@@ -12,11 +12,10 @@ functions.
 """
 
 from fractions import Fraction
-import itertools
 import math
 import re
 
-from .exactnum import CycRat, cyc_zero
+from .exactnum import CycRat, _from_ints, cyc_zero
 from .localfield import KCoset, KElement, KSingleton
 
 TERM_CAP = 10 ** 5
@@ -155,12 +154,15 @@ class SBFunction:
         push-down and folding on the key trie.  The form of a twist-free
         function is computed once and kept, so every later call returns
         the same object; a twisted function's form depends on psi and is
-        not kept."""
+        not kept.  The twist expansion sums integers: one vector per key
+        over powers of a root of unity, all coefficients over one common
+        denominator, then one CycRat per key at the lcm of the orders that
+        reach it, coeff.m or, for coeff * zeta_q^t, lcm(coeff.m, q)."""
         if self._canon is not None:
             return self._canon
         q = self.q
         singles = {}  # point -> coeff
-        pending = []  # (rep digits, level, coeff) per coset
+        cosets = []  # (coset, twist form t0 and weights, coeff, key order)
         for atom, twist, coeff in self.terms:
             if isinstance(atom, KSingleton):
                 v = coeff
@@ -172,7 +174,7 @@ class SBFunction:
                 singles[key] = singles[key] + v if key in singles else v
                 continue
             if twist is None or twist.is_zero():
-                pending.append((atom.rep.digits, atom.level, coeff))
+                cosets.append((atom, (0, ()), coeff, coeff.m))
                 continue
             if psi is None:
                 raise ValueError("twisted term needs psi")
@@ -180,21 +182,34 @@ class SBFunction:
             lev = max(atom.level, psi.d - twist.valuation())
             if len(self.terms) * q ** (lev - atom.level) > TERM_CAP:
                 raise ValueError("term cap exceeded")
-            vals = [coeff * CycRat.root_of_unity(q, t) for t in range(q)]
-            for tail in itertools.product(range(q), repeat=lev - atom.level):
-                xd = dict(atom.rep.digits)
-                xd.update((e, d) for e, d in zip(range(atom.level, lev), tail)
-                          if d)
-                pending.append((xd, lev, vals[psi.twist_digit(twist, xd)]))
+            form = psi.twist_form(twist, atom.rep, atom.level, lev)
+            cosets.append((atom, form, coeff, math.lcm(coeff.m, q)))
 
         out = []
-        if pending:
-            base = min(min(lev, min(dg, default=lev)) for dg, lev, _ in pending)
-            keymap = {}
-            for dg, lev, coeff in pending:
-                key = tuple(dg.get(e, 0) for e in range(base, lev))
-                keymap[key] = keymap[key] + coeff if key in keymap else coeff
-            keymap = self._canonical(keymap)
+        if cosets:
+            base = min(min(a.level, a.rep.valuation()) for a, *_ in cosets)
+            den = math.lcm(*(x.denominator for c in cosets for x in c[2].a))
+            big = math.lcm(q, *(c[2].m for c in cosets))
+            acc, order = {}, {}  # key -> ints at powers of zeta_big; order
+            for atom, (t0, weights), coeff, m in cosets:
+                keys = [tuple(map(atom.rep.digit, range(base, atom.level)))]
+                ts = [t0]
+                for w in weights:
+                    keys = [k + (x,) for k in keys for x in range(q)]
+                    ts = [(t + w * x) % q for t in ts for x in range(q)]
+                # coeff * zeta_q^t as (power of zeta_big, numerator) pairs
+                shifted = [[((i * big // coeff.m + t * big // q) % big,
+                             x.numerator * (den // x.denominator))
+                            for i, x in enumerate(coeff.a) if x]
+                           for t in range(q)]
+                for key, t in zip(keys, ts):
+                    order[key] = math.lcm(order.get(key, 1), m)
+                    v = acc.setdefault(key, [0] * big)
+                    for i, n in shifted[t]:
+                        v[i] += n
+            keymap = self._canonical({
+                key: _from_ints(order[key], v[::big // order[key]], den)
+                for key, v in acc.items()})
             for key in sorted(keymap, key=lambda k: (len(k), k)):
                 rep = KElement(q, {base + i: d for i, d in enumerate(key)})
                 out.append((KCoset(q, rep, base + len(key)), None,
@@ -289,9 +304,9 @@ class SBFunction:
             if atom.rep.is_zero():
                 out.append((KCoset.ideal(self.q, 2 * atom.level), None, coeff))
             else:
+                # pi^v rep mod pi^(level + v) needs pi^v mod pi^level
                 v = atom.rep.valuation()
-                even = (pi ** v) * atom.rep if v >= 0 else \
-                    atom.rep * pi.invert(atom.level + 2 * abs(v) + 2) ** (-v)
+                even = atom.rep * pi.power_mod(v, atom.level)
                 out.append((KCoset(self.q, even, atom.level + v), None, coeff))
                 odd = even * pi
                 out.append((KCoset(self.q, odd, atom.level + v + 1), None,
@@ -310,9 +325,9 @@ class SBFunction:
                 v = atom.rep.valuation()
                 if v % 2:
                     continue
+                # pi^-k rep mod pi^(level - k) needs pi^-k mod pi^(level - 3k)
                 k = v // 2
-                rep = atom.rep * pi.invert(atom.level + 2 * abs(k) + 2) ** k \
-                    if k > 0 else (pi ** (-k)) * atom.rep
+                rep = atom.rep * pi.power_mod(-k, atom.level - 3 * k)
                 out.append((KCoset(self.q, rep, atom.level - k), None, coeff))
         return SBFunction(self.q, out, self.mu).normalize(psi)
 

@@ -60,12 +60,6 @@ def z_normalized(g, omega):
     return zeta(g, omega) / l_function(omega)
 
 
-def _power(pi, k, precision):
-    if k >= 0:
-        return pi ** k
-    return (pi ** (-k)).invert(precision)
-
-
 def rho0(omega, psi, pi):
     """Normalized gaussian sum q^(-r/2) sum over unit representatives
     theta of omega(theta) psi(pi^(d-r) theta), for omega of exact
@@ -75,9 +69,8 @@ def rho0(omega, psi, pi):
         raise ValueError("root number needs a ramified character")
     q = omega.q
     d = psi.d
-    # psi reads a single digit, so the shifted uniformizer power only
-    # needs to be correct through exponent d
-    shift = _power(pi, d - r, 2 * abs(d - r) + r + abs(d) + 4)
+    # psi reads digit d - 1 of shift * theta, theta a unit: mod pi^d will do
+    shift = pi.power_mod(d - r, d)
     return CycRat.sqrt_q(q, -r) * gauss_sum(omega, psi, shift, r)
 
 

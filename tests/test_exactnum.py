@@ -96,6 +96,20 @@ class TestCycRat:
         rat = CycRat.from_rational(r).embed(m)
         assert rat == r and hash(rat) == hash(r)
 
+    @given(st.sampled_from([3, 4, 5, 8, 12, 20]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_coordinates_compare_unequal(self, m, data):
+        # the negative control of == : one coordinate vector per value
+        n = len(CycRat.from_rational(0, m).a)
+        coord = st.fractions(-3, 3, max_denominator=4)
+        a = data.draw(st.lists(coord, min_size=n, max_size=n))
+        b = data.draw(st.lists(coord, min_size=n, max_size=n))
+        assume(a != b)
+        x, y = CycRat(m, a), CycRat(m, b)
+        assert x != y and y != x and not (x - y).is_zero()
+        assert x.embed(2 * m) != y and x != y.embed(2 * m)
+        assert str(x) != str(y)
+
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     def test_field_axioms(self, a, b, c):
         x = CycRat.from_rational(a) + zeta(3) * b

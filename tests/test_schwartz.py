@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftzeta.exactnum import CycRat, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
-from liftzeta.schwartz import SBFunction, cyc_abs, lift_finite
+from liftzeta.schwartz import TERM_CAP, SBFunction, cyc_abs, lift_finite
 
 
 def ideal(q, n):
@@ -39,7 +41,108 @@ def nabla_ref(f, x, psi=None):
     return f.evaluate(x.shift(x.valuation()), psi)
 
 
+def reference_normalize(f, psi):
+    """normalize(psi) with one CycRat summand coeff * zeta_q^t per
+    expanded key, t read off the digit d - 1 of the product b x itself."""
+    q = f.q
+    singles, pending = {}, []
+    for atom, twist, coeff in f.terms:
+        if isinstance(atom, KSingleton):
+            v = coeff if twist is None else coeff * psi(twist * atom.point)
+            key = atom.point
+            singles[key] = singles[key] + v if key in singles else v
+            continue
+        if twist is None or twist.is_zero():
+            pending.append((atom.rep.digits, atom.level, coeff))
+            continue
+        lev = max(atom.level, psi.d - twist.valuation())
+        if len(f.terms) * q ** (lev - atom.level) > TERM_CAP:
+            raise ValueError("term cap exceeded")
+        vals = [coeff * CycRat.root_of_unity(q, t) for t in range(q)]
+        for tail in itertools.product(range(q), repeat=lev - atom.level):
+            xd = dict(atom.rep.digits)
+            xd.update((e, d) for e, d in zip(range(atom.level, lev), tail)
+                      if d)
+            t = (twist * KElement(q, xd)).digit(psi.d - 1)
+            pending.append((xd, lev, vals[t]))
+    out = []
+    if pending:
+        base = min(min(lev, min(dg, default=lev)) for dg, lev, _ in pending)
+        keymap = {}
+        for dg, lev, coeff in pending:
+            key = tuple(dg.get(e, 0) for e in range(base, lev))
+            keymap[key] = keymap[key] + coeff if key in keymap else coeff
+        keymap = f._canonical(keymap)
+        for key in sorted(keymap, key=lambda k: (len(k), k)):
+            rep = KElement(q, {base + i: d for i, d in enumerate(key)})
+            out.append((KCoset(q, rep, base + len(key)), None, keymap[key]))
+    for pt in sorted(singles, key=lambda p: tuple(sorted(p.digits.items()))):
+        if not singles[pt].is_zero():
+            out.append((KSingleton(q, pt), None, singles[pt]))
+    return SBFunction(q, out, f.mu)
+
+
+@st.composite
+def twisted_functions(draw):
+    """(f, psi): 1-6 cosets at levels -2..3, most of them twisted by b
+    with w(b) in -2..2, and at times a point atom; psi of conductor
+    -1..2; coefficients rational, cyclotomic of order 3, 4, 5, 12 or 20,
+    or with a factor sqrt(q)."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    digit = st.integers(0, q - 1)
+
+    def element(lo, hi):
+        return KElement(q, {e: draw(digit) for e in range(lo, hi)})
+
+    def coeff():
+        c = CycRat.from_rational(Fraction(draw(st.integers(-4, 4)) or 1,
+                                          draw(st.integers(1, 6))))
+        kind = draw(st.sampled_from(["rational", "cyclotomic", "sqrt_q"]))
+        if kind == "cyclotomic":
+            c = (c * CycRat.root_of_unity(draw(st.sampled_from(
+                [3, 4, 5, 12, 20])), draw(st.integers(1, 19)))
+                + draw(st.integers(-1, 1)))
+        elif kind == "sqrt_q":
+            c = c * CycRat.sqrt_q(q, draw(st.sampled_from([-1, 1, 3])))
+        return c
+
+    def twist():
+        if draw(st.integers(0, 3)) == 0:
+            return None
+        w = draw(st.integers(-2, 2))
+        return KElement(q, {w: draw(st.integers(1, q - 1))}) \
+            + element(w + 1, w + 2)
+
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        lev = draw(st.integers(-2, 3))
+        terms.append((KCoset(q, element(lev - 2, lev), lev), twist(),
+                      coeff()))
+    if draw(st.booleans()):
+        terms.append((KSingleton(q, element(-1, 2)), twist(), coeff()))
+    psi = AdditiveCharacter(q, draw(st.integers(-1, 2)))
+    return SBFunction(q, terms), psi
+
+
 class TestNormalize:
+    @given(twisted_functions())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_expansion_matches_per_key_sums(self, case):
+        f, psi = case
+        try:
+            want = reference_normalize(f, psi)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                f.normalize(psi)
+            assert str(raised.value) == str(exc)
+            return
+        got = f.normalize(psi)
+        assert len(got.terms) == len(want.terms)
+        for (a, t, c), (b, u, e) in zip(got.terms, want.terms):
+            assert (a, t) == (b, u)
+            assert (c.m, c.a) == (e.m, e.a)
+        assert str(got) == str(want)
+
     def test_residues_merge(self):
         q = 3
         f = SBFunction(q, [(KCoset(q, KElement.constant(q, d), 1), None, 1)
@@ -279,6 +382,62 @@ class TestWAndNabla:
             got = f.nabla_compose(pi)
             for x in window_points(q, -2, 3):
                 assert got.evaluate(x) == nabla_ref(f, x)
+
+
+def w_untruncated(f, pi, psi):
+    """W with pi^v as the full product, or a power of the inverse of pi
+    for v < 0, both left untruncated."""
+    q, out = f.q, []
+    for atom, _, coeff in f.normalize(psi).terms:
+        if atom.rep.is_zero():
+            out.append((KCoset.ideal(q, 2 * atom.level), None, coeff))
+            continue
+        v = atom.rep.valuation()
+        even = (pi ** v) * atom.rep if v >= 0 else \
+            atom.rep * pi.invert(atom.level + 2 * abs(v) + 2) ** (-v)
+        out.append((KCoset(q, even, atom.level + v), None, coeff))
+        out.append((KCoset(q, even * pi, atom.level + v + 1), None, coeff))
+    return SBFunction(q, out, f.mu).normalize(psi)
+
+
+def nabla_untruncated(f, pi, psi):
+    """nabla composition with untruncated powers of pi and its inverse."""
+    q, out = f.q, []
+    for atom, _, coeff in f.normalize(psi).terms:
+        if atom.rep.is_zero():
+            out.append((KCoset.ideal(q, -(-atom.level // 2)), None, coeff))
+            continue
+        v = atom.rep.valuation()
+        if v % 2:
+            continue
+        k = v // 2
+        rep = atom.rep * pi.invert(atom.level + 2 * abs(k) + 2) ** k \
+            if k > 0 else (pi ** (-k)) * atom.rep
+        out.append((KCoset(q, rep, atom.level - k), None, coeff))
+    return SBFunction(q, out, f.mu).normalize(psi)
+
+
+class TestTruncatedPowers:
+    @pytest.mark.parametrize("pi_text", ["u + u^2", "u + 2*u^3"])
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_w_nabla_star_match_untruncated(self, d, pi_text):
+        q = 3
+        psi = AdditiveCharacter(q, d)
+        pi = KElement.parse(q, pi_text)
+        for text in ("[1 + u + u^2*O]", "[u^-2 + 2*u + u^2*O]",
+                     "2*[u^-1 + u*O] - [2 + u^3*O]"):
+            f = SBFunction.parse(q, text)
+            wf = w_untruncated(f, pi, psi).fourier(psi)
+            # cosets of level about d, where the untruncated powers of
+            # the inverse of pi grow with d
+            assert max(a.level for a, _, _ in wf.terms) >= d
+            star = nabla_untruncated(wf, pi, psi)
+            assert f.star(psi, pi).terms == star.terms
+            for g in (f, wf, star):
+                assert g.w_operator(pi, psi).terms == \
+                    w_untruncated(g, pi, psi).terms
+                assert g.nabla_compose(pi, psi).terms == \
+                    nabla_untruncated(g, pi, psi).terms
 
 
 class TestStar:
