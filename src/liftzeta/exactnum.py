@@ -88,29 +88,29 @@ def _phi_deg(m):
 
 @lru_cache(maxsize=None)
 def _xpow_mod_cyc(m, k):
-    """x^k reduced modulo the m-th cyclotomic polynomial, as a dense
-    coefficient tuple of length phi(m)."""
+    """x^k reduced modulo the m-th cyclotomic polynomial, which is monic
+    and integral, as a dense integer tuple of length phi(m)."""
     d = _phi_deg(m)
     if k < d:
-        row = [Fraction(0)] * d
-        row[k] = Fraction(1)
+        row = [0] * d
+        row[k] = 1
         return tuple(row)
-    shifted = [Fraction(0)] + list(_xpow_mod_cyc(m, k - 1))
+    shifted = [0] + list(_xpow_mod_cyc(m, k - 1))
     top = shifted[d]
     out = shifted[:d]
     if top:
         phi = cyclotomic_poly(m)
         for i in range(d):
             if phi[i]:
-                out[i] -= top * phi[i]
+                out[i] -= top * phi[i].numerator
     return tuple(out)
 
 
 def _reduce_mod_cyc(p, m):
     d = _phi_deg(m)
     if len(p) <= d:
-        return tuple(p) + (Fraction(0),) * (d - len(p))
-    out = [Fraction(0)] * d
+        return tuple(p) + (0,) * (d - len(p))
+    out = [0] * d
     for k, c in enumerate(p):
         if c:
             row = _xpow_mod_cyc(m, k)
@@ -118,18 +118,6 @@ def _reduce_mod_cyc(p, m):
                 if row[i]:
                     out[i] += c * row[i]
     return tuple(out)
-
-
-def _from_ints(m, p, den):
-    """sum p_k zeta_m^k / den for integers p_k, k < m: reduced by the
-    integral rows of _xpow_mod_cyc before making Fractions."""
-    d = _phi_deg(m)
-    out = list(p[:d])
-    for k in range(d, len(p)):
-        if p[k]:
-            for i, r in enumerate(_xpow_mod_cyc(m, k)):
-                out[i] += p[k] * r.numerator
-    return CycRat(m, [Fraction(c, den) if c else _ZERO for c in out])
 
 
 def _remap(coords, k, m):
@@ -373,6 +361,34 @@ def cyc_zero():
 
 def cyc_one():
     return _CYC_ONE
+
+
+def cyc_sums(parts):
+    """{key: sum of c * zeta_n^t} over (c, n, pairs) in parts and (key, t)
+    in pairs, as integer vectors over one common denominator; each sum is
+    one CycRat at the lcm of the lcm(c.m, n) that reach its key, the order
+    a CycRat sum of the same terms has."""
+    parts = list(parts)
+    den = math.lcm(*(x.denominator for c, _, _ in parts for x in c.a))
+    big = math.lcm(*(math.lcm(c.m, n) for c, n, _ in parts))
+    acc, order = {}, {}  # key -> ints at powers of zeta_big; its order
+    for c, n, pairs in parts:
+        m = math.lcm(c.m, n)
+        row = [(i * big // c.m, x.numerator * (den // x.denominator))
+               for i, x in enumerate(c.a) if x]
+        shifted = [[((i + t * big // n) % big, x) for i, x in row]
+                   for t in range(n)]  # row times zeta_n^t
+        for key, t in pairs:
+            order[key] = math.lcm(order.get(key, 1), m)
+            v = acc.setdefault(key, [0] * big)
+            for i, x in shifted[t]:
+                v[i] += x
+    out = {}
+    for key, v in acc.items():
+        m = order[key]
+        out[key] = CycRat(m, [Fraction(x, den) if x else _ZERO
+                              for x in _reduce_mod_cyc(v[::big // m], m)])
+    return out
 
 
 # ---------------------------------------------------------------------------

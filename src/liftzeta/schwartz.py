@@ -15,7 +15,7 @@ from fractions import Fraction
 import math
 import re
 
-from .exactnum import CycRat, _from_ints, cyc_zero
+from .exactnum import CycRat, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement, KSingleton
 
 TERM_CAP = 10 ** 5
@@ -154,15 +154,16 @@ class SBFunction:
         push-down and folding on the key trie.  The form of a twist-free
         function is computed once and kept, so every later call returns
         the same object; a twisted function's form depends on psi and is
-        not kept.  The twist expansion sums integers: one vector per key
-        over powers of a root of unity, all coefficients over one common
-        denominator, then one CycRat per key at the lcm of the orders that
-        reach it, coeff.m or, for coeff * zeta_q^t, lcm(coeff.m, q)."""
+        not kept.  A twist's zeta_q^t is a linear form in the tail digits;
+        cyc_sums adds the terms per key as integers, each key's value at
+        the lcm of coeff.m, or lcm(coeff.m, q) if twisted, over its terms."""
         if self._canon is not None:
             return self._canon
         q = self.q
         singles = {}  # point -> coeff
-        cosets = []  # (coset, twist form t0 and weights, coeff, key order)
+        parts = []  # (coeff, root order, (key, t) pairs) per coset
+        base = min((min(a.level, a.rep.valuation()) for a, _, _ in self.terms
+                    if not isinstance(a, KSingleton)), default=0)
         for atom, twist, coeff in self.terms:
             if isinstance(atom, KSingleton):
                 v = coeff
@@ -173,8 +174,9 @@ class SBFunction:
                 key = atom.point
                 singles[key] = singles[key] + v if key in singles else v
                 continue
+            keys = [tuple(map(atom.rep.digit, range(base, atom.level)))]
             if twist is None or twist.is_zero():
-                cosets.append((atom, (0, ()), coeff, coeff.m))
+                parts.append((coeff, 1, [(keys[0], 0)]))
                 continue
             if psi is None:
                 raise ValueError("twisted term needs psi")
@@ -182,34 +184,16 @@ class SBFunction:
             lev = max(atom.level, psi.d - twist.valuation())
             if len(self.terms) * q ** (lev - atom.level) > TERM_CAP:
                 raise ValueError("term cap exceeded")
-            form = psi.twist_form(twist, atom.rep, atom.level, lev)
-            cosets.append((atom, form, coeff, math.lcm(coeff.m, q)))
+            t0, weights = psi.twist_form(twist, atom.rep, atom.level, lev)
+            ts = [t0]
+            for w in weights:
+                keys = [k + (x,) for k in keys for x in range(q)]
+                ts = [(t + w * x) % q for t in ts for x in range(q)]
+            parts.append((coeff, q, zip(keys, ts)))
 
         out = []
-        if cosets:
-            base = min(min(a.level, a.rep.valuation()) for a, *_ in cosets)
-            den = math.lcm(*(x.denominator for c in cosets for x in c[2].a))
-            big = math.lcm(q, *(c[2].m for c in cosets))
-            acc, order = {}, {}  # key -> ints at powers of zeta_big; order
-            for atom, (t0, weights), coeff, m in cosets:
-                keys = [tuple(map(atom.rep.digit, range(base, atom.level)))]
-                ts = [t0]
-                for w in weights:
-                    keys = [k + (x,) for k in keys for x in range(q)]
-                    ts = [(t + w * x) % q for t in ts for x in range(q)]
-                # coeff * zeta_q^t as (power of zeta_big, numerator) pairs
-                shifted = [[((i * big // coeff.m + t * big // q) % big,
-                             x.numerator * (den // x.denominator))
-                            for i, x in enumerate(coeff.a) if x]
-                           for t in range(q)]
-                for key, t in zip(keys, ts):
-                    order[key] = math.lcm(order.get(key, 1), m)
-                    v = acc.setdefault(key, [0] * big)
-                    for i, n in shifted[t]:
-                        v[i] += n
-            keymap = self._canonical({
-                key: _from_ints(order[key], v[::big // order[key]], den)
-                for key, v in acc.items()})
+        if parts:
+            keymap = self._canonical(cyc_sums(parts))
             for key in sorted(keymap, key=lambda k: (len(k), k)):
                 rep = KElement(q, {base + i: d for i, d in enumerate(key)})
                 out.append((KCoset(q, rep, base + len(key)), None,

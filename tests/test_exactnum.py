@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from liftzeta.exactnum import (
-    CycRat, ZetaValue, _cdivmod, _cgcd, _ctrim, cyclotomic_poly,
+    CycRat, ZetaValue, _cdivmod, _cgcd, _ctrim, _pmul, _reduce_mod_cyc,
+    cyc_sums, cyclotomic_poly,
 )
 from liftzeta.localfield import QuasiCharacter
 from liftzeta.zeta1d import l_function
@@ -109,6 +110,45 @@ class TestCycRat:
         assert x != y and y != x and not (x - y).is_zero()
         assert x.embed(2 * m) != y and x != y.embed(2 * m)
         assert str(x) != str(y)
+
+    @given(st.sampled_from([1, 3, 4, 5, 8, 12, 20]), st.booleans(),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rational_factor_matches_polynomial_product(self, m, left,
+                                                        data):
+        # the rational shortcut of __mul__ against _pmul at the lcm order
+        coord = st.fractions(-3, 3, max_denominator=4)
+        x = CycRat(m, data.draw(st.lists(coord, min_size=len(
+            CycRat.from_rational(0, m).a), max_size=len(
+            CycRat.from_rational(0, m).a))))
+        r = CycRat.from_rational(data.draw(coord))
+        got = r * x if left else x * r
+        xa, ra = x._align(r)
+        want = CycRat(xa.m, _reduce_mod_cyc(_pmul(xa.a, ra.a), xa.m))
+        assert (got.m, got.a) == (want.m, want.a)
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_cyc_sums_match_cycrat_sums(self, q, data):
+        # same values at the same orders as adding the CycRat terms
+        coord = st.fractions(-3, 3, max_denominator=6)
+        parts, want = [], {}
+        for _ in range(data.draw(st.integers(1, 5))):
+            m = data.draw(st.sampled_from([1, 3, 4, 12, 20]))
+            c = CycRat(m, data.draw(st.lists(coord, min_size=len(
+                CycRat.from_rational(0, m).a), max_size=len(
+                CycRat.from_rational(0, m).a))))
+            n = data.draw(st.sampled_from([1, q]))
+            pairs = data.draw(st.lists(st.tuples(
+                st.integers(0, 3), st.integers(0, n - 1)), max_size=6))
+            parts.append((c, n, pairs))
+            for key, t in pairs:
+                v = c * zeta(n, t) if n > 1 else c
+                want[key] = want[key] + v if key in want else v
+        got = cyc_sums(parts)
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            assert (got[key].m, got[key].a) == (v.m, v.a)
 
     @given(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     def test_field_axioms(self, a, b, c):

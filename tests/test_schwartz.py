@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liftzeta.exactnum import CycRat, cyc_zero
+from liftzeta.exactnum import CycRat, _pmul, _reduce_mod_cyc, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
 from liftzeta.schwartz import TERM_CAP, SBFunction, cyc_abs, lift_finite
 
@@ -41,6 +41,13 @@ def nabla_ref(f, x, psi=None):
     return f.evaluate(x.shift(x.valuation()), psi)
 
 
+def polynomial_mul(x, y):
+    """x * y through the polynomial product at the lcm order, with no
+    shortcut for a rational factor."""
+    x, y = x._align(y)
+    return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a), x.m))
+
+
 def reference_normalize(f, psi):
     """normalize(psi) with one CycRat summand coeff * zeta_q^t per
     expanded key, t read off the digit d - 1 of the product b x itself."""
@@ -48,7 +55,8 @@ def reference_normalize(f, psi):
     singles, pending = {}, []
     for atom, twist, coeff in f.terms:
         if isinstance(atom, KSingleton):
-            v = coeff if twist is None else coeff * psi(twist * atom.point)
+            v = coeff if twist is None else \
+                polynomial_mul(coeff, psi(twist * atom.point))
             key = atom.point
             singles[key] = singles[key] + v if key in singles else v
             continue
@@ -58,7 +66,8 @@ def reference_normalize(f, psi):
         lev = max(atom.level, psi.d - twist.valuation())
         if len(f.terms) * q ** (lev - atom.level) > TERM_CAP:
             raise ValueError("term cap exceeded")
-        vals = [coeff * CycRat.root_of_unity(q, t) for t in range(q)]
+        vals = [polynomial_mul(coeff, CycRat.root_of_unity(q, t))
+                for t in range(q)]
         for tail in itertools.product(range(q), repeat=lev - atom.level):
             xd = dict(atom.rep.digits)
             xd.update((e, d) for e, d in zip(range(atom.level, lev), tail)
