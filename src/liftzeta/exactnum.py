@@ -1,6 +1,9 @@
 """Exact coefficient arithmetic.
 
-Two layers:
+Two layers over one set of dense-polynomial helpers (``_ptrim``,
+``_padd``, ``_pmul``, ``_pdivmod``), which work over any field whose
+zero is falsy: Fraction polynomials modulo Phi_m for CycRat, and CycRat
+polynomials in T for ZetaValue.
 
 * CycRat -- elements of a cyclotomic field Q(zeta_m).  Power-basis
   representation modulo the m-th cyclotomic polynomial, Fraction
@@ -20,29 +23,30 @@ import cmath
 import math
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over Fraction (ascending coefficients)
+# dense polynomials over a field (ascending coefficients, returned as
+# tuples with no trailing zero); a helper that must create a zero takes
+# the ring's zero from its caller
 
 def _ptrim(p):
     n = len(p)
-    while n and p[n - 1] == 0:
+    while n and not p[n - 1]:
         n -= 1
-    return p[:n]
+    return tuple(p[:n])
 
 
 def _padd(p, q):
-    n = max(len(p), len(q))
-    return _ptrim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                   for i in range(n)])
+    if len(p) < len(q):
+        p, q = q, p
+    return _ptrim([a + b for a, b in zip(p, q)] + list(p[len(q):]))
 
 
-def _pmul(p, q):
+def _pmul(p, q, zero):
     if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        return ()
+    out = [zero] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -50,22 +54,30 @@ def _pmul(p, q):
     return _ptrim(out)
 
 
-def _pdivmod(p, q):
-    q = _ptrim(list(q))
-    if not q:
+def _pdivmod(p, d, zero):
+    d = _ptrim(d)
+    if not d:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(p)
-    quo = [Fraction(0)] * max(0, len(r) - len(q) + 1)
-    inv_lead = 1 / q[-1]
-    while len(_ptrim(r)) >= len(q):
-        r = _ptrim(r)
-        k = len(r) - len(q)
-        c = r[-1] * inv_lead
-        quo[k] = c
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        r = r[:-1]
-    return _ptrim(quo), _ptrim(r)
+    r = list(_ptrim(p))
+    quo = [zero] * max(0, len(r) - len(d) + 1)
+    inv_lead = d[-1] ** -1
+    while len(r) >= len(d):
+        k = len(r) - len(d)
+        c = quo[k] = r.pop() * inv_lead
+        for i in range(len(d) - 1):
+            r[k + i] -= c * d[i]
+        r = list(_ptrim(r))
+    return _ptrim(quo), tuple(r)
+
+
+def _join_terms(terms):
+    """The signed terms of a sum as one string: "a + b - c", or "0"."""
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -74,10 +86,10 @@ def cyclotomic_poly(m):
     if m < 1:
         raise ValueError("order must be positive")
     # x^m - 1 divided by all lower cyclotomic factors
-    num = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    num = [Fraction(-1)] + [_ZERO] * (m - 1) + [Fraction(1)]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _pdivmod(num, cyclotomic_poly(d))
+            num, rem = _pdivmod(num, cyclotomic_poly(d), _ZERO)
             assert not rem
     return tuple(num)
 
@@ -164,7 +176,7 @@ class CycRat:
     @classmethod
     def from_rational(cls, x, m=1):
         d = _phi_deg(m)
-        coords = [Fraction(x)] + [Fraction(0)] * (d - 1)
+        coords = [Fraction(x)] + [_ZERO] * (d - 1)
         return cls(m, coords)
 
     @classmethod
@@ -195,8 +207,11 @@ class CycRat:
         return self.embed(m), other.embed(m)
 
     # -- predicates ---------------------------------------------------------
+    def __bool__(self):
+        return any(self.a)
+
     def is_zero(self):
-        return not any(self.a)
+        return not self
 
     def is_rational(self):
         return not any(self.a[1:])
@@ -241,7 +256,7 @@ class CycRat:
                 x, y = self._align(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a), x.m))
+        return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a, _ZERO), x.m))
 
     __rmul__ = __mul__
 
@@ -251,13 +266,12 @@ class CycRat:
         if self.is_rational():
             return CycRat(self.m, (1 / self.a[0],) + self.a[1:])
         # extended euclid against the cyclotomic polynomial
-        phi = list(cyclotomic_poly(self.m))
-        r0, r1 = phi, _ptrim(list(self.a))
-        s0, s1 = [], [Fraction(1)]
+        r0, r1 = cyclotomic_poly(self.m), _ptrim(self.a)
+        s0, s1 = (), (Fraction(1),)
         while r1:
-            qq, r = _pdivmod(r0, r1)
+            qq, r = _pdivmod(r0, r1, _ZERO)
             r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, [-c for c in _pmul(qq, s1)])
+            s0, s1 = s1, _padd(s0, [-c for c in _pmul(qq, s1, _ZERO)])
         if len(r0) != 1:
             raise ZeroDivisionError("division by zero")
         inv = [c / r0[0] for c in s0]
@@ -275,8 +289,9 @@ class CycRat:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conjugate(self):
@@ -311,12 +326,7 @@ class CycRat:
             sym = "z%d" % self.m if i == 1 else "z%d^%d" % (self.m, i)
             bits.append(sym if c == 1 else ("-" + sym if c == -1
                                             else "%s*%s" % (c, sym)))
-        if not bits:
-            return "0"
-        out = bits[0]
-        for p in bits[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _join_terms(bits)
 
     __repr__ = __str__
 
@@ -392,61 +402,24 @@ def cyc_sums(parts):
 
 
 # ---------------------------------------------------------------------------
-# polynomials in T over CycRat
-
-
-def _ctrim(p):
-    n = len(p)
-    while n and p[n - 1].is_zero():
-        n -= 1
-    return tuple(p[:n])
-
-
-def _cadd(p, q):
-    n = max(len(p), len(q))
-    z = cyc_zero()
-    return _ctrim([(p[i] if i < len(p) else z) + (q[i] if i < len(q) else z)
-                   for i in range(n)])
-
-
-def _cmul(p, q):
-    if not p or not q:
-        return ()
-    out = [cyc_zero() for _ in range(len(p) + len(q) - 1)]
-    for i, a in enumerate(p):
-        if not a.is_zero():
-            for j, b in enumerate(q):
-                out[i + j] = out[i + j] + a * b
-    return _ctrim(out)
-
-
-def _cdivmod(p, q):
-    q = _ctrim(q)
-    if not q:
-        raise ZeroDivisionError("division by zero")
-    r = list(p)
-    quo = [cyc_zero() for _ in range(max(0, len(r) - len(q) + 1))]
-    inv = q[-1].inverse()
-    while len(_ctrim(r)) >= len(q):
-        r = list(_ctrim(r))
-        k = len(r) - len(q)
-        c = r[-1] * inv
-        quo[k] = c
-        for i, b in enumerate(q):
-            r[k + i] = r[k + i] - c * b
-        r = r[:-1]
-    return _ctrim(quo), _ctrim(r)
+# rational functions in T over CycRat
 
 
 def _cgcd(p, q):
-    p, q = _ctrim(p), _ctrim(q)
+    p, q = _ptrim(p), _ptrim(q)
     while q:
-        _, r = _cdivmod(p, q)
-        p, q = q, r
+        p, q = q, _pdivmod(p, q, cyc_zero())[1]
     if p:
         lead_inv = p[-1].inverse()
         p = tuple(c * lead_inv for c in p)
     return p
+
+
+def _fadd(f1, f2):
+    """n1/d1 + n2/d2 as the unreduced fraction (n1 d2 + n2 d1, d1 d2)."""
+    (n1, d1), (n2, d2) = f1, f2
+    z = cyc_zero()
+    return _padd(_pmul(n1, d2, z), _pmul(n2, d1, z)), _pmul(d1, d2, z)
 
 
 class ZetaValue:
@@ -475,23 +448,23 @@ class ZetaValue:
 
     @staticmethod
     def _reduce(num, den):
-        num, den = _ctrim(num), _ctrim(den)
+        num, den = _ptrim(num), _ptrim(den)
         if not den:
             raise ZeroDivisionError("division by zero")
         if not num:
             return (), (cyc_one(),)
         k = len(den) - 1
-        if all(c.is_zero() for c in den[:k]):
+        if not any(den[:k]):
             # den = c T^k: cancel the common power of T, divide by c
-            j = min(k, next(i for i, c in enumerate(num) if not c.is_zero()))
+            j = min(k, next(i for i, c in enumerate(num) if c))
             inv = den[k].inverse()
             return (tuple(c * inv for c in num[j:]),
                     (cyc_zero(),) * (k - j) + (cyc_one(),))
         g = _cgcd(num, den)
         if len(g) > 1 or not g[0] == 1:
-            num, _ = _cdivmod(num, g)
-            den, _ = _cdivmod(den, g)
-        low = next(c for c in den if not c.is_zero())
+            num, _ = _pdivmod(num, g, cyc_zero())
+            den, _ = _pdivmod(den, g, cyc_zero())
+        low = next(c for c in den if c)
         if not low == 1:
             inv = low.inverse()
             num = tuple(c * inv for c in num)
@@ -589,12 +562,8 @@ class ZetaValue:
         if o is None:
             return NotImplemented
         out = dict(self.terms)
-        for g, (n2, d2) in o.terms.items():
-            if g in out:
-                n1, d1 = out[g]
-                out[g] = (_cadd(_cmul(n1, d2), _cmul(n2, d1)), _cmul(d1, d2))
-            else:
-                out[g] = (n2, d2)
+        for g, f in o.terms.items():
+            out[g] = _fadd(out[g], f) if g in out else f
         return ZetaValue(self.q, out)
 
     __radd__ = __add__
@@ -616,16 +585,11 @@ class ZetaValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = {}
+        out, z = {}, cyc_zero()
         for g1, (n1, d1) in self.terms.items():
             for g2, (n2, d2) in o.terms.items():
-                g = g1 + g2
-                n, d = _cmul(n1, n2), _cmul(d1, d2)
-                if g in out:
-                    pn, pd = out[g]
-                    out[g] = (_cadd(_cmul(pn, d), _cmul(n, pd)), _cmul(pd, d))
-                else:
-                    out[g] = (n, d)
+                g, f = g1 + g2, (_pmul(n1, n2, z), _pmul(d1, d2, z))
+                out[g] = _fadd(out[g], f) if g in out else f
         return ZetaValue(self.q, out)
 
     __rmul__ = __mul__
@@ -695,8 +659,8 @@ class ZetaValue:
         if set(self.terms) != {0}:
             return None
         n, d = self.terms[0]
-        n_idx = [i for i, c in enumerate(n) if not c.is_zero()]
-        d_idx = [i for i, c in enumerate(d) if not c.is_zero()]
+        n_idx = [i for i, c in enumerate(n) if c]
+        d_idx = [i for i, c in enumerate(d) if c]
         if len(n_idx) != 1 or len(d_idx) != 1:
             return None
         return (n[n_idx[0]], n_idx[0] - d_idx[0])
@@ -715,7 +679,7 @@ class ZetaValue:
     def _poly_str(p):
         bits = []
         for i, c in enumerate(p):
-            if c.is_zero():
+            if not c:
                 continue
             if i == 0:
                 bits.append(str(c))
@@ -731,12 +695,7 @@ class ZetaValue:
                     cs = "(%s)" % cs
                 s = "%s*%s" % (cs, tpart)
             bits.append(s)
-        if not bits:
-            return "0"
-        out = bits[0]
-        for s in bits[1:]:
-            out += " - " + s[1:] if s.startswith("-") else " + " + s
-        return out
+        return _join_terms(bits)
 
     def __str__(self):
         if not self.terms:

@@ -89,8 +89,9 @@ class KElement:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def power_mod(self, k, n):
@@ -107,7 +108,10 @@ class KElement:
         return KElement(self.q, {e + k: d for e, d in self.digits.items()})
 
     def truncate(self, n):
-        """Reduce modulo pi^n: keep digits at exponents < n."""
+        """Reduce modulo pi^n: keep digits at exponents < n.  Returns self
+        when it has none at or above n (a KElement is never mutated)."""
+        if max(self.digits, default=-INF) < n:
+            return self
         return KElement(self.q, {e: d for e, d in self.digits.items() if e < n})
 
     def invert(self, precision):

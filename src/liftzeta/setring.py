@@ -81,13 +81,11 @@ class DddSet:
     __slots__ = ("family", "components")
 
     def __init__(self, family, components=()):
+        # every inner lies inside its outer and none covers it; carved is
+        # the one place an inner can come to cover its outer
         self.family = family
-        cleaned = []
-        for outer, inners in components:
-            if any(family.equal(inner, outer) for inner in inners):
-                continue
-            cleaned.append((outer, tuple(inners)))
-        self.components = tuple(cleaned)
+        self.components = tuple((outer, tuple(inners))
+                                for outer, inners in components)
 
     @classmethod
     def atom(cls, family, a):
@@ -96,13 +94,16 @@ class DddSet:
     @classmethod
     def carved(cls, family, outer, inners):
         """outer minus the union of the (not necessarily disjoint)
-        inner atoms."""
+        inner atoms; empty when one refined inner covers outer."""
         kept = []
         for a in inners:
             meet = family.intersection(a, outer)
             if meet is not None:
                 kept.append(meet)
-        return cls(family, [(outer, tuple(refine_disjoint(family, kept)))])
+        kept = refine_disjoint(family, kept)
+        if any(family.nested(outer, a) for a in kept):
+            return cls(family)
+        return cls(family, [(outer, tuple(kept))])
 
     def is_structurally_empty(self):
         return not self.components

@@ -4,9 +4,10 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from liftzeta import exactnum
 from liftzeta.exactnum import (
-    CycRat, ZetaValue, _cdivmod, _cgcd, _ctrim, _pmul, _reduce_mod_cyc,
-    cyc_sums, cyclotomic_poly,
+    CycRat, ZetaValue, _cgcd, _padd, _pdivmod, _pmul, _ptrim,
+    _reduce_mod_cyc, cyc_sums, cyc_zero, cyclotomic_poly,
 )
 from liftzeta.localfield import QuasiCharacter
 from liftzeta.zeta1d import l_function
@@ -97,6 +98,13 @@ class TestCycRat:
         rat = CycRat.from_rational(r).embed(m)
         assert rat == r and hash(rat) == hash(r)
 
+    def test_values_with_one_trace_compare_unequal(self):
+        # z3, z3^2 and -1/2 share the normalized trace -1/2, and z4 and 0
+        # share 0; == tells them apart, at their own orders and embedded
+        for x, y in [(zeta(3), zeta(3, 2)), (zeta(3), Fraction(-1, 2)),
+                     (zeta(4), 0), (zeta(3).embed(6), zeta(3, 2))]:
+            assert x != y and not (x - y).is_zero()
+
     @given(st.sampled_from([3, 4, 5, 8, 12, 20]), st.data())
     @settings(max_examples=100, deadline=None)
     def test_distinct_coordinates_compare_unequal(self, m, data):
@@ -124,7 +132,8 @@ class TestCycRat:
         r = CycRat.from_rational(data.draw(coord))
         got = r * x if left else x * r
         xa, ra = x._align(r)
-        want = CycRat(xa.m, _reduce_mod_cyc(_pmul(xa.a, ra.a), xa.m))
+        want = CycRat(xa.m, _reduce_mod_cyc(_pmul(xa.a, ra.a, Fraction(0)),
+                                              xa.m))
         assert (got.m, got.a) == (want.m, want.a)
 
     @given(st.sampled_from([2, 3, 5]), st.data())
@@ -173,6 +182,72 @@ class TestCycRat:
             for k in range(1, m):
                 r = zeta(m, k)
                 assert r.conjugate() * r == 1
+
+    def test_power_one_and_minus_one_make_no_product(self, monkeypatch):
+        # square only while bits remain: x ** 1 is one multiplication by
+        # the rational 1, x ** -1 is x.inverse() and that
+        calls = []
+
+        def counting(p, q, zero):
+            calls.append(1)
+            return _pmul(p, q, zero)
+
+        def products(f):
+            del calls[:]
+            f()
+            return len(calls)
+
+        monkeypatch.setattr(exactnum, "_pmul", counting)
+        x = zeta(5) + 2
+        r = CycRat.from_rational(Fraction(2, 3), 12)
+        assert products(lambda: x ** 1) == 0 and x ** 1 == x
+        assert products(lambda: r ** -1) == 0 and r ** -1 == Fraction(3, 2)
+        assert products(lambda: x ** -1) == products(x.inverse)
+        assert x ** -1 == x.inverse() and x ** 3 == x * x * x
+
+
+# coefficient orders of the shared polynomial layer's CycRat ring at each
+# order m; None is the Fraction ring
+POLY_ORDERS = {None: (), 1: (1,), 4: (1, 2, 4), 12: (1, 3, 4, 6, 12)}
+
+
+class TestPolynomialLayer:
+    @given(st.sampled_from([None, 1, 4, 12]), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_divmod_mul_add_trim(self, m, with_sqrt, data):
+        coord = st.fractions(-3, 3, max_denominator=4)
+
+        def coefficient():
+            if m is None:
+                return data.draw(coord)
+            n = data.draw(st.sampled_from(POLY_ORDERS[m]))
+            phi = len(cyclotomic_poly(n)) - 1
+            if data.draw(st.integers(0, 3)) == 0:
+                return CycRat(n, [0] * phi)  # a zero at order n
+            x = CycRat(n, data.draw(st.lists(coord, min_size=phi,
+                                             max_size=phi)))
+            if with_sqrt and data.draw(st.booleans()):
+                x = x * CycRat.sqrt_q(3)
+            return x
+
+        def poly():
+            return [coefficient() for _ in range(data.draw(
+                st.integers(0, 5)))]
+
+        def canonical(p):
+            return type(p) is tuple and not (p and not p[-1])
+
+        zero = Fraction(0) if m is None else cyc_zero()
+        p, d = poly(), poly()
+        for c in p + d:
+            assert bool(c) == (not c == 0)
+        assume(_ptrim(d))
+        quo, rem = _pdivmod(p, d, zero)
+        assert len(rem) < len(_ptrim(d))
+        assert _padd(_pmul(quo, d, zero), rem) == _ptrim(p)
+        assert _pmul(p, d, zero) == _pmul(d, p, zero)
+        assert all(canonical(r) for r in (
+            _ptrim(p), _padd(p, d), _pmul(p, d, zero), quo, rem))
 
 
 class TestZetaValue:
@@ -287,13 +362,13 @@ def euclid_reduce(num, den):
     """The general reduction of num/den: divide both by their gcd, then
     scale the lowest nonzero denominator coefficient to 1.  Reference for
     the monomial-denominator branch of ZetaValue._reduce."""
-    num, den = _ctrim(num), _ctrim(den)
+    num, den = _ptrim(num), _ptrim(den)
     if not num:
         return (), (CycRat.from_rational(1),)
     g = _cgcd(num, den)
     if len(g) > 1 or not g[0] == 1:
-        num, _ = _cdivmod(num, g)
-        den, _ = _cdivmod(den, g)
+        num, _ = _pdivmod(num, g, cyc_zero())
+        den, _ = _pdivmod(den, g, cyc_zero())
     low = next(c for c in den if not c.is_zero())
     if not low == 1:
         inv = low.inverse()

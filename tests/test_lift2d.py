@@ -328,6 +328,20 @@ class TestDistinguishedSets:
         B = self.dset(FElement.zero(3), 1, [KCoset.ideal(3, 0)])
         assert self.fam.nested(N, B)
 
+    def test_carved_empty_when_an_inner_covers_outer(self):
+        q, fam = self.q, self.fam
+        O = KCoset.ideal(q, 0)
+        outer = self.dset(FElement.zero(q), 1, [O])
+        copy = self.dset(FElement.zero(q), 1, [O])
+        assert DddSet.carved(fam, outer, [copy]).is_structurally_empty()
+        # O minus (1 + pi O) and O minus (2 + pi O) overlap in pi O and
+        # merge into a residue set that denotes O
+        halves = [DistinguishedSetF(q, FElement.zero(q), 1, DddSet.carved(
+            fam.kfam, O, [KCoset(q, KElement.constant(q, c), 1)]))
+            for c in (1, 2)]
+        assert DddSet.carved(fam, outer, halves).is_structurally_empty()
+        assert not DddSet.carved(fam, outer, halves[:1]).is_structurally_empty()
+
     def test_complement_inside_measure_zero_ideal(self):
         big = DddSet.atom(self.fam, DistinguishedSetF.null_ideal(3, 2))
         sub = DddSet.atom(self.fam, self.dset(

@@ -55,6 +55,14 @@ class TestKElement:
         with pytest.raises(ZeroDivisionError):
             KElement.zero(3).invert(2)
 
+    def test_truncate_keeps_self_when_it_drops_nothing(self):
+        x = ke(3, "2*u^-1 + 1 + u^3")
+        assert x.truncate(4) is x and x.truncate(10) is x
+        assert KElement.zero(3).truncate(-5).is_zero()
+        y = x.truncate(3)
+        assert y is not x and y == ke(3, "2*u^-1 + 1")
+        assert x.digits == {-1: 2, 0: 1, 3: 1}
+
 
 class TestKCoset:
     def test_relations(self):

@@ -1,12 +1,16 @@
-"""Every check must be able to fail: mutants of the Schwartz layer.
+"""Every check must be able to fail: mutants of the Schwartz layer and
+of exact arithmetic.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
 replaced, and patched in by monkeypatch; no source file changes.  Each
 must make a named fast check fail, either a `liftzeta verify` run at
 small parameters or a named test function, and each check passes on the
-program as it is.  This is mutation analysis in the sense of DeMillo,
-Lipton and Sayward, "Hints on test data selection" (IEEE Computer, 1978).
+program as it is.  A check that raises counts as failed.  The caches of
+exactnum are emptied before and after each mutant, so that a mutant
+computes its own cyclotomic polynomials and roots and leaves none behind.
+This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
+"Hints on test data selection" (IEEE Computer, 1978).
 """
 
 import inspect
@@ -15,8 +19,10 @@ import textwrap
 
 import pytest
 
+import test_exactnum
 import test_schwartz
-from liftzeta import cli
+from liftzeta import cli, exactnum
+from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.localfield import AdditiveCharacter
 from liftzeta.schwartz import SBFunction
 
@@ -30,13 +36,16 @@ def mutant(func, old, new):
     assert count == 1, "mutation site %r not found once" % old
     namespace = {}
     exec(compile(src, "<mutant of %s>" % func.__qualname__, "exec"),
-         func.__globals__, namespace)
+         inspect.unwrap(func).__globals__, namespace)
     return namespace[func.__name__]
 
 
 def verify(*argv):
     def check(tmp_path):
-        return cli.main(["verify", *argv, "--out-dir", str(tmp_path)]) == 0
+        try:
+            return cli.main(["verify", *argv, "--out-dir", str(tmp_path)]) == 0
+        except Exception:
+            return False
     return check
 
 
@@ -44,10 +53,16 @@ def named_test(cls, name):
     def check(tmp_path):
         try:
             getattr(cls(), name)()
-        except AssertionError:
+        except Exception:
             return False
         return True
     return check
+
+
+def clear_caches():
+    for value in vars(exactnum).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 # check name -> callable(tmp_path) that is True when the check passes
@@ -58,6 +73,18 @@ CHECKS = {
         "--q", "2", "--suite", "schwartz-oracle", "--d", "1"),
     "test_schwartz-test_w_unit_coset": named_test(
         test_schwartz.TestWAndNabla, "test_w_unit_coset"),
+    "verify-q2-zeta1d-epsilon": verify(
+        "--q", "2", "--suite", "zeta1d-epsilon"),
+    "verify-q2-measure": verify("--q", "2", "--suite", "measure"),
+    "verify-q2-FE2": verify("--q", "2", "--suite", "FE2"),
+    "test_exactnum-test_values_with_one_trace_compare_unequal": named_test(
+        test_exactnum.TestCycRat, "test_values_with_one_trace_compare_unequal"),
+    "test_exactnum-test_sqrt_q_lies_in_the_field": named_test(
+        test_exactnum.TestCycRat, "test_sqrt_q_lies_in_the_field"),
+    "test_exactnum-test_inverse": named_test(
+        test_exactnum.TestCycRat, "test_inverse"),
+    "test_exactnum-test_inverse_cancellation": named_test(
+        test_exactnum.TestZetaValue, "test_inverse_cancellation"),
 }
 
 # (mutant, owner, attribute, old, new, the check that kills it)
@@ -69,6 +96,29 @@ MUTANTS = [
      "pass", "test_schwartz-test_w_unit_coset"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),
+    ("eq-compares-trace-only", CycRat, "__eq__", "return x.a == y.a",
+     "return sum(c * w for c, w in zip(x.a, _trace_weights(x.m)))"
+     " == sum(c * w for c, w in zip(y.a, _trace_weights(x.m)))",
+     "test_exactnum-test_values_with_one_trace_compare_unequal"),
+    ("sqrt-negative-root-q3mod4", exactnum, "_sqrt_prime",
+     "else -CycRat.root_of_unity(4) * g", "else CycRat.root_of_unity(4) * g",
+     "test_exactnum-test_sqrt_q_lies_in_the_field"),
+    ("bool-always-true", CycRat, "__bool__", "return any(self.a)",
+     "return True", "verify-q2-measure"),
+    ("geometric-start-off-by-one", ZetaValue, "geometric",
+     "num = (z,) * start + (lead,)", "num = (z,) * (start + 1) + (lead,)",
+     "verify-q2-zeta1d-epsilon"),
+    ("ptrim-keeps-a-last-zero", exactnum, "_ptrim",
+     "while n and not p[n - 1]:", "while n > 1 and not p[n - 1]:",
+     "test_exactnum-test_inverse"),
+    ("padd-drops-the-longer-tail", exactnum, "_padd",
+     "if len(p) < len(q):", "if len(p) > len(q):",
+     "test_exactnum-test_inverse"),
+    ("pmul-overwrites-instead-of-adding", exactnum, "_pmul",
+     "out[i + j] += a * b", "out[i + j] = a * b", "verify-q2-FE2"),
+    ("pdivmod-adds-the-multiple", exactnum, "_pdivmod",
+     "r[k + i] -= c * d[i]", "r[k + i] += c * d[i]",
+     "test_exactnum-test_inverse_cancellation"),
 ]
 
 
@@ -81,5 +131,11 @@ def test_check_passes_unmutated(check, tmp_path):
     "owner,attr,old,new,check", [m[1:] for m in MUTANTS],
     ids=["%s-killed-by-%s" % (m[0], m[-1]) for m in MUTANTS])
 def test_mutant_killed(owner, attr, old, new, check, monkeypatch, tmp_path):
-    monkeypatch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
-    assert not CHECKS[check](tmp_path)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
+            clear_caches()
+            passed = CHECKS[check](tmp_path)
+    finally:
+        clear_caches()
+    assert not passed

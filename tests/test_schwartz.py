@@ -45,7 +45,7 @@ def polynomial_mul(x, y):
     """x * y through the polynomial product at the lcm order, with no
     shortcut for a rational factor."""
     x, y = x._align(y)
-    return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a), x.m))
+    return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a, Fraction(0)), x.m))
 
 
 def reference_normalize(f, psi):

@@ -102,6 +102,22 @@ class TestRingOps:
         for pt in fam.probe_points(s.atoms() or [KCoset.ideal(q, -1)]):
             assert s.contains(pt) == oracle(pt)
 
+    def test_carved_empty_when_an_inner_covers_outer(self):
+        q = 3
+        fam = KCosetFamily(q)
+        outer = KCoset(q, KElement(q, {0: 1}), 1)
+        # the same coset, built separately from another representative
+        copy = KCoset(q, KElement(q, {0: 1, 2: 2}), 1)
+        sub = KCoset(q, KElement(q, {0: 1, 1: 2}), 2)
+        assert DddSet.carved(fam, outer, [copy]).is_structurally_empty()
+        # a subcoset and the copy overlap and merge into the outer coset
+        assert DddSet.carved(fam, outer, [sub, copy]).is_structurally_empty()
+        kept = DddSet.carved(fam, outer, [sub])
+        assert kept.components == ((outer, (sub,)),)
+        # two overlapping intervals that merge into the outer one
+        assert DddSet.carved(IV, interval(0, 3), [
+            interval(0, 2), interval(1, 4)]).is_structurally_empty()
+
     def test_mixed_family_rejected(self):
         a = DddSet.atom(IV, interval(0, 1))
         b = DddSet.atom(IntervalFamily(), interval(0, 1))

@@ -101,9 +101,9 @@ def euclid_inverse(x):
     r0, r1 = list(cyclotomic_poly(x.m)), _ptrim(list(x.a))
     s0, s1 = [], [Fraction(1)]
     while r1:
-        qq, r = _pdivmod(r0, r1)
+        qq, r = _pdivmod(r0, r1, Fraction(0))
         r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, [-c for c in _pmul(qq, s1)])
+        s0, s1 = s1, _padd(s0, [-c for c in _pmul(qq, s1, Fraction(0))])
     return CycRat(x.m, _reduce_mod_cyc([c / r0[0] for c in s0], x.m))
 
 
