@@ -117,24 +117,19 @@ class FElement:
         return FElement(self.q, {e: k for e, k in self.coeffs.items()
                                  if e < n})
 
-    def invert(self, t_terms, u_precision=None):
+    def invert(self, t_terms):
         """Inverse as a Laurent series, truncated to t_terms coefficients
-        starting at the valuation.
-
-        When the leading coefficient is a K monomial its inverse is exact
-        and the only truncation is in t; otherwise the K-level inversion
-        is truncated at u_precision digits above its valuation.
-        """
+        starting at the valuation.  Only a K monomial has a finite
+        inverse in K, so any other leading coefficient raises ValueError."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero in F")
         n = self.nu()
         lead = self.eta()
-        if len(lead.digits) == 1:
-            (e, d), = lead.digits.items()
-            lead_inv = KElement(self.q, {-e: pow(d, -1, self.q)})
-        else:
-            prec = 16 if u_precision is None else u_precision
-            lead_inv = lead.invert(prec + abs(lead.valuation()))
+        if len(lead.digits) != 1:
+            raise ValueError("leading coefficient %s is not a K monomial"
+                             % lead)
+        (e, d), = lead.digits.items()
+        lead_inv = KElement(self.q, {-e: pow(d, -1, self.q)})
         unit = self.t_shift(-n)   # valuation 0, leading coefficient `lead`
         delta = FElement(self.q, {e: -(k * lead_inv)
                                   for e, k in unit.coeffs.items() if e > 0})
@@ -357,24 +352,20 @@ class LiftedFn:
         return total
 
     # -- geometry -------------------------------------------------------------
-    def scale_var(self, alpha, t_terms=None, u_precision=None):
-        """x -> f(alpha x)."""
+    def scale_var(self, alpha):
+        """x -> f(alpha x).  A term's new base a/alpha matters modulo
+        t^(gamma - nu(alpha) + 1), so alpha^-1 is taken to
+        gamma - nu(a) + 1 t-terms."""
         if alpha.is_zero():
             raise ValueError("scaling by zero")
         na = alpha.nu()
         ea = alpha.eta()
-        spans = [gamma - a.nu() for g, a, gamma, b, coeff in self.terms
-                 if not a.is_zero()]
-        span = max(spans + [8]) + 4
-        inv = None
+        needed = [gamma - a.nu() + 1 for _, a, gamma, _, _ in self.terms
+                  if not a.is_zero()]
+        inv = alpha.invert(max(needed)) if needed else None
         out = []
         for g, a, gamma, b, coeff in self.terms:
-            if not a.is_zero():
-                if inv is None:
-                    inv = alpha.invert(t_terms or span, u_precision)
-                new_a = inv * a
-            else:
-                new_a = a
+            new_a = a if a.is_zero() else inv * a
             new_b = None if b is None else alpha * b
             out.append((g.dilate(ea), new_a, gamma - na, new_b, coeff))
         return LiftedFn(self.q, out)
@@ -420,8 +411,7 @@ def _support_ideal_level(g):
             if not atom.point.is_zero():
                 levels.append(atom.point.valuation())
         else:
-            v = atom.rep.valuation() if not atom.rep.is_zero() else atom.level
-            levels.append(min(atom.level, v))
+            levels.append(atom.valuation())
     return min(levels, default=0)
 
 
@@ -498,10 +488,11 @@ class DistinguishedFamily(AtomFamily):
     combine.
 
     Residue sets are compared by Haar measure, not by probing: S1 and S2
-    are disjoint when mu(S1 & S2) = 0 and S1 lies in S2 when
-    mu(S1 & S2) = mu(S1).  This is exact because every component of a
-    DddSet is a coset minus disjoint proper subcosets, so it is either
-    empty or contains a whole coset, and because mu > 0."""
+    are equal when mu(S1 & S2) = mu(S1) = mu(S2), else disjoint when
+    mu(S1 & S2) = 0, and S1 lies in S2 when mu(S1 & S2) = mu(S1).  This
+    is exact because every component of a DddSet is a coset minus
+    disjoint proper subcosets, so it is either empty or contains a whole
+    coset, and because mu > 0."""
 
     def __init__(self, q, mu=Fraction(1)):
         self.q = q
@@ -519,78 +510,50 @@ class DistinguishedFamily(AtomFamily):
         return DddSet(S.family, moved)
 
     def _s_relation(self, S1, S2):
-        """(kind, meet) of two residue sets, kind as in _rel, decided by
-        Haar measure as the class docstring explains."""
+        """(kind, meet) of two residue sets in the kinds of relation,
+        decided by Haar measure as the class docstring explains; equal
+        comes first, so an empty residue set is equal to itself."""
         if isinstance(S1, _PointS):
             if not S2.contains(S1.point):
                 return "disjoint", None
-            return ("equal" if isinstance(S2, _PointS) else "a_in_b"), S1
+            return ("equal" if isinstance(S2, _PointS) else "in"), None
         if isinstance(S2, _PointS):
-            return ("b_in_a", S2) if S1.contains(S2.point) else (
-                "disjoint", None)
+            return ("contains" if S1.contains(S2.point) else "disjoint"), None
         meet = S1.intersection(S2)
         m, m1, m2 = (S.measure(self.kfam.haar) for S in (meet, S1, S2))
+        if m == m1 == m2:
+            return "equal", None
         if m == 0:
             return "disjoint", None
         if m == m1:
-            return ("equal" if m == m2 else "a_in_b"), meet
-        return ("b_in_a" if m == m2 else "overlap"), meet
-
-    def _s_join(self, S1, S2):
-        if isinstance(S1, _PointS):
-            return S2
-        if isinstance(S2, _PointS):
-            return S1
-        return S1.union(S2)
+            return "in", None
+        return ("contains", None) if m == m2 else ("overlap", meet)
 
     # family interface -----------------------------------------------------------
-    def _rel(self, A, B):
-        """(kind, payload): kind is "disjoint", "equal", "a_in_b", "b_in_a"
-        or "overlap"; at one level the payload is (meet, residue set of B),
-        both in A coordinates."""
-        if A.gamma > B.gamma:
-            kind, payload = self._rel(B, A)
-            flip = {"a_in_b": "b_in_a", "b_in_a": "a_in_b"}
-            return flip.get(kind, kind), payload
-        d = B.a - A.a
-        if not (d.is_zero() or d.nu() >= A.gamma):
+    def relation(self, A, B):
+        """Sets at different levels are disjoint or the one at the lower
+        level contains the other; at one level the residue sets decide,
+        B's moved into A's coordinates."""
+        lo, hi = (A, B) if A.gamma <= B.gamma else (B, A)
+        d = hi.a - lo.a
+        if not (d.is_zero() or d.nu() >= lo.gamma):
             return "disjoint", None
-        c = d.coeff(A.gamma)
-        if A.gamma < B.gamma:
-            return ("b_in_a", None) if A.S.contains(c) else ("disjoint",
-                                                             None)
-        sb = self._s_translate(B.S, c)
-        kind, meet = self._s_relation(A.S, sb)
-        return kind, (meet, sb)
+        c = d.coeff(lo.gamma)
+        if lo.gamma < hi.gamma:
+            if not lo.S.contains(c):
+                return "disjoint", None
+            return ("contains" if lo is A else "in"), None
+        kind, meet = self._s_relation(A.S, self._s_translate(B.S, c))
+        if meet is not None:
+            meet = DistinguishedSetF(self.q, A.a, A.gamma, meet)
+        return kind, meet
 
-    def nested(self, a, b):
-        return self._rel(a, b)[0] in ("equal", "a_in_b")
-
-    def disjoint(self, a, b):
-        return self._rel(a, b)[0] == "disjoint"
-
-    def intersection(self, a, b):
-        kind, payload = self._rel(a, b)
-        if kind == "disjoint":
-            return None
-        if kind in ("equal", "a_in_b"):
-            return a
-        if kind == "b_in_a":
-            return b
-        meet, _ = payload
-        return DistinguishedSetF(self.q, a.a, a.gamma, meet)
-
-    def union(self, a, b):
-        kind, payload = self._rel(a, b)
-        if kind == "disjoint":
-            raise ValueError("union of disjoint sets is not distinguished")
-        if kind in ("equal", "b_in_a"):
-            return a
-        if kind == "a_in_b":
-            return b
-        _, sb = payload
-        return DistinguishedSetF(self.q, a.a, a.gamma,
-                                 self._s_join(a.S, sb))
+    def join(self, A, B):
+        """Two overlapping sets share a level and join their residue
+        sets."""
+        c = (B.a - A.a).coeff(A.gamma)
+        return DistinguishedSetF(self.q, A.a, A.gamma,
+                                 A.S.union(self._s_translate(B.S, c)))
 
     def contains_point(self, a, x):
         return a.contains(x)

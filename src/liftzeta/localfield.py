@@ -191,6 +191,11 @@ class KCoset:
     def contains(self, x):
         return (x - self.rep).valuation() >= self.level
 
+    def valuation(self):
+        """The least valuation of a point of the coset: the level for an
+        ideal, the representative's valuation otherwise."""
+        return min(self.level, self.rep.valuation())
+
     def relation(self, other):
         """One of "equal", "in" (self inside other), "contains", "disjoint"."""
         lo, hi = (self, other) if self.level >= other.level else (other, self)

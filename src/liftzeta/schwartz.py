@@ -162,7 +162,7 @@ class SBFunction:
         q = self.q
         singles = {}  # point -> coeff
         parts = []  # (coeff, root order, (key, t) pairs) per coset
-        base = min((min(a.level, a.rep.valuation()) for a, _, _ in self.terms
+        base = min((a.valuation() for a, _, _ in self.terms
                     if not isinstance(a, KSingleton)), default=0)
         for atom, twist, coeff in self.terms:
             if isinstance(atom, KSingleton):

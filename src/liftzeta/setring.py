@@ -1,11 +1,12 @@
 """A generic ring of sets built from families of atoms.
 
 An atom family here is a collection of sets closed under intersection and
-union whenever two members meet.  From such a family one can form
-differences of an atom by finitely many disjoint sub-atoms, and then
-finite disjoint unions of those; the result is closed under union,
-intersection and difference, which is all a finitely additive measure
-needs.
+union whenever two members meet.  Its one relation says how two atoms lie
+(disjoint, equal, nested or overlapping), and the predicates, meet and
+join follow from it.  From such a family one can form differences of an
+atom by finitely many disjoint sub-atoms, and then finite disjoint unions
+of those; the result is closed under union, intersection and difference,
+which is all a finitely additive measure needs.
 
 Normal forms are not canonical: two structurally different descriptions
 can denote the same set.  ``same_set`` decides equality by membership on
@@ -20,27 +21,48 @@ from fractions import Fraction
 class AtomFamily:
     """Interface for a family of atoms.
 
-    Subclasses provide the three predicates and the partial meet/join,
-    plus point membership and probe points for semantic comparisons.
+    Subclasses provide relation, join where atoms can overlap, point
+    membership and probe points for semantic comparisons; the predicates
+    and the partial meet and join follow from relation.
     """
+
+    def relation(self, a, b):
+        """(kind, meet): kind is "disjoint", "equal", "in" (a inside b),
+        "contains" (b inside a) or "overlap", and meet, the atom a meet
+        b, is given only for "overlap"."""
+        raise NotImplementedError
+
+    def join(self, a, b):
+        """The atom a join b of two overlapping atoms."""
+        raise NotImplementedError
 
     def nested(self, a, b):
         """Is a contained in b?"""
-        raise NotImplementedError
+        return self.relation(a, b)[0] in ("equal", "in")
 
     def disjoint(self, a, b):
-        raise NotImplementedError
+        return self.relation(a, b)[0] == "disjoint"
 
     def equal(self, a, b):
-        return self.nested(a, b) and self.nested(b, a)
+        return self.relation(a, b)[0] == "equal"
 
     def intersection(self, a, b):
         """The atom a meet b, or None when they are disjoint."""
-        raise NotImplementedError
+        kind, meet = self.relation(a, b)
+        if kind in ("equal", "in"):
+            return a
+        return b if kind == "contains" else meet
 
     def union(self, a, b):
         """The atom a join b; only defined when they meet."""
-        raise NotImplementedError
+        return self._joined(self.relation(a, b)[0], a, b)
+
+    def _joined(self, kind, a, b):
+        if kind == "disjoint":
+            raise ValueError("union of disjoint atoms is not an atom")
+        if kind == "overlap":
+            return self.join(a, b)
+        return b if kind == "in" else a
 
     def contains_point(self, a, x):
         raise NotImplementedError
@@ -57,20 +79,18 @@ def refine_disjoint(family, atoms):
     The union is preserved and every output atom is a union of inputs.
     """
     out = list(atoms)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            for j in range(i + 1, len(out)):
-                if not family.disjoint(out[i], out[j]):
-                    merged = family.union(out[i], out[j])
-                    out[j] = out[-1]
-                    out.pop()
-                    out[i] = merged
-                    changed = True
-                    break
-            if changed:
+    i = 0
+    while i < len(out):
+        # atoms before i are disjoint from all others, so also from a merge
+        for j in range(i + 1, len(out)):
+            kind, _ = family.relation(out[i], out[j])
+            if kind != "disjoint":
+                out[i] = family._joined(kind, out[i], out[j])
+                out[j] = out[-1]
+                out.pop()
                 break
+        else:
+            i += 1
     return out
 
 
@@ -189,20 +209,15 @@ class DddSet:
 class IntervalFamily(AtomFamily):
     """Half-open rational intervals [lo, hi) on the line."""
 
-    def nested(self, a, b):
-        return b[0] <= a[0] and a[1] <= b[1]
+    def relation(self, a, b):
+        lo, hi = max(a[0], b[0]), min(a[1], b[1])
+        if hi <= lo:
+            return "disjoint", None
+        if (lo, hi) == a:
+            return ("equal" if a == b else "in"), None
+        return ("contains", None) if (lo, hi) == b else ("overlap", (lo, hi))
 
-    def disjoint(self, a, b):
-        return a[1] <= b[0] or b[1] <= a[0]
-
-    def intersection(self, a, b):
-        if self.disjoint(a, b):
-            return None
-        return (max(a[0], b[0]), min(a[1], b[1]))
-
-    def union(self, a, b):
-        if self.disjoint(a, b):
-            raise ValueError("union of disjoint intervals is not an atom")
+    def join(self, a, b):
         return (min(a[0], b[0]), max(a[1], b[1]))
 
     def contains_point(self, a, x):
@@ -235,23 +250,8 @@ class KCosetFamily(AtomFamily):
             raise ValueError("Haar measure mu must be positive, got %s"
                              % self.mu)
 
-    def nested(self, a, b):
-        return a.relation(b) in ("equal", "in")
-
-    def disjoint(self, a, b):
-        return a.relation(b) == "disjoint"
-
-    def intersection(self, a, b):
-        rel = a.relation(b)
-        if rel == "disjoint":
-            return None
-        return a if rel in ("equal", "in") else b
-
-    def union(self, a, b):
-        rel = a.relation(b)
-        if rel == "disjoint":
-            raise ValueError("union of disjoint cosets is not a coset")
-        return b if rel == "in" else a
+    def relation(self, a, b):
+        return a.relation(b), None
 
     def contains_point(self, a, x):
         return a.contains(x)

@@ -30,7 +30,7 @@ def zeta(g, omega):
     for atom, _, coeff in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
-        v = atom.rep.valuation()
+        v = atom.valuation()
         if v < atom.level:
             # omega and |.| are constant on each coset of level need; the
             # multiplicative measure of a + pi^n O is mu q^(v - n) by

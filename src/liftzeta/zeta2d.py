@@ -88,7 +88,7 @@ def _shell_restriction(g, omega, k):
     for atom, _, coeff in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
-        v = atom.rep.valuation() if not atom.rep.is_zero() else atom.level
+        v = atom.valuation()
         if v >= atom.level:
             # an ideal: meets every shell at or below its level
             if k < atom.level:
@@ -123,8 +123,7 @@ def _shell_window(g):
     for atom, _, _ in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
-        v = atom.rep.valuation() if not atom.rep.is_zero() else atom.level
-        lo = min(lo, v)
+        lo = min(lo, atom.valuation())
         hi = max(hi, atom.level)
     return lo, hi
 

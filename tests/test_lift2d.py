@@ -199,6 +199,41 @@ class TestIntegral:
         assert diff.integrate(psi).is_zero()
 
 
+class TestScaleVar:
+    def test_non_monomial_leading_coefficient_raises(self):
+        # 1 + u has no finite inverse in K; an inverse cut at 16 digits
+        # made the scaled function read 0 at a point where f(alpha x) = 1
+        q = 3
+        alpha = fe(q, "1+u")
+        g = SBFunction.char(KCoset(q, KElement(q, {0: 1, 16: 1}), 17))
+        f = LiftedFn.lift(g, a=fe(q, "1"))
+        with pytest.raises(ValueError, match="not a K monomial"):
+            f.scale_var(alpha)
+        with pytest.raises(ValueError, match="not a K monomial"):
+            fe(q, "(1+u)*t + t^2").invert(4)
+
+    def test_pointwise_law(self):
+        # f.scale_var(alpha)(x) == f(alpha x) for alpha with a monomial
+        # leading coefficient and several t terms
+        q = 3
+        psi = GoodCharacter(q, 1)
+        rng = random.Random(17)
+        checked = nonzero = 0
+        for _ in range(40):
+            f = rand_lifted(q, rng)
+            n = rng.randrange(-1, 2)
+            lead = KElement(q, {rng.randrange(-1, 2): rng.randrange(1, q)})
+            alpha = FElement(q, {n: lead}) + rand_felement(
+                q, rng, exps=(n + 1, n + 2, n + 3))
+            scaled = f.scale_var(alpha)
+            for x in probe_grid(scaled):
+                want = f.evaluate(alpha * x, psi)
+                assert scaled.evaluate(x, psi) == want
+                checked += 1
+                nonzero += not want.is_zero()
+        assert nonzero > checked // 10
+
+
 class TestAbsF:
     def test_monomial_value(self):
         q = 3
@@ -399,6 +434,25 @@ class TestDistinguishedSets:
             B = self.dset(a, 1, [KCoset.ideal(q, n)])
             assert self.fam.disjoint(E, B) and self.fam.disjoint(B, E)
         assert measure_F(DddSet.atom(self.fam, E), self.fam).is_zero()
+
+    def test_empty_residue_set_equals_itself(self):
+        # mu(E & E) = mu(E) = 0: equal is decided before disjoint, so an
+        # empty residue set is equal to itself and to a separate copy
+        q, kfam = self.q, self.fam.kfam
+        O = KCoset.ideal(q, 0)
+
+        def empty():
+            S = DddSet.atom(kfam, O)
+            for c in O.subcosets(1):
+                S = S.difference(DddSet.atom(kfam, c))
+            return DistinguishedSetF(q, FElement.zero(q), 0, S)
+        E, copy = empty(), empty()
+        for other in (E, copy):
+            assert self.fam.relation(E, other) == ("equal", None)
+            assert self.fam.equal(E, other) and self.fam.nested(E, other)
+            assert not self.fam.disjoint(E, other)
+            assert self.fam.intersection(E, other) is E
+            assert self.fam.union(E, other) is E
 
     def test_same_level_relations_match_membership(self):
         q, kfam = self.q, self.fam.kfam

@@ -104,6 +104,19 @@ class TestKCoset:
         reps = {c.rep for c in cs}
         assert len(reps) == 4
 
+    def test_valuation_is_the_least_of_its_points(self):
+        q = 3
+        assert KCoset.ideal(q, 2).valuation() == 2
+        assert KCoset.ideal(q, -1).valuation() == -1
+        assert KCoset(q, ke(q, "u^-1 + 2"), 1).valuation() == -1
+        # digits at or above the level are cut away, leaving an ideal
+        assert KCoset(q, ke(q, "u^2 + u^3"), 2).valuation() == 2
+        rng = random.Random(4)
+        for _ in range(40):
+            c = KCoset(q, random_kelement(q, rng), rng.randrange(-2, 3))
+            assert c.valuation() == min(
+                s.rep.valuation() for s in c.subcosets(c.level + 1))
+
 
 class TestAdditiveCharacter:
     def test_conductor_zero(self):

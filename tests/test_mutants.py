@@ -1,5 +1,5 @@
-"""Every check must be able to fail: mutants of the Schwartz layer and
-of exact arithmetic.
+"""Every check must be able to fail: mutants of the Schwartz layer, of
+exact arithmetic and of the distinguished sets on F.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -20,9 +20,11 @@ import textwrap
 import pytest
 
 import test_exactnum
+import test_lift2d
 import test_schwartz
 from liftzeta import cli, exactnum
 from liftzeta.exactnum import CycRat, ZetaValue
+from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import AdditiveCharacter
 from liftzeta.schwartz import SBFunction
 
@@ -52,7 +54,10 @@ def verify(*argv):
 def named_test(cls, name):
     def check(tmp_path):
         try:
-            getattr(cls(), name)()
+            obj = cls()
+            if hasattr(obj, "setup_method"):
+                obj.setup_method()
+            getattr(obj, name)()
         except Exception:
             return False
         return True
@@ -85,6 +90,15 @@ CHECKS = {
         test_exactnum.TestCycRat, "test_inverse"),
     "test_exactnum-test_inverse_cancellation": named_test(
         test_exactnum.TestZetaValue, "test_inverse_cancellation"),
+    "test_lift2d-test_additivity_and_membership_on_random_pairs": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_additivity_and_membership_on_random_pairs"),
+    "test_lift2d-test_same_level_relations_match_membership": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_same_level_relations_match_membership"),
+    "test_lift2d-test_complement_inside_measure_zero_ideal": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_complement_inside_measure_zero_ideal"),
 }
 
 # (mutant, owner, attribute, old, new, the check that kills it)
@@ -119,6 +133,15 @@ MUTANTS = [
     ("pdivmod-adds-the-multiple", exactnum, "_pdivmod",
      "r[k + i] -= c * d[i]", "r[k + i] += c * d[i]",
      "test_exactnum-test_inverse_cancellation"),
+    ("lower-level-always-contains", DistinguishedFamily, "relation",
+     '("contains" if lo is A else "in")', '"contains"',
+     "test_lift2d-test_additivity_and_membership_on_random_pairs"),
+    ("residue-in-read-from-m2", DistinguishedFamily, "_s_relation",
+     "m == m1:", "m == m2:",
+     "test_lift2d-test_same_level_relations_match_membership"),
+    ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
+     "gamma - 1,", "gamma,",
+     "test_lift2d-test_complement_inside_measure_zero_ideal"),
 ]
 
 
