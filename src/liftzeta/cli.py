@@ -96,7 +96,7 @@ def suite_schwartz_oracle(cfg):
         rows.append(_flag_row(
             "schwartz-oracle", "star-ideal-r%+d" % r,
             {"q": q, "d": d, "r": r},
-            g.star(psi, pi).equals(want2, psi)))
+            g.star(psi, pi).equals(want2)))
     return rows
 
 
@@ -256,8 +256,7 @@ def suite_rho2(cfg):
     q = cfg.q
     rows = []
     gs = [("char-O", SBFunction.char_ideal(q, 0)),
-          ("char-units", SBFunction.char_ideal(q, 0)
-           - SBFunction.char_ideal(q, 1)),
+          ("char-units", SBFunction.char_units(q)),
           ("char-1+pi", SBFunction.char(
               KCoset(q, KElement.one(q), 1)))]
     oms = [QuasiCharacter.trivial(q, pi_value=CycRat.from_rational(1)),

@@ -215,19 +215,8 @@ class GoodCharacter:
         self.d = d
         self.base = AdditiveCharacter(q, d)
 
-    conductor = 1
-
     def __call__(self, x):
         return self.base(x.coeff(0))
-
-    def twist_conductor(self, a):
-        """Conductor of x -> psi(a x)."""
-        return self.conductor - a.nu()
-
-    def twist_residue(self, a):
-        """The K element c with the twist acting through psi_K(c .) on the
-        residue level of its conductor."""
-        return a.eta()
 
 
 def _zcoeff(q, c):
@@ -241,7 +230,7 @@ def _zcoeff(q, c):
 class LiftedFn:
     """Finite sum of coeff * g^(a,gamma) * psi_b terms.
 
-    g is a plain Schwartz function on K, a and b are F elements, and
+    g is a Schwartz function on K, a and b are F elements, and
     coefficients live in the T/X value ring.
     """
 
@@ -250,8 +239,6 @@ class LiftedFn:
     def __init__(self, q, terms=()):
         cleaned = []
         for g, a, gamma, b, coeff in terms:
-            if not g.is_plain():
-                raise ValueError("lift data must be twist-free on K")
             coeff = _zcoeff(q, coeff)
             if b is not None and b.is_zero():
                 b = None
@@ -344,7 +331,7 @@ class LiftedFn:
             elif gamma == -b.nu():
                 # the twist restricts to the residue character of eta(b)
                 const = psi(b * a)
-                val = g.twisted(b.eta()).haar_integral(psi.base)
+                val = g.twisted(b.eta(), psi.base).haar_integral()
             else:
                 continue
             total = total + coeff * xg * ZetaValue.constant(
@@ -406,7 +393,7 @@ class LiftedFn:
 def _support_ideal_level(g):
     """Largest m with the support of g inside pi^m O."""
     levels = []
-    for atom, _, _ in g.normalize().terms:
+    for atom, _ in g.normalize().terms:
         if isinstance(atom, KSingleton):
             if not atom.point.is_zero():
                 levels.append(atom.point.valuation())
@@ -439,19 +426,6 @@ def _abs_rec(f):
 
 # -- distinguished sets and their measure -------------------------------------
 
-class _PointS:
-    """A single K point in the role of a residue set; it carries no Haar
-    measure and stands in for the intersection of all ideals."""
-
-    __slots__ = ("point",)
-
-    def __init__(self, point):
-        self.point = point
-
-    def contains(self, c):
-        return c == self.point
-
-
 class DistinguishedSetF:
     """The set a + t^gamma rho^(-1)(S) for a residue set S; with the null
     flag the residue set is the single point 0, so the set is the full
@@ -470,10 +444,10 @@ class DistinguishedSetF:
         """The ideal a + t^gamma O as a level gamma-1 set with a measure
         zero residue part."""
         a = FElement.zero(q) if a is None else a
-        return cls(q, a, gamma - 1, _PointS(KElement.zero(q)))
+        return cls(q, a, gamma - 1, KSingleton(q, KElement.zero(q)))
 
     def is_null(self):
-        return isinstance(self.S, _PointS)
+        return isinstance(self.S, KSingleton)
 
     def contains(self, x):
         d = x - self.a
@@ -500,8 +474,8 @@ class DistinguishedFamily(AtomFamily):
 
     # residue-set helpers ------------------------------------------------------
     def _s_translate(self, S, c):
-        if isinstance(S, _PointS):
-            return _PointS(S.point + c)
+        if isinstance(S, KSingleton):
+            return KSingleton(self.q, S.point + c)
         moved = []
         for outer, inners in S.components:
             moved.append((KCoset(self.q, outer.rep + c, outer.level),
@@ -513,11 +487,11 @@ class DistinguishedFamily(AtomFamily):
         """(kind, meet) of two residue sets in the kinds of relation,
         decided by Haar measure as the class docstring explains; equal
         comes first, so an empty residue set is equal to itself."""
-        if isinstance(S1, _PointS):
+        if isinstance(S1, KSingleton):
             if not S2.contains(S1.point):
                 return "disjoint", None
-            return ("equal" if isinstance(S2, _PointS) else "in"), None
-        if isinstance(S2, _PointS):
+            return ("equal" if isinstance(S2, KSingleton) else "in"), None
+        if isinstance(S2, KSingleton):
             return ("contains" if S1.contains(S2.point) else "disjoint"), None
         meet = S1.intersection(S2)
         m, m1, m2 = (S.measure(self.kfam.haar) for S in (meet, S1, S2))
@@ -566,7 +540,7 @@ class DistinguishedFamily(AtomFamily):
         pool = [KElement.zero(self.q), KElement.one(self.q),
                 KElement.uniformizer(self.q, -1)]
         for a in atoms:
-            if isinstance(a.S, _PointS):
+            if isinstance(a.S, KSingleton):
                 pool.append(a.S.point)
             else:
                 pool.extend(self.kfam.probe_points(a.S.atoms()))
@@ -647,7 +621,7 @@ def _zeta_term(g, a, gamma, b, coeff, omega, psi, regularize):
             return ZetaValue.zero(q)
         g1 = g.translate(-a.coeff(0)) if not a.coeff(0).is_zero() else g
         if nb == 0:
-            g1 = g1.twisted(b.eta()).normalize(psi.base)
+            g1 = g1.twisted(b.eta(), psi.base)
         from .zeta1d import zeta as zeta_k
         return coeff * zeta_k(g1, omega)
     # remaining case: gamma < 0 <= nu(a) up to the earlier exclusions

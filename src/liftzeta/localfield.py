@@ -238,7 +238,8 @@ class KCoset:
 class KSingleton:
     """A one-point set {c}; Haar measure zero.  Needed so the calculus can
     carry indicator functions of points through integrals and absolute
-    values (they never survive a Fourier transform)."""
+    values (they never survive a Fourier transform).  On F it is the
+    residue set of a null distinguished set."""
 
     __slots__ = ("q", "point")
 

@@ -85,7 +85,7 @@ def _shell_restriction(g, omega, k):
     q = g.q
     need = max(omega.r, 1)
     out = []
-    for atom, _, coeff in g.normalize().terms:
+    for atom, coeff in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
         v = atom.valuation()
@@ -96,10 +96,10 @@ def _shell_restriction(g, omega, k):
             shell = KCoset.ideal(q, k)
             for sub in shell.subcosets(k + need):
                 if sub.rep.valuation() == k:
-                    out.append((sub, None, coeff * omega(sub.rep)))
+                    out.append((sub, coeff * omega(sub.rep)))
         elif v == k:
             for sub in atom.subcosets(max(atom.level, v + need)):
-                out.append((sub, None, coeff * omega(sub.rep)))
+                out.append((sub, coeff * omega(sub.rep)))
     return SBFunction(q, out, g.mu)
 
 
@@ -120,7 +120,7 @@ def _shell_series(q, shells):
 def _shell_window(g):
     """Valuation range [lo, hi) outside of which g is constant on shells."""
     lo, hi = 0, 1
-    for atom, _, _ in g.normalize().terms:
+    for atom, _ in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
         lo = min(lo, atom.valuation())

@@ -110,12 +110,6 @@ class TestGoodCharacter:
         assert psi(x) == CycRat.root_of_unity(3)
         assert psi(fe(3, "t")) == CycRat.from_rational(1)
 
-    def test_twist_conductor_and_residue(self):
-        psi = GoodCharacter(3, 0)
-        a = fe(3, "2*t^-2 + t")
-        assert psi.twist_conductor(a) == 3
-        assert psi.twist_residue(a) == KElement.constant(3, 2)
-
 
 class TestIntegral:
     def test_ideal_volumes(self):

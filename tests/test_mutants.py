@@ -1,5 +1,6 @@
 """Every check must be able to fail: mutants of the Schwartz layer, of
-exact arithmetic and of the distinguished sets on F.
+the zeta integrals on K, of exact arithmetic and of the distinguished sets
+on F.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -22,7 +23,7 @@ import pytest
 import test_exactnum
 import test_lift2d
 import test_schwartz
-from liftzeta import cli, exactnum
+from liftzeta import cli, exactnum, schwartz, zeta1d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import AdditiveCharacter
@@ -80,6 +81,10 @@ CHECKS = {
         test_schwartz.TestWAndNabla, "test_w_unit_coset"),
     "verify-q2-zeta1d-epsilon": verify(
         "--q", "2", "--suite", "zeta1d-epsilon"),
+    "verify-q2-zeta1d-epsilon-rmax2": verify(
+        "--q", "2", "--suite", "zeta1d-epsilon", "--rmax", "2"),
+    "verify-q2-identity-A-d1": verify(
+        "--q", "2", "--suite", "identity-A", "--d", "1"),
     "verify-q2-measure": verify("--q", "2", "--suite", "measure"),
     "verify-q2-FE2": verify("--q", "2", "--suite", "FE2"),
     "test_exactnum-test_values_with_one_trace_compare_unequal": named_test(
@@ -106,8 +111,11 @@ MUTANTS = [
     ("twist-digit-exponent-off-by-one", AdditiveCharacter, "twist_form",
      "k = self.d - 1", "k = self.d", "verify-q2-double-star-level1"),
     ("w-odd-shell-dropped", SBFunction, "w_operator",
-     "out.append((KCoset(self.q, odd, atom.level + v + 1), None, coeff))",
+     "out.append((KCoset(self.q, odd, atom.level + v + 1), coeff))",
      "pass", "test_schwartz-test_w_unit_coset"),
+    ("twist-level-from-atom-only", schwartz, "_normal_form",
+     "lev = max(atom.level, psi.d - twist.valuation())", "lev = atom.level",
+     "verify-q2-double-star-level1"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),
     ("eq-compares-trace-only", CycRat, "__eq__", "return x.a == y.a",
@@ -122,6 +130,12 @@ MUTANTS = [
     ("geometric-start-off-by-one", ZetaValue, "geometric",
      "num = (z,) * start + (lead,)", "num = (z,) * (start + 1) + (lead,)",
      "verify-q2-zeta1d-epsilon"),
+    ("delta-parity-always-1", zeta1d, "_delta_parity",
+     "return Fraction(1) if k % 2 == 0 else Fraction(1, q)",
+     "return Fraction(1)", "verify-q2-identity-A-d1"),
+    ("rho0-shift-off-by-one", zeta1d, "rho0",
+     "pi.power_mod(d - r, d)", "pi.power_mod(d - r + 1, d)",
+     "verify-q2-zeta1d-epsilon-rmax2"),
     ("ptrim-keeps-a-last-zero", exactnum, "_ptrim",
      "while n and not p[n - 1]:", "while n > 1 and not p[n - 1]:",
      "test_exactnum-test_inverse"),
