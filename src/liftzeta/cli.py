@@ -383,24 +383,25 @@ def build_parser():
                        help="conductor of the additive character")
         p.add_argument("--rmax", type=int, default=1,
                        help="largest character conductor")
-        p.add_argument("--level", type=int, default=2,
-                       help="largest coset level in test bases")
-        p.add_argument("--tol", type=_tolerance, default=1e-6,
-                       help="numeric tolerance (archfe suite)")
-        p.add_argument("--seed", type=int, default=20260823,
-                       help="seed for randomized cases")
         p.add_argument("--out-dir", default="reports")
         p.add_argument("--format", choices=("json", "csv"),
                        default="json")
         if name == "verify":
             p.add_argument("--suite", default="all",
                            choices=("all",) + SUITES)
+            p.add_argument("--level", type=int, default=2,
+                           help="largest coset level in test bases")
+            p.add_argument("--tol", type=_tolerance, default=1e-6,
+                           help="numeric tolerance (archfe suite)")
+            p.add_argument("--seed", type=int, default=20260823,
+                           help="seed for randomized cases")
     return parser
 
 
 def main(argv=None):
     cfg = build_parser().parse_args(argv)
-    if cfg.rmax < 0 or cfg.level < 0 or cfg.level > 4 or cfg.rmax > 3:
+    if not 0 <= cfg.rmax <= 3 or (cfg.command == "verify"
+                                  and not 0 <= cfg.level <= 4):
         print("rmax/level out of supported range", file=sys.stderr)
         return 2
     size = cfg.q ** max(cfg.rmax, 1)

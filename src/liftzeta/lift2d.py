@@ -316,9 +316,6 @@ class LiftedFn:
                 out.append((gn, base, gamma, b, 1))
         return LiftedFn(self.q, out)
 
-    def is_zero_function(self):
-        return not self.canonicalize().terms
-
     # -- integral -------------------------------------------------------------
     def integrate(self, psi):
         """The exact value of the F integral as a Laurent X polynomial."""

@@ -4,12 +4,14 @@ Elements are finite Laurent polynomials in the uniformizer u with digits in
 F_q; this is enough because every function we integrate is locally constant.
 Also here: cosets a + pi^n O, the additive character of a given conductor,
 and quasi-characters of K^x together with their exhaustive enumeration at a
-given conductor bound.
+given conductor bound.  A quasi-character's values on the units are roots
+of unity, kept as integer exponents; a CycRat is made only when it is
+evaluated.
 """
 
+import itertools
 import math
 import re
-from fractions import Fraction
 
 from .exactnum import CycRat, cyc_zero, is_prime
 
@@ -327,13 +329,16 @@ def gauss_sum(omega, psi, x, level):
 
 
 class QuasiCharacter:
-    """omega on K^x: unit-group table at level r plus the value at pi."""
+    """omega on K^x: the value at pi (a CycRat) and a table on the units,
+    where omega factors through O^x/(1+pi^r O) and each value is a root
+    of unity: unit key -> k mod n, standing for zeta_n^k."""
 
-    __slots__ = ("q", "r", "unit_table", "pi_value", "label")
+    __slots__ = ("q", "r", "n", "unit_table", "pi_value", "label")
 
-    def __init__(self, q, r, unit_table, pi_value=None, label=""):
+    def __init__(self, q, r, n, unit_table, pi_value=None, label=""):
         self.q = q
         self.r = r
+        self.n = n
         self.unit_table = unit_table
         if pi_value is None:
             pi_value = CycRat.from_rational(1)
@@ -344,43 +349,35 @@ class QuasiCharacter:
 
     @classmethod
     def trivial(cls, q, pi_value=None):
-        return cls(q, 0, {(): CycRat.from_rational(1)}, pi_value,
-                   label="unram")
-
-    def unit_value(self, x):
-        """omega on the unit part of x (x a unit of O)."""
-        key = _key_of_unit(x, self.r)
-        return self.unit_table[key]
+        return cls(q, 0, 1, {(): 0}, pi_value, label="unram")
 
     def __call__(self, x):
         if x.is_zero():
             raise ValueError("quasi-character undefined at 0")
         w = x.valuation()
-        unit = x.shift(-w).truncate(max(self.r, 1))
-        return self.unit_value(unit) * self.pi_value ** w
+        k = self.unit_table[_key_of_unit(x.shift(-w), self.r)]
+        return CycRat.root_of_unity(self.n, k) * self.pi_value ** w
 
     def inverse(self):
-        table = {k: v.inverse() for k, v in self.unit_table.items()}
-        return QuasiCharacter(self.q, self.r, table, self.pi_value.inverse(),
+        table = {key: -k % self.n for key, k in self.unit_table.items()}
+        return QuasiCharacter(self.q, self.r, self.n, table,
+                              self.pi_value.inverse(),
                               label=self.label + "^-1")
 
     def with_pi_value(self, pi_value):
-        return QuasiCharacter(self.q, self.r, self.unit_table, pi_value,
-                              self.label)
+        return QuasiCharacter(self.q, self.r, self.n, self.unit_table,
+                              pi_value, self.label)
 
     def at_minus_one(self):
         return self(KElement.constant(self.q, self.q - 1))
 
     def exact_conductor(self):
-        """Least r' with the table trivial on (1 + pi^r' O)."""
+        """Least r' with the table trivial on (1 + pi^r' O): zero on the
+        keys congruent to 1 mod pi^r'."""
+        one = (1,) + (0,) * self.r
         for rp in range(self.r + 1):
-            if rp == 0:
-                ok = all(v == 1 for v in self.unit_table.values())
-            else:
-                # keys congruent to 1 mod pi^rp
-                ok = all(v == 1 for k, v in self.unit_table.items()
-                         if k[:rp] == (1,) + (0,) * (rp - 1))
-            if ok:
+            if all(k == 0 for key, k in self.unit_table.items()
+                   if key[:rp] == one[:rp]):
                 return rp
         return self.r
 
@@ -389,12 +386,13 @@ class QuasiCharacter:
         rp = self.exact_conductor()
         if rp == self.r:
             return self
-        if rp == 0:
-            return QuasiCharacter(self.q, 0, {(): CycRat.from_rational(1)},
-                                  self.pi_value, self.label)
-        pad = (0,) * (self.r - rp)
-        table = {key: self.unit_table[key + pad] for key in _unit_keys(self.q, rp)}
-        return QuasiCharacter(self.q, rp, table, self.pi_value, self.label)
+        # read each coset of level rp at its member whose digits rp..r-1
+        # are those of 1 (for rp = 0 the key needs its nonzero digit 0)
+        pad = ((1,) + (0,) * self.r)[rp:self.r]
+        table = {key: self.unit_table[key + pad]
+                 for key in _unit_keys(self.q, rp)}
+        return QuasiCharacter(self.q, rp, self.n, table, self.pi_value,
+                              self.label)
 
 
 def enumerate_characters(q, r):
@@ -402,7 +400,9 @@ def enumerate_characters(q, r):
 
     Built from explicit generators: a primitive root of F_q^x (order q-1)
     and the principal units 1+u^i for q not dividing i, whose order modulo
-    1+pi^r O is q^e with e minimal such that i q^e >= r.
+    1+pi^r O is q^e with e minimal such that i q^e >= r.  The character
+    with exponents (t_j) sends the unit with discrete logs (e_j) to
+    exp(2 pi i sum t_j e_j / o_j), o_j the generator orders.
     """
     if r < 0:
         raise ValueError("conductor bound must be >= 0")
@@ -413,11 +413,8 @@ def enumerate_characters(q, r):
     if r == 0:
         return [QuasiCharacter.trivial(q)]
 
-    gens = []
-    orders = []
-    c = primitive_root(q)
-    gens.append(KElement.constant(q, c))
-    orders.append(q - 1)
+    gens = [KElement.constant(q, primitive_root(q))]
+    orders = [q - 1]
     for i in range(1, r):
         if i % q == 0:
             continue
@@ -430,45 +427,32 @@ def enumerate_characters(q, r):
     group_order = (q - 1) * q ** (r - 1)
     assert math.prod(orders) == group_order, "generator orders inconsistent"
 
-    # discrete-log table: exponent tuple -> canonical unit key
-    key_to_exps = {}
-    total = math.prod(orders)
     # powers of each generator modulo 1 + pi^r O
     pow_cache = [[KElement.one(q)] for _ in gens]
-    for j, g in enumerate(gens):
-        acc = KElement.one(q)
-        for _ in range(orders[j] - 1):
-            acc = (acc * g).truncate(r)
-            pow_cache[j].append(acc)
-    for idx in range(total):
-        rem = idx
-        exps = []
-        for o in orders:
-            exps.append(rem % o)
-            rem //= o
+    for g, powers, o in zip(gens, pow_cache, orders):
+        for _ in range(o - 1):
+            powers.append((powers[-1] * g).truncate(r))
+    # discrete-log table: canonical unit key -> exponent vector
+    key_to_exps = {}
+    for exps in itertools.product(*map(range, orders)):
         prod = KElement.one(q)
         for j, e in enumerate(exps):
             prod = (prod * pow_cache[j][e]).truncate(r)
         key = _key_of_unit(prod, r)
         assert key not in key_to_exps, "generators do not span freely"
-        key_to_exps[key] = tuple(exps)
+        key_to_exps[key] = exps
     assert len(key_to_exps) == group_order
 
     out = []
-    for cidx in range(total):
-        rem = cidx
-        cexps = []
-        for o in orders:
-            cexps.append(rem % o)
-            rem //= o
-        table = {}
-        for key, exps in key_to_exps.items():
-            val = CycRat.from_rational(1)
-            for j, (t, e) in enumerate(zip(cexps, exps)):
-                if t and e:
-                    val = val * CycRat.root_of_unity(orders[j], t * e)
-            table[key] = val
+    for cexps in itertools.product(*map(range, orders)):
+        # n is the lcm of the orders o_j with t_j != 0, not the character's
+        # own order: CycRat prints a value at the order it is built in, and
+        # at the least order the printed epsilon factors of q = 5 move
+        n = math.lcm(*(o for o, t in zip(orders, cexps) if t))
+        table = {key: sum(t * e * (n // o)
+                          for o, t, e in zip(orders, cexps, exps)) % n
+                 for key, exps in key_to_exps.items()}
         label = "chi" + "".join("_%d" % t for t in cexps)
-        out.append(QuasiCharacter(q, r, table, label=label).reduced())
+        out.append(QuasiCharacter(q, r, n, table, label=label).reduced())
     out.sort(key=lambda w: w.label)
     return out

@@ -12,7 +12,7 @@ identity is verified by an explicit double shell sum.
 from fractions import Fraction
 
 from .exactnum import CycRat, ZetaValue
-from .lift2d import FElement, LiftedFn, LiftedFn2, abs_F
+from .lift2d import FElement, LiftedFn, LiftedFn2
 from .localfield import KCoset, KElement, KSingleton, QuasiCharacter
 from .schwartz import SBFunction
 from .zeta1d import (
@@ -45,31 +45,10 @@ class ChiCharacter:
     def inverse(self):
         return ChiCharacter(self.omega1.inverse(), self.omega2.inverse())
 
-    def t1_value(self):
-        """Value on the pair (t1, 1): the first component at the prime."""
-        return self.omega1.pi_value
-
     @property
     def label(self):
         return "(%s, %s)" % (self.omega1.label or "chi_0",
                              self.omega2.label or "chi_0")
-
-
-class TPoint:
-    """A point of the product of unit groups of the rank-one integers."""
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        if x.nu() != 0 or y.nu() != 0:
-            raise ValueError("coordinates must be units of the valuation "
-                             "ring")
-        self.x = x
-        self.y = y
-
-    def symbol_abs(self):
-        """|t(x, y)| = |x| |y|."""
-        return abs_F(self.x) * abs_F(self.y)
 
 
 def zeta2(tensor, chi):

@@ -345,7 +345,7 @@ class TestTwoVariableFunctionalEquation:
             want = ZetaValue.monomial(
                 q,
                 CycRat.from_rational(Fraction(q) ** (2 * (k1 - k0)))
-                * chi.t1_value() ** k1 * CycRat.sqrt_q(q, -r)
+                * chi.omega1.pi_value ** k1 * CycRat.sqrt_q(q, -r)
                 * CycRat.from_rational(delta)
                 * rho0(om1.inverse(), psi, pi),
                 t_exp=k1 - k0)

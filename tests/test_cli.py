@@ -97,7 +97,7 @@ class TestArgs:
         assert "enumeration bound" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["verify", "epsilon-table"])
+    @pytest.mark.parametrize("command", ["verify"])
     @pytest.mark.parametrize("tol,message", [
         ("nan", "must be positive and finite"),
         ("inf", "must be positive and finite"),
@@ -113,6 +113,19 @@ class TestArgs:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--tol" in err and message in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("option", [
+        ("--tol", "1e-6"), ("--level", "2"), ("--seed", "7")])
+    def test_epsilon_table_takes_no_verify_options(self, option, tmp_path,
+                                                   capsys):
+        # the table reads no tolerance, basis level or seed
+        with pytest.raises(SystemExit) as exc:
+            run(["epsilon-table", "--q", "2", *option,
+                 "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: %s %s" % option \
+            in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from liftzeta.exactnum import CycRat, cyc_zero
 from liftzeta.localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, QuasiCharacter,
-    enumerate_characters,
+    _unit_keys, enumerate_characters,
 )
 
 
@@ -191,12 +191,30 @@ class TestQuasiCharacter:
                 if w.r == 0:
                     continue
                 # sum over representatives at the enumeration level r
-                from liftzeta.localfield import _unit_keys
                 total = cyc_zero()
                 for key in _unit_keys(q, r):
                     x = KElement(q, dict(enumerate(key)))
                     total = total + w(x)
                 assert total.is_zero()
+
+    @pytest.mark.parametrize("q,r", [(2, 3), (3, 3), (5, 2), (7, 1)])
+    def test_every_character_on_every_unit(self, q, r):
+        # exhaustive over O^x/(1+pi^r O): multiplicative, inverted by
+        # inverse(), valued at order n, and told apart by the values
+        units = [KElement(q, dict(enumerate(key)))
+                 for key in _unit_keys(q, r)]
+        chars = enumerate_characters(q, r)
+        tables = set()
+        for w in chars:
+            values = {x: w(x) for x in units}
+            inv = w.inverse()
+            for x, v in values.items():
+                assert v.m == w.n
+                assert inv(x) * v == 1
+                for y in units:
+                    assert v * values[y] == w(x * y)
+            tables.add(tuple(values.values()))
+        assert len(tables) == len(chars)
 
     def test_inverse(self):
         for w in enumerate_characters(3, 2):

@@ -1,6 +1,6 @@
 """Every check must be able to fail: mutants of the Schwartz layer, of
-the zeta integrals on K, of exact arithmetic and of the distinguished sets
-on F.
+the zeta integrals on K, of exact arithmetic, of the quasi-characters and
+of the distinguished sets on F.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -22,11 +22,12 @@ import pytest
 
 import test_exactnum
 import test_lift2d
+import test_localfield
 import test_schwartz
 from liftzeta import cli, exactnum, schwartz, zeta1d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
-from liftzeta.localfield import AdditiveCharacter
+from liftzeta.localfield import AdditiveCharacter, QuasiCharacter
 from liftzeta.schwartz import SBFunction
 
 
@@ -95,6 +96,10 @@ CHECKS = {
         test_exactnum.TestCycRat, "test_inverse"),
     "test_exactnum-test_inverse_cancellation": named_test(
         test_exactnum.TestZetaValue, "test_inverse_cancellation"),
+    "test_localfield-test_inverse": named_test(
+        test_localfield.TestQuasiCharacter, "test_inverse"),
+    "test_localfield-test_exact_conductors": named_test(
+        test_localfield.TestQuasiCharacter, "test_exact_conductors"),
     "test_lift2d-test_additivity_and_membership_on_random_pairs": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_additivity_and_membership_on_random_pairs"),
@@ -147,6 +152,11 @@ MUTANTS = [
     ("pdivmod-adds-the-multiple", exactnum, "_pdivmod",
      "r[k + i] -= c * d[i]", "r[k + i] += c * d[i]",
      "test_exactnum-test_inverse_cancellation"),
+    ("character-inverse-keeps-exponents", QuasiCharacter, "inverse",
+     "-k % self.n", "k", "test_localfield-test_inverse"),
+    ("conductor-search-skips-0", QuasiCharacter, "exact_conductor",
+     "range(self.r + 1)", "range(1, self.r + 1)",
+     "test_localfield-test_exact_conductors"),
     ("lower-level-always-contains", DistinguishedFamily, "relation",
      '("contains" if lo is A else "in")', '"contains"',
      "test_lift2d-test_additivity_and_membership_on_random_pairs"),

@@ -133,8 +133,7 @@ class TestZetaAdditive:
                                      ZetaValue.zero(q))
 
         # the rational inverse keeps the order, as the Euclid one does
-        m = math.lcm(omega.pi_value.m,
-                     *(v.m for v in omega.unit_table.values()))
+        m = math.lcm(omega.pi_value.m, omega.n)
         for p in pieces:
             (_, c), = p.terms
             x = (c * mu).embed(m)

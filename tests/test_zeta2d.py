@@ -12,7 +12,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
 from liftzeta.zeta2d import (
-    ChiCharacter, TPoint, epsilon2, l2_function, rho2, verify_FE2,
+    ChiCharacter, epsilon2, l2_function, rho2, verify_FE2,
     z2_normalized, zeta2, zeta2_direct, zeta_rho2,
 )
 
@@ -45,21 +45,6 @@ class TestChiCharacter:
         assert chi.omega1 is om
         assert chi.omega2.r == 0
         assert chi.omega2.pi_value == om.pi_value
-
-    def test_t1_value(self):
-        q = 3
-        z = CycRat.root_of_unity(4)
-        chi = ChiCharacter(trivial(q, z), trivial(q))
-        assert chi.t1_value() == z
-
-    def test_symbol_absolute_value(self):
-        q = 3
-        x = FElement.from_k(KElement(q, {1: 1}))   # unit of the big ring
-        with pytest.raises(ValueError):
-            TPoint(x, FElement.t_power(q, 1))
-        p = TPoint(x, FElement.from_k(KElement.one(q)))
-        assert p.symbol_abs() == ZetaValue.constant(
-            q, CycRat.sqrt_q(q, -2))
 
 
 class TestZeta2:
@@ -120,7 +105,7 @@ class TestEpsilon2:
             want = ZetaValue.monomial(
                 q,
                 CycRat.from_rational(Fraction(q) ** (2 * (k1 - k0)))
-                * chi.t1_value() ** k1 * CycRat.sqrt_q(q, -r)
+                * chi.omega1.pi_value ** k1 * CycRat.sqrt_q(q, -r)
                 * CycRat.from_rational(_delta_parity(q, d - r))
                 * rho0(om1.inverse(), psi, pi),
                 t_exp=k1 - k0)
