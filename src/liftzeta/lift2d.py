@@ -46,10 +46,6 @@ class FElement:
     def from_k(cls, k):
         return cls(k.q, {0: k})
 
-    @classmethod
-    def t_power(cls, q, n, k=None):
-        return cls(q, {n: KElement.one(q) if k is None else k})
-
     def coeff(self, i):
         return self.coeffs.get(i, KElement.zero(self.q))
 

@@ -125,9 +125,6 @@ class DddSet:
             return cls(family)
         return cls(family, [(outer, tuple(kept))])
 
-    def is_structurally_empty(self):
-        return not self.components
-
     def contains(self, x):
         fam = self.family
         # outer atoms of distinct components may overlap even though the

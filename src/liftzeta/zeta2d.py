@@ -147,10 +147,6 @@ def zeta2_direct(tensor, chi):
     return total
 
 
-def l2_function(chi):
-    return l_function(chi.omega1) * l_function(chi.omega2)
-
-
 def z2_normalized(tensor, chi):
     return z_product_normalized(tensor, chi.omega1, chi.omega2)
 

@@ -215,7 +215,8 @@ class TestLiftedIntegralTable:
                         else:
                             rel = "lt"
                         cases.append((a, rel))
-                        cases.append((a + FElement.t_power(q, m + 2), rel))
+                        cases.append(
+                            (a + FElement(q, {m + 2: KElement.one(q)}), rel))
                 for a, rel in cases:
                     got = LiftedFn.lift(g, gamma=gamma, b=a).integrate(psi)
                     if rel == "lt":

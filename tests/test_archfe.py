@@ -4,8 +4,12 @@ import pytest
 
 from liftzeta.archfe import (
     RealTestFunction, fe_product_check, gamma_zeta_closed_form, gaussian,
-    gaussian_nabla, nabla, star_numeric, zero_function, zeta_numeric,
+    gaussian_nabla, nabla, star_numeric, zeta_numeric,
 )
+
+
+def zero_function():
+    return RealTestFunction("zero", lambda x: 0.0, star_form=lambda y: 0.0)
 
 
 class TestStar:
@@ -39,6 +43,15 @@ class TestZeta:
     def test_gamma_values(self, s):
         got = zeta_numeric(gaussian_nabla(), 1, s)
         assert abs(got - gamma_zeta_closed_form(s)) < 1e-8
+
+    def test_quadrature_edges(self):
+        # small s: |x|^(s-1) is steep at 0, so the rule must reach deep
+        # into x -> 0; at s = 0.05 it cannot, and must say so
+        for s in (0.2, 0.5):
+            got = zeta_numeric(gaussian_nabla(), 1, s)
+            assert abs(got - gamma_zeta_closed_form(s)) < 1e-9
+        with pytest.raises(ArithmeticError):
+            zeta_numeric(gaussian_nabla(), 1, 0.05)
 
     def test_half_gamma_half(self):
         # s = 2: (1/2) pi^(-1/2) Gamma(1/2) = 1/2

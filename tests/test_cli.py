@@ -1,10 +1,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import liftzeta
 from liftzeta.cli import SUITES, _row, build_parser, main
 from liftzeta.exactnum import CycRat, ZetaValue
 
@@ -227,3 +231,32 @@ class TestEpsilonTable:
         with open(tmp_path / "epsilon-table.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
+
+
+class TestStandardLibraryOnly:
+    """liftzeta imports and runs, its archfe suite included, on the
+    standard library alone."""
+
+    def run_python(self, code):
+        src = str(Path(liftzeta.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_archfe_suite_runs_with_scipy_blocked(self, tmp_path):
+        proc = self.run_python(
+            'import sys\n'
+            'sys.modules["scipy"] = None\n'
+            'import liftzeta.cli\n'
+            'sys.exit(liftzeta.cli.main(["verify", "--q", "2", "--suite",'
+            ' "archfe", "--out-dir", %r]))' % str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_import_loads_no_float_stack(self):
+        proc = self.run_python(
+            'import sys\n'
+            'import liftzeta.cli\n'
+            'print(sorted({"scipy", "numpy"} & set(sys.modules)))')
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

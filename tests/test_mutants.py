@@ -1,6 +1,6 @@
 """Every check must be able to fail: mutants of the Schwartz layer, of
-the zeta integrals on K, of exact arithmetic, of the quasi-characters and
-of the distinguished sets on F.
+the zeta integrals on K, of exact arithmetic, of the quasi-characters, of
+the distinguished sets on F and of the real-place quadrature.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -20,11 +20,12 @@ import textwrap
 
 import pytest
 
+import test_archfe
 import test_exactnum
 import test_lift2d
 import test_localfield
 import test_schwartz
-from liftzeta import cli, exactnum, schwartz, zeta1d
+from liftzeta import archfe, cli, exactnum, schwartz, zeta1d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import AdditiveCharacter, QuasiCharacter
@@ -60,7 +61,9 @@ def named_test(cls, name):
             if hasattr(obj, "setup_method"):
                 obj.setup_method()
             getattr(obj, name)()
-        except Exception:
+        except (Exception, pytest.fail.Exception):
+            # pytest.raises reports a missing raise as pytest's Failed,
+            # which is no Exception
             return False
         return True
     return check
@@ -88,6 +91,9 @@ CHECKS = {
         "--q", "2", "--suite", "identity-A", "--d", "1"),
     "verify-q2-measure": verify("--q", "2", "--suite", "measure"),
     "verify-q2-FE2": verify("--q", "2", "--suite", "FE2"),
+    "verify-q2-archfe": verify("--q", "2", "--suite", "archfe"),
+    "test_archfe-test_quadrature_edges": named_test(
+        test_archfe.TestZeta, "test_quadrature_edges"),
     "test_exactnum-test_values_with_one_trace_compare_unequal": named_test(
         test_exactnum.TestCycRat, "test_values_with_one_trace_compare_unequal"),
     "test_exactnum-test_sqrt_q_lies_in_the_field": named_test(
@@ -166,6 +172,11 @@ MUTANTS = [
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
      "gamma - 1,", "gamma,",
      "test_lift2d-test_complement_inside_measure_zero_ideal"),
+    ("exp-sinh-without-jacobian-cosh", archfe, "_complex_quad",
+     "* math.cosh(t)", "", "verify-q2-archfe"),
+    ("quad-error-without-end-terms", archfe, "_complex_quad",
+     "return total, diff + abs(end_lo) + abs(end_hi)", "return total, diff",
+     "test_archfe-test_quadrature_edges"),
 ]
 
 

@@ -12,7 +12,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
 from liftzeta.zeta2d import (
-    ChiCharacter, epsilon2, l2_function, rho2, verify_FE2,
+    ChiCharacter, epsilon2, rho2, verify_FE2,
     z2_normalized, zeta2, zeta2_direct, zeta_rho2,
 )
 
@@ -183,21 +183,11 @@ class TestFE2:
         chi = ChiCharacter(trivial(q), trivial(q))
         assert verify_FE2(SBTensor(q), chi, psi, KElement.uniformizer(q))
 
-    def test_l2_is_the_product(self):
-        q = 3
-        z = CycRat.root_of_unity(4)
-        chars = all_chars(q, 1, z)
-        for om1 in chars:
-            for om2 in chars:
-                chi = ChiCharacter(om1, om2)
-                assert l2_function(chi) == \
-                    l_function(om1) * l_function(om2)
-
 
 class TestRho2:
     def unit(self, q, digits=None):
         k = KElement.one(q) if digits is None else KElement(q, digits)
-        return FElement.from_k(k) + FElement.t_power(q, 2)
+        return FElement.from_k(k) + FElement(q, {2: KElement.one(q)})
 
     def test_rule(self):
         q = 3
@@ -221,7 +211,7 @@ class TestRho2:
         q = 3
         u = self.unit(q)
         with pytest.raises(ValueError):
-            rho2((1, 0, FElement.t_power(q, 1)), (0, 0, u))
+            rho2((1, 0, FElement(q, {1: KElement.one(q)})), (0, 0, u))
         with pytest.raises(ValueError):
             rho2((1, 0, u), (0, 0, FElement.from_k(
                 KElement.uniformizer(q))))
