@@ -420,9 +420,10 @@ def _abs_rec(f):
 # -- distinguished sets and their measure -------------------------------------
 
 class DistinguishedSetF:
-    """The set a + t^gamma rho^(-1)(S) for a residue set S; with the null
-    flag the residue set is the single point 0, so the set is the full
-    ideal a + t^(gamma+1) O with measure zero."""
+    """The set a + t^gamma rho^(-1)(S) for a residue set S.  The set is
+    null when S is a KSingleton (null_ideal builds one and is_null reads
+    it): S = {0} makes the set the full ideal a + t^(gamma+1) O, which
+    has measure zero."""
 
     __slots__ = ("q", "a", "gamma", "S")
 
@@ -521,29 +522,6 @@ class DistinguishedFamily(AtomFamily):
         c = (B.a - A.a).coeff(A.gamma)
         return DistinguishedSetF(self.q, A.a, A.gamma,
                                  A.S.union(self._s_translate(B.S, c)))
-
-    def contains_point(self, a, x):
-        return a.contains(x)
-
-    def probe_points(self, atoms):
-        if not atoms:
-            return []
-        levels = sorted({a.gamma for a in atoms})
-        levels.append(levels[-1] + 2)
-        pool = [KElement.zero(self.q), KElement.one(self.q),
-                KElement.uniformizer(self.q, -1)]
-        for a in atoms:
-            if isinstance(a.S, KSingleton):
-                pool.append(a.S.point)
-            else:
-                pool.extend(self.kfam.probe_points(a.S.atoms()))
-        pts = []
-        for a in atoms:
-            pts.append(a.a)
-            for g in levels:
-                for kappa in pool:
-                    pts.append(a.a + FElement(self.q, {g: kappa}))
-        return pts
 
     def measure_atom(self, a):
         if a.is_null():

@@ -1,18 +1,18 @@
 """A generic ring of sets built from families of atoms.
 
 An atom family here is a collection of sets closed under intersection and
-union whenever two members meet.  Its one relation says how two atoms lie
-(disjoint, equal, nested or overlapping), and the predicates, meet and
-join follow from it.  From such a family one can form differences of an
-atom by finitely many disjoint sub-atoms, and then finite disjoint unions
-of those; the result is closed under union, intersection and difference,
-which is all a finitely additive measure needs.
+union whenever two members meet.  A family supplies one relation, which
+says how two atoms lie (disjoint, equal, nested or overlapping), and,
+where atoms can overlap, their join; the predicates and the meet follow
+from the relation.  An atom answers ``contains(x)`` for a point.  From
+such a family one can form differences of an atom by finitely many
+disjoint sub-atoms, and then finite disjoint unions of those; the result
+is closed under union, intersection and difference, which is all a
+finitely additive measure needs.
 
 Normal forms are not canonical: two structurally different descriptions
-can denote the same set.  ``same_set`` decides equality by membership on
-probe points supplied by the atom family; the library's own comparisons
-of residue sets use Haar measure instead (see lift2d.DistinguishedFamily),
-and the probe points otherwise serve the tests as a membership oracle.
+can denote the same set.  The library compares residue sets by Haar
+measure (see lift2d.DistinguishedFamily).
 """
 
 from fractions import Fraction
@@ -21,9 +21,9 @@ from fractions import Fraction
 class AtomFamily:
     """Interface for a family of atoms.
 
-    Subclasses provide relation, join where atoms can overlap, point
-    membership and probe points for semantic comparisons; the predicates
-    and the partial meet and join follow from relation.
+    Subclasses provide relation and, where atoms can overlap, join; the
+    predicates and the partial meet and join follow from relation.  The
+    atoms themselves answer contains(x).
     """
 
     def relation(self, a, b):
@@ -63,14 +63,6 @@ class AtomFamily:
         if kind == "overlap":
             return self.join(a, b)
         return b if kind == "in" else a
-
-    def contains_point(self, a, x):
-        raise NotImplementedError
-
-    def probe_points(self, atoms):
-        """Finitely many points that separate any two sets built from
-        the given atoms."""
-        raise NotImplementedError
 
 
 def refine_disjoint(family, atoms):
@@ -126,21 +118,12 @@ class DddSet:
         return cls(family, [(outer, tuple(kept))])
 
     def contains(self, x):
-        fam = self.family
         # outer atoms of distinct components may overlap even though the
         # components themselves are disjoint, so every component is tried
         for outer, inners in self.components:
-            if fam.contains_point(outer, x) and not any(
-                    fam.contains_point(a, x) for a in inners):
+            if outer.contains(x) and not any(a.contains(x) for a in inners):
                 return True
         return False
-
-    def atoms(self):
-        out = []
-        for outer, inners in self.components:
-            out.append(outer)
-            out.extend(inners)
-        return out
 
     # -- ring operations -----------------------------------------------------
     def _component_minus_component(self, comp, other):
@@ -188,7 +171,7 @@ class DddSet:
     def intersection(self, other):
         return self.difference(self.difference(other))
 
-    # -- measure and comparison ------------------------------------------------
+    # -- measure -------------------------------------------------------------
     def measure(self, atom_measure):
         total = None
         for outer, inners in self.components:
@@ -197,43 +180,6 @@ class DddSet:
                 part = part - atom_measure(a)
             total = part if total is None else total + part
         return 0 if total is None else total
-
-    def same_set(self, other):
-        pts = self.family.probe_points(self.atoms() + other.atoms())
-        return all(self.contains(p) == other.contains(p) for p in pts)
-
-
-class IntervalFamily(AtomFamily):
-    """Half-open rational intervals [lo, hi) on the line."""
-
-    def relation(self, a, b):
-        lo, hi = max(a[0], b[0]), min(a[1], b[1])
-        if hi <= lo:
-            return "disjoint", None
-        if (lo, hi) == a:
-            return ("equal" if a == b else "in"), None
-        return ("contains", None) if (lo, hi) == b else ("overlap", (lo, hi))
-
-    def join(self, a, b):
-        return (min(a[0], b[0]), max(a[1], b[1]))
-
-    def contains_point(self, a, x):
-        return a[0] <= x < a[1]
-
-    def probe_points(self, atoms):
-        cuts = sorted({e for a in atoms for e in a})
-        if not cuts:
-            return []
-        pts = list(cuts)
-        pts.append(cuts[0] - 1)
-        pts.append(cuts[-1] + 1)
-        for lo, hi in zip(cuts, cuts[1:]):
-            pts.append(Fraction(lo + hi, 2))
-        return pts
-
-    @staticmethod
-    def length(a):
-        return a[1] - a[0]
 
 
 class KCosetFamily(AtomFamily):
@@ -249,18 +195,6 @@ class KCosetFamily(AtomFamily):
 
     def relation(self, a, b):
         return a.relation(b), None
-
-    def contains_point(self, a, x):
-        return a.contains(x)
-
-    def probe_points(self, atoms):
-        if not atoms:
-            return []
-        deep = max(a.level for a in atoms) + 1
-        pts = []
-        for a in atoms:
-            pts.extend(c.rep for c in a.subcosets(deep))
-        return pts
 
     def haar(self, a):
         return self.mu * Fraction(self.q) ** (-a.level)

@@ -23,12 +23,15 @@ from liftzeta.localfield import (
     enumerate_characters,
 )
 from liftzeta.schwartz import SBFunction, lift_finite
-from liftzeta.setring import DddSet, IntervalFamily, KCosetFamily
+from liftzeta.setring import DddSet, KCosetFamily
 from liftzeta.zeta1d import (
     SBTensor, double_star_invariance, epsilon_star, rho0, z_normalized,
     zeta,
 )
 from liftzeta.zeta2d import ChiCharacter, epsilon2, zeta_rho2
+from setoracle import (
+    IntervalFamily, atoms, probe_points, rand_coset, rand_expr, rand_interval,
+)
 
 QS = (2, 3, 5)
 Z4 = CycRat.root_of_unity(4)
@@ -369,29 +372,12 @@ class TestBoundaryLiftingIdentity:
 
 
 class TestSetRingRandomized:
-    @staticmethod
-    def rand_expr(family, rng, atom_maker, depth):
-        if depth == 0:
-            a = atom_maker(rng)
-            return (DddSet.atom(family, a),
-                    lambda x, a=a: family.contains_point(a, x))
-        left, lf = TestSetRingRandomized.rand_expr(
-            family, rng, atom_maker, depth - 1)
-        right, rf = TestSetRingRandomized.rand_expr(
-            family, rng, atom_maker, depth - 1)
-        op = rng.choice("udi")
-        if op == "u":
-            return left.union(right), lambda x: lf(x) or rf(x)
-        if op == "d":
-            return left.difference(right), lambda x: lf(x) and not rf(x)
-        return left.intersection(right), lambda x: lf(x) and rf(x)
-
     def run_family(self, family, atom_maker, measure, seed, count):
         rng = random.Random(seed)
         prev = None
         for _ in range(count):
-            expr, oracle = self.rand_expr(family, rng, atom_maker, 2)
-            for pt in family.probe_points(expr.atoms()):
+            expr, oracle = rand_expr(family, rng, atom_maker, 2)
+            for pt in probe_points(atoms(expr)):
                 assert expr.contains(pt) == oracle(pt)
             if prev is not None:
                 x, y = prev, expr
@@ -403,22 +389,13 @@ class TestSetRingRandomized:
 
     def test_interval_atoms(self):
         fam = IntervalFamily()
-
-        def atom(rng):
-            lo = Fraction(rng.randrange(0, 12), 2)
-            return (lo, lo + Fraction(rng.randrange(1, 7), 2))
-
-        self.run_family(fam, atom, fam.length, 3, 500)
+        self.run_family(fam, rand_interval, fam.length, 3, 500)
 
     def test_coset_atoms(self):
         q = 3
         fam = KCosetFamily(q)
-
-        def atom(rng):
-            rep = KElement(q, {e: rng.randrange(q) for e in range(-1, 2)})
-            return KCoset(q, rep, rng.randrange(-1, 3))
-
-        self.run_family(fam, atom, fam.haar, 4, 500)
+        self.run_family(fam, lambda rng: rand_coset(q, rng), fam.haar, 4,
+                        500)
 
 
 class TestArchimedean:

@@ -15,6 +15,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction, cyc_abs
 from liftzeta.setring import DddSet, KCosetFamily
 from liftzeta.zeta1d import rho0, zeta as zeta_k
+from setoracle import atoms, probe_points, rand_expr
 
 
 def fe(q, text):
@@ -387,29 +388,14 @@ class TestDistinguishedSets:
             u = x.union(yd)
             assert measure_F(u, self.fam) == \
                 measure_F(x, self.fam) + measure_F(yd, self.fam)
-            for p in self.fam.probe_points(x.atoms() + y.atoms()):
+            for p in probe_points(atoms(x) + atoms(y)):
                 assert u.contains(p) == (x.contains(p) or y.contains(p))
 
     def test_random_expression_membership(self):
         rng = random.Random(6)
-
-        def expr(depth):
-            if depth == 0:
-                a = self.rand_atom(rng)
-                return (DddSet.atom(self.fam, a),
-                        lambda x, a=a: a.contains(x))
-            l, lf = expr(depth - 1)
-            r, rf = expr(depth - 1)
-            op = rng.choice("udi")
-            if op == "u":
-                return l.union(r), lambda x: lf(x) or rf(x)
-            if op == "d":
-                return l.difference(r), lambda x: lf(x) and not rf(x)
-            return l.intersection(r), lambda x: lf(x) and rf(x)
-
         for _ in range(40):
-            s, oracle = expr(2)
-            pts = (self.fam.probe_points(s.atoms()) if s.atoms()
+            s, oracle = rand_expr(self.fam, rng, self.rand_atom, 2)
+            pts = (probe_points(atoms(s)) if atoms(s)
                    else [FElement.zero(self.q)])
             for p in pts:
                 assert s.contains(p) == oracle(p)
@@ -476,7 +462,7 @@ class TestDistinguishedSets:
                 y = residue_atom(a + FElement(q, {gamma: kappa}), gamma)
             else:
                 y = residue_atom(a, gamma)
-            pts = self.fam.probe_points([x, y])
+            pts = probe_points([x, y])
             inx = [x.contains(p) for p in pts]
             iny = [y.contains(p) for p in pts]
             x_in_y = all(v <= w for v, w in zip(inx, iny))

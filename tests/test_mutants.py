@@ -1,6 +1,7 @@
 """Every check must be able to fail: mutants of the Schwartz layer, of
 the zeta integrals on K, of exact arithmetic, of the quasi-characters, of
-the distinguished sets on F and of the real-place quadrature.
+the set ring, of the distinguished sets on F and of the real-place
+quadrature.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -30,6 +31,7 @@ from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import AdditiveCharacter, QuasiCharacter
 from liftzeta.schwartz import SBFunction
+from liftzeta.setring import DddSet
 
 
 def mutant(func, old, new):
@@ -115,6 +117,9 @@ CHECKS = {
     "test_lift2d-test_complement_inside_measure_zero_ideal": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_complement_inside_measure_zero_ideal"),
+    "test_lift2d-test_random_expression_membership": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_random_expression_membership"),
 }
 
 # (mutant, owner, attribute, old, new, the check that kills it)
@@ -172,6 +177,9 @@ MUTANTS = [
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
      "gamma - 1,", "gamma,",
      "test_lift2d-test_complement_inside_measure_zero_ideal"),
+    ("ddd-contains-ignores-inners", DddSet, "contains",
+     "and not any(a.contains(x) for a in inners)", "",
+     "test_lift2d-test_random_expression_membership"),
     ("exp-sinh-without-jacobian-cosh", archfe, "_complex_quad",
      "* math.cosh(t)", "", "verify-q2-archfe"),
     ("quad-error-without-end-terms", archfe, "_complex_quad",

@@ -5,41 +5,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liftzeta.localfield import KCoset, KElement
-from liftzeta.setring import (
-    DddSet, IntervalFamily, KCosetFamily, refine_disjoint,
+from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
+from setoracle import (
+    Interval, IntervalFamily, atoms, probe_points, rand_coset, rand_expr,
+    rand_interval, same_set,
 )
 
 IV = IntervalFamily()
 
 
 def interval(lo, hi):
-    return (Fraction(lo), Fraction(hi))
-
-
-def rand_interval(rng):
-    lo = Fraction(rng.randrange(0, 12), 2)
-    return (lo, lo + Fraction(rng.randrange(1, 7), 2))
-
-
-def rand_coset(q, rng):
-    rep = KElement(q, {e: rng.randrange(q) for e in range(-1, 2)})
-    return KCoset(q, rep, rng.randrange(-1, 3))
-
-
-def rand_expr(family, rng, atom_maker, depth):
-    """Build a random ddd expression together with a membership oracle."""
-    if depth == 0:
-        a = atom_maker(rng)
-        return (DddSet.atom(family, a),
-                lambda x, a=a: family.contains_point(a, x))
-    left, lf = rand_expr(family, rng, atom_maker, depth - 1)
-    right, rf = rand_expr(family, rng, atom_maker, depth - 1)
-    op = rng.choice("udi")
-    if op == "u":
-        return left.union(right), lambda x: lf(x) or rf(x)
-    if op == "d":
-        return left.difference(right), lambda x: lf(x) and not rf(x)
-    return left.intersection(right), lambda x: lf(x) and rf(x)
+    return Interval(Fraction(lo), Fraction(hi))
 
 
 class TestRefineDisjoint:
@@ -72,7 +48,7 @@ class TestRingOps:
         for c in range(1, q):
             inner = KCoset(q, KElement.constant(q, c), 1)
             rem = rem.difference(DddSet.atom(fam, inner))
-        assert rem.same_set(DddSet.atom(fam, KCoset.ideal(q, 1)))
+        assert same_set(rem, DddSet.atom(fam, KCoset.ideal(q, 1)))
 
     def test_union_associativity_oracle(self):
         q = 3
@@ -81,7 +57,7 @@ class TestRingOps:
         for _ in range(60):
             a, b, c = (DddSet.atom(fam, rand_coset(q, rng))
                        for _ in range(3))
-            assert a.union(b).union(c).same_set(a.union(c.union(b)))
+            assert same_set(a.union(b).union(c), a.union(c.union(b)))
 
     @given(st.integers(0, 10 ** 6), st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
@@ -99,7 +75,7 @@ class TestRingOps:
         fam = KCosetFamily(q)
         rng = random.Random(seed)
         s, oracle = rand_expr(fam, rng, lambda r: rand_coset(q, r), depth)
-        for pt in fam.probe_points(s.atoms() or [KCoset.ideal(q, -1)]):
+        for pt in probe_points(atoms(s) or [KCoset.ideal(q, -1)]):
             assert s.contains(pt) == oracle(pt)
 
     def test_carved_empty_when_an_inner_covers_outer(self):
@@ -166,7 +142,7 @@ class TestMeasure:
             parts = [x.difference(y), x.intersection(y), y.difference(x)]
             total = sum(p.measure(IV.length) for p in parts)
             assert x.union(y).measure(IV.length) == total
-            for pt in IV.probe_points(x.atoms() + y.atoms()):
+            for pt in probe_points(atoms(x) + atoms(y)):
                 flags = [p.contains(pt) for p in parts]
                 assert sum(flags) == (1 if x.union(y).contains(pt) else 0)
 
@@ -175,5 +151,5 @@ class TestMeasure:
         a = DddSet.atom(IV, interval(0, 2)).union(
             DddSet.atom(IV, interval(2, 4)))
         b = DddSet.atom(IV, interval(0, 4))
-        assert a.same_set(b)
+        assert same_set(a, b)
         assert a.components != b.components
