@@ -40,12 +40,12 @@ def _flag_row(suite, case_id, inputs, ok):
             "expected": "True", "got": str(bool(ok)), "pass": bool(ok)}
 
 
-def _coset_basis(q, maxlev):
-    out = [SBFunction.char_ideal(q, n) for n in range(0, maxlev + 1)]
+def _coset_basis(q, maxlev, mu):
+    out = [SBFunction.char_ideal(q, n, 1, mu) for n in range(0, maxlev + 1)]
     for lev in range(1, maxlev + 1):
         for c in KCoset.ideal(q, 0).subcosets(lev):
             if not c.rep.is_zero():
-                out.append(SBFunction.char(c))
+                out.append(SBFunction.char(c, 1, mu))
     return out
 
 
@@ -134,7 +134,7 @@ def suite_identity_a(cfg):
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
     rows = []
-    basis = _coset_basis(q, cfg.level)
+    basis = _coset_basis(q, cfg.level, cfg.mu)
     for om in _characters(q, cfg.rmax):
         ok = all(zeta1d.check_identity_A(f, om, psi, pi) for f in basis)
         rows.append(_flag_row("identity-A", "basis-%s" % om.label,
@@ -149,7 +149,7 @@ def suite_double_star(cfg):
     pi1 = KElement.uniformizer(q)
     pi2 = KElement(q, {1: 1, 2: 1})  # u(1+u)
     rows = []
-    for i, f in enumerate(_coset_basis(q, cfg.level)):
+    for i, f in enumerate(_coset_basis(q, cfg.level, cfg.mu)):
         rows.append(_flag_row(
             "double-star", "basis-%d" % i, {"q": q, "d": d},
             zeta1d.double_star_invariance(f, pi1, pi2, psi1, psi2)))
@@ -167,7 +167,7 @@ def suite_lift2d_invariance(cfg):
             g = SBFunction.char(
                 KCoset(q, KElement(q, {k: rng.randrange(q)
                                        for k in (-1, 0)}),
-                       rng.randrange(-1, 2)))
+                       rng.randrange(-1, 2)), 1, cfg.mu)
             a = lift2d.FElement(q, {e: KElement(q, {0: rng.randrange(q)})
                                     for e in (-1, 0, 1)
                                     if rng.random() < 0.6})
@@ -238,7 +238,7 @@ def suite_fe2(cfg):
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
     chars = _characters(q, min(cfg.rmax, 1))
-    basis = _coset_basis(q, min(cfg.level, 2))
+    basis = _coset_basis(q, min(cfg.level, 2), cfg.mu)
     rows = []
     for om1 in chars:
         for om2 in chars[:2]:
@@ -253,12 +253,12 @@ def suite_fe2(cfg):
 
 
 def suite_rho2(cfg):
-    q = cfg.q
+    q, mu = cfg.q, cfg.mu
     rows = []
-    gs = [("char-O", SBFunction.char_ideal(q, 0)),
-          ("char-units", SBFunction.char_units(q)),
+    gs = [("char-O", SBFunction.char_ideal(q, 0, 1, mu)),
+          ("char-units", SBFunction.char_units(q, mu)),
           ("char-1+pi", SBFunction.char(
-              KCoset(q, KElement.one(q), 1)))]
+              KCoset(q, KElement.one(q), 1), 1, mu))]
     oms = [QuasiCharacter.trivial(q, pi_value=CycRat.from_rational(1)),
            QuasiCharacter.trivial(q, pi_value=CycRat.root_of_unity(4))]
     oms += _characters(q, min(cfg.rmax, 1))

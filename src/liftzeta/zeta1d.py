@@ -179,16 +179,3 @@ class SBTensor:
         return SBTensor(self.q, [(f.star(psi, pi), g.star(psi, pi))
                                  for f, g in self.pairs])
 
-
-def zeta_product(tensor, omega1, omega2):
-    """Two-variable zeta integral of a tensor sum: the product of the
-    one-variable integrals on each pure summand."""
-    total = ZetaValue.zero(tensor.q)
-    for f, g in tensor.pairs:
-        total = total + zeta(f, omega1) * zeta(g, omega2)
-    return total
-
-
-def z_product_normalized(tensor, omega1, omega2):
-    return zeta_product(tensor, omega1, omega2) / (
-        l_function(omega1) * l_function(omega2))

@@ -4,21 +4,21 @@ A character of the symbol group that factors through the residue map is
 a pair of quasi-characters on K; the zeta integral of a lifted tensor
 then reduces to a product of one-variable integrals, so L and epsilon
 factors are products and the functional equation in s -> 2-s follows
-from the one-variable theory.  A second, boundary, construction lifts a
-single K-integral through the generalised residue map; the resulting
-identity is verified by an explicit double shell sum.
+from the one-variable theory.  The shell decomposition here writes a
+one-variable integral as a sum over the shells of valuation k of g; the
+oracle zeta2_direct is the product of the two shell decompositions of
+each pure summand.  A second, boundary, construction lifts a single
+K-integral through the generalised residue map; the resulting identity
+is verified by the same shell decomposition.
 """
 
 from fractions import Fraction
 
 from .exactnum import CycRat, ZetaValue
-from .lift2d import FElement, LiftedFn, LiftedFn2
+from .lift2d import FElement
 from .localfield import KCoset, KElement, KSingleton, QuasiCharacter
 from .schwartz import SBFunction
-from .zeta1d import (
-    epsilon_star, l_function, zeta as zeta_k, zeta_product,
-    z_product_normalized,
-)
+from .zeta1d import epsilon_star, l_function, zeta as zeta_k
 
 
 class ChiCharacter:
@@ -45,17 +45,15 @@ class ChiCharacter:
     def inverse(self):
         return ChiCharacter(self.omega1.inverse(), self.omega2.inverse())
 
-    @property
-    def label(self):
-        return "(%s, %s)" % (self.omega1.label or "chi_0",
-                             self.omega2.label or "chi_0")
-
 
 def zeta2(tensor, chi):
     """The two-variable zeta integral of a lifted tensor against a
     residue-factoring character: the reduction to K turns it into the
     product of one-variable integrals on each pure summand."""
-    return zeta_product(tensor, chi.omega1, chi.omega2)
+    total = ZetaValue.zero(tensor.q)
+    for f, g in tensor.pairs:
+        total = total + zeta_k(f, chi.omega1) * zeta_k(g, chi.omega2)
+    return total
 
 
 def _shell_restriction(g, omega, k):
@@ -82,73 +80,46 @@ def _shell_restriction(g, omega, k):
     return SBFunction(q, out, g.mu)
 
 
-def _shells(g, omega):
-    """(k, shell restriction of g at k) for each k of the shell window."""
-    lo, hi = _shell_window(g)
-    return [(k, _shell_restriction(g, omega, k)) for k in range(lo, hi)]
-
-
-def _shell_series(q, shells):
-    """Sum of q^k T^k times the Haar integral of each shell restriction:
-    the shells' share of the multiplicative zeta integral."""
-    return ZetaValue.laurent(q, [
-        (k, h.haar_integral() * CycRat.from_rational(Fraction(q) ** k))
-        for k, h in shells])
-
-
-def _shell_window(g):
-    """Valuation range [lo, hi) outside of which g is constant on shells."""
-    lo, hi = 0, 1
-    for atom, _ in g.normalize().terms:
+def _shell_zeta(g, omega):
+    """The shell decomposition of the zeta integral of g against omega:
+    q^k T^k times the Haar integral of g omega over the shell of
+    valuation k, for each k of the window [lo, hi) outside of which g is
+    constant on shells, plus the shells above it, a geometric series in
+    omega(pi) T from the ideal term of g when omega is unramified and
+    zero otherwise.  Point masses carry no measure."""
+    q = g.q
+    lo, hi, tail = 0, 1, None
+    for atom, coeff in g.normalize().terms:
         if isinstance(atom, KSingleton):
             continue
         lo = min(lo, atom.valuation())
         hi = max(hi, atom.level)
-    return lo, hi
-
-
-def _shell_tail(g, omega):
-    """Sum of the shell contributions above the window: a geometric
-    series when the character is unramified, zero otherwise."""
-    q = g.q
-    if omega.r > 0:
-        return ZetaValue.zero(q)
-    lo, hi = _shell_window(g)
-    g0 = g.evaluate(KElement.zero(q))
-    if g0.is_zero():
-        return ZetaValue.zero(q)
-    return ZetaValue.geometric(
-        q, g0 * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
+        if atom.valuation() >= atom.level:
+            tail = coeff
+    total = ZetaValue.laurent(q, [
+        (k, _shell_restriction(g, omega, k).haar_integral()
+         * CycRat.from_rational(Fraction(q) ** k)) for k in range(lo, hi)])
+    if omega.r > 0 or tail is None:
+        return total
+    return total + ZetaValue.geometric(
+        q, tail * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
         omega.pi_value, hi)
 
 
 def zeta2_direct(tensor, chi):
-    """The same integral computed shell pair by shell pair on the lifted
-    side, with geometric tails; an independent path used as an oracle for
+    """The same integral as the product of the two shell decompositions
+    of each pure summand; an independent path used as an oracle for
     zeta2."""
-    q = tensor.q
-    total = ZetaValue.zero(q)
+    total = ZetaValue.zero(tensor.q)
     for f, g in tensor.pairs:
-        shells1 = _shells(f, chi.omega1)
-        shells2 = _shells(g, chi.omega2)
-        lifts2 = [(m, LiftedFn.lift(hg)) for m, hg in shells2]
-        for n, hf in shells1:
-            lift_f = LiftedFn.lift(hf)
-            for m, lift_g in lifts2:
-                pref = ZetaValue.monomial(q, Fraction(q) ** (n + m),
-                                          t_exp=n + m)
-                total = total + pref * LiftedFn2.outer(
-                    lift_f, lift_g).integrate()
-        sum1 = _shell_series(q, shells1)
-        sum2 = _shell_series(q, shells2)
-        tail1 = _shell_tail(f, chi.omega1)
-        tail2 = _shell_tail(g, chi.omega2)
-        total = total + tail1 * sum2 + sum1 * tail2 + tail1 * tail2
+        total = total + _shell_zeta(f, chi.omega1) * _shell_zeta(
+            g, chi.omega2)
     return total
 
 
 def z2_normalized(tensor, chi):
-    return z_product_normalized(tensor, chi.omega1, chi.omega2)
+    return zeta2(tensor, chi) / (l_function(chi.omega1)
+                                 * l_function(chi.omega2))
 
 
 def epsilon2(chi, psi, pi, mu1=Fraction(1), mu2=Fraction(1)):
@@ -218,7 +189,6 @@ def zeta_rho2(g, omega):
     carry the boundary prefactor.  Returns (left, right, equal).
     """
     prefactor = _boundary_prefactor(omega, g.mu)
-    shells = _shell_series(g.q, _shells(g, omega)) + _shell_tail(g, omega)
-    left = prefactor * shells.subst_scale(omega.pi_value, 2)
+    left = prefactor * _shell_zeta(g, omega).subst_scale(omega.pi_value, 2)
     right = prefactor * zeta_k(g, omega).subst_scale(omega.pi_value, 2)
     return left, right, left == right

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import liftzeta
 from liftzeta.cli import SUITES, _row, build_parser, main
 from liftzeta.exactnum import CycRat, ZetaValue
+from liftzeta.schwartz import SBFunction
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "bench" / "golden.json").read_text())
@@ -208,6 +210,22 @@ class TestVerify:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["pass"] == "True" for r in rows)
         assert json.loads(rows[0]["inputs"])["q"] == 3
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_every_suite_reads_mu(self, suite, tmp_path, monkeypatch):
+        seen = []
+        normalize = SBFunction.normalize
+
+        def spy(self):
+            seen.append(self.mu)
+            return normalize(self)
+
+        monkeypatch.setattr(SBFunction, "normalize", spy)
+        assert run(["verify", "--q", "2", "--suite", suite, "--mu", "5/4",
+                    "--out-dir", str(tmp_path)]) == 0
+        # measure works on F and archfe on the real line: no SBFunction
+        want = set() if suite in ("measure", "archfe") else {Fraction(5, 4)}
+        assert set(seen) == want
 
     def test_q_five(self, tmp_path):
         assert run(["verify", "--q", "5", "--suite", "zeta1d-epsilon",

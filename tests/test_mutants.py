@@ -1,7 +1,7 @@
 """Every check must be able to fail: mutants of the Schwartz layer, of
-the zeta integrals on K, of exact arithmetic, of the quasi-characters, of
-the set ring, of the distinguished sets on F and of the real-place
-quadrature.
+the zeta integrals on K, of the shell decomposition of zeta2d, of exact
+arithmetic, of the quasi-characters, of the set ring, of the
+distinguished sets on F and of the real-place quadrature.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -26,7 +26,8 @@ import test_exactnum
 import test_lift2d
 import test_localfield
 import test_schwartz
-from liftzeta import archfe, cli, exactnum, schwartz, zeta1d
+import test_zeta2d
+from liftzeta import archfe, cli, exactnum, schwartz, zeta1d, zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import AdditiveCharacter, QuasiCharacter
@@ -93,6 +94,7 @@ CHECKS = {
         "--q", "2", "--suite", "identity-A", "--d", "1"),
     "verify-q2-measure": verify("--q", "2", "--suite", "measure"),
     "verify-q2-FE2": verify("--q", "2", "--suite", "FE2"),
+    "verify-q2-rho2": verify("--q", "2", "--suite", "rho2"),
     "verify-q2-archfe": verify("--q", "2", "--suite", "archfe"),
     "test_archfe-test_quadrature_edges": named_test(
         test_archfe.TestZeta, "test_quadrature_edges"),
@@ -120,6 +122,8 @@ CHECKS = {
     "test_lift2d-test_random_expression_membership": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_random_expression_membership"),
+    "test_zeta2d-test_direct_path_agrees": named_test(
+        test_zeta2d.TestZeta2, "test_direct_path_agrees"),
 }
 
 # (mutant, owner, attribute, old, new, the check that kills it)
@@ -152,6 +156,11 @@ MUTANTS = [
     ("rho0-shift-off-by-one", zeta1d, "rho0",
      "pi.power_mod(d - r, d)", "pi.power_mod(d - r + 1, d)",
      "verify-q2-zeta1d-epsilon-rmax2"),
+    ("shell-tail-one-shell-late", zeta2d, "_shell_zeta",
+     "omega.pi_value, hi)", "omega.pi_value, hi + 1)", "verify-q2-rho2"),
+    ("shell-tail-reads-the-point-mass", zeta2d, "_shell_zeta",
+     "q, tail * CycRat", "q, g.evaluate(KElement.zero(q)) * CycRat",
+     "test_zeta2d-test_direct_path_agrees"),
     ("ptrim-keeps-a-last-zero", exactnum, "_ptrim",
      "while n and not p[n - 1]:", "while n > 1 and not p[n - 1]:",
      "test_exactnum-test_inverse"),

@@ -16,8 +16,9 @@ from liftzeta import zeta1d as zeta1d_module
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import (
     SBTensor, check_identity_A, double_star_invariance, epsilon_star,
-    l_function, rho0, z_normalized, zeta, zeta_product,
+    l_function, rho0, z_normalized, zeta,
 )
+from liftzeta.zeta2d import ChiCharacter, zeta2
 
 
 def coset_basis(q, maxlev):
@@ -357,14 +358,14 @@ class TestTensor:
                           SBFunction.char_ideal(q, 0))
         triv = QuasiCharacter.trivial(q)
         one_var = zeta(SBFunction.char_ideal(q, 0), triv)
-        assert zeta_product(t, triv, triv) == one_var * one_var
+        assert zeta2(t, ChiCharacter(triv, triv)) == one_var * one_var
 
     def test_zero_tensor(self):
         q = 3
         t = SBTensor.pure(SBFunction.zero(q), SBFunction.char_ideal(q, 0))
         assert t.is_zero()
         triv = QuasiCharacter.trivial(q)
-        assert zeta_product(t, triv, triv).is_zero()
+        assert zeta2(t, ChiCharacter(triv, triv)).is_zero()
 
     def test_functional_equation(self):
         q = 3
@@ -378,11 +379,11 @@ class TestTensor:
         wram = ramified_chars(q, 1)[0]
         for wa in (triv, wram):
             for wb in (triv, wram):
-                lhs = (zeta_product(t.star(psi, pi), wa.inverse(),
-                                    wb.inverse())
+                lhs = (zeta2(t.star(psi, pi),
+                             ChiCharacter(wa.inverse(), wb.inverse()))
                        / (l_function(wa.inverse())
                           * l_function(wb.inverse()))).subst_dual()
                 rhs = (epsilon_star(wa, psi, pi) * epsilon_star(wb, psi, pi)
-                       * zeta_product(t, wa, wb)
+                       * zeta2(t, ChiCharacter(wa, wb))
                        / (l_function(wa) * l_function(wb)))
                 assert lhs == rhs

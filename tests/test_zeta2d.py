@@ -80,6 +80,13 @@ class TestZeta2:
                 t = t + SBTensor.pure(rnd(), rnd())
             chi = ChiCharacter(rng.choice(chars), rng.choice(chars))
             assert zeta2_direct(t, chi) == zeta2(t, chi)
+        # the shells above the window take the ideal term's coefficient,
+        # not the value at 0, which a point mass there changes
+        chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
+        g = SBFunction.char_ideal(q, 0) + SBFunction.char_point(
+            q, KElement.zero(q), 5)
+        t = SBTensor.pure(g, SBFunction.char_ideal(q, 0))
+        assert zeta2_direct(t, chi) == zeta2(t, chi)
 
 
 class TestEpsilon2:
@@ -224,7 +231,9 @@ class TestZetaRho2:
         gs = [SBFunction.char_ideal(q, 0),
               SBFunction.char_ideal(q, 0) - SBFunction.char_ideal(q, 1),
               SBFunction.char(KCoset(q, KElement.one(q), 1)),
-              SBFunction.zero(q)]
+              SBFunction.zero(q),
+              SBFunction.char_ideal(q, 0) + SBFunction.char_point(
+                  q, KElement.zero(q), 5)]
         oms = [trivial(q), trivial(q, z)] + all_chars(q, 1, z)
         for g in gs:
             for om in oms:
