@@ -243,8 +243,9 @@ def suite_fe2(cfg):
     for om1 in chars:
         for om2 in chars[:2]:
             chi = zeta2d.ChiCharacter(om1, om2)
+            eps = zeta2d.epsilon2(chi, psi, pi, cfg.mu, cfg.mu)
             ok = all(zeta2d.verify_FE2(
-                zeta1d.SBTensor.pure(a, b), chi, psi, pi)
+                zeta1d.SBTensor.pure(a, b), chi, psi, pi, eps=eps)
                 for a in basis[:4] for b in basis[:4])
             rows.append(_flag_row(
                 "FE2", "chi-%s-%s" % (om1.label, om2.label),

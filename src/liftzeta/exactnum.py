@@ -416,50 +416,78 @@ def _cgcd(p, q):
 
 
 def _fadd(f1, f2):
-    """n1/d1 + n2/d2 as the unreduced fraction (n1 d2 + n2 d1, d1 d2)."""
+    """n1/d1 + n2/d2 as an unreduced fraction: (n1 + n2, d1) over an equal
+    denominator, else (n1 d2 + n2 d1, d1 d2)."""
     (n1, d1), (n2, d2) = f1, f2
+    if d1 == d2:
+        return _padd(n1, n2), d1
     z = cyc_zero()
     return _padd(_pmul(n1, d2, z), _pmul(n2, d1, z)), _pmul(d1, d2, z)
+
+
+def _settle(num, den):
+    """num/den trimmed, with a monomial denominator c T^k cancelled: the
+    common power of T removed and c divided out.  A zero fraction settles
+    to ((), (1,))."""
+    num, den = _ptrim(num), _ptrim(den)
+    if not den:
+        raise ZeroDivisionError("division by zero")
+    if not num:
+        return (), (cyc_one(),)
+    k = len(den) - 1
+    if any(den[:k]):
+        return num, den
+    j = min(k, next(i for i, c in enumerate(num) if c))
+    if not den[k] == 1:
+        inv = den[k].inverse()
+        num = tuple(c * inv for c in num)
+    return num[j:], (cyc_zero(),) * (k - j) + (cyc_one(),)
 
 
 class ZetaValue:
     """Element of Q(zeta)(T)[X, X^-1] bound to a residue size q.
 
-    Stored as a map from X-exponent to a reduced fraction (num, den) of
-    T-polynomials.  Denominator normalization: lowest nonzero coefficient
-    equals 1, so equality is plain structural comparison.
+    Stored as a map from X-exponent to a settled fraction (num, den) of
+    T-polynomials: trimmed, nonzero, and with a monomial denominator
+    c T^k, which every Laurent polynomial has, cancelled against the
+    common power of T and divided by c.  Any other denominator (the
+    L-factor binomials 1 - aT, their products, a quotient of zeta
+    integrals) is kept as arithmetic made it.  Settled fractions are a
+    normal form, not a canonical one: zero is decided by an empty map,
+    and two values are equal when they have the same X-support and
+    n1 d2 == n2 d1 at each X-exponent.  The hash reads only the
+    X-support, so it does not depend on the representation.
 
-    A monomial denominator c T^k, which every Laurent polynomial has, is
-    reduced by cancelling the common power of T and dividing by c.  Any
-    other denominator (the L-factor binomials 1 - aT, their products, a
-    quotient of zeta integrals) is reduced by the polynomial gcd.
+    ``terms`` is the reduced view, built by the polynomial gcd on first
+    read and cached: lowest terms, lowest nonzero denominator coefficient
+    1.  Only the shape queries (is_constant, constant_value,
+    is_exponential_type), evaluate and printing read it.
     """
 
-    __slots__ = ("q", "terms")
+    __slots__ = ("q", "_fr", "_terms")
 
     def __init__(self, q, terms):
         self.q = q
-        norm = {}
+        fr = {}
         for g, (num, den) in terms.items():
-            num, den = self._reduce(num, den)
+            num, den = _settle(num, den)
             if num:
-                norm[g] = (num, den)
-        self.terms = norm
+                fr[g] = (num, den)
+        self._fr = fr
+        self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = {g: self._reduce(n, d)
+                           for g, (n, d) in self._fr.items()}
+        return self._terms
 
     @staticmethod
     def _reduce(num, den):
-        num, den = _ptrim(num), _ptrim(den)
-        if not den:
-            raise ZeroDivisionError("division by zero")
-        if not num:
-            return (), (cyc_one(),)
-        k = len(den) - 1
-        if not any(den[:k]):
-            # den = c T^k: cancel the common power of T, divide by c
-            j = min(k, next(i for i, c in enumerate(num) if c))
-            inv = den[k].inverse()
-            return (tuple(c * inv for c in num[j:]),
-                    (cyc_zero(),) * (k - j) + (cyc_one(),))
+        num, den = _settle(num, den)
+        if not any(den[:-1]):
+            return num, den
         g = _cgcd(num, den)
         if len(g) > 1 or not g[0] == 1:
             num, _ = _pdivmod(num, g, cyc_zero())
@@ -530,7 +558,7 @@ class ZetaValue:
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self):
-        return not self.terms
+        return not self._fr
 
     def is_constant(self):
         if not self.terms:
@@ -561,8 +589,8 @@ class ZetaValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.terms)
-        for g, f in o.terms.items():
+        out = dict(self._fr)
+        for g, f in o._fr.items():
             out[g] = _fadd(out[g], f) if g in out else f
         return ZetaValue(self.q, out)
 
@@ -570,7 +598,7 @@ class ZetaValue:
 
     def __neg__(self):
         return ZetaValue(self.q, {g: (tuple(-c for c in n), d)
-                                  for g, (n, d) in self.terms.items()})
+                                  for g, (n, d) in self._fr.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -586,8 +614,8 @@ class ZetaValue:
         if o is None:
             return NotImplemented
         out, z = {}, cyc_zero()
-        for g1, (n1, d1) in self.terms.items():
-            for g2, (n2, d2) in o.terms.items():
+        for g1, (n1, d1) in self._fr.items():
+            for g2, (n2, d2) in o._fr.items():
                 g, f = g1 + g2, (_pmul(n1, n2, z), _pmul(d1, d2, z))
                 out[g] = _fadd(out[g], f) if g in out else f
         return ZetaValue(self.q, out)
@@ -597,9 +625,9 @@ class ZetaValue:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        if len(self.terms) != 1:
+        if len(self._fr) != 1:
             raise ValueError("can only invert a single X-monomial value")
-        (g, (n, d)), = self.terms.items()
+        (g, (n, d)), = self._fr.items()
         return ZetaValue(self.q, {-g: (d, n)})
 
     def __truediv__(self, other):
@@ -612,17 +640,25 @@ class ZetaValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        if self._fr.keys() != o._fr.keys():
+            return False
+        z = cyc_zero()
+        for g, (n1, d1) in self._fr.items():
+            n2, d2 = o._fr[g]
+            if not (n1 == n2 if d1 == d2
+                    else _pmul(n1, d2, z) == _pmul(n2, d1, z)):
+                return False
+        return True
 
     def __hash__(self):
-        return hash((self.q, tuple(sorted(self.terms))))
+        return hash((self.q, tuple(sorted(self._fr))))
 
     # -- substitutions ---------------------------------------------------------
     def subst_dual(self):
         """T -> q^(-2) T^(-1), the s -> 2-s substitution."""
         qinv2 = CycRat.from_rational(Fraction(1, self.q ** 2))
         out = {}
-        for g, (n, d) in self.terms.items():
+        for g, (n, d) in self._fr.items():
             k = max(len(n), len(d)) - 1
             z = cyc_zero()
 
@@ -650,7 +686,7 @@ class ZetaValue:
             return tuple(new)
 
         return ZetaValue(self.q, {g: (sub(n), sub(d))
-                                  for g, (n, d) in self.terms.items()})
+                                  for g, (n, d) in self._fr.items()})
 
     def is_exponential_type(self):
         """Return (a, b) if the value equals a*T^b with no X, else None."""

@@ -22,7 +22,7 @@ class AtomFamily:
     """Interface for a family of atoms.
 
     Subclasses provide relation and, where atoms can overlap, join; the
-    predicates and the partial meet and join follow from relation.  The
+    predicates and the partial meet follow from relation.  The
     atoms themselves answer contains(x).
     """
 
@@ -52,10 +52,6 @@ class AtomFamily:
         if kind in ("equal", "in"):
             return a
         return b if kind == "contains" else meet
-
-    def union(self, a, b):
-        """The atom a join b; only defined when they meet."""
-        return self._joined(self.relation(a, b)[0], a, b)
 
     def _joined(self, kind, a, b):
         if kind == "disjoint":

@@ -128,9 +128,11 @@ def epsilon2(chi, psi, pi, mu1=Fraction(1), mu2=Fraction(1)):
             * epsilon_star(chi.omega2, psi, pi, mu2))
 
 
-def verify_FE2(tensor, chi, psi, pi):
+def verify_FE2(tensor, chi, psi, pi, eps=None):
     """Does the normalized zeta of the starred tensor at the dual point
-    equal epsilon times the normalized zeta of the tensor?"""
+    equal epsilon times the normalized zeta of the tensor?  eps, when
+    given, is epsilon2(chi, psi, pi, mu1, mu2) at the tensor's measure
+    normalizations, computed once by a caller that checks many tensors."""
     if not tensor.pairs:
         return True
     mus = {(f.mu, g.mu) for f, g in tensor.pairs}
@@ -139,7 +141,9 @@ def verify_FE2(tensor, chi, psi, pi):
                          "normalizations")
     mu1, mu2 = mus.pop()
     lhs = z2_normalized(tensor.star(psi, pi), chi.inverse()).subst_dual()
-    rhs = epsilon2(chi, psi, pi, mu1, mu2) * z2_normalized(tensor, chi)
+    if eps is None:
+        eps = epsilon2(chi, psi, pi, mu1, mu2)
+    rhs = eps * z2_normalized(tensor, chi)
     return lhs == rhs
 
 

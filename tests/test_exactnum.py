@@ -1,10 +1,14 @@
 from fractions import Fraction
 import math
+import operator
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import (
+    HealthCheck, assume, example, given, settings, strategies as st,
+)
 
-from liftzeta import exactnum
+import modoracle
+from liftzeta import cli, exactnum
 from liftzeta.exactnum import (
     CycRat, ZetaValue, _cgcd, _padd, _pdivmod, _pmul, _ptrim,
     _reduce_mod_cyc, cyc_sums, cyc_zero, cyclotomic_poly,
@@ -412,3 +416,121 @@ class TestMonomialDenominator:
         if one_order:
             assert [ZetaValue._poly_str(p) for p in got] == \
                 [ZetaValue._poly_str(p) for p in want]
+
+
+# -- the modular image as an independent check of ZetaValue ----------------
+# A tree is ("leaf", num, den, x_exp), (op, tree, tree) for op in + - *,
+# ("/", tree, leaf), ("dual", tree) or ("scale", tree, c, k).  Its value is
+# built by exactnum; its image is computed in F_P from the leaves up, with
+# each substitution applied to the point instead.
+
+Q = 3
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+       "/": operator.truediv}
+
+
+# small rationals times the roots of unity of orders 1, 3, 4, 6 and 12
+NONZERO = [Fraction(a, b) * zeta(n, k) for a in (-2, -1, 1, 3) for b in (1, 2)
+           for n in (1, 3, 4, 6, 12) for k in range(n)]
+
+
+@st.composite
+def leaves(draw):
+    c = st.sampled_from(NONZERO)
+    num = draw(st.lists(c, min_size=1, max_size=3))
+    # c T^k, 1 + c T or c + c' T^2
+    den = draw(st.one_of(
+        st.tuples(st.integers(0, 2), c).map(lambda kc: (0,) * kc[0] + kc[1:]),
+        st.tuples(st.just(1), c),
+        st.tuples(c, st.just(0), c)))
+    return ("leaf", tuple(num), den, draw(st.integers(-1, 1)))
+
+
+def trees(max_leaves):
+    return st.recursive(leaves(), lambda kids: st.one_of(
+        st.tuples(st.sampled_from("+-*"), kids, kids),
+        st.tuples(st.just("/"), kids, leaves()),
+        st.tuples(st.just("dual"), kids),
+        st.tuples(st.just("scale"), kids, st.sampled_from(NONZERO),
+                  st.integers(1, 2))), max_leaves=max_leaves)
+
+
+def build(tree):
+    op, *args = tree
+    if op == "leaf":
+        num, den, g = args
+        return ZetaValue.from_fraction(Q, num, den, x_exp=g)
+    if op == "dual":
+        return build(args[0]).subst_dual()
+    if op == "scale":
+        return build(args[0]).subst_scale(args[1], args[2])
+    return OPS[op](build(args[0]), build(args[1]))
+
+
+def tree_image(tree, t, x):
+    P = modoracle.P
+    op, *args = tree
+    if op == "leaf":
+        num, den, g = args
+        return modoracle.fraction(num, den, t) * pow(x, g, P) % P
+    if op == "dual":
+        return tree_image(args[0], pow(Q * Q * t, -1, P), x)
+    if op == "scale":
+        c, k = args[1:]
+        return tree_image(args[0], modoracle.scalar(c) * pow(t, k, P) % P, x)
+    a, b = (tree_image(arg, t, x) for arg in args)
+    if op == "/":
+        op, b = "*", pow(b, -1, P)
+    return OPS[op](a, b) % P
+
+
+# the mutation checks of test_mutants.py run these properties again on an
+# instance of their own
+OWN_INSTANCE = [HealthCheck.differing_executors]
+# two fractions over distinct binomials of one length, added
+BINOMIAL_SUM = ("+", ("leaf", (1,), (1, 2), 0), ("leaf", (1,), (1, 3), 0))
+LEAF = ("leaf", (1, 2), (1, -1), 1)
+
+
+class TestModularImage:
+    @given(trees(4))
+    @example(BINOMIAL_SUM)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=OWN_INSTANCE)
+    def test_value_has_the_image_of_its_tree(self, tree):
+        v = build(tree)
+        for t, x in modoracle.points(7):
+            assert modoracle.image(v, t, x) == tree_image(tree, t, x)
+
+    @given(trees(2), trees(2), trees(2), leaves())
+    @example(LEAF, LEAF, LEAF, LEAF)
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=OWN_INSTANCE)
+    def test_ring_laws_agree_with_images(self, a, b, c, leaf):
+        u, v, w, e = build(a), build(b), build(c), build(leaf)
+        equal = [(u + v, v + u), ((u + v) * w, u * w + v * w),
+                 ((u * v) * w, u * (v * w)), (u - u, 0),
+                 (u.subst_dual().subst_dual(), u), (e * e.inverse(), 1),
+                 (e.subst_scale(1, 1), e)]
+        pts = modoracle.points(8)
+        for lhs, rhs in equal:
+            assert lhs == rhs and modoracle.same_image(lhs, rhs, pts)
+        assert not u + e == u and not modoracle.same_image(u + e, u, pts)
+
+    def test_every_verdict_of_a_verify_run(self, monkeypatch, tmp_path):
+        verdicts = []
+        eq = ZetaValue.__eq__
+
+        def spy(self, other):
+            got = eq(self, other)
+            if got is not NotImplemented:
+                verdicts.append((self, other, got))
+            return got
+
+        monkeypatch.setattr(ZetaValue, "__eq__", spy)
+        assert cli.main(["verify", "--q", "2", "--out-dir",
+                         str(tmp_path)]) == 0
+        assert verdicts
+        pts = modoracle.points(9)
+        for a, b, got in verdicts:
+            assert got == modoracle.same_image(a, b, pts), (str(a), str(b))

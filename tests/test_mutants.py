@@ -26,8 +26,9 @@ import test_exactnum
 import test_lift2d
 import test_localfield
 import test_schwartz
+import test_setring
 import test_zeta2d
-from liftzeta import archfe, cli, exactnum, schwartz, zeta1d, zeta2d
+from liftzeta import archfe, cli, exactnum, schwartz, setring, zeta1d, zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import AdditiveCharacter, QuasiCharacter
@@ -82,6 +83,8 @@ def clear_caches():
 CHECKS = {
     "verify-q2-double-star-level1": verify(
         "--q", "2", "--suite", "double-star", "--level", "1"),
+    "verify-q2-double-star-d1": verify(
+        "--q", "2", "--d", "1", "--suite", "double-star"),
     "verify-q2-schwartz-oracle-d1": verify(
         "--q", "2", "--suite", "schwartz-oracle", "--d", "1"),
     "test_schwartz-test_w_unit_coset": named_test(
@@ -124,6 +127,12 @@ CHECKS = {
         "test_random_expression_membership"),
     "test_zeta2d-test_direct_path_agrees": named_test(
         test_zeta2d.TestZeta2, "test_direct_path_agrees"),
+    "test_exactnum-test_value_has_the_image_of_its_tree": named_test(
+        test_exactnum.TestModularImage, "test_value_has_the_image_of_its_tree"),
+    "test_exactnum-test_ring_laws_agree_with_images": named_test(
+        test_exactnum.TestModularImage, "test_ring_laws_agree_with_images"),
+    "test_setring-test_three_atoms_keep_the_one_apart": named_test(
+        test_setring.TestRefineDisjoint, "test_three_atoms_keep_the_one_apart"),
 }
 
 # (mutant, owner, attribute, old, new, the check that kills it)
@@ -138,6 +147,8 @@ MUTANTS = [
      "verify-q2-double-star-level1"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),
+    ("double-star-composition-sign-of-d1", zeta1d, "double_star_invariance",
+     "-d1 - d2 - 1", "d1 - d2 - 1", "verify-q2-double-star-d1"),
     ("eq-compares-trace-only", CycRat, "__eq__", "return x.a == y.a",
      "return sum(c * w for c, w in zip(x.a, _trace_weights(x.m)))"
      " == sum(c * w for c, w in zip(y.a, _trace_weights(x.m)))",
@@ -171,7 +182,14 @@ MUTANTS = [
      "out[i + j] += a * b", "out[i + j] = a * b", "verify-q2-FE2"),
     ("pdivmod-adds-the-multiple", exactnum, "_pdivmod",
      "r[k + i] -= c * d[i]", "r[k + i] += c * d[i]",
-     "test_exactnum-test_inverse_cancellation"),
+     "test_exactnum-test_inverse"),
+    ("fadd-adds-over-denominators-of-one-length", exactnum, "_fadd",
+     "if d1 == d2:", "if len(d1) == len(d2):",
+     "test_exactnum-test_value_has_the_image_of_its_tree"),
+    ("eq-cross-multiplies-the-wrong-way", ZetaValue, "__eq__",
+     "_pmul(n1, d2, z) == _pmul(n2, d1, z)",
+     "_pmul(n1, d1, z) == _pmul(n2, d2, z)",
+     "test_exactnum-test_ring_laws_agree_with_images"),
     ("character-inverse-keeps-exponents", QuasiCharacter, "inverse",
      "-k % self.n", "k", "test_localfield-test_inverse"),
     ("conductor-search-skips-0", QuasiCharacter, "exact_conductor",
@@ -189,6 +207,9 @@ MUTANTS = [
     ("ddd-contains-ignores-inners", DddSet, "contains",
      "and not any(a.contains(x) for a in inners)", "",
      "test_lift2d-test_random_expression_membership"),
+    ("refine-moves-the-second-atom", setring, "refine_disjoint",
+     "out[j] = out[-1]", "out[j] = out[1]",
+     "test_setring-test_three_atoms_keep_the_one_apart"),
     ("exp-sinh-without-jacobian-cosh", archfe, "_complex_quad",
      "* math.cosh(t)", "", "verify-q2-archfe"),
     ("quad-error-without-end-terms", archfe, "_complex_quad",

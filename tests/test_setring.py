@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftzeta import setring
 from liftzeta.localfield import KCoset, KElement
 from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
 from setoracle import (
@@ -32,6 +33,13 @@ class TestRefineDisjoint:
         atoms = [interval(0, 1), interval(2, 3)]
         got = refine_disjoint(IV, atoms)
         assert sorted(got) == atoms
+
+    def test_three_atoms_keep_the_one_apart(self):
+        # the merge moves the last atom into the merged slot; through the
+        # module, so that a mutant of refine_disjoint is seen here
+        got = setring.refine_disjoint(
+            IV, [interval(0, 2), interval(1, 3), interval(5, 6)])
+        assert sorted(got) == [interval(0, 3), interval(5, 6)]
 
 
 class TestRingOps:

@@ -342,6 +342,16 @@ class TestDoubleStar:
             assert double_star_invariance(f, u, pi2, AdditiveCharacter(q, 0),
                                           AdditiveCharacter(q, 1))
 
+    def test_parity_mismatch_composition_from_conductor_one(self):
+        # d1 = 1, d2 = 2: the composition scales by q^(-d1-d2-1) = q^-4
+        q = 3
+        u = KElement.uniformizer(q)
+        pi2 = u * (KElement.one(q) + u)
+        for f in (SBFunction.char_ideal(q, 0),
+                  SBFunction.char(KCoset(q, KElement.one(q), 1))):
+            assert double_star_invariance(f, u, pi2, AdditiveCharacter(q, 1),
+                                          AdditiveCharacter(q, 2))
+
     def test_non_uniformizer_rejected(self):
         q = 3
         u = KElement.uniformizer(q)
