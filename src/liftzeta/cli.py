@@ -4,6 +4,13 @@ Two commands: "verify" runs the selected identity suites at the given
 parameters and writes a JSON or CSV report with one row per checked
 case, exiting 0 only if every case passes; "epsilon-table" tabulates the
 exponential factor of every enumerated character.
+
+Each suite_<name>(cfg) does all its work when called and returns its
+cases as tuples (case_id, inputs, expected, got); a yes/no check is
+(case_id, inputs, True, ok) with ok a bool.  cmd_verify turns every case
+into a row with _row, whose verdict is exact equality.  A suite that
+raises becomes one failing row, case_id "error", expected "no
+exception" and got "<exception type>: <message>", and the run goes on.
 """
 
 import argparse
@@ -25,19 +32,11 @@ from .schwartz import SBFunction
 from . import archfe, lift2d, zeta1d, zeta2d
 from .setring import DddSet
 
-SUITES = ("schwartz-oracle", "zeta1d-epsilon", "identity-A", "double-star",
-          "lift2d-invariance", "measure", "FE2", "rho2", "archfe")
-
 
 def _row(suite, case_id, inputs, expected, got):
     return {"suite": suite, "case_id": case_id, "inputs": inputs,
             "expected": str(expected), "got": str(got),
             "pass": expected == got}
-
-
-def _flag_row(suite, case_id, inputs, ok):
-    return {"suite": suite, "case_id": case_id, "inputs": inputs,
-            "expected": "True", "got": str(bool(ok)), "pass": bool(ok)}
 
 
 def _coset_basis(q, maxlev, mu):
@@ -83,34 +82,30 @@ def suite_schwartz_oracle(cfg):
     q, d, mu = cfg.q, cfg.d, cfg.mu
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
-    rows = []
+    cases = []
     for r in range(-2, 3):
         g = SBFunction.char_ideal(q, r, 1, mu)
         want = SBFunction.char_ideal(q, d - r, mu * Fraction(q) ** (-r), mu)
-        rows.append(_flag_row(
-            "schwartz-oracle", "fourier-ideal-r%+d" % r,
-            {"q": q, "d": d, "r": r}, g.fourier(psi).equals(want)))
+        cases.append(("fourier-ideal-r%+d" % r, {"q": q, "d": d, "r": r},
+                      True, g.fourier(psi).equals(want)))
         k = -((-d) // 2)  # ceil(d/2)
         want2 = SBFunction.char_ideal(
             q, k - r, mu * Fraction(q) ** (-2 * r), mu)
-        rows.append(_flag_row(
-            "schwartz-oracle", "star-ideal-r%+d" % r,
-            {"q": q, "d": d, "r": r},
-            g.star(psi, pi).equals(want2)))
-    return rows
+        cases.append(("star-ideal-r%+d" % r, {"q": q, "d": d, "r": r},
+                      True, g.star(psi, pi).equals(want2)))
+    return cases
 
 
 def suite_zeta1d_epsilon(cfg):
     q, d, mu = cfg.q, cfg.d, cfg.mu
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
-    rows = []
+    cases = []
     for om in _characters(q, cfg.rmax):
         eps = zeta1d.epsilon_star(om, psi, pi, mu)
-        et = eps.is_exponential_type()
-        rows.append(_flag_row(
-            "zeta1d-epsilon", "exp-type-%s" % om.label,
-            {"q": q, "d": d, "r": om.r}, et is not None))
+        inputs = {"q": q, "d": d, "r": om.r}
+        cases.append(("exp-type-%s" % om.label, inputs, True,
+                      eps.is_exponential_type() is not None))
         if om.r == 0:
             k = -((-d) // 2)
             want = ZetaValue.monomial(
@@ -124,22 +119,18 @@ def suite_zeta1d_epsilon(cfg):
                 q, CycRat.from_rational(mu * Fraction(q) ** (2 * k) * delta)
                 * om.pi_value ** k * CycRat.sqrt_q(q, -r)
                 * zeta1d.rho0(om.inverse(), psi, pi), t_exp=k)
-        rows.append(_row("zeta1d-epsilon", "closed-form-%s" % om.label,
-                         {"q": q, "d": d, "r": om.r}, want, eps))
-    return rows
+        cases.append(("closed-form-%s" % om.label, inputs, want, eps))
+    return cases
 
 
 def suite_identity_a(cfg):
     q, d = cfg.q, cfg.d
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
-    rows = []
     basis = _coset_basis(q, cfg.level, cfg.mu)
-    for om in _characters(q, cfg.rmax):
-        ok = all(zeta1d.check_identity_A(f, om, psi, pi) for f in basis)
-        rows.append(_flag_row("identity-A", "basis-%s" % om.label,
-                              {"q": q, "d": d, "r": om.r}, ok))
-    return rows
+    return [("basis-%s" % om.label, {"q": q, "d": d, "r": om.r}, True,
+             all(zeta1d.check_identity_A(f, om, psi, pi) for f in basis))
+            for om in _characters(q, cfg.rmax)]
 
 
 def suite_double_star(cfg):
@@ -148,19 +139,16 @@ def suite_double_star(cfg):
     psi2 = AdditiveCharacter(q, d + 1)
     pi1 = KElement.uniformizer(q)
     pi2 = KElement(q, {1: 1, 2: 1})  # u(1+u)
-    rows = []
-    for i, f in enumerate(_coset_basis(q, cfg.level, cfg.mu)):
-        rows.append(_flag_row(
-            "double-star", "basis-%d" % i, {"q": q, "d": d},
-            zeta1d.double_star_invariance(f, pi1, pi2, psi1, psi2)))
-    return rows
+    return [("basis-%d" % i, {"q": q, "d": d}, True,
+             zeta1d.double_star_invariance(f, pi1, pi2, psi1, psi2))
+            for i, f in enumerate(_coset_basis(q, cfg.level, cfg.mu))]
 
 
 def suite_lift2d_invariance(cfg):
     q, d = cfg.q, cfg.d
     psi = lift2d.GoodCharacter(q, d)
     rng = random.Random(cfg.seed)
-    rows = []
+    cases = []
     for i in range(20):
         terms = []
         for _ in range(rng.randrange(1, 3)):
@@ -175,24 +163,23 @@ def suite_lift2d_invariance(cfg):
         f = lift2d.LiftedFn(q, terms)
         tau = lift2d.FElement(q, {e: KElement(q, {0: rng.randrange(q)})
                                   for e in (-2, 0, 1)})
-        rows.append(_flag_row(
-            "lift2d-invariance", "translate-%02d" % i, {"q": q, "d": d},
+        cases.append((
+            "translate-%02d" % i, {"q": q, "d": d}, True,
             f.translate_var(tau, psi).integrate(psi) == f.integrate(psi)))
         alpha = lift2d.FElement(
             q, {rng.randrange(-1, 2):
                 KElement.uniformizer(q, rng.randrange(-1, 2))})
-        rows.append(_flag_row(
-            "lift2d-invariance", "scale-%02d" % i, {"q": q, "d": d},
+        cases.append((
+            "scale-%02d" % i, {"q": q, "d": d}, True,
             f.scale_var(alpha).integrate(psi)
             == f.integrate(psi) * lift2d.abs_F(alpha).inverse()))
-    return rows
+    return cases
 
 
 def suite_measure(cfg):
     q, mu = cfg.q, cfg.mu
     fam = lift2d.DistinguishedFamily(q, mu)
     rng = random.Random(cfg.seed)
-    rows = []
 
     def rand_atom():
         a = lift2d.FElement(
@@ -212,14 +199,14 @@ def suite_measure(cfg):
     A = lift2d.DistinguishedSetF(
         q, lift2d.FElement.zero(q), 1,
         DddSet.atom(fam.kfam, KCoset.ideal(q, 1)))
-    rows.append(_row("measure", "atom",
-                     {"q": q, "mu": str(mu)},
-                     ZetaValue.monomial(q, mu * Fraction(1, q), x_exp=1),
-                     lift2d.measure_F(DddSet.atom(fam, A), fam)))
-    rows.append(_flag_row(
-        "measure", "full-ideal-zero", {"q": q},
-        lift2d.measure_F(DddSet.atom(
-            fam, lift2d.DistinguishedSetF.null_ideal(q, 1)), fam).is_zero()))
+    cases = [
+        ("atom", {"q": q, "mu": str(mu)},
+         ZetaValue.monomial(q, mu * Fraction(1, q), x_exp=1),
+         lift2d.measure_F(DddSet.atom(fam, A), fam)),
+        ("full-ideal-zero", {"q": q}, True,
+         lift2d.measure_F(DddSet.atom(
+             fam, lift2d.DistinguishedSetF.null_ideal(q, 1)), fam).is_zero()),
+    ]
     ok = True
     for _ in range(40):
         x = DddSet.atom(fam, rand_atom())
@@ -228,9 +215,8 @@ def suite_measure(cfg):
         if lift2d.measure_F(u, fam) != lift2d.measure_F(x, fam) + \
                 lift2d.measure_F(y, fam):
             ok = False
-    rows.append(_flag_row("measure", "additivity-random",
-                          {"q": q, "seed": cfg.seed}, ok))
-    return rows
+    cases.append(("additivity-random", {"q": q, "seed": cfg.seed}, True, ok))
+    return cases
 
 
 def suite_fe2(cfg):
@@ -239,7 +225,7 @@ def suite_fe2(cfg):
     pi = KElement.uniformizer(q)
     chars = _characters(q, min(cfg.rmax, 1))
     basis = _coset_basis(q, min(cfg.level, 2), cfg.mu)
-    rows = []
+    cases = []
     for om1 in chars:
         for om2 in chars[:2]:
             chi = zeta2d.ChiCharacter(om1, om2)
@@ -247,15 +233,13 @@ def suite_fe2(cfg):
             ok = all(zeta2d.verify_FE2(
                 zeta1d.SBTensor.pure(a, b), chi, psi, pi, eps=eps)
                 for a in basis[:4] for b in basis[:4])
-            rows.append(_flag_row(
-                "FE2", "chi-%s-%s" % (om1.label, om2.label),
-                {"q": q, "d": d, "r": (om1.r, om2.r)}, ok))
-    return rows
+            cases.append(("chi-%s-%s" % (om1.label, om2.label),
+                          {"q": q, "d": d, "r": (om1.r, om2.r)}, True, ok))
+    return cases
 
 
 def suite_rho2(cfg):
     q, mu = cfg.q, cfg.mu
-    rows = []
     gs = [("char-O", SBFunction.char_ideal(q, 0, 1, mu)),
           ("char-units", SBFunction.char_units(q, mu)),
           ("char-1+pi", SBFunction.char(
@@ -263,35 +247,28 @@ def suite_rho2(cfg):
     oms = [QuasiCharacter.trivial(q, pi_value=CycRat.from_rational(1)),
            QuasiCharacter.trivial(q, pi_value=CycRat.root_of_unity(4))]
     oms += _characters(q, min(cfg.rmax, 1))
-    for name, g in gs:
-        for om in oms:
-            _, _, equal = zeta2d.zeta_rho2(g, om)
-            rows.append(_flag_row(
-                "rho2", "%s-%s" % (name, om.label or "unram"),
-                {"q": q, "r": om.r}, equal))
-    return rows
+    return [("%s-%s" % (name, om.label or "unram"), {"q": q, "r": om.r},
+             True, zeta2d.zeta_rho2(g, om)[2])
+            for name, g in gs for om in oms]
 
 
 def suite_archfe(cfg):
     tol = cfg.tol
-    rows = []
     g = archfe.gaussian()
     worst = max(abs(archfe.star_numeric(g, -2.0 + 0.2 * k)
                     - g.star_closed_form(-2.0 + 0.2 * k))
                 for k in range(20))
-    rows.append(_flag_row("archfe", "star-grid", {"tol": tol},
-                          worst < max(tol, 1e-6)))
+    cases = [("star-grid", {"tol": tol}, True, worst < max(tol, 1e-6))]
     gn = archfe.gaussian_nabla()
     for s in (2, 4, 6):
         err = abs(archfe.zeta_numeric(gn, 1, s)
                   - archfe.gamma_zeta_closed_form(s))
-        rows.append(_flag_row("archfe", "gamma-s%d" % s, {"s": s},
-                              err < max(tol, 1e-8)))
+        cases.append(("gamma-s%d" % s, {"s": s}, True, err < max(tol, 1e-8)))
     for s in (1, 1 + 0.3j):
-        rows.append(_flag_row(
-            "archfe", "product-fe-s%s" % s, {"s": str(s)},
+        cases.append((
+            "product-fe-s%s" % s, {"s": str(s)}, True,
             archfe.fe_product_check(gn, g, 1, s, tol=max(tol, 1e-6))))
-    return rows
+    return cases
 
 
 SUITE_FUNCS = {
@@ -305,6 +282,7 @@ SUITE_FUNCS = {
     "rho2": suite_rho2,
     "archfe": suite_archfe,
 }
+SUITES = tuple(SUITE_FUNCS)
 
 
 def _write_report(rows, out_dir, fmt, name):
@@ -337,7 +315,12 @@ def cmd_verify(cfg):
     suites = SUITES if cfg.suite == "all" else (cfg.suite,)
     rows = []
     for name in suites:
-        rows.extend(SUITE_FUNCS[name](cfg))
+        try:
+            cases = SUITE_FUNCS[name](cfg)
+        except Exception as exc:
+            cases = [("error", {}, "no exception",
+                      "%s: %s" % (type(exc).__name__, exc))]
+        rows.extend(_row(name, *case) for case in cases)
     path = _write_report(rows, cfg.out_dir, cfg.format, "report")
     if path is None:
         return 2

@@ -1,16 +1,21 @@
+import contextlib
 import csv
 import hashlib
+import inspect
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import liftzeta
-from liftzeta.cli import SUITES, _row, build_parser, main
+from liftzeta import cli, zeta2d
+from liftzeta.cli import SUITE_FUNCS, SUITES, _row, build_parser, main
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.schwartz import SBFunction
 
@@ -230,6 +235,49 @@ class TestVerify:
     def test_q_five(self, tmp_path):
         assert run(["verify", "--q", "5", "--suite", "zeta1d-epsilon",
                     "--out-dir", str(tmp_path)]) == 0
+
+    def test_raising_suite_becomes_an_error_row(self):
+        # takes no fixtures: tests/test_mutants.py runs it as a named check
+        def boom(g, omega):
+            raise RuntimeError("boom")
+
+        zeta_rho2 = zeta2d.zeta_rho2
+        zeta2d.zeta_rho2 = boom
+        try:
+            with tempfile.TemporaryDirectory() as out, \
+                    contextlib.redirect_stdout(io.StringIO()) as printed:
+                code = run(["verify", "--q", "2", "--out-dir", out])
+                rows = json.loads((Path(out) / "report.json").read_text())
+        finally:
+            zeta2d.zeta_rho2 = zeta_rho2
+        assert code == 1
+        assert [r for r in rows if not r["pass"]] == [
+            {"suite": "rho2", "case_id": "error", "inputs": {},
+             "expected": "no exception", "got": "RuntimeError: boom",
+             "pass": False}]
+        # the suites after rho2 still ran
+        assert list(dict.fromkeys(r["suite"] for r in rows)) == list(SUITES)
+        assert "1 failed" in printed.getvalue()
+        assert ("FAIL rho2/error expected=no exception got=RuntimeError: boom"
+                in printed.getvalue())
+
+    def test_suites_are_eager_functions_the_tracer_wraps(self):
+        # bench/tracing.py wraps cli.suite_<name> (found through vars(cli)
+        # and SUITE_FUNCS) and times each suite as the span of its call,
+        # so a suite must do all its work before it returns
+        assert SUITES == tuple(SUITE_FUNCS)
+        cfg = build_parser().parse_args(["verify", "--q", "2"])
+        for name, suite in SUITE_FUNCS.items():
+            assert suite is getattr(
+                cli, "suite_" + name.lower().replace("-", "_"))
+            assert not inspect.isgeneratorfunction(suite)
+            cases = suite(cfg)
+            assert type(cases) is list and cases
+            for case in cases:
+                assert type(case) is tuple and len(case) == 4
+                if case[2] is True:
+                    # a yes/no case prints its verdict as True or False
+                    assert type(case[3]) is bool
 
 
 class TestEpsilonTable:

@@ -1,7 +1,8 @@
 """Every check must be able to fail: mutants of the Schwartz layer, of
 the zeta integrals on K, of the shell decomposition of zeta2d, of exact
 arithmetic, of the quasi-characters, of the set ring, of the
-distinguished sets on F and of the real-place quadrature.
+distinguished sets on F, of the real-place quadrature and of the verify
+driver's one verdict path.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
@@ -22,6 +23,7 @@ import textwrap
 import pytest
 
 import test_archfe
+import test_cli
 import test_exactnum
 import test_lift2d
 import test_localfield
@@ -133,6 +135,8 @@ CHECKS = {
         test_exactnum.TestModularImage, "test_ring_laws_agree_with_images"),
     "test_setring-test_three_atoms_keep_the_one_apart": named_test(
         test_setring.TestRefineDisjoint, "test_three_atoms_keep_the_one_apart"),
+    "test_cli-test_raising_suite_becomes_an_error_row": named_test(
+        test_cli.TestVerify, "test_raising_suite_becomes_an_error_row"),
 }
 
 # (mutant, owner, attribute, old, new, the check that kills it)
@@ -215,6 +219,12 @@ MUTANTS = [
     ("quad-error-without-end-terms", archfe, "_complex_quad",
      "return total, diff + abs(end_lo) + abs(end_hi)", "return total, diff",
      "test_archfe-test_quadrature_edges"),
+    ("row-passes-everything", cli, "_row",
+     '"pass": expected == got', '"pass": True',
+     "test_cli-test_raising_suite_becomes_an_error_row"),
+    ("suite-error-escapes", cli, "cmd_verify",
+     "except Exception", "except ArithmeticError",
+     "test_cli-test_raising_suite_becomes_an_error_row"),
 ]
 
 
