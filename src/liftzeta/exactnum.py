@@ -1,13 +1,14 @@
 """Exact coefficient arithmetic.
 
 Two layers over one set of dense-polynomial helpers (``_ptrim``,
-``_padd``, ``_pmul``, ``_pdivmod``), which work over any field whose
-zero is falsy: Fraction polynomials modulo Phi_m for CycRat, and CycRat
+``_padd``, ``_pmul``, ``_pdivmod``), which work over any ring whose
+zero is falsy: integer polynomials modulo Phi_m for CycRat, and CycRat
 polynomials in T for ZetaValue.
 
 * CycRat -- elements of a cyclotomic field Q(zeta_m).  Power-basis
-  representation modulo the m-th cyclotomic polynomial, Fraction
-  coordinates, automatic embedding into the lcm order on mixed arithmetic.
+  representation modulo the m-th cyclotomic polynomial, as one integer
+  vector over one positive common denominator in lowest terms; automatic
+  embedding into the lcm order on mixed arithmetic.
   Root numbers carry a factor q^(-r/2); sqrt(q) for a prime q is a
   quadratic Gauss sum, so it lies in Q(zeta_8) for q = 2 and in
   Q(zeta_4q) otherwise, and needs no symbol of its own.
@@ -21,14 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 import cmath
 import math
-
-_ZERO = Fraction(0)
+import operator
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over a field (ascending coefficients, returned as
-# tuples with no trailing zero); a helper that must create a zero takes
-# the ring's zero from its caller
+# dense polynomials over a field, or over the integers when every divisor
+# is monic (ascending coefficients, returned as tuples with no trailing
+# zero); a helper that must create a zero takes the ring's zero from its
+# caller
 
 def _ptrim(p):
     n = len(p)
@@ -60,10 +61,14 @@ def _pdivmod(p, d, zero):
         raise ZeroDivisionError("polynomial division by zero")
     r = list(_ptrim(p))
     quo = [zero] * max(0, len(r) - len(d) + 1)
-    inv_lead = d[-1] ** -1
+    # a monic divisor needs no inverse, so integer polynomials divide
+    inv_lead = None if d[-1] == 1 else d[-1] ** -1
     while len(r) >= len(d):
         k = len(r) - len(d)
-        c = quo[k] = r.pop() * inv_lead
+        c = r.pop()
+        if inv_lead is not None:
+            c = c * inv_lead
+        quo[k] = c
         for i in range(len(d) - 1):
             r[k + i] -= c * d[i]
         r = list(_ptrim(r))
@@ -82,14 +87,14 @@ def _join_terms(terms):
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(m):
-    """Coefficients of the m-th cyclotomic polynomial, ascending."""
+    """Coefficients of the m-th cyclotomic polynomial, ascending ints."""
     if m < 1:
         raise ValueError("order must be positive")
-    # x^m - 1 divided by all lower cyclotomic factors
-    num = [Fraction(-1)] + [_ZERO] * (m - 1) + [Fraction(1)]
+    # x^m - 1 divided by all lower cyclotomic factors, each monic
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _pdivmod(num, cyclotomic_poly(d), _ZERO)
+            num, rem = _pdivmod(num, cyclotomic_poly(d), 0)
             assert not rem
     return tuple(num)
 
@@ -114,28 +119,33 @@ def _xpow_mod_cyc(m, k):
         phi = cyclotomic_poly(m)
         for i in range(d):
             if phi[i]:
-                out[i] -= top * phi[i].numerator
+                out[i] -= top * phi[i]
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _xpow_terms(m, k):
+    """The nonzero (i, c) of x^k reduced modulo the m-th cyclotomic
+    polynomial."""
+    return tuple((i, c) for i, c in enumerate(_xpow_mod_cyc(m, k)) if c)
 
 
 def _reduce_mod_cyc(p, m):
     d = _phi_deg(m)
-    if len(p) <= d:
-        return tuple(p) + (0,) * (d - len(p))
-    out = [0] * d
-    for k, c in enumerate(p):
+    out = list(p[:d])
+    out += [0] * (d - len(out))
+    for k in range(d, len(p)):
+        c = p[k]
         if c:
-            row = _xpow_mod_cyc(m, k)
-            for i in range(d):
-                if row[i]:
-                    out[i] += c * row[i]
+            for i, r in _xpow_terms(m, k):
+                out[i] += c * r
     return tuple(out)
 
 
 def _remap(coords, k, m):
     """Coordinates in Q(zeta_m) of the sum of c_i zeta_m^(i k) over the
     given power-basis coordinates c_i."""
-    p = [_ZERO] * m
+    p = [0] * m
     for i, c in enumerate(coords):
         if c:
             p[i * k % m] += c
@@ -143,41 +153,75 @@ def _remap(coords, k, m):
 
 
 @lru_cache(maxsize=None)
-def _trace_weights(m):
-    """Tr(zeta_m^i)/phi(m) for each power-basis index i.  zeta_m^i is a
-    primitive n-th root, n = m/gcd(i, m), so this is mu(n)/phi(n), where
-    mu(n), the sum of the primitive n-th roots, is minus the next-to-top
-    coefficient of the monic n-th cyclotomic polynomial."""
+def _traces(m):
+    """The trace to Q of zeta_m^i for each power-basis index i, an int.
+    zeta_m^i is a primitive n-th root, n = m/gcd(i, m), whose trace from
+    Q(zeta_n) is mu(n), minus the next-to-top coefficient of the monic
+    n-th cyclotomic polynomial; Q(zeta_m) has degree phi(m)/phi(n) over
+    Q(zeta_n)."""
     out = []
     for i in range(_phi_deg(m)):
         phi = cyclotomic_poly(m // math.gcd(i, m))
-        out.append(-phi[-2] / (len(phi) - 1))
+        out.append(-phi[-2] * (_phi_deg(m) // (len(phi) - 1)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _other_units(m):
+    """The k in 2..m-1 prime to m: zeta_m -> zeta_m^k runs over the Galois
+    group of Q(zeta_m) but the identity."""
+    return tuple(k for k in range(2, m) if math.gcd(k, m) == 1)
+
+
+def _cyc(m, n, d=1):
+    """The CycRat n/d at order m, from a tuple of ints n and a positive
+    int d, brought to lowest terms."""
+    if d != 1:
+        g = math.gcd(d, *n)
+        if g != 1:
+            n, d = tuple([x // g for x in n]), d // g
+    x = object.__new__(CycRat)
+    x.m, x.n, x.d = m, n, d
+    return x
 
 
 class CycRat:
     """Element of the cyclotomic field Q(zeta_m), as its coordinates in
     the power basis 1, zeta_m, ..., zeta_m^(phi(m)-1).
 
-    One value has exactly one coordinate vector at each order m, so
-    equality embeds both sides into the lcm order and compares
-    coordinates.  The hash is the normalized trace to Q, which does not
-    depend on the order, and is the value's own hash when it is rational.
+    The coordinates are stored as one tuple of ints ``n`` over one
+    positive int ``d`` with gcd(d, *n) == 1, the ``nf_elem`` form of Antic
+    (Hart, "ANTIC: Algebraic Number Theory in C", 2015).  That is
+    canonical at each order m, so equality embeds both sides into the lcm
+    order and compares (n, d).  Arithmetic runs on ints; the inverse is
+    the product of the other Galois conjugates over the rational norm.
+    ``a`` is the Fraction view n_i/d, which printing reads.  The hash is
+    the normalized trace to Q, which does not depend on the order, and is
+    the value's own hash when it is rational.
     """
 
-    __slots__ = ("m", "a")
+    __slots__ = ("m", "n", "d")
 
-    def __init__(self, m, a):
-        a = tuple(x if type(x) is Fraction else Fraction(x) for x in a)
-        assert len(a) == _phi_deg(m)
-        self.m, self.a = m, a
+    def __init__(self, m, coords):
+        """The element with the given rational power-basis coordinates."""
+        coords = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+                  for x in coords]
+        assert len(coords) == _phi_deg(m)
+        d = math.lcm(*(x.denominator for x in coords))
+        self.m, self.d = m, d
+        self.n = tuple(x.numerator * (d // x.denominator) for x in coords)
+
+    @property
+    def a(self):
+        return tuple(Fraction(x, self.d) for x in self.n)
 
     # -- constructors -----------------------------------------------------
     @classmethod
     def from_rational(cls, x, m=1):
-        d = _phi_deg(m)
-        coords = [Fraction(x)] + [_ZERO] * (d - 1)
-        return cls(m, coords)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return _cyc(m, (x.numerator,) + (0,) * (_phi_deg(m) - 1),
+                    x.denominator)
 
     @classmethod
     def root_of_unity(cls, m, k=1):
@@ -198,7 +242,7 @@ class CycRat:
             return self
         if m2 % self.m:
             raise ValueError("can only embed into a multiple order")
-        return CycRat(m2, _remap(self.a, m2 // self.m, m2))
+        return _cyc(m2, _remap(self.n, m2 // self.m, m2), self.d)
 
     def _align(self, other):
         if not isinstance(other, CycRat):
@@ -208,18 +252,18 @@ class CycRat:
 
     # -- predicates ---------------------------------------------------------
     def __bool__(self):
-        return any(self.a)
+        return any(self.n)
 
     def is_zero(self):
         return not self
 
     def is_rational(self):
-        return not any(self.a[1:])
+        return not any(self.n[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.a[0]
+        return Fraction(self.n[0], self.d)
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
@@ -230,12 +274,17 @@ class CycRat:
                 x, y = self._align(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return CycRat(x.m, tuple(u + v for u, v in zip(x.a, y.a)))
+        if x.d == y.d:
+            return _cyc(x.m, tuple(map(operator.add, x.n, y.n)), x.d)
+        g = math.gcd(x.d, y.d)
+        sx, sy = y.d // g, x.d // g
+        return _cyc(x.m, tuple([u * sx + v * sy for u, v in zip(x.n, y.n)]),
+                    x.d * sx)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycRat(self.m, tuple(-u for u in self.a))
+        return _cyc(self.m, tuple([-u for u in self.n]), self.d)
 
     def __sub__(self, other):
         o = other if isinstance(other, CycRat) else CycRat.from_rational(other)
@@ -245,37 +294,39 @@ class CycRat:
         return (-self) + other
 
     def __mul__(self, other):
-        if type(other) is CycRat and 1 in (self.m, other.m):
-            # a rational factor scales the coordinates at the other order
-            x, s = (self, other.a[0]) if other.m == 1 else (other, self.a[0])
-            return CycRat(x.m, tuple(u * s for u in x.a))
-        if type(other) is CycRat and other.m == self.m:
-            x, y = self, other
-        else:
+        if type(other) is not CycRat:
             try:
-                x, y = self._align(other)
+                other = CycRat.from_rational(other)
             except (TypeError, ValueError):
                 return NotImplemented
-        return CycRat(x.m, _reduce_mod_cyc(_pmul(x.a, y.a, _ZERO), x.m))
+        x, y = self, other
+        if 1 in (x.m, y.m):
+            # a rational factor scales the coordinates at the other order
+            if y.m != 1:
+                x, y = y, x
+            s = y.n[0]
+            return _cyc(x.m, tuple([u * s for u in x.n]), x.d * y.d)
+        if x.m != y.m:
+            x, y = self._align(other)
+        return _cyc(x.m, _reduce_mod_cyc(_pmul(x.n, y.n, 0), x.m), x.d * y.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if self.is_zero():
-            raise ZeroDivisionError("division by zero")
-        if self.is_rational():
-            return CycRat(self.m, (1 / self.a[0],) + self.a[1:])
-        # extended euclid against the cyclotomic polynomial
-        r0, r1 = cyclotomic_poly(self.m), _ptrim(self.a)
-        s0, s1 = (), (Fraction(1),)
-        while r1:
-            qq, r = _pdivmod(r0, r1, _ZERO)
-            r0, r1 = r1, r
-            s0, s1 = s1, _padd(s0, [-c for c in _pmul(qq, s1, _ZERO)])
-        if len(r0) != 1:
-            raise ZeroDivisionError("division by zero")
-        inv = [c / r0[0] for c in s0]
-        return CycRat(self.m, _reduce_mod_cyc(inv, self.m))
+        m, n, d = self.m, self.n, self.d
+        if not any(n[1:]):
+            if not n[0]:
+                raise ZeroDivisionError("division by zero")
+            s = -1 if n[0] < 0 else 1
+            return _cyc(m, (s * d,) + n[1:], s * n[0])
+        # x^-1 = (product of sigma_k(x), k != 1) / N(x), and N(x) is the
+        # constant coordinate of x times that product
+        adj = (1,)
+        for k in _other_units(m):
+            adj = _reduce_mod_cyc(_pmul(adj, _remap(n, k, m), 0), m)
+        norm = _reduce_mod_cyc(_pmul(n, adj, 0), m)[0]
+        s = -d if norm < 0 else d
+        return _cyc(m, tuple(s * c for c in adj), abs(norm))
 
     def __truediv__(self, other):
         o = other if isinstance(other, CycRat) else CycRat.from_rational(other)
@@ -296,19 +347,23 @@ class CycRat:
 
     def conjugate(self):
         """Complex conjugation: zeta_m -> zeta_m^(m-1)."""
-        return CycRat(self.m, _remap(self.a, self.m - 1, self.m))
+        return _cyc(self.m, _remap(self.n, self.m - 1, self.m), self.d)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycRat.from_rational(other)
-        if not isinstance(other, CycRat):
-            return NotImplemented
-        x, y = self._align(other)
-        return x.a == y.a
+        if type(other) is not CycRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            # a rational in lowest terms against the stored (n, d)
+            return (self.d == other.denominator
+                    and self.n[0] == other.numerator
+                    and not any(self.n[1:]))
+        x, y = (self, other) if self.m == other.m else self._align(other)
+        return x.d == y.d and x.n == y.n
 
     def __hash__(self):
-        return hash(sum(c * w for c, w in zip(self.a, _trace_weights(self.m))
-                        if c))
+        return hash(Fraction(sum(c * t for c, t in zip(self.n,
+                                                       _traces(self.m))),
+                             self.d * _phi_deg(self.m)))
 
     def to_complex(self):
         z = cmath.exp(2j * cmath.pi / self.m)
@@ -333,7 +388,7 @@ class CycRat:
 
 @lru_cache(maxsize=None)
 def _cached_root(m, k):
-    return CycRat(m, _xpow_mod_cyc(m, k))
+    return _cyc(m, _xpow_mod_cyc(m, k))
 
 
 def is_prime(n):
@@ -377,15 +432,15 @@ def cyc_sums(parts):
     """{key: sum of c * zeta_n^t} over (c, n, pairs) in parts and (key, t)
     in pairs, as integer vectors over one common denominator; each sum is
     one CycRat at the lcm of the lcm(c.m, n) that reach its key, the order
-    a CycRat sum of the same terms has."""
+    a CycRat sum of the same terms has.  Equal sums share one value."""
     parts = list(parts)
-    den = math.lcm(*(x.denominator for c, _, _ in parts for x in c.a))
+    den = math.lcm(*(c.d for c, _, _ in parts))
     big = math.lcm(*(math.lcm(c.m, n) for c, n, _ in parts))
     acc, order = {}, {}  # key -> ints at powers of zeta_big; its order
     for c, n, pairs in parts:
         m = math.lcm(c.m, n)
-        row = [(i * big // c.m, x.numerator * (den // x.denominator))
-               for i, x in enumerate(c.a) if x]
+        row = [(i * big // c.m, x * (den // c.d))
+               for i, x in enumerate(c.n) if x]
         shifted = [[((i + t * big // n) % big, x) for i, x in row]
                    for t in range(n)]  # row times zeta_n^t
         for key, t in pairs:
@@ -396,9 +451,13 @@ def cyc_sums(parts):
     out = {}
     for key, v in acc.items():
         m = order[key]
-        out[key] = CycRat(m, [Fraction(x, den) if x else _ZERO
-                              for x in _reduce_mod_cyc(v[::big // m], m)])
+        out[key] = _shared_cyc(m, _reduce_mod_cyc(v[::big // m], m), den)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _shared_cyc(m, n, d):
+    return _cyc(m, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +511,12 @@ class ZetaValue:
     c T^k, which every Laurent polynomial has, cancelled against the
     common power of T and divided by c.  Any other denominator (the
     L-factor binomials 1 - aT, their products, a quotient of zeta
-    integrals) is kept as arithmetic made it.  Settled fractions are a
-    normal form, not a canonical one: zero is decided by an empty map,
-    and two values are equal when they have the same X-support and
-    n1 d2 == n2 d1 at each X-exponent.  The hash reads only the
+    integrals) is kept as arithmetic made it, except that a product
+    drops a factor which one side's numerator shares exactly with the
+    other's denominator.  Settled fractions are a normal form, not a
+    canonical one: zero is decided by an empty map, and two values are
+    equal when they have the same X-support and n1 d2 == n2 d1 at each
+    X-exponent.  The hash reads only the
     X-support, so it does not depend on the representation.
 
     ``terms`` is the reduced view, built by the polynomial gcd on first
@@ -616,7 +677,15 @@ class ZetaValue:
         out, z = {}, cyc_zero()
         for g1, (n1, d1) in self._fr.items():
             for g2, (n2, d2) in o._fr.items():
-                g, f = g1 + g2, (_pmul(n1, n2, z), _pmul(d1, d2, z))
+                # a factor one side's numerator shares with the other's
+                # denominator cancels with no gcd
+                if n2 == d1:
+                    f = n1, d2
+                elif n1 == d2:
+                    f = n2, d1
+                else:
+                    f = _pmul(n1, n2, z), _pmul(d1, d2, z)
+                g = g1 + g2
                 out[g] = _fadd(out[g], f) if g in out else f
         return ZetaValue(self.q, out)
 

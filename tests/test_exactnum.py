@@ -8,6 +8,7 @@ from hypothesis import (
 )
 
 import modoracle
+from test_zeta1d import euclid_inverse
 from liftzeta import cli, exactnum
 from liftzeta.exactnum import (
     CycRat, ZetaValue, _cgcd, _padd, _pdivmod, _pmul, _ptrim,
@@ -208,6 +209,52 @@ class TestCycRat:
         assert products(lambda: r ** -1) == 0 and r ** -1 == Fraction(3, 2)
         assert products(lambda: x ** -1) == products(x.inverse)
         assert x ** -1 == x.inverse() and x ** 3 == x * x * x
+
+
+STORED_ORDERS = [1, 3, 4, 5, 8, 12, 20, 24]
+
+
+@st.composite
+def stored_values(draw):
+    """A value at one of STORED_ORDERS, times sqrt q or not, written as
+    a sum of small rational multiples of the roots of unity."""
+    m = draw(st.sampled_from(STORED_ORDERS))
+    coord = st.fractions(-3, 3, max_denominator=6)
+    x = sum((c * zeta(m, i) for i, c in enumerate(draw(st.lists(
+        coord, min_size=1, max_size=m + 1)))), CycRat.from_rational(0))
+    q = draw(st.sampled_from([None, 2, 3, 5]))
+    return x if q is None else x * CycRat.sqrt_q(q)
+
+
+class TestStoredForm:
+    @given(stored_values())
+    @settings(max_examples=80, deadline=None)
+    def test_one_integer_vector_over_one_denominator(self, x):
+        assert all(type(c) is int for c in x.n) and type(x.d) is int
+        assert x.d > 0 and math.gcd(x.d, *x.n) == 1
+        assert x.a == tuple(Fraction(c, x.d) for c in x.n)
+        y = CycRat(x.m, x.a)
+        assert (y.m, y.n, y.d) == (x.m, x.n, x.d)
+        if x:
+            assert x * x.inverse() == 1
+
+    @given(stored_values())
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_matches_euclid_and_images(self, x):
+        assume(x)
+        got, want = x.inverse(), euclid_inverse(x)
+        assert (got.m, got.a) == (want.m, want.a)
+        assert modoracle.scalar(x) * modoracle.scalar(got) % modoracle.P == 1
+
+    @given(st.fractions(max_denominator=50), st.sampled_from(STORED_ORDERS),
+           st.sampled_from([1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_hashes_and_compares_as_its_fraction(self, r, m, k):
+        x = CycRat.from_rational(r, m).embed(k * m)
+        assert hash(x) == hash(r) and x == r and r == x
+        assert x != r + 1 and not x == r + Fraction(1, 7)
+        if r.denominator == 1:
+            assert x == int(r) and hash(x) == hash(int(r))
 
 
 # coefficient orders of the shared polynomial layer's CycRat ring at each

@@ -111,6 +111,8 @@ CHECKS = {
         test_exactnum.TestCycRat, "test_inverse"),
     "test_exactnum-test_inverse_cancellation": named_test(
         test_exactnum.TestZetaValue, "test_inverse_cancellation"),
+    "test_exactnum-test_exponential_type": named_test(
+        test_exactnum.TestZetaValue, "test_exponential_type"),
     "test_localfield-test_inverse": named_test(
         test_localfield.TestQuasiCharacter, "test_inverse"),
     "test_localfield-test_exact_conductors": named_test(
@@ -153,14 +155,15 @@ MUTANTS = [
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),
     ("double-star-composition-sign-of-d1", zeta1d, "double_star_invariance",
      "-d1 - d2 - 1", "d1 - d2 - 1", "verify-q2-double-star-d1"),
-    ("eq-compares-trace-only", CycRat, "__eq__", "return x.a == y.a",
-     "return sum(c * w for c, w in zip(x.a, _trace_weights(x.m)))"
-     " == sum(c * w for c, w in zip(y.a, _trace_weights(x.m)))",
+    ("eq-compares-trace-only", CycRat, "__eq__",
+     "return x.d == y.d and x.n == y.n",
+     "return sum(c * t for c, t in zip(x.n, _traces(x.m))) * y.d"
+     " == sum(c * t for c, t in zip(y.n, _traces(x.m))) * x.d",
      "test_exactnum-test_values_with_one_trace_compare_unequal"),
     ("sqrt-negative-root-q3mod4", exactnum, "_sqrt_prime",
      "else -CycRat.root_of_unity(4) * g", "else CycRat.root_of_unity(4) * g",
      "test_exactnum-test_sqrt_q_lies_in_the_field"),
-    ("bool-always-true", CycRat, "__bool__", "return any(self.a)",
+    ("bool-always-true", CycRat, "__bool__", "return any(self.n)",
      "return True", "verify-q2-measure"),
     ("geometric-start-off-by-one", ZetaValue, "geometric",
      "num = (z,) * start + (lead,)", "num = (z,) * (start + 1) + (lead,)",
@@ -181,7 +184,7 @@ MUTANTS = [
      "test_exactnum-test_inverse"),
     ("padd-drops-the-longer-tail", exactnum, "_padd",
      "if len(p) < len(q):", "if len(p) > len(q):",
-     "test_exactnum-test_inverse"),
+     "test_exactnum-test_exponential_type"),
     ("pmul-overwrites-instead-of-adding", exactnum, "_pmul",
      "out[i + j] += a * b", "out[i + j] = a * b", "verify-q2-FE2"),
     ("pdivmod-adds-the-multiple", exactnum, "_pdivmod",

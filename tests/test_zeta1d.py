@@ -92,7 +92,7 @@ class TestZeta:
 
 def euclid_inverse(x):
     """x^-1 by the extended Euclid against the cyclotomic polynomial: the
-    reference for the rational fast path of CycRat.inverse."""
+    reference for CycRat.inverse, the rational fast path and the norm."""
     r0, r1 = list(cyclotomic_poly(x.m)), _ptrim(list(x.a))
     s0, s1 = [], [Fraction(1)]
     while r1:
