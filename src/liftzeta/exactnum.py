@@ -436,7 +436,7 @@ def cyc_sums(parts):
     parts = list(parts)
     den = math.lcm(*(c.d for c, _, _ in parts))
     big = math.lcm(*(math.lcm(c.m, n) for c, n, _ in parts))
-    acc, order = {}, {}  # key -> ints at powers of zeta_big; its order
+    acc = {}  # key -> [its order, ints at powers of zeta_big]
     for c, n, pairs in parts:
         m = math.lcm(c.m, n)
         row = [(i * big // c.m, x * (den // c.d))
@@ -444,15 +444,16 @@ def cyc_sums(parts):
         shifted = [[((i + t * big // n) % big, x) for i, x in row]
                    for t in range(n)]  # row times zeta_n^t
         for key, t in pairs:
-            order[key] = math.lcm(order.get(key, 1), m)
-            v = acc.setdefault(key, [0] * big)
+            entry = acc.get(key)
+            if entry is None:
+                entry = acc[key] = [m, [0] * big]
+            elif entry[0] % m:
+                entry[0] = math.lcm(entry[0], m)
+            v = entry[1]
             for i, x in shifted[t]:
                 v[i] += x
-    out = {}
-    for key, v in acc.items():
-        m = order[key]
-        out[key] = _shared_cyc(m, _reduce_mod_cyc(v[::big // m], m), den)
-    return out
+    return {key: _shared_cyc(m, _reduce_mod_cyc(v[::big // m], m), den)
+            for key, (m, v) in acc.items()}
 
 
 @lru_cache(maxsize=4096)

@@ -282,14 +282,6 @@ class AdditiveCharacter:
     def __call__(self, x):
         return CycRat.root_of_unity(self.q, x.digit(self.d - 1))
 
-    def twist_form(self, b, x, lo, hi):
-        """psi(b y) = zeta_q^t for y = x + sum of y_e u^e over lo <= e < hi,
-        x free of digits there: t = t0 + sum of w_e y_e mod q is linear in
-        the digits y_e.  Returns t0 and the weights w_lo, ..., w_(hi-1)."""
-        k = self.d - 1
-        t0 = sum(c * x.digit(k - e) for e, c in b.digits.items()) % self.q
-        return t0, [b.digit(k - e) for e in range(lo, hi)]
-
 
 def primitive_root(p):
     for g in range(2, p):

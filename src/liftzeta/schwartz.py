@@ -1,13 +1,16 @@
 """Schwartz functions on K: canonical forms, Haar integral, Fourier
 transform, and the W / nabla / star operators.
 
-An SBFunction is a finite sum of terms (atom, coeff), standing for
-coeff * Char(atom), where the atom is a coset a + pi^n O or a single point
-{c}.  A character twist psi(b x) is bound where it is applied, by
-`twisted(b, psi)` and inside `fourier`, and expanded into plain terms on
-the spot.  The canonical form has pairwise disjoint cosets and no full
-family of q sibling cosets with equal coefficients; it is computed on digit
-keys, once per function.  Point atoms ride along for the pointwise calculus
+An SBFunction is a finite sum of terms coeff * Char(atom), the atom a
+coset a + pi^n O or a single point {c}.  Its normal form, computed once,
+is stored on digit keys: a base b and pairs (key, coeff), the key
+(x_0, ..., x_(n-1)) standing for the coset sum x_i u^(b+i) + pi^(b+n) O,
+with disjoint cosets, no full family of q siblings of equal coefficient,
+and b the least valuation of their points, so equal functions store
+equal keys; the point masses are kept apart.  The transforms read and
+write keys; `terms` builds atoms on first read.  A character twist
+psi(b x) is expanded into plain keys where it is applied, by `twisted`
+and inside `fourier`.  Points ride along for the pointwise calculus
 (evaluation, Haar integral, absolute value) but are rejected by the
 transforms, which only make sense on locally constant functions.
 """
@@ -59,51 +62,69 @@ def _coerce_coeff(c):
     return CycRat.from_rational(c)
 
 
-def _normal_form(q, mu, terms, psi=None):
-    """Canonical form of the sum of coeff * psi(b x) * Char(atom) over the
-    (atom, b, coeff) in terms, b None for no twist: twist expansion into
-    digit keys, then push-down and folding on the key trie.  A twist's
-    zeta_q^t is a linear form in the tail digits; cyc_sums adds the terms
-    per key as integers, each key's value at the lcm of coeff.m, or
-    lcm(coeff.m, q) if twisted, over its terms."""
-    singles = {}  # point -> coeff
-    parts = []  # (coeff, root order, (key, t) pairs) per coset
-    base = min((a.valuation() for a, _, _ in terms
-                if not isinstance(a, KSingleton)), default=0)
-    for atom, twist, coeff in terms:
-        if isinstance(atom, KSingleton):
-            v = coeff if twist is None else coeff * psi(twist * atom.point)
-            key = atom.point
-            singles[key] = singles[key] + v if key in singles else v
-            continue
-        keys = [tuple(map(atom.rep.digit, range(base, atom.level)))]
-        if twist is None or twist.is_zero():
-            parts.append((coeff, 1, [(keys[0], 0)]))
-            continue
-        # psi(b x) is constant on cosets of level d - w(b)
-        lev = max(atom.level, psi.d - twist.valuation())
-        if len(terms) * q ** (lev - atom.level) > TERM_CAP:
-            raise ValueError("term cap exceeded")
-        t0, weights = psi.twist_form(twist, atom.rep, atom.level, lev)
-        ts = [t0]
-        for w in weights:
-            keys = [k + (x,) for k in keys for x in range(q)]
-            ts = [(t + w * x) % q for t in ts for x in range(q)]
-        parts.append((coeff, q, zip(keys, ts)))
+def _lead(key):
+    """Index of the first nonzero digit of key, len(key) if there is none."""
+    return next((i for i, x in enumerate(key) if x), len(key))
 
-    out = []
-    if parts:
-        keymap = _canonical(q, cyc_sums(parts))
-        for key in sorted(keymap, key=lambda k: (len(k), k)):
-            rep = KElement(q, {base + i: d for i, d in enumerate(key)})
-            out.append((KCoset(q, rep, base + len(key)), keymap[key]))
 
-    for pt in sorted(singles, key=lambda p: tuple(sorted(p.digits.items()))):
-        if not singles[pt].is_zero():
-            out.append((KSingleton(q, pt), singles[pt]))
-    result = SBFunction(q, out, mu)
-    result._canon = result
-    return result
+def _twist_pairs(q, d, base, key, b, width):
+    """psi(b y) Char(key)(y) as pairs (key', t) standing for zeta_q^t
+    Char(key'): the coset of key (at base) split until t, the digit d - 1
+    of b y, is fixed on each part; b is nonzero, given by its digits
+    (exponent -> digit).  width terms are expanded together, for the cap."""
+    level = base + len(key)
+    k = d - 1
+    lev = max(level, d - min(b))
+    if width * q ** (lev - level) > TERM_CAP:
+        raise ValueError("term cap exceeded")
+    t0 = sum(c * key[k - e - base] for e, c in b.items()
+             if base <= k - e < level) % q
+    pairs = [(key, t0)]
+    for e in range(level, lev):
+        w = b.get(k - e, 0)
+        pairs = [(y + (x,), (t + w * x) % q)
+                 for y, t in pairs for x in range(q)]
+    return pairs
+
+
+def _times_unit_powers(q, pi, keys):
+    """(a, k) -> the digits of a U^k mod u^len(a), for pi = u U and digits
+    a from u^0 no longer than the keys; each U^k is computed once."""
+    if not isinstance(pi, KElement) or pi.valuation() != 1:
+        raise ValueError("pi must be a uniformizer")
+    unit, powers = pi.shift(-1), {}
+    prec = max((len(k) for k, _ in keys), default=0)
+
+    def times(a, k):
+        if k not in powers:
+            p = unit.power_mod(k, prec)
+            powers[k] = tuple(map(p.digit, range(prec)))
+        b = powers[k]
+        return tuple(sum(a[j] * b[i - j] for j in range(i + 1)) % q
+                     for i in range(len(a)))
+    return times
+
+
+def _normal_form(q, mu, base, parts, points=()):
+    """The normal form of the sum of c zeta_n^t Char(key) over (c, n,
+    pairs) in parts and (key, t) in pairs, keys at base (see cyc_sums and
+    _canonical), plus the point masses (point, coeff)."""
+    keymap = _canonical(q, cyc_sums(parts))
+    cut = 0  # the leading digits that are zero in every key
+    while keymap and all(cut < len(k) and not k[cut] for k in keymap):
+        cut += 1
+    keys = sorted(((k[cut:], c) for k, c in keymap.items()),
+                  key=lambda kc: (len(kc[0]), kc[0]))
+    singles = {}
+    for pt, c in points:
+        singles[pt] = singles[pt] + c if pt in singles else c
+    order = sorted(singles, key=lambda p: tuple(sorted(p.digits.items())))
+    f = SBFunction(q, (), mu)
+    f._terms, f._base, f._keys = None, base + cut if keys else 0, tuple(keys)
+    f._points = tuple((p, singles[p]) for p in order
+                      if not singles[p].is_zero())
+    f._canon = f
+    return f
 
 
 def _canonical(q, keymap):
@@ -140,9 +161,10 @@ def _canonical(q, keymap):
 
 
 class SBFunction:
-    """Finite combination of coset and point indicators on K."""
+    """Finite combination of coset and point indicators on K: the terms as
+    built, or a normal form's `_base`, `_keys` and `_points`."""
 
-    __slots__ = ("q", "mu", "terms", "_canon")
+    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_points", "_canon")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
@@ -152,8 +174,20 @@ class SBFunction:
             coeff = _coerce_coeff(coeff)
             if not coeff.is_zero():
                 cleaned.append((atom, coeff))
-        self.terms = tuple(cleaned)
+        self._terms = tuple(cleaned)
+        self._base = self._keys = self._points = None  # normal forms only
         self._canon = None  # the normal form, once computed
+
+    @property
+    def terms(self):
+        """The (atom, coeff) pairs, built on first read for a normal form."""
+        if self._terms is None:
+            q, base = self.q, self._base
+            self._terms = tuple(
+                (KCoset(q, KElement(q, dict(enumerate(key, base))),
+                        base + len(key)), c) for key, c in self._keys) + \
+                tuple((KSingleton(q, p), c) for p, c in self._points)
+        return self._terms
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -180,18 +214,20 @@ class SBFunction:
 
     def twisted(self, b, psi):
         """The normal form of x -> psi(b x) g(x)."""
-        return _normal_form(self.q, self.mu,
-                            [(a, b, c) for a, c in self.terms], psi)
+        g, q = self.normalize(), self.q
+        if b.is_zero():
+            return g
+        parts = [(c, q, _twist_pairs(q, psi.d, g._base, k, b.digits,
+                                     len(g._keys))) for k, c in g._keys]
+        return _normal_form(q, self.mu, g._base, parts,
+                            [(p, c * psi(b * p)) for p, c in g._points])
 
     # -- algebra ---------------------------------------------------------------
-    def _check(self, other):
-        if self.q != other.q or self.mu != other.mu:
-            raise ValueError("mixed base field or measure normalization")
-
     def __add__(self, other):
         if not isinstance(other, SBFunction):
             return NotImplemented
-        self._check(other)
+        if self.q != other.q or self.mu != other.mu:
+            raise ValueError("mixed base field or measure normalization")
         return SBFunction(self.q, self.terms + other.terms, self.mu)
 
     def __neg__(self):
@@ -222,15 +258,21 @@ class SBFunction:
 
     # -- canonicalization ------------------------------------------------------------
     def normalize(self):
-        """The canonical form, computed once and kept, so every later call
+        """The normal form, computed once and kept, so every later call
         returns the same object."""
         if self._canon is None:
-            self._canon = _normal_form(
-                self.q, self.mu, [(a, None, c) for a, c in self.terms])
+            cosets = [(a, c) for a, c in self._terms
+                      if not isinstance(a, KSingleton)]
+            base = min((a.valuation() for a, _ in cosets), default=0)
+            self._canon = _normal_form(self.q, self.mu, base, [
+                (c, 1, [(tuple(map(a.rep.digit, range(base, a.level))), 0)])
+                for a, c in cosets], [(a.point, c) for a, c in self._terms
+                                      if isinstance(a, KSingleton)])
         return self._canon
 
     def equals(self, other):
-        return self.normalize().terms == other.normalize().terms
+        f, g = self.normalize(), other.normalize()
+        return (f._base, f._keys, f._points) == (g._base, g._keys, g._points)
 
     def __eq__(self, other):
         if not isinstance(other, SBFunction):
@@ -239,65 +281,76 @@ class SBFunction:
 
     # -- integral --------------------------------------------------------------------
     def haar_integral(self):
+        g = self.normalize()
         total = cyc_zero()
-        for atom, coeff in self.normalize().terms:
-            if isinstance(atom, KSingleton):
-                continue  # points have measure zero
+        for key, coeff in g._keys:  # points have measure zero
             total = total + coeff * CycRat.from_rational(
-                self.mu * Fraction(self.q) ** (-atom.level))
+                self.mu * Fraction(self.q) ** -(g._base + len(key)))
         return total
 
     # -- transforms ---------------------------------------------------------------------
-    def _plain_cosets(self, op):
+    def _plain_keys(self, op):
         g = self.normalize()
-        for atom, _ in g.terms:
-            if isinstance(atom, KSingleton):
-                raise ValueError("%s undefined for point masses" % op)
-        return g
+        if g._points:
+            raise ValueError("%s undefined for point masses" % op)
+        return g._base, g._keys
 
     def fourier(self, psi):
-        """g-hat(y) = integral of g(x) psi(xy) dx."""
-        g = self._plain_cosets("fourier transform")
-        out = []
-        for atom, coeff in g.terms:
-            scale = CycRat.from_rational(
-                self.mu * Fraction(self.q) ** (-atom.level))
-            ideal = KCoset.ideal(self.q, psi.d - atom.level)
-            out.append((ideal, atom.rep, coeff * scale))
-        return _normal_form(self.q, self.mu, out, psi)
+        """g-hat(y) = integral of g(x) psi(xy) dx.  Char(a + pi^L O) goes to
+        mu q^-L psi(a y) Char(pi^(d-L) O): the twist weights are the digits
+        of a from u^(L-1) down to its valuation."""
+        base, keys = self._plain_keys("fourier transform")
+        q, d = self.q, psi.d
+        out = d - base - max((len(k) for k, _ in keys), default=0)
+        scale = {lev: CycRat.from_rational(self.mu * Fraction(q) ** -lev)
+                 for lev in {base + len(k) for k, _ in keys}}
+        parts = []
+        for key, c in keys:
+            lev = base + len(key)
+            ideal = (0,) * (d - lev - out)
+            rep = {e: x for e, x in enumerate(key, base) if x}
+            parts.append((c * scale[lev], q, _twist_pairs(
+                q, d, out, ideal, rep, len(keys))) if rep else
+                (c * scale[lev], 1, [(ideal, 0)]))
+        return _normal_form(q, self.mu, out, parts)
 
     def w_operator(self, pi):
-        g = self._plain_cosets("W operator")
-        out = []
-        for atom, coeff in g.terms:
-            if atom.rep.is_zero():
-                out.append((KCoset.ideal(self.q, 2 * atom.level), coeff))
+        """x -> g(pi^-k x) for w(x) in {2k, 2k + 1}.  Char(a + pi^L O) with
+        w(a) = v < L goes to the cosets of a pi^v mod pi^(L+v) and of
+        a pi^(v+1) mod pi^(L+v+1); with pi = u U and a = u^v a', a pi^v
+        is u^(2v) a' U^v."""
+        base, keys = self._plain_keys("W operator")
+        times = _times_unit_powers(self.q, pi, keys)
+        parts = []
+        for key, c in keys:
+            j = _lead(key)
+            if j == len(key):  # pi^L O goes to pi^2L O
+                shells = [(0,) * (2 * j)]
             else:
-                # pi^v rep mod pi^(level + v) needs pi^v mod pi^level
-                v = atom.rep.valuation()
-                even = atom.rep * pi.power_mod(v, atom.level)
-                out.append((KCoset(self.q, even, atom.level + v), coeff))
-                odd = even * pi
-                out.append((KCoset(self.q, odd, atom.level + v + 1), coeff))
-        return SBFunction(self.q, out, self.mu).normalize()
+                unit, v = key[j:], base + j
+                even = (0,) * (2 * j) + times(unit, v)
+                odd = (0,) * (2 * j + 1) + times(unit, v + 1)
+                shells = [even, odd]
+            parts.append((c, 1, [(k, 0) for k in shells]))
+        return _normal_form(self.q, self.mu, 2 * base, parts)
 
     def nabla_compose(self, pi):
-        """x -> g(nabla x) with nabla x = pi^w(x) x."""
-        g = self._plain_cosets("nabla composition")
-        out = []
-        for atom, coeff in g.terms:
-            if atom.rep.is_zero():
-                m = atom.level
-                out.append((KCoset.ideal(self.q, -(-m // 2)), coeff))
-            else:
-                v = atom.rep.valuation()
-                if v % 2:
-                    continue
-                # pi^-k rep mod pi^(level - k) needs pi^-k mod pi^(level - 3k)
-                k = v // 2
-                rep = atom.rep * pi.power_mod(-k, atom.level - 3 * k)
-                out.append((KCoset(self.q, rep, atom.level - k), coeff))
-        return SBFunction(self.q, out, self.mu).normalize()
+        """x -> g(nabla x) with nabla x = pi^w(x) x.  Char(a + pi^L O) with
+        w(a) = 2k < L goes to the coset of a pi^-k mod pi^(L-k), u^k a' U^-k
+        for a = u^2k a', and with w(a) odd to 0."""
+        base, keys = self._plain_keys("nabla composition")
+        out, times = base // 2, _times_unit_powers(self.q, pi, keys)
+        parts = []
+        for key, c in keys:
+            j = _lead(key)
+            if j == len(key):
+                m = base + j
+                parts.append((c, 1, [((0,) * (-(-m // 2) - out), 0)]))
+            elif (base + j) % 2 == 0:
+                k = (base + j) // 2
+                rep = (0,) * (k - out) + times(key[j:], -k)
+                parts.append((c, 1, [(rep, 0)]))
+        return _normal_form(self.q, self.mu, out, parts)
 
     def star(self, psi, pi):
         """g* = (W g)-hat composed with nabla."""
@@ -339,22 +392,17 @@ class SBFunction:
 
     def abs_pointwise(self):
         """|g| as an SBFunction; coefficients must have exact absolute value."""
-        g = self.normalize()
+        g, q = self.normalize(), self.q
         out = []
-        coset_terms = [(a, c) for a, c in g.terms if isinstance(a, KCoset)]
-        for atom, c in coset_terms:
-            out.append((atom, cyc_abs(c, self.q)))
         for atom, c in g.terms:
-            if not isinstance(atom, KSingleton):
-                continue
-            backdrop = cyc_zero()
-            for cs, cc in coset_terms:
-                if cs.contains(atom.point):
-                    backdrop = backdrop + cc
-            correction = cyc_abs(backdrop + c, self.q) - cyc_abs(backdrop,
-                                                                 self.q)
-            out.append((atom, correction))
-        return SBFunction(self.q, out, self.mu).normalize()
+            if isinstance(atom, KSingleton):
+                # g is c plus the value of its cosets at the point
+                at = g.evaluate(atom.point)
+                c = cyc_abs(at, q) - cyc_abs(at - c, q)
+            else:
+                c = cyc_abs(c, q)
+            out.append((atom, c))
+        return SBFunction(q, out, self.mu).normalize()
 
     # -- parsing / printing ---------------------------------------------------------------
     @classmethod

@@ -129,9 +129,9 @@ def double_star_invariance(f, pi1, pi2, psi1, psi2):
       switching from psi1 to psi2 scales D by q^(d1 - d2);
     - when the parities differ, applying D for psi1 and then for psi2
       returns mu^4 q^(-d1-d2-1) times the original function.
+
+    The transforms raise ValueError unless pi1 and pi2 are uniformizers.
     """
-    if pi2.valuation() != 1:
-        raise ValueError("pi2 must be a uniformizer")
     q = f.q
     d1, d2 = psi1.d, psi2.d
 
@@ -141,9 +141,8 @@ def double_star_invariance(f, pi1, pi2, psi1, psi2):
     a = dd(f, psi1, pi1)
     if not a.equals(dd(f, psi1, pi2)):
         return False
-    b = dd(f, psi2, pi1)
     if (d1 - d2) % 2 == 0:
-        return b.equals(a.scale(Fraction(q) ** (d1 - d2)))
+        return dd(f, psi2, pi1).equals(a.scale(Fraction(q) ** (d1 - d2)))
     composed = dd(a, psi2, pi1)
     expect = f.scale(f.mu ** 4 * Fraction(q) ** (-d1 - d2 - 1))
     return composed.equals(expect)

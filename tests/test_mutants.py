@@ -33,7 +33,7 @@ import test_zeta2d
 from liftzeta import archfe, cli, exactnum, schwartz, setring, zeta1d, zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
-from liftzeta.localfield import AdditiveCharacter, QuasiCharacter
+from liftzeta.localfield import QuasiCharacter
 from liftzeta.schwartz import SBFunction
 from liftzeta.setring import DddSet
 
@@ -143,13 +143,13 @@ CHECKS = {
 
 # (mutant, owner, attribute, old, new, the check that kills it)
 MUTANTS = [
-    ("twist-digit-exponent-off-by-one", AdditiveCharacter, "twist_form",
-     "k = self.d - 1", "k = self.d", "verify-q2-double-star-level1"),
+    ("twist-digit-exponent-off-by-one", schwartz, "_twist_pairs",
+     "k = d - 1", "k = d", "verify-q2-double-star-level1"),
     ("w-odd-shell-dropped", SBFunction, "w_operator",
-     "out.append((KCoset(self.q, odd, atom.level + v + 1), coeff))",
-     "pass", "test_schwartz-test_w_unit_coset"),
-    ("twist-level-from-atom-only", schwartz, "_normal_form",
-     "lev = max(atom.level, psi.d - twist.valuation())", "lev = atom.level",
+     "shells = [even, odd]", "shells = [even]",
+     "test_schwartz-test_w_unit_coset"),
+    ("twist-level-from-atom-only", schwartz, "_twist_pairs",
+     "lev = max(level, d - min(b))", "lev = level",
      "verify-q2-double-star-level1"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),

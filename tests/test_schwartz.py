@@ -479,6 +479,55 @@ class TestTruncatedPowers:
                     nabla_untruncated(g, pi).terms
 
 
+@st.composite
+def coset_sums(draw):
+    """(f, psi, pi): a sum of 1-5 cosets at levels -1..1, representatives
+    of valuation down to -3, coefficients of either sign, rational or
+    times a power of z3; mu in {1, 3/2, 1/9}; psi of conductor -1..2; pi
+    one of u, u + u^2 and u + 2u^3."""
+    q = draw(st.sampled_from([2, 3]))
+    mu = draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(1, 9)]))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        lev = draw(st.integers(-1, 1))
+        rep = KElement(q, {e: draw(st.integers(0, q - 1))
+                           for e in range(lev - 2, lev)})
+        c = CycRat.from_rational(Fraction(draw(st.integers(-3, 3)) or 1,
+                                          draw(st.integers(1, 4))))
+        if draw(st.booleans()):
+            c = c * CycRat.root_of_unity(3, draw(st.integers(1, 2)))
+        terms.append((KCoset(q, rep, lev), c))
+    pi = KElement.parse(q, draw(st.sampled_from(["u", "u + u^2",
+                                                 "u + 2*u^3"])))
+    return SBFunction(q, terms, mu), AdditiveCharacter(q, draw(
+        st.integers(-1, 2))), pi
+
+
+class TestTransformsOnCosetSums:
+    @given(coset_sums())
+    @settings(max_examples=40, deadline=None)
+    def test_transforms_match_their_references(self, case):
+        f, psi, pi = case
+        q, d = f.q, psi.d
+        assert f.w_operator(pi).terms == w_untruncated(f, pi).terms
+        assert f.nabla_compose(pi).terms == nabla_untruncated(f, pi).terms
+        # the oracle of TestFourier.test_pointwise_oracle: f is constant
+        # on the cosets of level top, and f-hat is zero off pi^(d-top) O
+        # and constant on the cosets of level d - lo there
+        got = f.fourier(psi)
+        lo = min(a.valuation() for a, _ in f.terms)
+        top = max(a.level for a, _ in f.terms)
+        measure = CycRat.from_rational(f.mu * Fraction(q) ** -top)
+        values = [(x, f.evaluate(x)) for x in window_points(q, lo, top)]
+        values = [(x, v) for x, v in values if not v.is_zero()]
+        for y in window_points(q, d - top, d - lo):
+            oracle = cyc_zero()
+            for x, v in values:
+                oracle = oracle + v * psi(x * y) * measure
+            assert got.evaluate(y) == oracle
+        assert got.evaluate(pi_power(q, d - top - 1)).is_zero()
+
+
 class TestStar:
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
@@ -503,6 +552,16 @@ class TestStar:
                                     -Fraction(1, q) * (1 - Fraction(1, q)))
                   + SBFunction.char(KCoset(q, minus1, 2)))
         assert hss.equals(expect)
+
+    @pytest.mark.parametrize("pi", ["1", "u^2", "0", "int 1"])
+    def test_non_uniformizer_rejected(self, pi):
+        q = 3
+        psi = AdditiveCharacter(q, 0)
+        pi = 1 if pi == "int 1" else KElement.parse(q, pi)
+        for f in (SBFunction.char_ideal(q, 0),
+                  SBFunction.char(KCoset(q, KElement.one(q), 2))):
+            with pytest.raises(ValueError, match="uniformizer"):
+                f.star(psi, pi)
 
     def test_scaling_law(self):
         q = 3
