@@ -455,12 +455,15 @@ class DistinguishedFamily(AtomFamily):
     are nested unless they share a level, in which case the residue sets
     combine.
 
-    Residue sets are compared by Haar measure, not by probing: S1 and S2
-    are equal when mu(S1 & S2) = mu(S1) = mu(S2), else disjoint when
-    mu(S1 & S2) = 0, and S1 lies in S2 when mu(S1 & S2) = mu(S1).  This
-    is exact because every component of a DddSet is a coset minus
-    disjoint proper subcosets, so it is either empty or contains a whole
-    coset, and because mu > 0."""
+    Residue sets are compared by integer coset counts, not by probing:
+    |S| is the number of cosets of level L inside S, with L the deepest
+    level among the atoms of both sets, which is the Haar measure of S
+    divided by mu q^-L.  S1 and S2 are equal when |S1 & S2| = |S1| =
+    |S2|, else disjoint when |S1 & S2| = 0, and S1 lies in S2 when
+    |S1 & S2| = |S1|.  This is exact because every component of a DddSet
+    is a coset minus disjoint proper subcosets, so it is either empty or
+    contains a whole coset, and because mu > 0.  The meet S1 & S2 is
+    built only for an overlap, the one kind that returns it."""
 
     def __init__(self, q, mu=Fraction(1)):
         self.q = q
@@ -479,7 +482,7 @@ class DistinguishedFamily(AtomFamily):
 
     def _s_relation(self, S1, S2):
         """(kind, meet) of two residue sets in the kinds of relation,
-        decided by Haar measure as the class docstring explains; equal
+        decided by coset counts as the class docstring explains; equal
         comes first, so an empty residue set is equal to itself."""
         if isinstance(S1, KSingleton):
             if not S2.contains(S1.point):
@@ -487,15 +490,16 @@ class DistinguishedFamily(AtomFamily):
             return ("equal" if isinstance(S2, KSingleton) else "in"), None
         if isinstance(S2, KSingleton):
             return ("contains" if S1.contains(S2.point) else "disjoint"), None
-        meet = S1.intersection(S2)
-        m, m1, m2 = (S.measure(self.kfam.haar) for S in (meet, S1, S2))
+        m, m1, m2 = _coset_counts(self.q, S1, S2)
         if m == m1 == m2:
             return "equal", None
         if m == 0:
             return "disjoint", None
         if m == m1:
             return "in", None
-        return ("contains", None) if m == m2 else ("overlap", meet)
+        if m == m2:
+            return "contains", None
+        return "overlap", S1.intersection(S2)
 
     # family interface -----------------------------------------------------------
     def relation(self, A, B):
@@ -503,11 +507,11 @@ class DistinguishedFamily(AtomFamily):
         level contains the other; at one level the residue sets decide,
         B's moved into A's coordinates."""
         lo, hi = (A, B) if A.gamma <= B.gamma else (B, A)
-        d = hi.a - lo.a
-        if not (d.is_zero() or d.nu() >= lo.gamma):
+        g = lo.gamma
+        if _below(lo.a, g) != _below(hi.a, g):
             return "disjoint", None
-        c = d.coeff(lo.gamma)
-        if lo.gamma < hi.gamma:
+        c = hi.a.coeff(g) - lo.a.coeff(g)
+        if g < hi.gamma:
             if not lo.S.contains(c):
                 return "disjoint", None
             return ("contains" if lo is A else "in"), None
@@ -528,6 +532,39 @@ class DistinguishedFamily(AtomFamily):
             return ZetaValue.zero(self.q)
         return ZetaValue.monomial(self.q, a.S.measure(self.kfam.haar),
                                   x_exp=a.gamma)
+
+
+def _below(x, n):
+    """The t-coefficients of the F element x below t^n, by exponent."""
+    return {e: k for e, k in x.coeffs.items() if e < n}
+
+
+def _coset_counts(q, S1, S2):
+    """|S1 & S2|, |S1| and |S2| for two residue sets, counted in cosets
+    of the deepest level L among their atoms.
+
+    Cosets are nested or disjoint, so |a & b| is the count of the finer
+    one or 0.  A component is an outer o minus disjoint inners inside o,
+    so two components (o1, I1) and (o2, I2) meet in
+    |o1 & o2| - sum |a & o2| - sum |b & o1| + sum |a & b|
+    over a in I1 and b in I2, and components of one set are disjoint."""
+    L = max((a.level for S in (S1, S2) for o, inners in S.components
+             for a in (o, *inners)), default=0)
+
+    def n(a, b):
+        return q ** (L - max(a.level, b.level)) if a.meets(b) else 0
+
+    def size(S):
+        return sum(q ** (L - o.level) - sum(q ** (L - a.level) for a in I)
+                   for o, I in S.components)
+
+    m = 0
+    for o1, I1 in S1.components:
+        for o2, I2 in S2.components:
+            m += (n(o1, o2) - sum(n(a, o2) for a in I1)
+                  - sum(n(b, o1) for b in I2)
+                  + sum(n(a, b) for a in I1 for b in I2))
+    return m, size(S1), size(S2)
 
 
 def measure_F(W, family):

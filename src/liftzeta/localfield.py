@@ -198,15 +198,22 @@ class KCoset:
         ideal, the representative's valuation otherwise."""
         return min(self.level, self.rep.valuation())
 
+    def meets(self, other):
+        """Do the two cosets share a point?  Cosets are nested or
+        disjoint, so they meet when the finer representative cut at the
+        coarser level has the coarser representative's digits."""
+        lo, hi = (self, other) if self.level >= other.level else (other, self)
+        n = hi.level
+        return ({e: d for e, d in lo.rep.digits.items() if e < n}
+                == hi.rep.digits)
+
     def relation(self, other):
         """One of "equal", "in" (self inside other), "contains", "disjoint"."""
-        lo, hi = (self, other) if self.level >= other.level else (other, self)
-        meet = (lo.rep - hi.rep).valuation() >= hi.level
-        if not meet:
+        if not self.meets(other):
             return "disjoint"
         if self.level == other.level:
             return "equal"
-        return "in" if lo is self else "contains"
+        return "in" if self.level > other.level else "contains"
 
     def subcosets(self, target_level):
         """All cosets of the given finer level partitioning this one."""

@@ -11,8 +11,10 @@ is closed under union, intersection and difference, which is all a
 finitely additive measure needs.
 
 Normal forms are not canonical: two structurally different descriptions
-can denote the same set.  The library compares residue sets by Haar
-measure (see lift2d.DistinguishedFamily).
+can denote the same set.  The library compares residue sets by integer
+coset counts, which are Haar measure up to the factor mu q^-L for the
+deepest level L among their atoms, and builds the meet only for an
+overlap (see lift2d.DistinguishedFamily).
 """
 
 from fractions import Fraction

@@ -1,12 +1,14 @@
 """The membership oracle for the set ring, shared by the tests.
 
-The library decides how two sets lie by ``relation`` and Haar measure,
+The library decides how two sets lie by ``relation`` and coset counts,
 not by probing points.  The tests check those answers against
 membership: probe points of a collection of atoms are finitely many
 points that separate any two sets built from those atoms, so two such
-sets are equal when they agree on every probe point.  Also here: a
-family of rational intervals, whose atoms can overlap, so that the
-generic ring is tested with joins, and random set expressions drawn
+sets are equal when they agree on every probe point.  The coset counts
+are checked against a second oracle here, the relation of two residue
+sets read off the Haar measures of the sets and of their meet.  Also
+here: a family of rational intervals, whose atoms can overlap, so that
+the generic ring is tested with joins, and random set expressions drawn
 together with their membership predicate.
 """
 
@@ -134,3 +136,21 @@ def rand_expr(family, rng, atom_maker, depth):
     if op == "d":
         return left.difference(right), lambda x: lf(x) and not rf(x)
     return left.intersection(right), lambda x: lf(x) and rf(x)
+
+
+# -- residue sets by Haar measure -------------------------------------------
+
+def measure_relation(kfam, S1, S2):
+    """(kind, meet) of two residue sets, DddSets of K cosets, decided by
+    Haar measure: the meet is built by ``S1.intersection(S2)`` and all
+    three sets are measured with ``kfam.haar``; meet is given only for
+    "overlap"."""
+    meet = S1.intersection(S2)
+    m, m1, m2 = (S.measure(kfam.haar) for S in (meet, S1, S2))
+    if m == m1 == m2:
+        return "equal", None
+    if m == 0:
+        return "disjoint", None
+    if m == m1:
+        return "in", None
+    return ("contains", None) if m == m2 else ("overlap", meet)

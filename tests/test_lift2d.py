@@ -15,7 +15,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction, cyc_abs
 from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
 from liftzeta.zeta1d import rho0, zeta as zeta_k
-from setoracle import atoms, probe_points, rand_expr
+from setoracle import atoms, measure_relation, probe_points, rand_expr
 
 
 def fe(q, text):
@@ -65,6 +65,32 @@ def probe_grid(f):
             for k in kappas:
                 pts.append(a + FElement(q, {g2: k}))
     return pts
+
+
+def empty_residue_set(kfam):
+    """O minus its q level-1 subcosets: the component ([O], (q subcosets))
+    denotes the empty set."""
+    O = KCoset.ideal(kfam.q, 0)
+    S = DddSet.atom(kfam, O)
+    for c in O.subcosets(1):
+        S = S.difference(DddSet.atom(kfam, c))
+    return S
+
+
+def rand_residue_set(kfam, rng):
+    """Up to three cosets inside O joined, then up to two of level at
+    least 1 cut out: several components, inners at several levels."""
+    q = kfam.q
+
+    def coset(lowest):
+        rep = KElement(q, {e: rng.randrange(q) for e in range(3)})
+        return DddSet.atom(kfam, KCoset(q, rep, rng.randrange(lowest, 4)))
+    S = DddSet(kfam)
+    for _ in range(rng.randrange(1, 4)):
+        S = S.union(coset(0))
+    for _ in range(rng.randrange(3)):
+        S = S.difference(coset(1))
+    return S
 
 
 class TestFElement:
@@ -338,9 +364,9 @@ class TestDistinguishedSets:
                        rng.randrange(-1, 3))
                 for _ in range(rng.randrange(1, 3))]
 
-    def rand_atom(self, rng):
+    def rand_atom(self, rng, a=None):
         q = self.q
-        a = rand_felement(q, rng, density=0.7)
+        a = rand_felement(q, rng, density=0.7) if a is None else a
         gamma = rng.randrange(-1, 3)
         if rng.random() < 0.15:
             return DistinguishedSetF.null_ideal(q, gamma, a)
@@ -403,10 +429,8 @@ class TestDistinguishedSets:
     def test_residue_set_empty_but_not_structurally(self):
         # O minus its q level-1 subcosets keeps the component
         # ([O], (three subcosets)) although it denotes the empty set
-        q, kfam = self.q, self.fam.kfam
-        S = DddSet.atom(kfam, KCoset.ideal(q, 0))
-        for c in KCoset.ideal(q, 0).subcosets(1):
-            S = S.difference(DddSet.atom(kfam, c))
+        q = self.q
+        S = empty_residue_set(self.fam.kfam)
         assert len(S.components) == 1 and len(S.components[0][1]) == q
         a = fe(q, "u*t^-1")
         E = DistinguishedSetF(q, a, 1, S)
@@ -416,17 +440,12 @@ class TestDistinguishedSets:
         assert measure_F(DddSet.atom(self.fam, E), self.fam).is_zero()
 
     def test_empty_residue_set_equals_itself(self):
-        # mu(E & E) = mu(E) = 0: equal is decided before disjoint, so an
+        # |E & E| = |E| = 0: equal is decided before disjoint, so an
         # empty residue set is equal to itself and to a separate copy
         q, kfam = self.q, self.fam.kfam
-        O = KCoset.ideal(q, 0)
-
-        def empty():
-            S = DddSet.atom(kfam, O)
-            for c in O.subcosets(1):
-                S = S.difference(DddSet.atom(kfam, c))
-            return DistinguishedSetF(q, FElement.zero(q), 0, S)
-        E, copy = empty(), empty()
+        E, copy = (DistinguishedSetF(q, FElement.zero(q), 0,
+                                     empty_residue_set(kfam))
+                   for _ in range(2))
         for other in (E, copy):
             assert self.fam.relation(E, other) == ("equal", None)
             assert self.fam.equal(E, other) and self.fam.nested(E, other)
@@ -475,6 +494,76 @@ class TestDistinguishedSets:
             kinds.add((x_in_y, y_in_x, meets))
         # disjoint, equal, either nesting and a proper overlap all occur
         assert len(kinds) == 5
+
+    def test_coset_counts_match_the_measure_oracle(self):
+        # _s_relation decides by coset counts; the oracle builds the meet
+        # and compares Haar measures
+        kinds = set()
+        for q in (3, 5):
+            fam = DistinguishedFamily(q)
+            kfam = fam.kfam
+            rng = random.Random(20 + q)
+            E = empty_residue_set(kfam)
+            pairs = [(E, E), (E, empty_residue_set(kfam))]
+            for _ in range(160):
+                S1 = rand_residue_set(kfam, rng)
+                r = rng.random()
+                if r < 0.1:
+                    S2 = E
+                elif r < 0.25:
+                    # a set equal to S1, built by set operations
+                    S2 = S1.union(S1.intersection(
+                        rand_residue_set(kfam, rng)))
+                else:
+                    S2 = rand_residue_set(kfam, rng)
+                pairs += [(S1, S2), (S2, S1)]
+            for S1, S2 in pairs:
+                kind, meet = fam._s_relation(S1, S2)
+                want, want_meet = measure_relation(kfam, S1, S2)
+                assert kind == want
+                if kind == "overlap":
+                    assert meet.components == want_meet.components
+                else:
+                    assert meet is None
+                kinds.add(kind)
+            sets = [S for pair in pairs for S in pair]
+            assert any(len(S.components) > 1 for S in sets)
+            assert any(len({a.level for a in inners}) > 1
+                       for S in sets for _, inners in S.components)
+        assert kinds == {"equal", "disjoint", "in", "contains", "overlap"}
+
+    def test_relation_is_mirrored(self):
+        # relation(B, A) swaps "in" and "contains" of relation(A, B) and
+        # keeps the other kinds, whichever of A and B lies lower
+        q, fam = self.q, self.fam
+        rng = random.Random(12)
+        mirror = {"in": "contains", "contains": "in"}
+        seen = set()
+        for _ in range(300):
+            A = self.rand_atom(rng)
+            if rng.random() < 0.1:
+                # A itself, from a base that differs above A's level
+                g = A.gamma + 1
+                B = DistinguishedSetF(
+                    q, A.a + rand_felement(q, rng, exps=(g,)), A.gamma, A.S)
+            else:
+                # a base that agrees with A's below a random level, so
+                # that the residue sets or the lower set decide
+                g = rng.randrange(-1, 3)
+                B = self.rand_atom(rng, A.a.truncate_t(g) + rand_felement(
+                    q, rng, exps=(g, g + 1)))
+            ab, ba = fam.relation(A, B), fam.relation(B, A)
+            assert ba[0] == mirror.get(ab[0], ab[0])
+            if ab[0] == "overlap":
+                for p in probe_points([A, B]):
+                    both = A.contains(p) and B.contains(p)
+                    assert ab[1].contains(p) == ba[1].contains(p) == both
+            seen.add((ab[0], (A.gamma > B.gamma) - (A.gamma < B.gamma)))
+        # the lower set contains the other, with A the lower and with B
+        # the lower, and every kind occurs at one level
+        assert {("contains", -1), ("in", 1)} <= seen
+        assert {k for k, lev in seen if lev == 0} == {
+            "equal", "disjoint", "in", "contains", "overlap"}
 
     @pytest.mark.parametrize("cls,mu", [
         (KCosetFamily, 0), (DistinguishedFamily, -1),

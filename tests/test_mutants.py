@@ -30,7 +30,9 @@ import test_localfield
 import test_schwartz
 import test_setring
 import test_zeta2d
-from liftzeta import archfe, cli, exactnum, schwartz, setring, zeta1d, zeta2d
+from liftzeta import (
+    archfe, cli, exactnum, lift2d, schwartz, setring, zeta1d, zeta2d,
+)
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
 from liftzeta.localfield import QuasiCharacter
@@ -123,6 +125,11 @@ CHECKS = {
     "test_lift2d-test_same_level_relations_match_membership": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_same_level_relations_match_membership"),
+    "test_lift2d-test_coset_counts_match_the_measure_oracle": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_coset_counts_match_the_measure_oracle"),
+    "test_lift2d-test_relation_is_mirrored": named_test(
+        test_lift2d.TestDistinguishedSets, "test_relation_is_mirrored"),
     "test_lift2d-test_complement_inside_measure_zero_ideal": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_complement_inside_measure_zero_ideal"),
@@ -208,6 +215,11 @@ MUTANTS = [
     ("residue-in-read-from-m2", DistinguishedFamily, "_s_relation",
      "m == m1:", "m == m2:",
      "test_lift2d-test_same_level_relations_match_membership"),
+    ("coset-count-drops-inner-pairs", lift2d, "_coset_counts",
+     "+ sum(n(a, b) for a in I1 for b in I2)", "",
+     "test_lift2d-test_coset_counts_match_the_measure_oracle"),
+    ("bases-compared-at-the-level-of-A", DistinguishedFamily, "relation",
+     "g = lo.gamma", "g = A.gamma", "test_lift2d-test_relation_is_mirrored"),
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
      "gamma - 1,", "gamma,",
      "test_lift2d-test_complement_inside_measure_zero_ideal"),
