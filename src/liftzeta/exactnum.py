@@ -441,16 +441,18 @@ def cyc_sums(parts):
         m = math.lcm(c.m, n)
         row = [(i * big // c.m, x * (den // c.d))
                for i, x in enumerate(c.n) if x]
-        shifted = [[((i + t * big // n) % big, x) for i, x in row]
-                   for t in range(n)]  # row times zeta_n^t
+        step = big // n
+        shifted = [None] * n  # row times zeta_n^t, made when first asked
         for key, t in pairs:
             entry = acc.get(key)
             if entry is None:
                 entry = acc[key] = [m, [0] * big]
             elif entry[0] % m:
                 entry[0] = math.lcm(entry[0], m)
-            v = entry[1]
-            for i, x in shifted[t]:
+            v, s = entry[1], shifted[t]
+            if s is None:
+                s = shifted[t] = [((i + t * step) % big, x) for i, x in row]
+            for i, x in s:
                 v[i] += x
     return {key: _shared_cyc(m, _reduce_mod_cyc(v[::big // m], m), den)
             for key, (m, v) in acc.items()}

@@ -5,15 +5,16 @@ F_q; this is enough because every function we integrate is locally constant.
 Also here: cosets a + pi^n O, the additive character of a given conductor,
 and quasi-characters of K^x together with their exhaustive enumeration at a
 given conductor bound.  A quasi-character's values on the units are roots
-of unity, kept as integer exponents; a CycRat is made only when it is
-evaluated.
+of unity, kept as integer exponents; a CycRat is made only when one value
+is asked for, or once for a whole Gauss sum of exponents.
 """
 
 import itertools
 import math
+import operator
 import re
 
-from .exactnum import CycRat, cyc_zero, is_prime
+from .exactnum import CycRat, cyc_one, cyc_sums, is_prime
 
 INF = math.inf
 
@@ -318,13 +319,21 @@ def _key_of_unit(x, r):
 
 def gauss_sum(omega, psi, x, level):
     """Sum of omega(theta) psi(x theta) over the unit representatives
-    theta of O^x/(1 + pi^level O)."""
-    q = omega.q
-    total = cyc_zero()
+    theta of O^x/(1 + pi^level O), level >= omega.r.  Each term is
+    zeta_L^(k L/n + t L/q) at L = lcm(n, q): k is omega's table exponent
+    of theta's first r digits, t the digit d - 1 of x theta read off the
+    digits; the terms are summed as one integer vector."""
+    q, r = omega.q, omega.r
+    if psi.q != q or x.q != q:
+        raise ValueError("mixed residue sizes")
+    big = math.lcm(omega.n, q)
+    a, b = big // omega.n, big // q
+    w = [x.digit(psi.d - 1 - i) for i in range(level)]
+    pairs = []
     for key in _unit_keys(q, level):
-        theta = KElement(q, {i: dig for i, dig in enumerate(key) if dig})
-        total = total + omega(theta) * psi(x * theta)
-    return total
+        t = sum(map(operator.mul, w, key)) % q
+        pairs.append((0, (omega.unit_table[key[:r]] * a + t * b) % big))
+    return cyc_sums([(cyc_one(), big, pairs)])[0]
 
 
 class QuasiCharacter:

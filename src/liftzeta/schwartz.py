@@ -92,6 +92,8 @@ def _times_unit_powers(q, pi, keys):
     a from u^0 no longer than the keys; each U^k is computed once."""
     if not isinstance(pi, KElement) or pi.valuation() != 1:
         raise ValueError("pi must be a uniformizer")
+    if pi.q != q:
+        raise ValueError("mixed residue sizes")
     unit, powers = pi.shift(-1), {}
     prec = max((len(k) for k, _ in keys), default=0)
 
@@ -299,6 +301,8 @@ class SBFunction:
         """g-hat(y) = integral of g(x) psi(xy) dx.  Char(a + pi^L O) goes to
         mu q^-L psi(a y) Char(pi^(d-L) O): the twist weights are the digits
         of a from u^(L-1) down to its valuation."""
+        if psi.q != self.q:
+            raise ValueError("mixed residue sizes")
         base, keys = self._plain_keys("fourier transform")
         q, d = self.q, psi.d
         out = d - base - max((len(k) for k, _ in keys), default=0)

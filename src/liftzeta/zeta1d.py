@@ -1,48 +1,58 @@
 """Exact local zeta integrals on the field of Laurent series.
 
 The integral of g(x) omega(x) |x|^s over the nonzero elements becomes a
-rational function of T = q^(-s) once g is written in coset terms: a coset
-away from 0 contributes a single monomial, while the ideal tail sums to a
-geometric series.  Everything here stays in exact arithmetic (ZetaValue
-over the cyclotomic coefficient field), so functional equations can be
-asserted as identities of rational functions rather than checked at sample
-points.
+rational function of T = q^(-s) once g is written in coset terms: the
+cosets of one shell away from 0 sum to a single monomial, while the ideal
+tail sums to a geometric series.  `zeta` reads g's digit keys and omega's
+table of exponents, sums each shell's roots of unity as one integer vector
+and raises omega(pi) once per shell.  Everything stays exact (ZetaValue
+over the cyclotomic coefficient field), so functional equations are
+asserted as identities of rational functions, not at sample points.
 """
 
 from fractions import Fraction
+import itertools
 
-from .exactnum import CycRat, ZetaValue
-from .localfield import KCoset, KElement, KSingleton, gauss_sum
-from .schwartz import SBFunction
+from .exactnum import CycRat, ZetaValue, cyc_sums
+from .localfield import KCoset, KElement, gauss_sum
+from .schwartz import SBFunction, _lead
 
 
 def zeta(g, omega):
     """Exact rational function in T for the multiplicative integral of
-    g(x) omega(x) |x|^s.  Point masses carry no measure."""
+    g(x) omega(x) |x|^s, read off the digit keys of g's normal form.  A
+    key with first nonzero digit j lies in the shell of valuation
+    v = base + j; omega and |.| are constant on its cosets of level
+    v + max(r, 1), whose unit digits, key[j:] and a tail of free digits,
+    give omega's table exponent k.  The zeta_n^k are summed per shell as
+    integer vectors, and each shell is multiplied once by omega(pi)^v.
+    Point masses carry no measure."""
     if g.q != omega.q:
         raise ValueError("mixed residue sizes")
-    q = g.q
+    q, r, g = g.q, omega.r, g.normalize()
     tails = ZetaValue.zero(q)
-    monomials = []
-    for atom, coeff in g.normalize().terms:
-        if isinstance(atom, KSingleton):
-            continue
-        v = atom.valuation()
-        if v < atom.level:
-            # omega and |.| are constant on each coset of level need; the
-            # multiplicative measure of a + pi^n O is mu q^(v - n) by
+    parts, scale = [], {}  # scale: exponent e -> mu q^e
+    for key, coeff in g._keys:
+        j = _lead(key)
+        v = g._base + j
+        if j < len(key):
+            # the multiplicative measure of a + pi^n O is mu q^(v - n) by
             # d*x = |x|^-1 dx
-            need = v + max(omega.r, 1)
-            subs = [atom] if atom.level >= need else atom.subcosets(need)
-            monomials += [(v, coeff * omega(sub.rep) * CycRat.from_rational(
-                g.mu * Fraction(q) ** (v - sub.level))) for sub in subs]
-        elif omega.r == 0:
+            free = max(max(r, 1) - len(key) + j, 0)
+            e = j - len(key) - free
+            if e not in scale:
+                scale[e] = CycRat.from_rational(g.mu * Fraction(q) ** e)
+            parts.append((coeff * scale[e], omega.n, [
+                (v, omega.unit_table[(key[j:] + tail)[:r]])
+                for tail in itertools.product(range(q), repeat=free)]))
+        elif r == 0:
             # the ideal pi^m O: a union of shells pi^k O^x, k >= m; each
             # shell integral of a ramified character vanishes
             tails = tails + ZetaValue.geometric(
                 q, coeff * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
-                omega.pi_value, atom.level)
-    return tails + ZetaValue.laurent(q, monomials)
+                omega.pi_value, v)
+    return tails + ZetaValue.laurent(q, [
+        (v, c * omega.pi_value ** v) for v, c in cyc_sums(parts).items()])
 
 
 def l_function(omega):

@@ -1,13 +1,16 @@
+from fractions import Fraction
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftzeta import lift2d
 from liftzeta.exactnum import CycRat, cyc_zero
 from liftzeta.localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, QuasiCharacter,
-    _unit_keys, enumerate_characters,
+    _unit_keys, enumerate_characters, gauss_sum,
 )
 
 
@@ -225,6 +228,73 @@ class TestQuasiCharacter:
     def test_q4_rejected(self):
         with pytest.raises(ValueError):
             enumerate_characters(4, 1)
+
+
+def gauss_sum_by_theta(omega, psi, x, level):
+    """The Gauss sum term by term: omega and psi evaluated at each unit
+    representative theta.  The reference for gauss_sum, which sums
+    integer exponents."""
+    q = omega.q
+    total = cyc_zero()
+    for key in _unit_keys(q, level):
+        theta = KElement(q, {i: dig for i, dig in enumerate(key) if dig})
+        total = total + omega(theta) * psi(x * theta)
+    return total
+
+
+CHARACTERS = {q: enumerate_characters(q, 3) for q in (2, 3, 5)}
+
+
+@st.composite
+def kelements(draw, q, nonzero=False):
+    """Up to four digits from u^-3 on; the first one nonzero if asked."""
+    lo = draw(st.integers(-3, 1))
+    digits = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=4))
+    if nonzero:
+        digits[0] = draw(st.integers(1, q - 1))
+    return KElement(q, dict(enumerate(digits, lo)))
+
+
+class TestGaussSum:
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_sum_over_representatives(self, q, data):
+        # at the conductor and one level finer; equal strings pin the
+        # order lcm(n, q)
+        omega = data.draw(st.sampled_from(CHARACTERS[q]))
+        psi = AdditiveCharacter(q, data.draw(st.integers(-1, 2)))
+        x = data.draw(kelements(q))
+        for level in {max(omega.r, 1), omega.r + 1}:
+            got = gauss_sum(omega, psi, x, level)
+            want = gauss_sum_by_theta(omega, psi, x, level)
+            assert got == want and str(got) == str(want)
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_at_the_levels_of_the_principal_value(self, q, data):
+        # every call lift2d._pv_gauss makes, shell by shell
+        omega = data.draw(st.sampled_from(CHARACTERS[q]))
+        d = data.draw(st.integers(-1, 2))
+        c = data.draw(kelements(q, nonzero=True))
+        seen = []
+
+        def recorded(*args):
+            out = gauss_sum(*args)
+            seen.append((args, out))
+            return out
+        with mock.patch.object(lift2d, "gauss_sum", recorded):
+            lift2d._pv_gauss(q, Fraction(1), c, omega, d)
+        assert seen
+        for args, got in seen:
+            want = gauss_sum_by_theta(*args)
+            assert got == want and str(got) == str(want)
+
+    def test_mixed_residue_sizes_rejected(self):
+        omega = next(w for w in enumerate_characters(3, 1) if w.r == 1)
+        for psi, x in ((AdditiveCharacter(5, 0), KElement.one(3)),
+                       (AdditiveCharacter(3, 0), KElement.one(5))):
+            with pytest.raises(ValueError, match="mixed residue sizes"):
+                gauss_sum(omega, psi, x, 1)
 
 
 def test_singleton():

@@ -6,7 +6,9 @@ driver's one verdict path.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
-replaced, and patched in by monkeypatch; no source file changes.  Each
+replaced, and patched in by monkeypatch wherever a liftzeta module binds
+that function, as an edit of its source file would be (zeta2d
+integrates with `zeta` under its own name); no source file changes.  Each
 must make a named fast check fail, either a `liftzeta verify` run at
 small parameters or a named test function, and each check passes on the
 program as it is.  A check that raises counts as failed.  The caches of
@@ -31,7 +33,8 @@ import test_schwartz
 import test_setring
 import test_zeta2d
 from liftzeta import (
-    archfe, cli, exactnum, lift2d, schwartz, setring, zeta1d, zeta2d,
+    archfe, cli, exactnum, lift2d, localfield, schwartz, setring, zeta1d,
+    zeta2d,
 )
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
@@ -51,6 +54,10 @@ def mutant(func, old, new):
     exec(compile(src, "<mutant of %s>" % func.__qualname__, "exec"),
          inspect.unwrap(func).__globals__, namespace)
     return namespace[func.__name__]
+
+
+MODULES = (archfe, cli, exactnum, lift2d, localfield, schwartz, setring,
+           zeta1d, zeta2d)
 
 
 def verify(*argv):
@@ -97,6 +104,8 @@ CHECKS = {
         "--q", "2", "--suite", "zeta1d-epsilon"),
     "verify-q2-zeta1d-epsilon-rmax2": verify(
         "--q", "2", "--suite", "zeta1d-epsilon", "--rmax", "2"),
+    "verify-q2-zeta1d-epsilon-rmax3": verify(
+        "--q", "2", "--suite", "zeta1d-epsilon", "--rmax", "3"),
     "verify-q2-identity-A-d1": verify(
         "--q", "2", "--suite", "identity-A", "--d", "1"),
     "verify-q2-measure": verify("--q", "2", "--suite", "measure"),
@@ -181,6 +190,14 @@ MUTANTS = [
     ("rho0-shift-off-by-one", zeta1d, "rho0",
      "pi.power_mod(d - r, d)", "pi.power_mod(d - r + 1, d)",
      "verify-q2-zeta1d-epsilon-rmax2"),
+    ("zeta-unit-key-from-the-tail", zeta1d, "zeta", "tail)[:r]",
+     "tail)[-r:]", "verify-q2-FE2"),
+    ("zeta-one-free-digit-too-many", zeta1d, "zeta", "repeat=free",
+     "repeat=free + 1", "verify-q2-rho2"),
+    # at q = 2 and conductor <= 2 the steps L/n and L/q of gauss_sum are
+    # equal; a character of conductor 3 has n = 4
+    ("gauss-scales-t-by-the-character-step", localfield, "gauss_sum",
+     "t * b", "t * a", "verify-q2-zeta1d-epsilon-rmax3"),
     ("shell-tail-one-shell-late", zeta2d, "_shell_zeta",
      "omega.pi_value, hi)", "omega.pi_value, hi + 1)", "verify-q2-rho2"),
     ("shell-tail-reads-the-point-mass", zeta2d, "_shell_zeta",
@@ -254,7 +271,13 @@ def test_check_passes_unmutated(check, tmp_path):
 def test_mutant_killed(owner, attr, old, new, check, monkeypatch, tmp_path):
     try:
         with monkeypatch.context() as patch:
-            patch.setattr(owner, attr, mutant(getattr(owner, attr), old, new))
+            real = getattr(owner, attr)
+            fake = mutant(real, old, new)
+            patch.setattr(owner, attr, fake)
+            for module in MODULES:
+                for name, value in list(vars(module).items()):
+                    if value is real:
+                        patch.setattr(module, name, fake)
             clear_caches()
             passed = CHECKS[check](tmp_path)
     finally:

@@ -457,6 +457,18 @@ def nabla_untruncated(f, pi):
     return SBFunction(q, out, f.mu).normalize()
 
 
+class TestMixedResidueSizes:
+    def test_fourier_rejects_psi_of_another_q(self):
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            SBFunction.char_ideal(3, 0).fourier(AdditiveCharacter(5, 0))
+
+    def test_w_and_nabla_reject_pi_of_another_q(self):
+        f = SBFunction.char(KCoset(3, KElement.one(3), 1))
+        for op in (f.w_operator, f.nabla_compose):
+            with pytest.raises(ValueError, match="mixed residue sizes"):
+                op(KElement.uniformizer(5))
+
+
 class TestTruncatedPowers:
     @pytest.mark.parametrize("pi_text", ["u + u^2", "u + 2*u^3"])
     @pytest.mark.parametrize("d", [8, 12])

@@ -10,7 +10,8 @@ from liftzeta.exactnum import (
     cyclotomic_poly,
 )
 from liftzeta.localfield import (
-    AdditiveCharacter, KCoset, KElement, QuasiCharacter, enumerate_characters,
+    AdditiveCharacter, KCoset, KElement, KSingleton, QuasiCharacter,
+    enumerate_characters,
 )
 from liftzeta import zeta1d as zeta1d_module
 from liftzeta.schwartz import SBFunction
@@ -37,6 +38,65 @@ def ramified_chars(q, rmax, pi_value=None):
         if w.r > 0:
             out.append(w if pi_value is None else w.with_pi_value(pi_value))
     return out
+
+
+def zeta_by_atoms(g, omega):
+    """The zeta integral summed atom by atom: each coset of the normal
+    form split into subcosets on which omega and |.| are constant, and
+    omega evaluated at each one's representative.  The reference for
+    zeta, which sums character exponents on digit keys."""
+    q = g.q
+    tails = ZetaValue.zero(q)
+    monomials = []
+    for atom, coeff in g.normalize().terms:
+        if isinstance(atom, KSingleton):
+            continue
+        v = atom.valuation()
+        if v < atom.level:
+            need = v + max(omega.r, 1)
+            subs = [atom] if atom.level >= need else atom.subcosets(need)
+            monomials += [(v, coeff * omega(sub.rep) * CycRat.from_rational(
+                g.mu * Fraction(q) ** (v - sub.level))) for sub in subs]
+        elif omega.r == 0:
+            tails = tails + ZetaValue.geometric(
+                q, coeff * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
+                omega.pi_value, atom.level)
+    return tails + ZetaValue.laurent(q, monomials)
+
+
+# every character of conductor <= 3 at each q, and omega(pi) values of
+# orders 1 and 4 and of absolute value 2
+CHARACTERS = {q: enumerate_characters(q, 3) for q in (2, 3, 5)}
+PI_VALUES = [CycRat.from_rational(1), CycRat.root_of_unity(4),
+             CycRat.from_rational(2)]
+COEFFS = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2), CycRat.root_of_unity(3),
+          CycRat.root_of_unity(4) + 1]
+
+
+@st.composite
+def sb_functions(draw, q):
+    """Sums of ideals, point masses and cosets with cyclotomic
+    coefficients: keys of one to five digits, shorter and longer than a
+    conductor <= 3, at bases down to -7."""
+    mu = draw(st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(1, 3)]))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["ideal", "point", "coset"]))
+        c = draw(st.sampled_from(COEFFS))
+        if kind == "ideal":
+            pieces.append(SBFunction.char_ideal(
+                q, draw(st.integers(-2, 2)), c, mu))
+        elif kind == "point":
+            x = KElement(q, {draw(st.integers(-2, 2)):
+                             draw(st.integers(1, q - 1))})
+            pieces.append(SBFunction.char_point(q, x, c, mu))
+        else:
+            lev = draw(st.integers(-2, 4))
+            digits = draw(st.lists(st.integers(0, q - 1),
+                                   min_size=1, max_size=5))
+            rep = KElement(q, dict(enumerate(digits, lev - len(digits))))
+            pieces.append(SBFunction.char(KCoset(q, rep, lev), c, mu))
+    return sum(pieces[1:], pieces[0])
 
 
 class TestZeta:
@@ -73,6 +133,41 @@ class TestZeta:
                    QuasiCharacter.trivial(q))
         expect = ZetaValue.from_fraction(q, [mu * Fraction(q - 1, q)], [1, -1])
         assert got == expect
+
+    def test_one_power_of_omega_pi_per_shell(self, monkeypatch):
+        # a ramified character and a function on three shells, with keys
+        # shorter and longer than the conductor: zeta evaluates no
+        # character and raises omega(pi) once per shell
+        q = 3
+        omega = next(w for w in enumerate_characters(q, 2) if w.r == 2)
+        omega = omega.with_pi_value(CycRat.root_of_unity(4))
+        g = (SBFunction.char(KCoset(q, KElement(q, {-1: 1}), 0))
+             + SBFunction.char(KCoset(q, KElement(q, {0: 2, 2: 1}), 3), 2)
+             + SBFunction.char(KCoset(q, KElement(q, {1: 1}), 2), -1))
+        want = zeta_by_atoms(g, omega)
+        calls, powers, depth = [], [], [0]
+        call, power = QuasiCharacter.__call__, CycRat.__pow__
+
+        def counted_call(self, x):
+            calls.append(x)
+            return call(self, x)
+
+        def counted_power(self, n):
+            # top-level powers only: a negative one recurses once
+            if not depth[0]:
+                powers.append(n)
+            depth[0] += 1
+            try:
+                return power(self, n)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(QuasiCharacter, "__call__", counted_call)
+        monkeypatch.setattr(CycRat, "__pow__", counted_power)
+        got = zeta(g, omega)
+        monkeypatch.undo()
+        assert calls == []
+        assert sorted(powers) == [-1, 0, 1]
+        assert got == want and str(got) == str(want)
 
     def test_scaling_covariance(self):
         q = 3
@@ -140,6 +235,44 @@ class TestZetaAdditive:
             x = (c * mu).embed(m)
             got, want = x.inverse(), euclid_inverse(x)
             assert (got.m, got.a) == (want.m, want.a)
+
+
+class TestZetaOnKeys:
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_sum_over_atoms(self, q, data):
+        # equal strings pin each shell's order: lcm(coeff.m, n), and
+        # omega(pi)'s order too off the shell of valuation 0
+        g = data.draw(sb_functions(q))
+        omega = data.draw(st.sampled_from(CHARACTERS[q])).with_pi_value(
+            data.draw(st.sampled_from(PI_VALUES)))
+        got, want = zeta(g, omega), zeta_by_atoms(g, omega)
+        assert got == want
+        assert str(got) == str(want)
+
+    def test_star_transforms_of_the_basis(self):
+        # the inputs of the epsilon and identity-A suites
+        q = 3
+        pi = KElement.uniformizer(q)
+        chars = [w.with_pi_value(CycRat.root_of_unity(4))
+                 for w in CHARACTERS[q] if w.r < 3]
+        for d in (0, 1):
+            psi = AdditiveCharacter(q, d)
+            for f in coset_basis(q, 2):
+                fs = f.star(psi, pi)
+                for w in chars:
+                    got, want = zeta(fs, w), zeta_by_atoms(fs, w)
+                    assert got == want and str(got) == str(want)
+
+
+class TestMixedResidueSizes:
+    def test_rho0_and_epsilon_star_reject_psi_of_another_q(self):
+        omega = next(w for w in enumerate_characters(3, 1) if w.r == 1)
+        psi, u = AdditiveCharacter(5, 0), KElement.uniformizer(3)
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            rho0(omega, psi, u)
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            epsilon_star(omega, psi, u)
 
 
 class TestLFunction:
