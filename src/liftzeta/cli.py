@@ -127,9 +127,11 @@ def suite_identity_a(cfg):
     q, d = cfg.q, cfg.d
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
-    basis = _coset_basis(q, cfg.level, cfg.mu)
+    basis = [(f, f.star(psi, pi).star(psi, pi))
+             for f in _coset_basis(q, cfg.level, cfg.mu)]
     return [("basis-%s" % om.label, {"q": q, "d": d, "r": om.r}, True,
-             all(zeta1d.check_identity_A(f, om, psi, pi) for f in basis))
+             all(zeta1d.check_identity_A(f, om, psi, pi, ff=ff)
+                 for f, ff in basis))
             for om in _characters(q, cfg.rmax)]
 
 

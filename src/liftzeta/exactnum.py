@@ -614,6 +614,21 @@ class ZetaValue:
         return cls(q, {0: (num, den)})
 
     @classmethod
+    def sum_scaled(cls, q, parts):
+        """The sum of c * v * X^k over the (v, c, k) in parts, v a
+        ZetaValue and c a CycRat; the fractions are added per X exponent
+        and settled once, and a zero c adds nothing."""
+        acc = {}
+        for v, c, k in parts:
+            if not c:
+                continue
+            for g, (n, d) in v._fr.items():
+                f = tuple([x * c for x in n]), d
+                g += k
+                acc[g] = _fadd(acc[g], f) if g in acc else f
+        return cls(q, acc)
+
+    @classmethod
     def from_fraction(cls, q, num_coeffs, den_coeffs, x_exp=0):
         def mk(cs):
             return tuple(c if isinstance(c, CycRat) else CycRat.from_rational(c)

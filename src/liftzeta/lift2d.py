@@ -314,10 +314,10 @@ class LiftedFn:
 
     # -- integral -------------------------------------------------------------
     def integrate(self, psi):
-        """The exact value of the F integral as a Laurent X polynomial."""
-        total = ZetaValue.zero(self.q)
+        """The exact value of the F integral as a Laurent X polynomial:
+        each term adds coeff times a K integral at X^gamma."""
+        parts = []
         for g, a, gamma, b, coeff in self.terms:
-            xg = ZetaValue.monomial(self.q, 1, x_exp=gamma)
             if b is None or gamma > -b.nu():
                 const = cyc_one() if b is None else psi(b * a)
                 val = g.haar_integral()
@@ -327,9 +327,8 @@ class LiftedFn:
                 val = g.twisted(b.eta(), psi.base).haar_integral()
             else:
                 continue
-            total = total + coeff * xg * ZetaValue.constant(
-                self.q, const * val)
-        return total
+            parts.append((coeff, const * val, gamma))
+        return ZetaValue.sum_scaled(self.q, parts)
 
     # -- geometry -------------------------------------------------------------
     def scale_var(self, alpha):
@@ -527,12 +526,6 @@ class DistinguishedFamily(AtomFamily):
         return DistinguishedSetF(self.q, A.a, A.gamma,
                                  A.S.union(self._s_translate(B.S, c)))
 
-    def measure_atom(self, a):
-        if a.is_null():
-            return ZetaValue.zero(self.q)
-        return ZetaValue.monomial(self.q, a.S.measure(self.kfam.haar),
-                                  x_exp=a.gamma)
-
 
 def _below(x, n):
     """The t-coefficients of the F element x below t^n, by exponent."""
@@ -548,15 +541,10 @@ def _coset_counts(q, S1, S2):
     so two components (o1, I1) and (o2, I2) meet in
     |o1 & o2| - sum |a & o2| - sum |b & o1| + sum |a & b|
     over a in I1 and b in I2, and components of one set are disjoint."""
-    L = max((a.level for S in (S1, S2) for o, inners in S.components
-             for a in (o, *inners)), default=0)
+    L = max(_levels((S1, S2)), default=0)
 
     def n(a, b):
         return q ** (L - max(a.level, b.level)) if a.meets(b) else 0
-
-    def size(S):
-        return sum(q ** (L - o.level) - sum(q ** (L - a.level) for a in I)
-                   for o, I in S.components)
 
     m = 0
     for o1, I1 in S1.components:
@@ -564,14 +552,43 @@ def _coset_counts(q, S1, S2):
             m += (n(o1, o2) - sum(n(a, o2) for a in I1)
                   - sum(n(b, o1) for b in I2)
                   + sum(n(a, b) for a in I1 for b in I2))
-    return m, size(S1), size(S2)
+    return m, _coset_size(q, S1, L), _coset_size(q, S2, L)
+
+
+def _levels(sets):
+    """The levels of the atoms of the residue sets in sets."""
+    return (a.level for S in sets for o, inners in S.components
+            for a in (o, *inners))
+
+
+def _coset_size(q, S, L):
+    """|S|, the number of cosets of level L in the residue set S, for L
+    at least every level in S: its Haar measure over mu q^-L."""
+    return sum(q ** (L - o.level) - sum(q ** (L - a.level) for a in I)
+               for o, I in S.components)
 
 
 def measure_F(W, family):
     """The finitely additive measure of a set from the ring generated by
-    distinguished sets; values are Laurent polynomials in X."""
-    value = W.measure(family.measure_atom)
-    return ZetaValue.zero(family.q) if value == 0 else value
+    distinguished sets; values are Laurent polynomials in X.  Every
+    residue set is counted in cosets of the deepest level L among the
+    residue atoms of W, as _coset_counts counts, so the value at X^gamma
+    is mu q^-L times the signed count N_gamma of W's atoms at level
+    gamma; a null atom counts 0."""
+    q = family.q
+    signed = [(A, s) for outer, inners in W.components
+              for A, s in ((outer, 1), *((a, -1) for a in inners))
+              if not A.is_null()]
+    L = max(_levels(A.S for A, _ in signed), default=0)
+    counts = {}
+    for A, s in signed:
+        counts[A.gamma] = counts.get(A.gamma, 0) + s * _coset_size(q, A.S, L)
+    mu = family.kfam.mu
+    # mu q^-L as num/den
+    num, den = mu.numerator * q ** max(-L, 0), mu.denominator * q ** max(L, 0)
+    return ZetaValue(q, {g: ((CycRat.from_rational(Fraction(num * n, den)),),
+                             (cyc_one(),))
+                         for g, n in counts.items() if n})
 
 
 # -- multiplicative theory ------------------------------------------------------

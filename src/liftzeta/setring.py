@@ -107,13 +107,19 @@ class DddSet:
         inner atoms; empty when one refined inner covers outer."""
         kept = []
         for a in inners:
-            meet = family.intersection(a, outer)
-            if meet is not None:
-                kept.append(meet)
-        kept = refine_disjoint(family, kept)
-        if any(family.nested(outer, a) for a in kept):
+            kind, meet = family.relation(a, outer)
+            if kind in ("equal", "contains"):
+                return cls(family)
+            if kind != "disjoint":
+                kept.append(a if kind == "in" else meet)
+        # a kept atom lies properly inside outer, so only an atom that
+        # refine_disjoint merged can cover it
+        ids = {id(a) for a in kept}
+        refined = refine_disjoint(family, kept)
+        if any(id(a) not in ids and family.nested(outer, a)
+               for a in refined):
             return cls(family)
-        return cls(family, [(outer, tuple(kept))])
+        return cls(family, [(outer, tuple(refined))])
 
     def contains(self, x):
         # outer atoms of distinct components may overlap even though the

@@ -119,11 +119,14 @@ def _delta_parity(q, k):
     return Fraction(1) if k % 2 == 0 else Fraction(1, q)
 
 
-def check_identity_A(f, omega, psi, pi):
+def check_identity_A(f, omega, psi, pi, ff=None):
     """Does zeta(f**, omega) equal
-    mu^2 q^(-d) delta(d - r) omega(-1) zeta(f, omega) exactly?"""
+    mu^2 q^(-d) delta(d - r) omega(-1) zeta(f, omega) exactly?  f** does
+    not depend on omega; pass it as ff to reuse it across characters."""
     q = f.q
-    lhs = zeta(f.star(psi, pi).star(psi, pi), omega)
+    if ff is None:
+        ff = f.star(psi, pi).star(psi, pi)
+    lhs = zeta(ff, omega)
     factor = CycRat.from_rational(
         f.mu ** 2 * Fraction(q) ** (-psi.d)
         * _delta_parity(q, psi.d - omega.r)) * omega.at_minus_one()

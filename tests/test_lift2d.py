@@ -15,6 +15,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction, cyc_abs
 from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
 from liftzeta.zeta1d import rho0, zeta as zeta_k
+from liftoracle import integrate_reference, measure_reference
 from setoracle import atoms, measure_relation, probe_points, rand_expr
 
 
@@ -203,6 +204,48 @@ class TestIntegral:
                                  * KElement.constant(q, rng.randrange(1, q))})
             got = f.scale_var(alpha).integrate(psi)
             assert got == f.integrate(psi) * abs_F(alpha).inverse()
+
+    @pytest.mark.parametrize("q,d", [(3, 0), (5, 1)])
+    def test_integrate_matches_the_per_term_sum(self, q, d):
+        # coefficients T-free, T-monomial or over 1 - aT, at several X
+        # exponents; a fifth of the functions cancel to zero
+        psi = GoodCharacter(q, d)
+        rng = random.Random(42 + q)
+
+        def scalar():
+            return (CycRat.root_of_unity(4 * q, rng.randrange(4 * q))
+                    * Fraction(rng.randrange(1, 5), rng.randrange(1, 4)))
+
+        def coeff():
+            r = rng.random()
+            if r < 0.25:
+                return 1
+            x = ZetaValue.monomial(q, scalar(), t_exp=rng.randrange(-2, 3),
+                                   x_exp=rng.randrange(-1, 2))
+            if r < 0.6:
+                return x
+            return x + ZetaValue.geometric(
+                q, scalar(), CycRat.root_of_unity(q) * Fraction(1, q),
+                rng.randrange(-1, 2))
+
+        shapes = set()
+        for _ in range(60):
+            f = rand_lifted(q, rng, nterms=(1, 5))
+            f = LiftedFn(q, [(g, a, gamma, b, coeff())
+                             for g, a, gamma, b, _ in f.terms])
+            if rng.random() < 0.2:
+                f = f + f.scale(-1)
+            got = f.integrate(psi)
+            assert got == integrate_reference(f, psi)
+            if got.is_zero():
+                shapes.add("zero")
+            if len(got.terms) > 1:
+                shapes.add("several X exponents")
+            if any(sum(1 for c in den if c) > 1
+                   for _, den in got.terms.values()):
+                shapes.add("binomial denominator")
+        assert shapes == {"zero", "several X exponents",
+                          "binomial denominator"}
 
     def test_refinement_cancels(self):
         # the same function written whole and as a sum over residue cosets
@@ -397,6 +440,85 @@ class TestDistinguishedSets:
             for c in (1, 2)]
         assert not DddSet.carved(fam, outer, halves).components
         assert DddSet.carved(fam, outer, halves[:1]).components
+
+    def assert_carved(self, outer, inners, n_components):
+        got = DddSet.carved(self.fam, outer, inners)
+        assert len(got.components) == n_components
+        for p in probe_points([outer, *inners]):
+            assert got.contains(p) == (
+                outer.contains(p) and not any(a.contains(p) for a in inners))
+
+    def test_carved_inner_equal_to_or_containing_outer(self):
+        q = self.q
+        a = fe(q, "u*t^-1")
+        outer = self.dset(a, 1, [KCoset(q, KElement.one(q), 1)])
+        # the same set from a base that differs at t^2
+        equal = self.dset(a + fe(q, "t^2"), 1,
+                          [KCoset(q, KElement.one(q), 1)])
+        wider = self.dset(a, 1, [KCoset.ideal(q, 0)])
+        lower = self.dset(a, 0, [KCoset.ideal(q, -1)])
+        for inner in (equal, wider, lower):
+            self.assert_carved(outer, [inner], 0)
+        small = self.dset(a, 1, [KCoset(q, KElement(q, {0: 1, 1: 1}), 2)])
+        for inner in (equal, wider, lower):
+            self.assert_carved(outer, [small, inner], 0)
+
+    def test_carved_overlapping_inners_joining_to_outer(self):
+        # each inner is two of the three level-1 subcosets of O at t^1:
+        # they overlap pairwise and no one of them covers O
+        q, a = self.q, fe(self.q, "u*t^-1")
+        outer = self.dset(a, 1, [KCoset.ideal(q, 0)])
+        subs = [KCoset(q, KElement.constant(q, c), 1) for c in range(q)]
+        pairs = [self.dset(a, 1, [subs[i], subs[(i + 1) % q]])
+                 for i in range(q)]
+        self.assert_carved(outer, pairs[:2], 0)
+        self.assert_carved(outer, pairs, 0)
+        # disjoint inners are not merged, so these two that cover O
+        # leave a component that denotes the empty set
+        self.assert_carved(outer, [pairs[0], self.dset(a, 1, [subs[2]])], 1)
+
+    def test_carved_inners_refining_to_a_proper_subset(self):
+        q, a = self.q, fe(self.q, "u*t^-1")
+        outer = self.dset(a, 1, [KCoset.ideal(q, -1)])
+        inners = [self.dset(a, 1, [KCoset(q, KElement.constant(q, c), 1),
+                                   KCoset(q, KElement.constant(q, c + 1), 1)])
+                  for c in (0, 1)]
+        inners.append(self.dset(a, 2, [KCoset.ideal(q, 0)]))
+        inners.append(self.dset(fe(q, "t"), 1, [KCoset.ideal(q, 0)]))
+        self.assert_carved(outer, inners, 1)
+
+    def test_measure_matches_the_per_atom_sum(self):
+        # random sets with null atoms and atoms at several levels, at
+        # q = 3 and mu = 1, and at q = 5 and mu = 5/4
+        shapes = set()
+        for q, mu in ((3, 1), (5, Fraction(5, 4))):
+            fam = DistinguishedFamily(q, mu)
+            rng = random.Random(30 + q)
+
+            def rand_atom(rng):
+                a = rand_felement(q, rng, density=0.7)
+                gamma = rng.randrange(-1, 3)
+                if rng.random() < 0.2:
+                    return DistinguishedSetF.null_ideal(q, gamma, a)
+                S = DddSet(fam.kfam)
+                for _ in range(rng.randrange(1, 3)):
+                    S = S.union(DddSet.atom(fam.kfam, KCoset(
+                        q, KElement(q, {k: rng.randrange(q)
+                                        for k in (-1, 0, 1)}),
+                        rng.randrange(-1, 3))))
+                return DistinguishedSetF(q, a, gamma, S)
+
+            for _ in range(50):
+                s, _ = rand_expr(fam, rng, rand_atom, 2)
+                got, want = measure_F(s, fam), measure_reference(s, fam)
+                assert got == want and str(got) == str(want)
+                if any(A.is_null() for A in atoms(s)):
+                    shapes.add("null atom")
+                if len(got.terms) > 1:
+                    shapes.add("several X exponents")
+                if got.is_zero():
+                    shapes.add("zero")
+        assert shapes == {"null atom", "several X exponents", "zero"}
 
     def test_complement_inside_measure_zero_ideal(self):
         big = DddSet.atom(self.fam, DistinguishedSetF.null_ideal(3, 2))

@@ -180,7 +180,7 @@ MUTANTS = [
      "else -CycRat.root_of_unity(4) * g", "else CycRat.root_of_unity(4) * g",
      "test_exactnum-test_sqrt_q_lies_in_the_field"),
     ("bool-always-true", CycRat, "__bool__", "return any(self.n)",
-     "return True", "verify-q2-measure"),
+     "return True", "verify-q2-FE2"),
     ("geometric-start-off-by-one", ZetaValue, "geometric",
      "num = (z,) * start + (lead,)", "num = (z,) * (start + 1) + (lead,)",
      "verify-q2-zeta1d-epsilon"),
