@@ -583,11 +583,8 @@ def measure_F(W, family):
     counts = {}
     for A, s in signed:
         counts[A.gamma] = counts.get(A.gamma, 0) + s * _coset_size(q, A.S, L)
-    mu = family.kfam.mu
-    # mu q^-L as num/den
-    num, den = mu.numerator * q ** max(-L, 0), mu.denominator * q ** max(L, 0)
-    return ZetaValue(q, {g: ((CycRat.from_rational(Fraction(num * n, den)),),
-                             (cyc_one(),))
+    scale = family.kfam.mu * Fraction(q) ** -L
+    return ZetaValue(q, {g: ((CycRat.from_rational(scale * n),), (cyc_one(),))
                          for g, n in counts.items() if n})
 
 

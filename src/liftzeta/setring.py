@@ -2,13 +2,15 @@
 
 An atom family here is a collection of sets closed under intersection and
 union whenever two members meet.  A family supplies one relation, which
-says how two atoms lie (disjoint, equal, nested or overlapping), and,
-where atoms can overlap, their join; the predicates and the meet follow
-from the relation.  An atom answers ``contains(x)`` for a point.  From
-such a family one can form differences of an atom by finitely many
-disjoint sub-atoms, and then finite disjoint unions of those; the result
-is closed under union, intersection and difference, which is all a
-finitely additive measure needs.
+says how two atoms lie (disjoint, equal, nested or overlapping) and gives
+their meet for an overlap, and, where atoms can overlap, their join.  An
+atom answers ``contains(x)`` for a point.  From such a family one can
+form differences of an atom by finitely many disjoint sub-atoms, and then
+finite disjoint unions of those; the result is closed under union,
+intersection and difference, which is all a finitely additive measure
+needs.  A difference asks relation once for each pair of atoms it
+compares, acts on the kind it gets, and never asks an inner against its
+own outer.
 
 Normal forms are not canonical: two structurally different descriptions
 can denote the same set.  The library compares residue sets by integer
@@ -21,12 +23,8 @@ from fractions import Fraction
 
 
 class AtomFamily:
-    """Interface for a family of atoms.
-
-    Subclasses provide relation and, where atoms can overlap, join; the
-    predicates and the partial meet follow from relation.  The
-    atoms themselves answer contains(x).
-    """
+    """Interface for a family of atoms: relation and, where atoms can
+    overlap, join.  The atoms themselves answer contains(x)."""
 
     def relation(self, a, b):
         """(kind, meet): kind is "disjoint", "equal", "in" (a inside b),
@@ -37,30 +35,6 @@ class AtomFamily:
     def join(self, a, b):
         """The atom a join b of two overlapping atoms."""
         raise NotImplementedError
-
-    def nested(self, a, b):
-        """Is a contained in b?"""
-        return self.relation(a, b)[0] in ("equal", "in")
-
-    def disjoint(self, a, b):
-        return self.relation(a, b)[0] == "disjoint"
-
-    def equal(self, a, b):
-        return self.relation(a, b)[0] == "equal"
-
-    def intersection(self, a, b):
-        """The atom a meet b, or None when they are disjoint."""
-        kind, meet = self.relation(a, b)
-        if kind in ("equal", "in"):
-            return a
-        return b if kind == "contains" else meet
-
-    def _joined(self, kind, a, b):
-        if kind == "disjoint":
-            raise ValueError("union of disjoint atoms is not an atom")
-        if kind == "overlap":
-            return self.join(a, b)
-        return b if kind == "in" else a
 
 
 def refine_disjoint(family, atoms):
@@ -75,7 +49,11 @@ def refine_disjoint(family, atoms):
         for j in range(i + 1, len(out)):
             kind, _ = family.relation(out[i], out[j])
             if kind != "disjoint":
-                out[i] = family._joined(kind, out[i], out[j])
+                if kind == "overlap":
+                    out[i] = family.join(out[i], out[j])
+                elif kind == "in":
+                    out[i] = out[j]
+                # equal or contains: out[i] is already the join
                 out[j] = out[-1]
                 out.pop()
                 break
@@ -91,8 +69,8 @@ class DddSet:
     __slots__ = ("family", "components")
 
     def __init__(self, family, components=()):
-        # every inner lies inside its outer and none covers it; carved is
-        # the one place an inner can come to cover its outer
+        # every inner lies properly inside its outer, and the inners of a
+        # component are pairwise disjoint
         self.family = family
         self.components = tuple((outer, tuple(inners))
                                 for outer, inners in components)
@@ -103,20 +81,15 @@ class DddSet:
 
     @classmethod
     def carved(cls, family, outer, inners):
-        """outer minus the union of the (not necessarily disjoint)
-        inner atoms; empty when one refined inner covers outer."""
-        kept = []
-        for a in inners:
-            kind, meet = family.relation(a, outer)
-            if kind in ("equal", "contains"):
-                return cls(family)
-            if kind != "disjoint":
-                kept.append(a if kind == "in" else meet)
-        # a kept atom lies properly inside outer, so only an atom that
-        # refine_disjoint merged can cover it
-        ids = {id(a) for a in kept}
-        refined = refine_disjoint(family, kept)
-        if any(id(a) not in ids and family.nested(outer, a)
+        """outer minus the union of the inner atoms, each properly inside
+        outer but not necessarily disjoint; empty when atoms that
+        refine_disjoint merges cover outer."""
+        ids = {id(a) for a in inners}
+        refined = refine_disjoint(family, inners)
+        # an unmerged atom lies properly inside outer, so only a merged
+        # one can cover it
+        if any(id(a) not in ids
+               and family.relation(outer, a)[0] in ("equal", "in")
                for a in refined):
             return cls(family)
         return cls(family, [(outer, tuple(refined))])
@@ -136,22 +109,37 @@ class DddSet:
         fam = self.family
         outer_a, inners_a = comp
         outer_b, inners_b = other
+        kind, meet = fam.relation(outer_a, outer_b)
+        if kind == "disjoint":
+            return [comp]
         pieces = []
-        # points of comp outside outer_b entirely
-        meet_ab = fam.intersection(outer_a, outer_b)
-        carve = list(inners_a) + ([meet_ab] if meet_ab is not None else [])
-        pieces.extend(
-            DddSet.carved(fam, outer_a, carve).components)
-        if meet_ab is None:
-            return pieces
+        # points of comp outside outer_b entirely, none when outer_a lies
+        # in outer_b
+        if kind in ("contains", "overlap"):
+            cut = outer_b if kind == "contains" else meet
+            pieces.extend(DddSet.carved(fam, outer_a,
+                                        (*inners_a, cut)).components)
         # points of comp inside some inner atom of other
         for b in inners_b:
-            c = fam.intersection(outer_a, b)
-            if c is None:
+            kind, c = fam.relation(outer_a, b)
+            if kind == "disjoint":
                 continue
-            cut = [x for x in (fam.intersection(a, c) for a in inners_a)
-                   if x is not None]
-            pieces.extend(DddSet.carved(fam, c, cut).components)
+            if kind in ("equal", "in"):
+                # all of comp lies in b, so outside other
+                pieces.append(comp)
+                continue
+            if kind == "contains":
+                c = b
+            # c lies properly inside outer_a; cut it by the inners of comp
+            cut = []
+            for a in inners_a:
+                kind, meet = fam.relation(a, c)
+                if kind in ("equal", "contains"):
+                    break
+                if kind != "disjoint":
+                    cut.append(a if meet is None else meet)
+            else:
+                pieces.extend(DddSet.carved(fam, c, cut).components)
         return pieces
 
     def difference(self, other):

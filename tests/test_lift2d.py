@@ -425,14 +425,14 @@ class TestDistinguishedSets:
         assert measure_F(DddSet.atom(self.fam, N), self.fam).is_zero()
         # and it sits inside the enclosing level-1 set
         B = self.dset(FElement.zero(3), 1, [KCoset.ideal(3, 0)])
-        assert self.fam.nested(N, B)
+        assert self.fam.relation(N, B)[0] == "in"
 
     def test_carved_empty_when_an_inner_covers_outer(self):
         q, fam = self.q, self.fam
         O = KCoset.ideal(q, 0)
         outer = self.dset(FElement.zero(q), 1, [O])
         copy = self.dset(FElement.zero(q), 1, [O])
-        assert not DddSet.carved(fam, outer, [copy]).components
+        self.assert_difference(outer, [copy], 0)
         # O minus (1 + pi O) and O minus (2 + pi O) overlap in pi O and
         # merge into a residue set that denotes O
         halves = [DistinguishedSetF(q, FElement.zero(q), 1, DddSet.carved(
@@ -441,14 +441,24 @@ class TestDistinguishedSets:
         assert not DddSet.carved(fam, outer, halves).components
         assert DddSet.carved(fam, outer, halves[:1]).components
 
-    def assert_carved(self, outer, inners, n_components):
-        got = DddSet.carved(self.fam, outer, inners)
+    def assert_removed(self, got, outer, inners, n_components):
         assert len(got.components) == n_components
         for p in probe_points([outer, *inners]):
             assert got.contains(p) == (
                 outer.contains(p) and not any(a.contains(p) for a in inners))
 
-    def test_carved_inner_equal_to_or_containing_outer(self):
+    def assert_carved(self, outer, inners, n_components):
+        got = DddSet.carved(self.fam, outer, inners)
+        self.assert_removed(got, outer, inners, n_components)
+
+    def assert_difference(self, outer, inners, n_components):
+        cut = DddSet(self.fam)
+        for a in inners:
+            cut = cut.union(DddSet.atom(self.fam, a))
+        got = DddSet.atom(self.fam, outer).difference(cut)
+        self.assert_removed(got, outer, inners, n_components)
+
+    def test_difference_by_an_atom_equal_to_or_containing_outer(self):
         q = self.q
         a = fe(q, "u*t^-1")
         outer = self.dset(a, 1, [KCoset(q, KElement.one(q), 1)])
@@ -458,10 +468,10 @@ class TestDistinguishedSets:
         wider = self.dset(a, 1, [KCoset.ideal(q, 0)])
         lower = self.dset(a, 0, [KCoset.ideal(q, -1)])
         for inner in (equal, wider, lower):
-            self.assert_carved(outer, [inner], 0)
+            self.assert_difference(outer, [inner], 0)
         small = self.dset(a, 1, [KCoset(q, KElement(q, {0: 1, 1: 1}), 2)])
         for inner in (equal, wider, lower):
-            self.assert_carved(outer, [small, inner], 0)
+            self.assert_difference(outer, [small, inner], 0)
 
     def test_carved_overlapping_inners_joining_to_outer(self):
         # each inner is two of the three level-1 subcosets of O at t^1:
@@ -558,7 +568,8 @@ class TestDistinguishedSets:
         E = DistinguishedSetF(q, a, 1, S)
         for n in (1, 0):
             B = self.dset(a, 1, [KCoset.ideal(q, n)])
-            assert self.fam.disjoint(E, B) and self.fam.disjoint(B, E)
+            assert self.fam.relation(E, B)[0] == "disjoint"
+            assert self.fam.relation(B, E)[0] == "disjoint"
         assert measure_F(DddSet.atom(self.fam, E), self.fam).is_zero()
 
     def test_empty_residue_set_equals_itself(self):
@@ -570,10 +581,9 @@ class TestDistinguishedSets:
                    for _ in range(2))
         for other in (E, copy):
             assert self.fam.relation(E, other) == ("equal", None)
-            assert self.fam.equal(E, other) and self.fam.nested(E, other)
-            assert not self.fam.disjoint(E, other)
-            assert self.fam.intersection(E, other) is E
             assert refine_disjoint(self.fam, [E, other]) == [E]
+            assert not DddSet.atom(self.fam, E).difference(
+                DddSet.atom(self.fam, other)).components
 
     def test_same_level_relations_match_membership(self):
         q, kfam = self.q, self.fam.kfam
@@ -609,10 +619,12 @@ class TestDistinguishedSets:
             x_in_y = all(v <= w for v, w in zip(inx, iny))
             y_in_x = all(w <= v for v, w in zip(inx, iny))
             meets = any(v and w for v, w in zip(inx, iny))
-            assert self.fam.nested(x, y) == x_in_y
-            assert self.fam.nested(y, x) == y_in_x
-            assert self.fam.disjoint(x, y) == (not meets)
-            assert self.fam.equal(x, y) == (x_in_y and y_in_x)
+            kind = self.fam.relation(x, y)[0]
+            mirror = self.fam.relation(y, x)[0]
+            assert (kind in ("equal", "in")) == x_in_y
+            assert (mirror in ("equal", "in")) == y_in_x
+            assert (kind == "disjoint") == (not meets)
+            assert (kind == "equal") == (x_in_y and y_in_x)
             kinds.add((x_in_y, y_in_x, meets))
         # disjoint, equal, either nesting and a proper overlap all occur
         assert len(kinds) == 5

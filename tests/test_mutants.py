@@ -228,7 +228,7 @@ MUTANTS = [
      "test_localfield-test_exact_conductors"),
     ("lower-level-always-contains", DistinguishedFamily, "relation",
      '("contains" if lo is A else "in")', '"contains"',
-     "test_lift2d-test_additivity_and_membership_on_random_pairs"),
+     "test_lift2d-test_relation_is_mirrored"),
     ("residue-in-read-from-m2", DistinguishedFamily, "_s_relation",
      "m == m1:", "m == m2:",
      "test_lift2d-test_same_level_relations_match_membership"),
@@ -246,6 +246,14 @@ MUTANTS = [
     ("refine-moves-the-second-atom", setring, "refine_disjoint",
      "out[j] = out[-1]", "out[j] = out[1]",
      "test_setring-test_three_atoms_keep_the_one_apart"),
+    ("inner-of-other-inside-taken-as-the-outer", DddSet,
+     "_component_minus_component", 'if kind in ("equal", "in"):',
+     'if kind in ("equal", "in", "contains"):',
+     "test_lift2d-test_coset_counts_match_the_measure_oracle"),
+    ("inner-containing-the-meet-does-not-cover-it", DddSet,
+     "_component_minus_component", 'if kind in ("equal", "contains"):',
+     'if kind == "equal":',
+     "test_lift2d-test_coset_counts_match_the_measure_oracle"),
     ("exp-sinh-without-jacobian-cosh", archfe, "_complex_quad",
      "* math.cosh(t)", "", "verify-q2-archfe"),
     ("quad-error-without-end-terms", archfe, "_complex_quad",

@@ -93,14 +93,78 @@ class TestRingOps:
         # the same coset, built separately from another representative
         copy = KCoset(q, KElement(q, {0: 1, 2: 2}), 1)
         sub = KCoset(q, KElement(q, {0: 1, 1: 2}), 2)
-        assert not DddSet.carved(fam, outer, [copy]).components
-        # a subcoset and the copy overlap and merge into the outer coset
-        assert not DddSet.carved(fam, outer, [sub, copy]).components
         kept = DddSet.carved(fam, outer, [sub])
         assert kept.components == ((outer, (sub,)),)
-        # two overlapping intervals that merge into the outer one
+        # carved takes only atoms inside outer: one equal to outer, or a
+        # subcoset and the copy, are cut out by the difference
+        whole = DddSet.atom(fam, outer)
+        for cut in (DddSet.atom(fam, copy),
+                    DddSet.atom(fam, sub).union(DddSet.atom(fam, copy))):
+            got = whole.difference(cut)
+            assert not got.components
+            for pt in probe_points([outer, copy, sub]):
+                assert got.contains(pt) == (
+                    outer.contains(pt) and not cut.contains(pt))
+        # two overlapping intervals inside the outer one that merge into it
         assert not DddSet.carved(IV, interval(0, 3), [
-            interval(0, 2), interval(1, 4)]).components
+            interval(0, 2), interval(1, 3)]).components
+        assert DddSet.carved(IV, interval(0, 3), [
+            interval(0, 1), interval(1, 2)]).components
+
+    def test_difference_asks_each_relation_once(self, monkeypatch):
+        # an inner of a component lies inside its outer, and every atom
+        # handed to carved lies properly inside it, so neither is asked;
+        # carved asks only whether a merged atom covers its outer
+        asked, merged, within = [], set(), [None]
+
+        class Recording(IntervalFamily):
+            def relation(self, a, b):
+                asked.append((within[-1], a, b, set(merged)))
+                return super().relation(a, b)
+
+        def refine(family, atoms):
+            within.append("refine_disjoint")
+            out = real_refine(family, atoms)
+            within.pop()
+            merged.clear()
+            merged.update(id(a) for a in out
+                          if not any(a is b for b in atoms))
+            return out
+
+        def carved(cls, family, outer, inners):
+            within.append(("carved", outer))
+            try:
+                return real_carved(family, outer, inners)
+            finally:
+                within.pop()
+
+        real_refine, real_carved = setring.refine_disjoint, DddSet.carved
+        monkeypatch.setattr(setring, "refine_disjoint", refine)
+        monkeypatch.setattr(DddSet, "carved", classmethod(carved))
+        fam = Recording()
+
+        def dd(outer, *inners):
+            return DddSet(fam, [(interval(*outer),
+                                 [interval(*a) for a in inners])])
+
+        x = dd((0, 10), (2, 5), (Fraction(11, 2), Fraction(15, 2)),
+               (Fraction(33, 4), Fraction(17, 2))).union(
+            dd((20, 24), (21, 22)))
+        y = dd((4, 23), (6, 7), (8, 12), (19, 21))
+        asked.clear()
+        got = x.difference(y)
+        for pt in probe_points(atoms(x) + atoms(y)):
+            assert got.contains(pt) == (x.contains(pt) and not y.contains(pt))
+        for outer, inners in x.components:
+            for _, a, b, _ in asked:
+                assert not (a is outer and any(b is i for i in inners))
+                assert not (b is outer and any(a is i for i in inners))
+        in_carved = [(place[1], a, b, was_merged)
+                     for place, a, b, was_merged in asked
+                     if isinstance(place, tuple)]
+        assert in_carved
+        for outer, a, b, was_merged in in_carved:
+            assert a is outer and id(b) in was_merged
 
     def test_mixed_family_rejected(self):
         a = DddSet.atom(IV, interval(0, 1))
