@@ -238,7 +238,7 @@ class LiftedFn:
             coeff = _zcoeff(q, coeff)
             if b is not None and b.is_zero():
                 b = None
-            if not coeff.is_zero() and g.terms:
+            if not coeff.is_zero() and (g._keys or g._points):
                 cleaned.append((g, a, gamma, b, coeff))
         self.q = q
         self.terms = tuple(cleaned)
@@ -308,7 +308,7 @@ class LiftedFn:
         out = []
         for gc, base, gamma, b in grouped.values():
             gn = gc.normalize()
-            if gn.terms:
+            if gn._keys or gn._points:
                 out.append((gn, base, gamma, b, 1))
         return LiftedFn(self.q, out)
 
@@ -383,14 +383,11 @@ class LiftedFn:
 
 
 def _support_ideal_level(g):
-    """Largest m with the support of g inside pi^m O."""
-    levels = []
-    for atom, _ in g.normalize().terms:
-        if isinstance(atom, KSingleton):
-            if not atom.point.is_zero():
-                levels.append(atom.point.valuation())
-        else:
-            levels.append(atom.valuation())
+    """Largest m with the support of g inside pi^m O: a normal form's base
+    is the least valuation of its cosets."""
+    g = g.normalize()
+    levels = [g._base] if g._keys else []
+    levels += [p.valuation() for p, _ in g._points if not p.is_zero()]
     return min(levels, default=0)
 
 
@@ -583,9 +580,10 @@ def measure_F(W, family):
     counts = {}
     for A, s in signed:
         counts[A.gamma] = counts.get(A.gamma, 0) + s * _coset_size(q, A.S, L)
-    scale = family.kfam.mu * Fraction(q) ** -L
-    return ZetaValue(q, {g: ((CycRat.from_rational(scale * n),), (cyc_one(),))
-                         for g, n in counts.items() if n})
+    mu = family.kfam.mu  # mu q^-L as num/den
+    num, den = mu.numerator * q ** max(-L, 0), mu.denominator * q ** max(L, 0)
+    return ZetaValue(q, {g: ((CycRat.from_rational(Fraction(num * n, den)),),
+                             (cyc_one(),)) for g, n in counts.items() if n})
 
 
 # -- multiplicative theory ------------------------------------------------------

@@ -2,17 +2,18 @@
 transform, and the W / nabla / star operators.
 
 An SBFunction is a finite sum of terms coeff * Char(atom), the atom a
-coset a + pi^n O or a single point {c}.  Its normal form, computed once,
-is stored on digit keys: a base b and pairs (key, coeff), the key
-(x_0, ..., x_(n-1)) standing for the coset sum x_i u^(b+i) + pi^(b+n) O,
-with disjoint cosets, no full family of q siblings of equal coefficient,
-and b the least valuation of their points, so equal functions store
-equal keys; the point masses are kept apart.  The transforms read and
-write keys; `terms` builds atoms on first read.  A character twist
-psi(b x) is expanded into plain keys where it is applied, by `twisted`
-and inside `fourier`.  Points ride along for the pointwise calculus
-(evaluation, Haar integral, absolute value) but are rejected by the
-transforms, which only make sense on locally constant functions.
+coset a + pi^n O or a single point {c}, stored from construction on as
+digit keys: a base b and pairs (key, coeff), the key (x_0, ..., x_(n-1))
+standing for the coset sum x_i u^(b+i) + pi^(b+n) O, and point masses.
+Keys may overlap; linear maps and the Haar integral take them as they
+are.  The normal form has disjoint cosets, no full family of q siblings
+of equal coefficient, and b the least valuation of their points, so
+equal functions store equal keys; the transforms read and write it, and
+`terms` builds atoms on first read.  A character twist psi(b x) is
+expanded into plain keys where it is applied, by `twisted` and inside
+`fourier`.  Points ride along for the pointwise calculus (evaluation,
+Haar integral, absolute value) but are rejected by the transforms, which
+only make sense on locally constant functions.
 """
 
 from fractions import Fraction
@@ -121,11 +122,16 @@ def _normal_form(q, mu, base, parts, points=()):
     for pt, c in points:
         singles[pt] = singles[pt] + c if pt in singles else c
     order = sorted(singles, key=lambda p: tuple(sorted(p.digits.items())))
-    f = SBFunction(q, (), mu)
-    f._terms, f._base, f._keys = None, base + cut if keys else 0, tuple(keys)
-    f._points = tuple((p, singles[p]) for p in order
-                      if not singles[p].is_zero())
+    f = _keyed(q, mu, base + cut if keys else 0, keys, [
+        (p, singles[p]) for p in order if not singles[p].is_zero()])
     f._canon = f
+    return f
+
+
+def _keyed(q, mu, base, keys, points=()):
+    """The SBFunction of nonzero (key, coeff) pairs at base, and points."""
+    f = SBFunction(q, (), mu)
+    f._base, f._keys, f._points = base, tuple(keys), tuple(points)
     return f
 
 
@@ -163,26 +169,27 @@ def _canonical(q, keymap):
 
 
 class SBFunction:
-    """Finite combination of coset and point indicators on K: the terms as
-    built, or a normal form's `_base`, `_keys` and `_points`."""
+    """Finite combination of coset and point indicators on K: `_base`,
+    the (key, coeff) pairs `_keys`, which may overlap, and `_points`."""
 
     __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_points", "_canon")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
         self.mu = Fraction(mu)
-        cleaned = []
-        for atom, coeff in terms:
-            coeff = _coerce_coeff(coeff)
-            if not coeff.is_zero():
-                cleaned.append((atom, coeff))
-        self._terms = tuple(cleaned)
-        self._base = self._keys = self._points = None  # normal forms only
-        self._canon = None  # the normal form, once computed
+        terms = [(a, _coerce_coeff(c)) for a, c in terms]
+        terms = [(a, c) for a, c in terms if not c.is_zero()]
+        cosets = [(a, c) for a, c in terms if not isinstance(a, KSingleton)]
+        self._base = base = min((a.valuation() for a, _ in cosets), default=0)
+        self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))), c)
+                           for a, c in cosets)
+        self._points = tuple((a.point, c) for a, c in terms
+                             if isinstance(a, KSingleton))
+        self._terms = self._canon = None  # built on first use
 
     @property
     def terms(self):
-        """The (atom, coeff) pairs, built on first read for a normal form."""
+        """The (atom, coeff) pairs, cosets then points, built once."""
         if self._terms is None:
             q, base = self.q, self._base
             self._terms = tuple(
@@ -230,18 +237,25 @@ class SBFunction:
             return NotImplemented
         if self.q != other.q or self.mu != other.mu:
             raise ValueError("mixed base field or measure normalization")
-        return SBFunction(self.q, self.terms + other.terms, self.mu)
+        base = min(self._base, other._base)
+        keys = [((0,) * (f._base - base) + k, c)
+                for f in (self, other) for k, c in f._keys]
+        return _keyed(self.q, self.mu, base, keys,
+                      self._points + other._points)
 
     def __neg__(self):
-        return SBFunction(self.q, [(a, -c) for a, c in self.terms], self.mu)
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c):
         c = _coerce_coeff(c)
-        return SBFunction(self.q, [(a, c * co) for a, co in self.terms],
-                          self.mu)
+        if c.is_zero():
+            return SBFunction.zero(self.q, self.mu)
+        return _keyed(self.q, self.mu, self._base,
+                      [(k, c * co) for k, co in self._keys],
+                      [(p, c * co) for p, co in self._points])
 
     def __mul__(self, c):
         if isinstance(c, SBFunction):
@@ -263,13 +277,9 @@ class SBFunction:
         """The normal form, computed once and kept, so every later call
         returns the same object."""
         if self._canon is None:
-            cosets = [(a, c) for a, c in self._terms
-                      if not isinstance(a, KSingleton)]
-            base = min((a.valuation() for a, _ in cosets), default=0)
-            self._canon = _normal_form(self.q, self.mu, base, [
-                (c, 1, [(tuple(map(a.rep.digit, range(base, a.level))), 0)])
-                for a, c in cosets], [(a.point, c) for a, c in self._terms
-                                      if isinstance(a, KSingleton)])
+            self._canon = _normal_form(
+                self.q, self.mu, self._base,
+                [(c, 1, [(k, 0)]) for k, c in self._keys], self._points)
         return self._canon
 
     def equals(self, other):
@@ -283,11 +293,11 @@ class SBFunction:
 
     # -- integral --------------------------------------------------------------------
     def haar_integral(self):
-        g = self.normalize()
+        """Sums c mu q^-(base + len(key)) over the keys, which may overlap."""
         total = cyc_zero()
-        for key, coeff in g._keys:  # points have measure zero
+        for key, coeff in self._keys:  # points have measure zero
             total = total + coeff * CycRat.from_rational(
-                self.mu * Fraction(self.q) ** -(g._base + len(key)))
+                self.mu * Fraction(self.q) ** -(self._base + len(key)))
         return total
 
     # -- transforms ---------------------------------------------------------------------
@@ -362,37 +372,28 @@ class SBFunction:
 
     # -- geometry -----------------------------------------------------------------------
     def dilate(self, alpha):
-        """x -> g(alpha x)."""
+        """x -> g(alpha x).  For alpha = u^w A, A a unit, a key at base b goes
+        to key * A^-1 at base b - w: _times_unit_powers with pi = u A."""
         if alpha.is_zero():
             raise ValueError("dilation by zero")
-        wa = alpha.valuation()
-        out = []
-        for atom, coeff in self.terms:
-            if isinstance(atom, KSingleton):
-                if len(alpha.digits) != 1:
-                    raise ValueError(
-                        "point dilation needs a monomial scale factor")
-                inv = KElement(self.q, {-wa: pow(alpha.digit(wa), -1, self.q)})
-                out.append((KSingleton(self.q, inv * atom.point), coeff))
-                continue
-            lev = atom.level - wa
-            if atom.rep.is_zero():
-                rep = atom.rep
-            else:
-                prec = lev - atom.rep.valuation() + 1
-                rep = alpha.invert(max(prec, 1)) * atom.rep
-            out.append((KCoset(self.q, rep, lev), coeff))
-        return SBFunction(self.q, out, self.mu)
+        q, wa = self.q, alpha.valuation()
+        if self._points and len(alpha.digits) != 1:
+            raise ValueError("point dilation needs a monomial scale factor")
+        times = _times_unit_powers(q, alpha.shift(1 - wa), self._keys)
+        inv = KElement(q, {-wa: pow(alpha.digit(wa), -1, q)})
+        return _keyed(q, self.mu, self._base - wa,
+                      [(times(k, -1), c) for k, c in self._keys],
+                      [(inv * p, c) for p, c in self._points])
 
     def translate(self, tau):
-        """x -> g(x + tau)."""
-        out = []
-        for atom, coeff in self.terms:
-            if isinstance(atom, KSingleton):
-                out.append((KSingleton(self.q, atom.point - tau), coeff))
-            else:
-                out.append((KCoset(self.q, atom.rep - tau, atom.level), coeff))
-        return SBFunction(self.q, out, self.mu)
+        """x -> g(x + tau): the keys lose tau's digits mod q, with no carry."""
+        q, base = self.q, min([self._base, *tau.digits])
+        pad = (0,) * (self._base - base)
+        keys = [(tuple((x - tau.digit(e)) % q
+                       for e, x in enumerate(pad + k, base)), c)
+                for k, c in self._keys]
+        return _keyed(q, self.mu, base, keys,
+                      [(p - tau, c) for p, c in self._points])
 
     def abs_pointwise(self):
         """|g| as an SBFunction; coefficients must have exact absolute value."""
@@ -425,7 +426,6 @@ class SBFunction:
         for m in spans:
             sign, head, bracket = m.groups()
             neg = sign == "-"
-            bracket = bracket.strip()
             head = head.rstrip("* ").strip()
             coeff = Fraction(head) if head else Fraction(1)
             if neg:

@@ -168,7 +168,8 @@ class SBTensor:
 
     def __init__(self, q, pairs=()):
         self.q = q
-        self.pairs = tuple((f, g) for f, g in pairs if f.terms and g.terms)
+        self.pairs = tuple(p for p in pairs
+                           if all(h._keys or h._points for h in p))
 
     @classmethod
     def pure(cls, f, g):

@@ -218,14 +218,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", SUITES)
     def test_every_suite_reads_mu(self, suite, tmp_path, monkeypatch):
+        # every SBFunction is made through __init__, normal forms included
         seen = []
-        normalize = SBFunction.normalize
+        init = SBFunction.__init__
 
-        def spy(self):
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             seen.append(self.mu)
-            return normalize(self)
 
-        monkeypatch.setattr(SBFunction, "normalize", spy)
+        monkeypatch.setattr(SBFunction, "__init__", spy)
         assert run(["verify", "--q", "2", "--suite", suite, "--mu", "5/4",
                     "--out-dir", str(tmp_path)]) == 0
         # measure works on F and archfe on the real line: no SBFunction

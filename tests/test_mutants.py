@@ -100,6 +100,8 @@ CHECKS = {
         "--q", "2", "--suite", "schwartz-oracle", "--d", "1"),
     "test_schwartz-test_w_unit_coset": named_test(
         test_schwartz.TestWAndNabla, "test_w_unit_coset"),
+    "test_schwartz-test_linear_maps_pointwise": named_test(
+        test_schwartz.TestKeyMaps, "test_linear_maps_pointwise"),
     "verify-q2-zeta1d-epsilon": verify(
         "--q", "2", "--suite", "zeta1d-epsilon"),
     "verify-q2-zeta1d-epsilon-rmax2": verify(
@@ -169,6 +171,15 @@ MUTANTS = [
      "verify-q2-double-star-level1"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),
+    ("translate-adds-tau", SBFunction, "translate",
+     "(x - tau.digit(e)) % q", "(x + tau.digit(e)) % q",
+     "test_schwartz-test_linear_maps_pointwise"),
+    # A where A^-1 belongs, for alpha = u^w A
+    ("dilate-by-the-unit", SBFunction, "dilate", "times(k, -1)",
+     "times(k, 1)", "test_schwartz-test_linear_maps_pointwise"),
+    ("add-drops-the-rebase-prefix", SBFunction, "__add__",
+     "((0,) * (f._base - base) + k, c)", "(k, c)",
+     "test_schwartz-test_linear_maps_pointwise"),
     ("double-star-composition-sign-of-d1", zeta1d, "double_star_invariance",
      "-d1 - d2 - 1", "d1 - d2 - 1", "verify-q2-double-star-d1"),
     ("eq-compares-trace-only", CycRat, "__eq__",

@@ -621,6 +621,83 @@ class TestGeometry:
                 CycRat.from_rational(Fraction(q) ** w) * g.haar_integral()
 
 
+def rand_digits(q, rng, lo, hi):
+    return KElement(q, {e: rng.randrange(q) for e in range(lo, hi)})
+
+
+def rand_keyed(q, rng, lo, points=False):
+    """1-4 cosets with digits from u^lo, levels lo + 1..lo + 3, the first
+    of valuation lo, so the base is lo; a point mass or two when points
+    is set."""
+    terms = []
+    for i in range(rng.randint(1, 4)):
+        lev = rng.randint(lo + 1, lo + 3)
+        rep = rand_digits(q, rng, lo + 1, lev) + \
+            KElement(q, {lo: rng.randrange(1 if i == 0 else 0, q)})
+        terms.append((KCoset(q, rep, lev),
+                      rng.choice([1, -1, 2, Fraction(1, 3)])))
+    for _ in range(rng.randint(1, 2) if points else 0):
+        terms.append((KSingleton(q, rand_digits(q, rng, lo, lo + 3)),
+                      rng.choice([1, 3])))
+    return SBFunction(q, terms)
+
+
+def assert_pointwise(rng, window, got, want, fns):
+    """got(x) == want(x) on the window (on 150 of its points when it is
+    larger than 300) and at a point of every atom of fns."""
+    pts = rng.sample(window, 150) if len(window) > 300 else list(window)
+    for f in fns:
+        pts += [a.point if isinstance(a, KSingleton) else a.rep
+                for a, _ in f.terms]
+    for x in pts:
+        assert got.evaluate(x) == want(x)
+
+
+class TestKeyMaps:
+    """Sums, scaling, translation and dilation work on digit keys without
+    a normal form; each is checked against `evaluate` on the atom view."""
+
+    UNITS = {3: ["1 + u", "2 + u + 2*u^2", "1 + 2*u^3"],
+             5: ["1 + u", "2 + 3*u + u^2", "4 + 2*u^2"]}
+
+    def test_linear_maps_pointwise(self):
+        # takes no arguments: tests/test_mutants.py runs it as a named check
+        for q in (3, 5):
+            rng = random.Random(90 + q)
+            window = window_points(q, -3, 2)
+            for _ in range(5):
+                f = rand_keyed(q, rng, -1)
+                fp = rand_keyed(q, rng, -1, points=True)
+                g = rand_keyed(q, rng, 1, points=rng.random() < 0.5)
+                assert f._base < g._base
+                s = f + g
+                assert_pointwise(rng, window, s,
+                                 lambda x: f.evaluate(x) + g.evaluate(x),
+                                 [s, f, g])
+                assert s.haar_integral() == \
+                    f.haar_integral() + g.haar_integral()
+                c = CycRat.root_of_unity(q) + 2
+                assert_pointwise(rng, window, fp.scale(c),
+                                 lambda x: c * fp.evaluate(x), [fp])
+                # tau has digits below the base of every function here
+                tau = rand_digits(q, rng, -3, 2) + KElement(q, {-3: 1})
+                for h in (fp, g):
+                    got = h.translate(tau)
+                    assert_pointwise(rng, window, got,
+                                     lambda x: h.evaluate(x + tau), [got])
+                for text in self.UNITS[q]:
+                    alpha = KElement.parse(q, text).shift(rng.randint(-1, 1))
+                    got = f.dilate(alpha)
+                    assert_pointwise(rng, window, got,
+                                     lambda x: f.evaluate(alpha * x), [got])
+                mono = KElement(q, {rng.randint(-1, 1): rng.randrange(2, q)})
+                got = fp.dilate(mono)
+                assert_pointwise(rng, window, got,
+                                 lambda x: fp.evaluate(mono * x), [got])
+                with pytest.raises(ValueError):
+                    fp.dilate(KElement.parse(q, "1 + u"))
+
+
 class TestLiftFinite:
     def test_point_zero(self):
         q = 3
