@@ -79,8 +79,10 @@ def _complex_quad(fn, tol):
     return total, diff + abs(end_lo) + abs(end_hi)
 
 
-def star_numeric(f, y, tol=1e-10):
-    """The transform 2 int f(x) e(nabla(y x)) |x| dx by quadrature.
+def star_numeric(f, y):
+    """The transform 2 int f(x) e(nabla(y x)) |x| dx by quadrature, the
+    step halved until two sums agree within 1e-10; ArithmeticError if the
+    error estimate exceeds 1e-8.
 
     The substitution u = x^2 on each half line makes the phase linear:
     nabla(y x) = nabla(y) nabla(x) = +-nabla(y) u, so the integral is
@@ -94,15 +96,17 @@ def star_numeric(f, y, tol=1e-10):
         phase = cmath.exp(2j * math.pi * a * u)
         return f(r) * phase + f(-r) * phase.conjugate()
 
-    val, err = _complex_quad(integrand, tol)
-    if err > max(tol * 100, 1e-8):
+    val, err = _complex_quad(integrand, 1e-10)
+    if err > 1e-8:
         raise ArithmeticError("quadrature did not converge")
     return val
 
 
-def zeta_numeric(f, omega, s, tol=1e-12):
+def zeta_numeric(f, omega, s):
     """int f(x) omega(x) |x|^s d*x by quadrature, for omega either the
-    trivial character (1) or the sign character ("sign").
+    trivial character (1) or the sign character ("sign"), the step halved
+    until two sums agree within 1e-12; ArithmeticError if the error
+    estimate exceeds 1e-9.
 
     Only the region of absolute convergence Re(s) > 0 is supported.
     """
@@ -117,8 +121,8 @@ def zeta_numeric(f, omega, s, tol=1e-12):
         weight = x ** complex(s.real - 1, s.imag)
         return (f(x) + sign_at_minus * f(-x)) * weight
 
-    val, err = _complex_quad(integrand, tol)
-    if err > max(tol * 100, 1e-9):
+    val, err = _complex_quad(integrand, 1e-12)
+    if err > 1e-9:
         raise ArithmeticError("quadrature did not converge")
     return val
 

@@ -130,7 +130,7 @@ def suite_identity_a(cfg):
     basis = [(f, f.star(psi, pi).star(psi, pi))
              for f in _coset_basis(q, cfg.level, cfg.mu)]
     return [("basis-%s" % om.label, {"q": q, "d": d, "r": om.r}, True,
-             all(zeta1d.check_identity_A(f, om, psi, pi, ff=ff)
+             all(zeta1d.check_identity_A(f, om, psi, ff)
                  for f, ff in basis))
             for om in _characters(q, cfg.rmax)]
 

@@ -20,7 +20,6 @@ polynomials in T for ZetaValue.
 
 from fractions import Fraction
 from functools import lru_cache
-import cmath
 import math
 import operator
 
@@ -365,10 +364,6 @@ class CycRat:
                                                        _traces(self.m))),
                              self.d * _phi_deg(self.m)))
 
-    def to_complex(self):
-        z = cmath.exp(2j * cmath.pi / self.m)
-        return complex(sum(c * z ** i for i, c in enumerate(self.a) if c))
-
     # -- printing -----------------------------------------------------------
     def __str__(self):
         bits = []
@@ -525,7 +520,7 @@ class ZetaValue:
     ``terms`` is the reduced view, built by the polynomial gcd on first
     read and cached: lowest terms, lowest nonzero denominator coefficient
     1.  Only the shape queries (is_constant, constant_value,
-    is_exponential_type), evaluate and printing read it.
+    is_exponential_type) and printing read it.
     """
 
     __slots__ = ("q", "_fr", "_terms")
@@ -627,13 +622,6 @@ class ZetaValue:
                 g += k
                 acc[g] = _fadd(acc[g], f) if g in acc else f
         return cls(q, acc)
-
-    @classmethod
-    def from_fraction(cls, q, num_coeffs, den_coeffs, x_exp=0):
-        def mk(cs):
-            return tuple(c if isinstance(c, CycRat) else CycRat.from_rational(c)
-                         for c in cs)
-        return cls(q, {x_exp: (mk(num_coeffs), mk(den_coeffs))})
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self):
@@ -788,16 +776,7 @@ class ZetaValue:
             return None
         return (n[n_idx[0]], n_idx[0] - d_idx[0])
 
-    # -- evaluation and printing ------------------------------------------------
-    def evaluate(self, t_value, x_value=1.0):
-        """Debug evaluator at numeric T (and X)."""
-        total = 0j
-        for g, (n, d) in self.terms.items():
-            nv = sum(c.to_complex() * t_value ** i for i, c in enumerate(n))
-            dv = sum(c.to_complex() * t_value ** i for i, c in enumerate(d))
-            total += x_value ** g * nv / dv
-        return total
-
+    # -- printing -------------------------------------------------------------
     @staticmethod
     def _poly_str(p):
         bits = []

@@ -7,12 +7,12 @@ a + t^gamma O which reads the t^gamma coefficient of x - a through g.
 Together with character twists psi_b these span the space that the
 integral, the Fourier transform, the measure, and the one-variable zeta
 integrals act on.  All values are exact elements of the T/X coefficient
-ring.
+ring.  The literal reader for F elements ("u^-1 + t*(1+u)") lives with
+the tests, in tests/builders.py.
 """
 
 from fractions import Fraction
 import math
-import re
 
 from .exactnum import CycRat, ZetaValue, cyc_one
 from .localfield import (
@@ -173,32 +173,6 @@ class FElement:
                 bits.append("(%s)*%s" % (ks, t))
         return " + ".join(bits)
 
-    @classmethod
-    def parse(cls, q, text):
-        """Literal syntax: "u^-1 + t*(1+u) + 2*t^3"."""
-        text = text.strip()
-        if text in ("", "0"):
-            return cls.zero(q)
-        out = {}
-        for piece in re.split(r"\+(?![^(]*\))", text):
-            piece = piece.strip()
-            m = re.fullmatch(
-                r"(?:\(([^)]*)\)\*?|([^t()]*?)\*?)?(t(?:\^(-?\d+))?)?",
-                piece)
-            if m is None or not piece:
-                raise ValueError("bad term %r" % piece)
-            kpart = m.group(1) if m.group(1) is not None else m.group(2)
-            e = 0
-            if m.group(3):
-                e = int(m.group(4)) if m.group(4) else 1
-            if kpart is None or kpart.strip() in ("", "1"):
-                k = KElement.one(q)
-            else:
-                k = KElement.parse(q, kpart.strip())
-            k = out.get(e, KElement.zero(q)) + k
-            out[e] = k
-        return cls(q, out)
-
 
 class GoodCharacter:
     """The additive character reading the t^0 coefficient through the
@@ -349,14 +323,12 @@ class LiftedFn:
             out.append((g.dilate(ea), new_a, gamma - na, new_b, coeff))
         return LiftedFn(self.q, out)
 
-    def translate_var(self, tau, psi=None):
-        """x -> f(x - tau)."""
+    def translate_var(self, tau, psi):
+        """x -> f(x - tau); a twisted term gains the factor psi(-b tau)."""
         out = []
         for g, a, gamma, b, coeff in self.terms:
             c = coeff
             if b is not None:
-                if psi is None:
-                    raise ValueError("twisted term needs psi")
                 c = c * ZetaValue.constant(self.q, psi(-(b * tau)))
             out.append((g, a + tau, gamma, b, c))
         return LiftedFn(self.q, out)
@@ -677,58 +649,3 @@ def zeta_F1_regularized(f, omega, psi):
     for g, a, gamma, b, coeff in f.terms:
         total = total + _zeta_term(g, a, gamma, b, coeff, omega, psi, True)
     return total
-
-
-# -- products -------------------------------------------------------------------
-
-class LiftedFn2:
-    """Finite sums of lifted tensors on the product of two copies of F:
-    terms (fa, fb, a1, a2, g1, g2, coeff) stand for coeff times the lift
-    of fa at (a1, g1) in x times the lift of fb at (a2, g2) in y."""
-
-    __slots__ = ("q", "terms")
-
-    def __init__(self, q, terms=()):
-        cleaned = []
-        for fa, fb, a1, a2, g1, g2, coeff in terms:
-            coeff = _zcoeff(q, coeff)
-            if not coeff.is_zero():
-                cleaned.append((fa, fb, a1, a2, g1, g2, coeff))
-        self.q = q
-        self.terms = tuple(cleaned)
-
-    @classmethod
-    def outer(cls, f1, f2):
-        """The product f1(x) f2(y) of two untwisted lifted functions."""
-        if not (f1.is_untwisted() and f2.is_untwisted()):
-            raise ValueError("tensor products of untwisted lifts only")
-        terms = []
-        for ga, aa, gam_a, _, ca in f1.terms:
-            for gb, ab, gam_b, _, cb in f2.terms:
-                terms.append((ga, gb, aa, ab, gam_a, gam_b, ca * cb))
-        return cls(f1.q, terms)
-
-    def evaluate(self, x, y):
-        total = ZetaValue.zero(self.q)
-        for fa, fb, a1, a2, g1, g2, coeff in self.terms:
-            dx, dy = x - a1, y - a2
-            if not (dx.is_zero() or dx.nu() >= g1):
-                continue
-            if not (dy.is_zero() or dy.nu() >= g2):
-                continue
-            v = fa.evaluate(dx.coeff(g1)) * fb.evaluate(dy.coeff(g2))
-            total = total + coeff * ZetaValue.constant(self.q, v)
-        return total
-
-    def translate(self, tau1, tau2):
-        return LiftedFn2(self.q, [(fa, fb, a1 + tau1, a2 + tau2, g1, g2, c)
-                                  for fa, fb, a1, a2, g1, g2, c
-                                  in self.terms])
-
-    def integrate(self):
-        total = ZetaValue.zero(self.q)
-        for fa, fb, _, _, g1, g2, coeff in self.terms:
-            v = fa.haar_integral() * fb.haar_integral()
-            total = total + coeff * ZetaValue.monomial(
-                self.q, v, x_exp=g1 + g2)
-        return total

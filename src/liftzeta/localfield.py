@@ -6,13 +6,14 @@ Also here: cosets a + pi^n O, the additive character of a given conductor,
 and quasi-characters of K^x together with their exhaustive enumeration at a
 given conductor bound.  A quasi-character's values on the units are roots
 of unity, kept as integer exponents; a CycRat is made only when one value
-is asked for, or once for a whole Gauss sum of exponents.
+is asked for, or once for a whole Gauss sum of exponents.  The literal
+reader for K elements ("2*u^-1 + 1 + u^3") lives with the tests, in
+tests/builders.py.
 """
 
 import itertools
 import math
 import operator
-import re
 
 from .exactnum import CycRat, cyc_one, cyc_sums, is_prime
 
@@ -155,26 +156,6 @@ class KElement:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-    @classmethod
-    def parse(cls, q, text):
-        """Parse "2*u^-1 + 1 + u^3"."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(q)
-        digits = {}
-        for piece in text.split("+"):
-            piece = piece.strip()
-            m = re.fullmatch(r"(?:(\d+)\*?)?(?:u(?:\^(-?\d+))?)?", piece)
-            if not m or not piece:
-                raise ValueError("bad K element literal: %r" % piece)
-            coeff = int(m.group(1)) if m.group(1) else 1
-            if "u" in piece:
-                exp = int(m.group(2)) if m.group(2) else 1
-            else:
-                exp = 0
-            digits[exp] = digits.get(exp, 0) + coeff
-        return cls(q, digits)
 
 
 class KCoset:

@@ -13,12 +13,14 @@ equal functions store equal keys; the transforms read and write it, and
 expanded into plain keys where it is applied, by `twisted` and inside
 `fourier`.  Points ride along for the pointwise calculus (evaluation,
 Haar integral, absolute value) but are rejected by the transforms, which
-only make sense on locally constant functions.
+only make sense on locally constant functions.  The constructors that
+only the tests use live in tests/builders.py: the literal reader
+("2*[u^-1 + u*O] - [1 + u^2*O]"), the point mass and the lift of a
+function on the residue field to pi^r O.
 """
 
 from fractions import Fraction
 import math
-import re
 
 from .exactnum import CycRat, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement, KSingleton
@@ -212,10 +214,6 @@ class SBFunction:
         return cls.char(KCoset.ideal(q, n), coeff, mu)
 
     @classmethod
-    def char_point(cls, q, point, coeff=1, mu=Fraction(1)):
-        return cls(q, [(KSingleton(q, point), coeff)], mu)
-
-    @classmethod
     def char_units(cls, q, mu=Fraction(1)):
         """Indicator of O^x = O minus pi O."""
         return (cls.char_ideal(q, 0, 1, mu)
@@ -223,6 +221,8 @@ class SBFunction:
 
     def twisted(self, b, psi):
         """The normal form of x -> psi(b x) g(x)."""
+        if b.q != self.q or psi.q != self.q:
+            raise ValueError("mixed residue sizes")
         g, q = self.normalize(), self.q
         if b.is_zero():
             return g
@@ -387,6 +387,8 @@ class SBFunction:
 
     def translate(self, tau):
         """x -> g(x + tau): the keys lose tau's digits mod q, with no carry."""
+        if tau.q != self.q:
+            raise ValueError("mixed residue sizes")
         q, base = self.q, min([self._base, *tau.digits])
         pad = (0,) * (self._base - base)
         keys = [(tuple((x - tau.digit(e)) % q
@@ -409,45 +411,7 @@ class SBFunction:
             out.append((atom, c))
         return SBFunction(q, out, self.mu).normalize()
 
-    # -- parsing / printing ---------------------------------------------------------------
-    @classmethod
-    def parse(cls, q, text, mu=Fraction(1)):
-        """Literal syntax: "1*[1 + u^2*O] - 2*[u^-1 + u*O]"; "O" alone means
-        the ring of integers, "u^k*O" the ideal pi^k O."""
-        text = text.strip()
-        if text in ("0", ""):
-            return cls.zero(q, mu)
-        terms = []
-        pat = re.compile(r"([+-])?\s*([^+\-\[\]]*)\[([^\]]*)\]")
-        spans = list(pat.finditer(text))
-        covered = "".join(m.group(0) for m in spans)
-        if covered.replace(" ", "") != text.replace(" ", ""):
-            raise ValueError("unparsable term in %r" % text)
-        for m in spans:
-            sign, head, bracket = m.groups()
-            neg = sign == "-"
-            head = head.rstrip("* ").strip()
-            coeff = Fraction(head) if head else Fraction(1)
-            if neg:
-                coeff = -coeff
-            parts = [s.strip() for s in bracket.split("+")]
-            ideal_part = parts[-1]
-            if not ideal_part.endswith("O"):
-                raise ValueError("coset bracket must end with an ideal")
-            ideal_part = ideal_part[:-1].rstrip("*").strip()
-            if not ideal_part:
-                level = 0
-            elif ideal_part == "u":
-                level = 1
-            else:
-                if not ideal_part.startswith("u^"):
-                    raise ValueError("bad ideal %r" % ideal_part)
-                level = int(ideal_part[2:])
-            rep_text = " + ".join(parts[:-1]) if len(parts) > 1 else "0"
-            rep = KElement.parse(q, rep_text)
-            terms.append((KCoset(q, rep, level), coeff))
-        return cls(q, terms, mu)
-
+    # -- printing -------------------------------------------------------------
     def __str__(self):
         if not self.terms:
             return "0"
@@ -455,18 +419,3 @@ class SBFunction:
 
     __repr__ = __str__
 
-
-def lift_finite(h, r, q, mu=Fraction(1)):
-    """The function on K vanishing off pi^r O with value h(residue) there:
-    sum over digits c of h(c) Char(c pi^r + pi^(r+1) O).
-
-    For an additive character psi of conductor 0 its star transform is a
-    scaled Fourier transform plus a radial term,
-        f* = q^(-r-1) f^ + q^(-2r-1) mu S(h) Char(pi^-r O),
-    where S(h) is the sum of h(c) over c != 0; so f* = q^(-r-1) f^
-    exactly when S(h) = 0."""
-    terms = []
-    for c in range(q):
-        coeff = h.get(c, 0) if isinstance(h, dict) else h(c)
-        terms.append((KCoset(q, KElement(q, {r: c}), r + 1), coeff))
-    return SBFunction(q, terms, mu).normalize()

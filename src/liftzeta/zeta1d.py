@@ -119,13 +119,12 @@ def _delta_parity(q, k):
     return Fraction(1) if k % 2 == 0 else Fraction(1, q)
 
 
-def check_identity_A(f, omega, psi, pi, ff=None):
+def check_identity_A(f, omega, psi, ff):
     """Does zeta(f**, omega) equal
-    mu^2 q^(-d) delta(d - r) omega(-1) zeta(f, omega) exactly?  f** does
-    not depend on omega; pass it as ff to reuse it across characters."""
+    mu^2 q^(-d) delta(d - r) omega(-1) zeta(f, omega) exactly?  ff is the
+    double star f** for psi, which does not depend on omega, so a caller
+    computes it once for all characters."""
     q = f.q
-    if ff is None:
-        ff = f.star(psi, pi).star(psi, pi)
     lhs = zeta(ff, omega)
     factor = CycRat.from_rational(
         f.mu ** 2 * Fraction(q) ** (-psi.d)
@@ -181,12 +180,6 @@ class SBTensor:
         if not isinstance(other, SBTensor) or other.q != self.q:
             return NotImplemented
         return SBTensor(self.q, self.pairs + other.pairs)
-
-    def scale(self, c):
-        return SBTensor(self.q, [(f.scale(c), g) for f, g in self.pairs])
-
-    def is_zero(self):
-        return not self.pairs
 
     def star(self, psi, pi):
         return SBTensor(self.q, [(f.star(psi, pi), g.star(psi, pi))

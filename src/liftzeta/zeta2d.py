@@ -6,10 +6,10 @@ then reduces to a product of one-variable integrals, so L and epsilon
 factors are products and the functional equation in s -> 2-s follows
 from the one-variable theory.  The shell decomposition here writes a
 one-variable integral as a sum over the shells of valuation k of g; the
-oracle zeta2_direct is the product of the two shell decompositions of
-each pure summand.  A second, boundary, construction lifts a single
-K-integral through the generalised residue map; the resulting identity
-is verified by the same shell decomposition.
+oracle zeta2_direct of tests/test_zeta2d.py is the product of the two
+shell decompositions of each pure summand.  A second, boundary,
+construction lifts a single K-integral through the generalised residue
+map; the resulting identity is verified by the same shell decomposition.
 """
 
 from fractions import Fraction
@@ -106,17 +106,6 @@ def _shell_zeta(g, omega):
         omega.pi_value, hi)
 
 
-def zeta2_direct(tensor, chi):
-    """The same integral as the product of the two shell decompositions
-    of each pure summand; an independent path used as an oracle for
-    zeta2."""
-    total = ZetaValue.zero(tensor.q)
-    for f, g in tensor.pairs:
-        total = total + _shell_zeta(f, chi.omega1) * _shell_zeta(
-            g, chi.omega2)
-    return total
-
-
 def z2_normalized(tensor, chi):
     return zeta2(tensor, chi) / (l_function(chi.omega1)
                                  * l_function(chi.omega2))
@@ -128,21 +117,17 @@ def epsilon2(chi, psi, pi, mu1=Fraction(1), mu2=Fraction(1)):
             * epsilon_star(chi.omega2, psi, pi, mu2))
 
 
-def verify_FE2(tensor, chi, psi, pi, eps=None):
+def verify_FE2(tensor, chi, psi, pi, eps):
     """Does the normalized zeta of the starred tensor at the dual point
-    equal epsilon times the normalized zeta of the tensor?  eps, when
-    given, is epsilon2(chi, psi, pi, mu1, mu2) at the tensor's measure
-    normalizations, computed once by a caller that checks many tensors."""
+    equal epsilon times the normalized zeta of the tensor?  eps is
+    epsilon2(chi, psi, pi, mu1, mu2) at the tensor's measure
+    normalizations, which a caller computes once for many tensors."""
     if not tensor.pairs:
         return True
-    mus = {(f.mu, g.mu) for f, g in tensor.pairs}
-    if len(mus) != 1:
+    if len({(f.mu, g.mu) for f, g in tensor.pairs}) != 1:
         raise ValueError("tensor components must share measure "
                          "normalizations")
-    mu1, mu2 = mus.pop()
     lhs = z2_normalized(tensor.star(psi, pi), chi.inverse()).subst_dual()
-    if eps is None:
-        eps = epsilon2(chi, psi, pi, mu1, mu2)
     rhs = eps * z2_normalized(tensor, chi)
     return lhs == rhs
 

@@ -22,13 +22,14 @@ from liftzeta.localfield import (
     AdditiveCharacter, KCoset, KElement, QuasiCharacter,
     enumerate_characters,
 )
-from liftzeta.schwartz import SBFunction, lift_finite
+from liftzeta.schwartz import SBFunction
 from liftzeta.setring import DddSet, KCosetFamily
 from liftzeta.zeta1d import (
     SBTensor, double_star_invariance, epsilon_star, rho0, z_normalized,
     zeta,
 )
 from liftzeta.zeta2d import ChiCharacter, epsilon2, zeta_rho2
+from builders import char_point, lift_finite
 from setoracle import (
     IntervalFamily, atoms, probe_points, rand_coset, rand_expr, rand_interval,
 )
@@ -291,7 +292,7 @@ class TestAbsolutePathology:
     def test_integral_of_abs_vanishes_while_integral_does_not(self, gamma):
         q = 3
         psi = GoodCharacter(q, 0)
-        f = (LiftedFn.lift(SBFunction.char_point(q, KElement.zero(q)))
+        f = (LiftedFn.lift(char_point(q, KElement.zero(q)))
              + LiftedFn.lift(SBFunction.char_ideal(q, 0), gamma=gamma,
                              coeff=-2))
         assert f.integrate(psi) == ZetaValue.monomial(q, -2, x_exp=gamma)

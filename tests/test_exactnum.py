@@ -1,4 +1,5 @@
 from fractions import Fraction
+import cmath
 import math
 import operator
 
@@ -8,6 +9,7 @@ from hypothesis import (
 )
 
 import modoracle
+from builders import from_fraction
 from test_zeta1d import euclid_inverse
 from liftzeta import cli, exactnum
 from liftzeta.exactnum import (
@@ -20,6 +22,12 @@ from liftzeta.zeta1d import l_function
 
 def zeta(m, k=1):
     return CycRat.root_of_unity(m, k)
+
+
+def to_complex(c):
+    """The complex value of a CycRat, zeta_m read as exp(2 pi i / m)."""
+    z = cmath.exp(2j * cmath.pi / c.m)
+    return complex(sum(x * z ** i for i, x in enumerate(c.a) if x))
 
 
 class TestCycRat:
@@ -73,7 +81,7 @@ class TestCycRat:
     def test_sqrt_q_is_the_positive_root(self, q):
         s = CycRat.sqrt_q(q)
         assert s ** 2 == q
-        assert abs(s.to_complex() - math.sqrt(q)) < 1e-12
+        assert abs(to_complex(s) - math.sqrt(q)) < 1e-12
 
     def test_odd_power_needs_prime_q(self):
         with pytest.raises(ValueError):
@@ -306,7 +314,7 @@ class TestZetaValue:
 
     def one_minus_qinv_t(self):
         # 1 - q^-1 T
-        return ZetaValue.from_fraction(self.q, [1, Fraction(-1, self.q)], [1])
+        return from_fraction(self.q, [1, Fraction(-1, self.q)], [1])
 
     def test_inverse_cancellation(self):
         v = self.one_minus_qinv_t()
@@ -330,14 +338,15 @@ class TestZetaValue:
         # (1 - q^-1 T)^-1 -> T/(T - q^-3)
         v = self.one_minus_qinv_t().inverse()
         got = v.subst_dual()
-        expect = ZetaValue.from_fraction(
-            self.q, [0, 1], [Fraction(-1, self.q ** 3), 1])
+        expect = from_fraction(self.q, [0, 1], [Fraction(-1, self.q ** 3), 1])
         assert got == expect
-        # spot check by evaluation at T = 1 and T = q
-        for t in (1.0, float(self.q)):
-            lhs = got.evaluate(t)
-            rhs = expect.evaluate(t)
-            assert abs(lhs - rhs) < 1e-12
+        # images in F_P at random points: got at T = t is v at
+        # T = 1/(q^2 t), and agrees with expect
+        for t, x in modoracle.points(10, 4):
+            dual = pow(self.q ** 2 * t, -1, modoracle.P)
+            assert modoracle.image(got, t, x) == modoracle.image(v, dual, x)
+            assert modoracle.image(got, t, x) == modoracle.image(
+                expect, t, x)
 
     @pytest.mark.parametrize("a", [
         CycRat.from_rational(1), CycRat.root_of_unity(4),
@@ -360,13 +369,13 @@ class TestZetaValue:
     @settings(max_examples=40)
     def test_subst_dual_involution(self, a, b, g):
         v = (ZetaValue.monomial(self.q, a, t_exp=2, x_exp=g)
-             + ZetaValue.from_fraction(self.q, [b, 1], [1, 0, 2]))
+             + from_fraction(self.q, [b, 1], [1, 0, 2]))
         assert v.subst_dual().subst_dual() == v
 
     def test_subst_scale(self):
         t = ZetaValue.monomial(self.q, 1, t_exp=1)
         assert t.subst_scale(1, 2) == ZetaValue.monomial(self.q, 1, t_exp=2)
-        v = ZetaValue.from_fraction(self.q, [1], [1, -1])  # (1-T)^-1
+        v = from_fraction(self.q, [1], [1, -1])  # (1-T)^-1
         w = CycRat.root_of_unity(4)
         assert v.subst_scale(w, 2) == ZetaValue(self.q, {
             0: ((CycRat.from_rational(1),),
@@ -392,7 +401,7 @@ class TestZetaValue:
         assert v.subst_dual() == v
 
     def test_canonical_string(self):
-        v = ZetaValue.from_fraction(3, [1], [1, Fraction(-1, 3)], x_exp=2)
+        v = from_fraction(3, [1], [1, Fraction(-1, 3)], x_exp=2)
         assert str(v) == "(1 - 1/3*T)^-1 * X^2"
 
     def test_mixed_q_error(self):
@@ -403,7 +412,7 @@ class TestZetaValue:
     @settings(max_examples=40)
     def test_ring_axioms(self, a, b, g):
         x = ZetaValue.monomial(self.q, a, t_exp=1, x_exp=g)
-        y = ZetaValue.from_fraction(self.q, [1, b], [1, 0, 1])
+        y = from_fraction(self.q, [1, b], [1, 0, 1])
         z = ZetaValue.constant(self.q, b) + ZetaValue.monomial(self.q, 1, x_exp=1)
         assert (x + y) * z == x * z + y * z
         assert (x * y) * z == x * (y * z)
@@ -506,7 +515,7 @@ def build(tree):
     op, *args = tree
     if op == "leaf":
         num, den, g = args
-        return ZetaValue.from_fraction(Q, num, den, x_exp=g)
+        return from_fraction(Q, num, den, x_exp=g)
     if op == "dual":
         return build(args[0]).subst_dual()
     if op == "scale":

@@ -3,24 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from liftzeta import zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import (
     DistinguishedFamily, DistinguishedSetF, FElement, GoodCharacter,
-    LiftedFn, LiftedFn2, abs_F, measure_F, zeta_F1,
-    zeta_F1_regularized,
+    LiftedFn, abs_F, measure_F, zeta_F1, zeta_F1_regularized,
 )
 from liftzeta.localfield import (
     KCoset, KElement, QuasiCharacter, enumerate_characters,
 )
 from liftzeta.schwartz import SBFunction, cyc_abs
 from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
-from liftzeta.zeta1d import rho0, zeta as zeta_k
+from liftzeta.zeta1d import rho0
+from builders import char_point, parse_f as fe, parse_k
 from liftoracle import integrate_reference, measure_reference
 from setoracle import atoms, measure_relation, probe_points, rand_expr
-
-
-def fe(q, text):
-    return FElement.parse(q, text)
 
 
 def rand_felement(q, rng, exps=(-1, 0, 1), density=0.6):
@@ -98,7 +95,7 @@ class TestFElement:
     def test_parse_and_str(self):
         x = fe(3, "u^-1 + (1+u)*t + 2*t^3")
         assert str(x) == "u^-1 + (1 + u)*t + 2*t^3"
-        assert x.coeff(1) == KElement.parse(3, "1+u")
+        assert x.coeff(1) == parse_k(3, "1+u")
 
     def test_valuation_leading(self):
         x = fe(5, "3*t^-2 + t")
@@ -342,7 +339,7 @@ class TestAbsLifted:
         q = 3
         gamma = 2
         psi = GoodCharacter(q, 0)
-        f = (LiftedFn.lift(SBFunction.char_point(q, KElement.zero(q)))
+        f = (LiftedFn.lift(char_point(q, KElement.zero(q)))
              + LiftedFn.lift(SBFunction.char_ideal(q, 0), gamma=gamma,
                              coeff=-2))
         assert f.integrate(psi) == ZetaValue.monomial(q, -2, x_exp=gamma)
@@ -732,14 +729,21 @@ class TestZetaOnF:
         assert zeta_F1(f, self.om, self.psi) == want
 
     def test_residue_case_matches_one_dimensional_zeta(self):
+        # at level 0 the lift of g at a reads g at the t^0 coefficient
+        # minus a, so the K integral is over the coset a + 1 + pi^2 O,
+        # written out here (1 + 2 = 0 at q = 3); zeta2d's shell
+        # decomposition integrates it on atoms, sharing no code with zeta
         q = self.q
         g = SBFunction.char(KCoset(q, KElement.one(q), 2))
-        a = FElement.from_k(KElement.constant(q, 2))
-        f = LiftedFn.lift(g, a=a, gamma=0)
-        g1 = g.translate(-a.coeff(0))
-        for om in [self.om] + [w for w in enumerate_characters(q, 1)
-                               if w.r == 1][:1]:
-            assert zeta_F1(f, om, self.psi) == zeta_k(g1, om)
+        chars = [self.om] + [w for w in enumerate_characters(q, 1)
+                             if w.r == 1][:1]
+        for c, moved in [(1, KCoset(q, KElement.constant(q, 2), 2)),
+                         (2, KCoset.ideal(q, 2))]:  # 1 + 2 = 0 mod 3
+            f = LiftedFn.lift(g, a=FElement.from_k(KElement.constant(q, c)),
+                              gamma=0)
+            for om in chars:
+                want = zeta2d._shell_zeta(SBFunction.char(moved), om)
+                assert zeta_F1(f, om, self.psi) == want
 
     def test_residue_case_with_unit_twist(self):
         # frozen value of the twisted residue integral for the trivial
@@ -830,33 +834,3 @@ class TestZetaRegularized:
                 b=rand_felement(q, rng, exps=(0, 1), density=0.5) or None)
             assert zeta_F1_regularized(f, om, psi) == zeta_F1(f, om, psi)
 
-
-class TestProducts:
-    def test_tensor_factorization(self):
-        q = 3
-        psi = GoodCharacter(q, 0)
-        rng = random.Random(20)
-        for _ in range(20):
-            f1 = rand_lifted(q, rng, twisted=False)
-            f2 = rand_lifted(q, rng, twisted=False)
-            t = LiftedFn2.outer(f1, f2)
-            assert t.integrate() == f1.integrate(psi) * f2.integrate(psi)
-
-    def test_translation_invariance(self):
-        q = 3
-        rng = random.Random(21)
-        for _ in range(15):
-            t = LiftedFn2.outer(rand_lifted(q, rng, twisted=False),
-                                rand_lifted(q, rng, twisted=False))
-            moved = t.translate(rand_felement(q, rng),
-                                rand_felement(q, rng))
-            assert moved.integrate() == t.integrate()
-
-    def test_evaluation(self):
-        q = 3
-        f1 = LiftedFn.lift(SBFunction.char_ideal(q, 0), gamma=1)
-        f2 = LiftedFn.lift(SBFunction.char_ideal(q, 1), gamma=0)
-        t = LiftedFn2.outer(f1, f2)
-        x, y = fe(q, "t"), fe(q, "u")
-        assert t.evaluate(x, y) == ZetaValue.constant(q, 1)
-        assert t.evaluate(x, fe(q, "1")).is_zero()

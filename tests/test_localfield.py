@@ -12,10 +12,7 @@ from liftzeta.localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, QuasiCharacter,
     _unit_keys, enumerate_characters, gauss_sum,
 )
-
-
-def ke(q, text):
-    return KElement.parse(q, text)
+from builders import parse_k as ke
 
 
 def random_kelement(q, rng, lo=-3, hi=4):

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from liftzeta.exactnum import CycRat, _pmul, _reduce_mod_cyc, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
-from liftzeta.schwartz import (
-    TERM_CAP, SBFunction, _canonical, cyc_abs, lift_finite,
-)
+from liftzeta.schwartz import TERM_CAP, SBFunction, _canonical, cyc_abs
+from builders import char_point, lift_finite, parse_k, parse_sb
 
 
 def ideal(q, n):
@@ -211,7 +210,7 @@ class TestNormalize:
     def test_twist_free_form_computed_once(self):
         q = 3
         f = (SBFunction.char_ideal(q, 0)
-             - SBFunction.char(KCoset(q, KElement.parse(q, "1 + u"), 2), 2))
+             - SBFunction.char(KCoset(q, parse_k(q, "1 + u"), 2), 2))
         g = f.normalize()
         assert f.normalize() is g
         assert g.normalize() is g
@@ -227,10 +226,10 @@ class TestNormalize:
             for x in window_points(q, 0, 2):
                 assert g.evaluate(x) == psi(b * x) * f.evaluate(x)
         # the pointwise law psi(b x) h(x) on more inputs, a point among them
-        h = (SBFunction.parse(q, "2*[u^-1 + u*O] - [1 + u^2*O]")
-             + SBFunction.char_point(q, KElement.parse(q, "u^-1 + 2"), 3))
+        h = (parse_sb(q, "2*[u^-1 + u*O] - [1 + u^2*O]")
+             + char_point(q, parse_k(q, "u^-1 + 2"), 3))
         for text in ("1", "u^-2", "2*u^-3 + u"):
-            b = KElement.parse(q, text)
+            b = parse_k(q, text)
             for d in (-1, 0, 2):
                 psi = AdditiveCharacter(q, d)
                 g = h.twisted(b, psi)
@@ -278,7 +277,7 @@ class TestHaar:
     def test_values(self):
         q = 5
         assert SBFunction.char_ideal(q, 0).haar_integral() == 1
-        coset = KCoset(q, KElement.parse(q, "2 + u"), 2)
+        coset = KCoset(q, parse_k(q, "2 + u"), 2)
         assert SBFunction.char(coset).haar_integral() == Fraction(1, 25)
         assert SBFunction.char_units(q).haar_integral() == 1 - Fraction(1, q)
 
@@ -290,7 +289,7 @@ class TestHaar:
 
     def test_singleton_measure_zero(self):
         q = 3
-        f = SBFunction.char_point(q, KElement.one(q), 5)
+        f = char_point(q, KElement.one(q), 5)
         assert f.haar_integral().is_zero()
 
     def test_translation_invariance(self):
@@ -319,8 +318,8 @@ class TestFourier:
     def test_pointwise_oracle(self):
         q = 3
         psi = AdditiveCharacter(q, 1)
-        f = (SBFunction.char(KCoset(q, KElement.parse(q, "1 + u"), 2), 2)
-             + SBFunction.char(KCoset(q, KElement.parse(q, "u^-1"), 0), -1))
+        f = (SBFunction.char(KCoset(q, parse_k(q, "1 + u"), 2), 2)
+             + SBFunction.char(KCoset(q, parse_k(q, "u^-1"), 0), -1))
         got = f.fourier(psi)
         L = 3
         reps = window_points(q, -2, L)
@@ -348,7 +347,7 @@ class TestFourier:
 
     def test_singleton_rejected(self):
         psi = AdditiveCharacter(3, 0)
-        f = SBFunction.char_point(3, KElement.zero(3))
+        f = char_point(3, KElement.zero(3))
         with pytest.raises(ValueError):
             f.fourier(psi)
 
@@ -380,7 +379,7 @@ class TestWAndNabla:
     def test_w_negative_valuation_oracle(self):
         q = 2
         pi = KElement.uniformizer(q)
-        f = SBFunction.char(KCoset(q, KElement.parse(q, "u^-1"), 1))
+        f = SBFunction.char(KCoset(q, parse_k(q, "u^-1"), 1))
         got = f.w_operator(pi)
         for x in window_points(q, -3, 3):
             assert got.evaluate(x) == w_ref(f, x)
@@ -468,6 +467,18 @@ class TestMixedResidueSizes:
             with pytest.raises(ValueError, match="mixed residue sizes"):
                 op(KElement.uniformizer(5))
 
+    def test_twisted_rejects_b_or_psi_of_another_q(self):
+        f = SBFunction.char_ideal(3, 0)
+        for b, psi in [(KElement(3, {-1: 1}), AdditiveCharacter(5, 0)),
+                       (KElement(5, {-1: 1}), AdditiveCharacter(3, 0))]:
+            with pytest.raises(ValueError, match="mixed residue sizes"):
+                f.twisted(b, psi)
+
+    def test_translate_rejects_tau_of_another_q(self):
+        f = SBFunction.char(KCoset(3, KElement.one(3), 1))
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            f.translate(KElement(5, {-1: 1}))
+
 
 class TestTruncatedPowers:
     @pytest.mark.parametrize("pi_text", ["u + u^2", "u + 2*u^3"])
@@ -475,10 +486,10 @@ class TestTruncatedPowers:
     def test_w_nabla_star_match_untruncated(self, d, pi_text):
         q = 3
         psi = AdditiveCharacter(q, d)
-        pi = KElement.parse(q, pi_text)
+        pi = parse_k(q, pi_text)
         for text in ("[1 + u + u^2*O]", "[u^-2 + 2*u + u^2*O]",
                      "2*[u^-1 + u*O] - [2 + u^3*O]"):
-            f = SBFunction.parse(q, text)
+            f = parse_sb(q, text)
             wf = w_untruncated(f, pi).fourier(psi)
             # cosets of level about d, where the untruncated powers of
             # the inverse of pi grow with d
@@ -509,8 +520,7 @@ def coset_sums(draw):
         if draw(st.booleans()):
             c = c * CycRat.root_of_unity(3, draw(st.integers(1, 2)))
         terms.append((KCoset(q, rep, lev), c))
-    pi = KElement.parse(q, draw(st.sampled_from(["u", "u + u^2",
-                                                 "u + 2*u^3"])))
+    pi = parse_k(q, draw(st.sampled_from(["u", "u + u^2", "u + 2*u^3"])))
     return SBFunction(q, terms, mu), AdditiveCharacter(q, draw(
         st.integers(-1, 2))), pi
 
@@ -569,7 +579,7 @@ class TestStar:
     def test_non_uniformizer_rejected(self, pi):
         q = 3
         psi = AdditiveCharacter(q, 0)
-        pi = 1 if pi == "int 1" else KElement.parse(q, pi)
+        pi = 1 if pi == "int 1" else parse_k(q, pi)
         for f in (SBFunction.char_ideal(q, 0),
                   SBFunction.char(KCoset(q, KElement.one(q), 2))):
             with pytest.raises(ValueError, match="uniformizer"):
@@ -686,7 +696,7 @@ class TestKeyMaps:
                     assert_pointwise(rng, window, got,
                                      lambda x: h.evaluate(x + tau), [got])
                 for text in self.UNITS[q]:
-                    alpha = KElement.parse(q, text).shift(rng.randint(-1, 1))
+                    alpha = parse_k(q, text).shift(rng.randint(-1, 1))
                     got = f.dilate(alpha)
                     assert_pointwise(rng, window, got,
                                      lambda x: f.evaluate(alpha * x), [got])
@@ -695,7 +705,7 @@ class TestKeyMaps:
                 assert_pointwise(rng, window, got,
                                  lambda x: fp.evaluate(mono * x), [got])
                 with pytest.raises(ValueError):
-                    fp.dilate(KElement.parse(q, "1 + u"))
+                    fp.dilate(parse_k(q, "1 + u"))
 
 
 class TestLiftFinite:
@@ -758,7 +768,7 @@ class TestAbs:
     def test_abs_pointwise(self):
         q = 3
         f = (SBFunction.char_ideal(q, 0, -2)
-             + SBFunction.char_point(q, KElement.zero(q), 2))
+             + char_point(q, KElement.zero(q), 2))
         g = f.abs_pointwise()
         assert g.evaluate(KElement.zero(q)).is_zero()
         assert g.evaluate(KElement.one(q)) == 2
@@ -773,13 +783,13 @@ class TestAbs:
 class TestParse:
     def test_round_trip(self):
         q = 3
-        f = SBFunction.parse(q, "1*[1 + u^2*O] - 2*[u^-1 + u*O]")
+        f = parse_sb(q, "1*[1 + u^2*O] - 2*[u^-1 + u*O]")
         assert f.evaluate(KElement.one(q)) == 1
-        assert f.evaluate(KElement.parse(q, "u^-1")) == -2
+        assert f.evaluate(parse_k(q, "u^-1")) == -2
         assert f.evaluate(KElement.uniformizer(q, 5)).is_zero()
 
     def test_plain_ideal(self):
-        f = SBFunction.parse(2, "[O]")
+        f = parse_sb(2, "[O]")
         assert f.equals(SBFunction.char_ideal(2, 0))
-        g = SBFunction.parse(2, "[u^2*O]")
+        g = parse_sb(2, "[u^2*O]")
         assert g.equals(SBFunction.char_ideal(2, 2))

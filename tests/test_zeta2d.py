@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from liftzeta import zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import FElement
 from liftzeta.localfield import (
@@ -12,9 +13,10 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
 from liftzeta.zeta2d import (
-    ChiCharacter, epsilon2, rho2, verify_FE2,
-    z2_normalized, zeta2, zeta2_direct, zeta_rho2,
+    ChiCharacter, epsilon2, rho2, verify_FE2, z2_normalized, zeta2,
+    zeta_rho2,
 )
+from builders import char_point
 
 
 def trivial(q, pi_value=None):
@@ -29,6 +31,18 @@ def all_chars(q, rmax, pi_value):
 
 def one(q):
     return ZetaValue.constant(q, 1)
+
+
+def zeta2_direct(tensor, chi):
+    """The same integral as the product of the two shell decompositions
+    of each pure summand; an independent path used as an oracle for
+    zeta2.  _shell_zeta is read through its module, so that a patched
+    one is seen."""
+    total = ZetaValue.zero(tensor.q)
+    for f, g in tensor.pairs:
+        total = total + zeta2d._shell_zeta(f, chi.omega1) * zeta2d._shell_zeta(
+            g, chi.omega2)
+    return total
 
 
 def t_mon(q, c=1, k=1):
@@ -83,7 +97,7 @@ class TestZeta2:
         # the shells above the window take the ideal term's coefficient,
         # not the value at 0, which a point mass there changes
         chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
-        g = SBFunction.char_ideal(q, 0) + SBFunction.char_point(
+        g = SBFunction.char_ideal(q, 0) + char_point(
             q, KElement.zero(q), 5)
         t = SBTensor.pure(g, SBFunction.char_ideal(q, 0))
         assert zeta2_direct(t, chi) == zeta2(t, chi)
@@ -170,8 +184,9 @@ class TestFE2:
         for om1 in chars:
             for om2 in chars[:2]:
                 chi = ChiCharacter(om1, om2)
+                eps = epsilon2(chi, psi, pi)
                 for a, b in pairs:
-                    assert verify_FE2(SBTensor.pure(a, b), chi, psi, pi)
+                    assert verify_FE2(SBTensor.pure(a, b), chi, psi, pi, eps)
 
     def test_sums_of_tensors(self):
         q = 3
@@ -180,15 +195,27 @@ class TestFE2:
         chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
         t = (SBTensor.pure(SBFunction.char_ideal(q, 0),
                            SBFunction.char(KCoset(q, KElement.one(q), 1)))
-             + SBTensor.pure(SBFunction.char_ideal(q, 1),
-                             SBFunction.char_ideal(q, 0)).scale(-2))
-        assert verify_FE2(t, chi, psi, pi)
+             + SBTensor.pure(SBFunction.char_ideal(q, 1, -2),
+                             SBFunction.char_ideal(q, 0)))
+        assert verify_FE2(t, chi, psi, pi, epsilon2(chi, psi, pi))
 
     def test_empty_tensor(self):
         q = 3
         psi = AdditiveCharacter(q, 0)
         chi = ChiCharacter(trivial(q), trivial(q))
-        assert verify_FE2(SBTensor(q), chi, psi, KElement.uniformizer(q))
+        pi = KElement.uniformizer(q)
+        assert verify_FE2(SBTensor(q), chi, psi, pi, epsilon2(chi, psi, pi))
+
+    def test_mixed_measures_rejected(self):
+        q = 3
+        psi, pi = AdditiveCharacter(q, 0), KElement.uniformizer(q)
+        chi = ChiCharacter(trivial(q), trivial(q))
+        t = (SBTensor.pure(SBFunction.char_ideal(q, 0),
+                           SBFunction.char_ideal(q, 0))
+             + SBTensor.pure(SBFunction.char_ideal(q, 0, 1, Fraction(2)),
+                             SBFunction.char_ideal(q, 0)))
+        with pytest.raises(ValueError, match="share measure"):
+            verify_FE2(t, chi, psi, pi, epsilon2(chi, psi, pi))
 
 
 class TestRho2:
@@ -232,7 +259,7 @@ class TestZetaRho2:
               SBFunction.char_ideal(q, 0) - SBFunction.char_ideal(q, 1),
               SBFunction.char(KCoset(q, KElement.one(q), 1)),
               SBFunction.zero(q),
-              SBFunction.char_ideal(q, 0) + SBFunction.char_point(
+              SBFunction.char_ideal(q, 0) + char_point(
                   q, KElement.zero(q), 5)]
         oms = [trivial(q), trivial(q, z)] + all_chars(q, 1, z)
         for g in gs:
