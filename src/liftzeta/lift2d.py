@@ -19,7 +19,7 @@ from .localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, gauss_sum,
 )
 from .schwartz import SBFunction, cyc_abs
-from .setring import AtomFamily, DddSet, KCosetFamily
+from .setring import DddSet, KCosetFamily
 
 
 class FElement:
@@ -418,7 +418,7 @@ class DistinguishedSetF:
         return self.S.contains(d.coeff(self.gamma))
 
 
-class DistinguishedFamily(AtomFamily):
+class DistinguishedFamily:
     """Distinguished subsets of F form an atom family: two meeting sets
     are nested unless they share a level, in which case the residue sets
     combine.

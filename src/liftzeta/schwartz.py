@@ -5,15 +5,19 @@ An SBFunction is a finite sum of terms coeff * Char(atom), the atom a
 coset a + pi^n O or a single point {c}, stored from construction on as
 digit keys: a base b and pairs (key, coeff), the key (x_0, ..., x_(n-1))
 standing for the coset sum x_i u^(b+i) + pi^(b+n) O, and point masses.
-Keys may overlap; linear maps and the Haar integral take them as they
-are.  The normal form has disjoint cosets, no full family of q siblings
-of equal coefficient, and b the least valuation of their points, so
-equal functions store equal keys; the transforms read and write it, and
-`terms` builds atoms on first read.  A character twist psi(b x) is
-expanded into plain keys where it is applied, by `twisted` and inside
-`fourier`.  Points ride along for the pointwise calculus (evaluation,
-Haar integral, absolute value) but are rejected by the transforms, which
-only make sense on locally constant functions.  The constructors that
+Keys may overlap, and every map takes them as they are.  The normal form
+has disjoint cosets, no full family of q siblings of equal coefficient,
+and b the least valuation of their points, so equal functions store
+equal keys.  It is built only where roots of unity must be collected
+into coefficients, by `fourier` and `twisted`, or where canonical keys
+are read, by `normalize`, `equals` and zeta1d.zeta; W and nabla map each
+key by a rule that is exact on overlapping keys and return the keys it
+gives, and `terms` and printing show the keys as stored.  A character
+twist psi(b x) is expanded into plain keys where it is applied, by
+`twisted` and inside `fourier`.  Points ride along for the pointwise
+calculus (evaluation, Haar integral, absolute value), but a point that
+survives the normal form is rejected by the transforms, which only make
+sense on locally constant functions.  The constructors that
 only the tests use live in tests/builders.py: the literal reader
 ("2*[u^-1 + u*O] - [1 + u^2*O]"), the point mass and the lift of a
 function on the residue field to pi^r O.
@@ -223,13 +227,13 @@ class SBFunction:
         """The normal form of x -> psi(b x) g(x)."""
         if b.q != self.q or psi.q != self.q:
             raise ValueError("mixed residue sizes")
-        g, q = self.normalize(), self.q
         if b.is_zero():
-            return g
-        parts = [(c, q, _twist_pairs(q, psi.d, g._base, k, b.digits,
-                                     len(g._keys))) for k, c in g._keys]
-        return _normal_form(q, self.mu, g._base, parts,
-                            [(p, c * psi(b * p)) for p, c in g._points])
+            return self.normalize()
+        q, base = self.q, self._base
+        parts = [(c, q, _twist_pairs(q, psi.d, base, k, b.digits,
+                                     len(self._keys))) for k, c in self._keys]
+        return _normal_form(q, self.mu, base, parts,
+                            [(p, c * psi(b * p)) for p, c in self._points])
 
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other):
@@ -275,7 +279,7 @@ class SBFunction:
     # -- canonicalization ------------------------------------------------------------
     def normalize(self):
         """The normal form, computed once and kept, so every later call
-        returns the same object."""
+        returns the same object; the stored keys are left as they are."""
         if self._canon is None:
             self._canon = _normal_form(
                 self.q, self.mu, self._base,
@@ -302,7 +306,10 @@ class SBFunction:
 
     # -- transforms ---------------------------------------------------------------------
     def _plain_keys(self, op):
-        g = self.normalize()
+        """The stored base and keys, as the transforms read them.  Only a
+        function with point masses is normalized first, so that points
+        that cancel are accepted and a surviving one raises."""
+        g = self.normalize() if self._points else self
         if g._points:
             raise ValueError("%s undefined for point masses" % op)
         return g._base, g._keys
@@ -335,7 +342,7 @@ class SBFunction:
         is u^(2v) a' U^v."""
         base, keys = self._plain_keys("W operator")
         times = _times_unit_powers(self.q, pi, keys)
-        parts = []
+        pairs = []
         for key, c in keys:
             j = _lead(key)
             if j == len(key):  # pi^L O goes to pi^2L O
@@ -345,8 +352,8 @@ class SBFunction:
                 even = (0,) * (2 * j) + times(unit, v)
                 odd = (0,) * (2 * j + 1) + times(unit, v + 1)
                 shells = [even, odd]
-            parts.append((c, 1, [(k, 0) for k in shells]))
-        return _normal_form(self.q, self.mu, 2 * base, parts)
+            pairs.extend((k, c) for k in shells)
+        return _keyed(self.q, self.mu, 2 * base, pairs)
 
     def nabla_compose(self, pi):
         """x -> g(nabla x) with nabla x = pi^w(x) x.  Char(a + pi^L O) with
@@ -354,20 +361,20 @@ class SBFunction:
         for a = u^2k a', and with w(a) odd to 0."""
         base, keys = self._plain_keys("nabla composition")
         out, times = base // 2, _times_unit_powers(self.q, pi, keys)
-        parts = []
+        pairs = []
         for key, c in keys:
             j = _lead(key)
             if j == len(key):
                 m = base + j
-                parts.append((c, 1, [((0,) * (-(-m // 2) - out), 0)]))
+                pairs.append(((0,) * (-(-m // 2) - out), c))
             elif (base + j) % 2 == 0:
                 k = (base + j) // 2
-                rep = (0,) * (k - out) + times(key[j:], -k)
-                parts.append((c, 1, [(rep, 0)]))
-        return _normal_form(self.q, self.mu, out, parts)
+                pairs.append(((0,) * (k - out) + times(key[j:], -k), c))
+        return _keyed(self.q, self.mu, out, pairs)
 
     def star(self, psi, pi):
-        """g* = (W g)-hat composed with nabla."""
+        """g* = (W g)-hat composed with nabla.  Only fourier builds a normal
+        form; the result holds nabla's keys as they come."""
         return self.w_operator(pi).fourier(psi).nabla_compose(pi)
 
     # -- geometry -----------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """A generic ring of sets built from families of atoms.
 
 An atom family here is a collection of sets closed under intersection and
-union whenever two members meet.  A family supplies one relation, which
-says how two atoms lie (disjoint, equal, nested or overlapping) and gives
-their meet for an overlap, and, where atoms can overlap, their join.  An
+union whenever two members meet.  A family is any object with the method
+``relation(a, b) -> (kind, meet)``, kind one of "disjoint", "equal",
+"in" (a inside b), "contains" (b inside a) or "overlap", and meet, the
+atom a meet b, given only for "overlap"; where atoms can overlap, it
+also has ``join(a, b)``, the atom a join b of two overlapping atoms.  An
 atom answers ``contains(x)`` for a point.  From such a family one can
 form differences of an atom by finitely many disjoint sub-atoms, and then
 finite disjoint unions of those; the result is closed under union,
@@ -20,21 +22,6 @@ overlap (see lift2d.DistinguishedFamily).
 """
 
 from fractions import Fraction
-
-
-class AtomFamily:
-    """Interface for a family of atoms: relation and, where atoms can
-    overlap, join.  The atoms themselves answer contains(x)."""
-
-    def relation(self, a, b):
-        """(kind, meet): kind is "disjoint", "equal", "in" (a inside b),
-        "contains" (b inside a) or "overlap", and meet, the atom a meet
-        b, is given only for "overlap"."""
-        raise NotImplementedError
-
-    def join(self, a, b):
-        """The atom a join b of two overlapping atoms."""
-        raise NotImplementedError
 
 
 def refine_disjoint(family, atoms):
@@ -174,7 +161,7 @@ class DddSet:
         return 0 if total is None else total
 
 
-class KCosetFamily(AtomFamily):
+class KCosetFamily:
     """Cosets a + pi^n O of the local field; any two are nested or
     disjoint, so meet and join are just the smaller and larger one."""
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from liftzeta.lift2d import DistinguishedSetF, FElement
 from liftzeta.localfield import KCoset, KElement, KSingleton
-from liftzeta.setring import AtomFamily, DddSet
+from liftzeta.setring import DddSet
 
 
 class Interval(NamedTuple):
@@ -30,7 +30,7 @@ class Interval(NamedTuple):
         return self.lo <= x < self.hi
 
 
-class IntervalFamily(AtomFamily):
+class IntervalFamily:
     """Half-open rational intervals on the line."""
 
     def relation(self, a, b):

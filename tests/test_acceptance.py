@@ -3,7 +3,6 @@ implements, at desk scale: residue sizes q in {2, 3, 5}, additive
 conductors d in {-1, 0, 1, 2}, multiplicative conductors up to 2, coset
 levels up to 4.  Everything except the archimedean suite is exact."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -25,8 +24,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.setring import DddSet, KCosetFamily
 from liftzeta.zeta1d import (
-    SBTensor, double_star_invariance, epsilon_star, rho0, z_normalized,
-    zeta,
+    double_star_invariance, epsilon_star, rho0, z_normalized, zeta,
 )
 from liftzeta.zeta2d import ChiCharacter, epsilon2, zeta_rho2
 from builders import char_point, lift_finite

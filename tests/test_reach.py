@@ -1,5 +1,5 @@
 """Every public function of liftzeta runs under the standard reports, or
-is pinned here with its reason.
+is pinned here with its reason; and every imported name is read.
 
 `liftzeta verify --q 3` and `liftzeta epsilon-table --q 3` run in process
 under sys.setprofile, which records the code object of every Python
@@ -14,13 +14,18 @@ library are emptied first, so that a cached function runs its body.
 
 The public functions that never ran must be a subset of UNRUN, where
 each has its reason: a reference that tests compare the library with, a
-quantity of the paper that no report row reaches yet, an interface
-stub, or a path that only other inputs or the benchmark reach.
+quantity of the paper that no report row reaches yet, or a path that
+only other inputs or the benchmark reach.
+
+Every name that a module of src/liftzeta or tests/ imports must be read
+in that module, as a plain name or the root of an attribute chain.
 """
 
+import ast
 import importlib
 import inspect
 import sys
+from pathlib import Path
 
 import liftzeta
 from liftzeta import cli
@@ -53,9 +58,6 @@ UNRUN = {
     "zeta2d.rho2": "the generalised residue map",
     "lift2d.FElement.rho": "the residue map, for rho2",
     "zeta2d.ChiCharacter.boundary": "the character through the border map",
-    # interface stubs, defined by each family
-    "setring.AtomFamily.relation": "raises NotImplementedError",
-    "setring.AtomFamily.join": "raises NotImplementedError",
     # paths that only other inputs or the benchmark reach
     "setring.DddSet.intersection": "the lift2d-measure workload",
     "lift2d.DistinguishedFamily.join": "overlapping inners of one carve",
@@ -127,3 +129,27 @@ def test_public_functions_run_under_the_reports_or_are_pinned(tmp_path):
 
 def test_every_pin_names_a_public_function():
     assert set(UNRUN) <= set(public_functions().values())
+
+
+def unread_imports(path):
+    """The names path imports but never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted([*(root / "src" / "liftzeta").glob("*.py"),
+                    *(root / "tests").glob("*.py")])
+    unread = {str(p.relative_to(root)): sorted(unread_imports(p))
+              for p in paths}
+    assert not {p: names for p, names in unread.items() if names}

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liftzeta import schwartz
 from liftzeta.exactnum import CycRat, _pmul, _reduce_mod_cyc, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
 from liftzeta.schwartz import TERM_CAP, SBFunction, _canonical, cyc_abs
@@ -423,6 +424,29 @@ class TestWAndNabla:
                 assert got.evaluate(x) == nabla_ref(f, x)
 
 
+class TestPointMasses:
+    def test_cancelled_points_accepted(self):
+        q = 3
+        psi = AdditiveCharacter(q, 0)
+        pi = KElement.uniformizer(q)
+        x = parse_k(q, "u^-1 + 2")
+        f = SBFunction.char(KCoset(q, KElement.one(q), 1))
+        g = f + char_point(q, x) - char_point(q, x)
+        assert g.fourier(psi).equals(f.fourier(psi))
+        assert g.w_operator(pi).equals(f.w_operator(pi))
+        assert g.nabla_compose(pi).equals(f.nabla_compose(pi))
+
+    def test_surviving_point_rejected_by_w_and_nabla(self):
+        q = 3
+        pi = KElement.uniformizer(q)
+        x = parse_k(q, "u^-1 + 2")
+        g = (SBFunction.char(KCoset(q, KElement.one(q), 1))
+             + char_point(q, x) + char_point(q, x, 2) - char_point(q, x))
+        for op in (g.w_operator, g.nabla_compose):
+            with pytest.raises(ValueError, match="point masses"):
+                op(pi)
+
+
 def w_untruncated(f, pi):
     """W with pi^v as the full product, or a power of the inverse of pi
     for v < 0, both left untruncated."""
@@ -495,10 +519,11 @@ class TestTruncatedPowers:
             # the inverse of pi grow with d
             assert max(a.level for a, _ in wf.terms) >= d
             star = nabla_untruncated(wf, pi)
-            assert f.star(psi, pi).terms == star.terms
+            assert f.star(psi, pi).normalize().terms == star.terms
             for g in (f, wf, star):
-                assert g.w_operator(pi).terms == w_untruncated(g, pi).terms
-                assert g.nabla_compose(pi).terms == \
+                assert g.w_operator(pi).normalize().terms == \
+                    w_untruncated(g, pi).terms
+                assert g.nabla_compose(pi).normalize().terms == \
                     nabla_untruncated(g, pi).terms
 
 
@@ -531,8 +556,10 @@ class TestTransformsOnCosetSums:
     def test_transforms_match_their_references(self, case):
         f, psi, pi = case
         q, d = f.q, psi.d
-        assert f.w_operator(pi).terms == w_untruncated(f, pi).terms
-        assert f.nabla_compose(pi).terms == nabla_untruncated(f, pi).terms
+        assert f.w_operator(pi).normalize().terms == \
+            w_untruncated(f, pi).terms
+        assert f.nabla_compose(pi).normalize().terms == \
+            nabla_untruncated(f, pi).terms
         # the oracle of TestFourier.test_pointwise_oracle: f is constant
         # on the cosets of level top, and f-hat is zero off pi^(d-top) O
         # and constant on the cosets of level d - lo there
@@ -574,6 +601,25 @@ class TestStar:
                                     -Fraction(1, q) * (1 - Fraction(1, q)))
                   + SBFunction.char(KCoset(q, minus1, 2)))
         assert hss.equals(expect)
+
+    def test_one_normal_form_per_star(self, monkeypatch):
+        """W and nabla map keys as they are, so only fourier collects the
+        roots of unity into a normal form."""
+        calls, normal_form = [], schwartz._normal_form
+
+        def counted(*args):
+            calls.append(args)
+            return normal_form(*args)
+        monkeypatch.setattr(schwartz, "_normal_form", counted)
+        q = 3
+        psi = AdditiveCharacter(q, 1)
+        pi = KElement.uniformizer(q)
+        f = (SBFunction.char(KCoset(q, KElement.one(q), 2))
+             + SBFunction.char_ideal(q, -1, 2))
+        g = f.star(psi, pi)
+        assert len(calls) == 1
+        g.star(psi, pi)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("pi", ["1", "u^2", "0", "int 1"])
     def test_non_uniformizer_rejected(self, pi):

@@ -13,8 +13,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
 from liftzeta.zeta2d import (
-    ChiCharacter, epsilon2, rho2, verify_FE2, z2_normalized, zeta2,
-    zeta_rho2,
+    ChiCharacter, epsilon2, rho2, verify_FE2, zeta2, zeta_rho2,
 )
 from builders import char_point
 
