@@ -226,15 +226,16 @@ def suite_fe2(cfg):
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
     chars = _characters(q, min(cfg.rmax, 1))
-    basis = _coset_basis(q, min(cfg.level, 2), cfg.mu)
+    basis = [(f, f.star(psi, pi))
+             for f in _coset_basis(q, min(cfg.level, 2), cfg.mu)[:4]]
     cases = []
     for om1 in chars:
         for om2 in chars[:2]:
             chi = zeta2d.ChiCharacter(om1, om2)
             eps = zeta2d.epsilon2(chi, psi, pi, cfg.mu, cfg.mu)
             ok = all(zeta2d.verify_FE2(
-                zeta1d.SBTensor.pure(a, b), chi, psi, pi, eps=eps)
-                for a in basis[:4] for b in basis[:4])
+                zeta1d.SBTensor.pure(a, b), zeta1d.SBTensor.pure(sa, sb),
+                chi, eps) for a, sa in basis for b, sb in basis)
             cases.append(("chi-%s-%s" % (om1.label, om2.label),
                           {"q": q, "d": d, "r": (om1.r, om2.r)}, True, ok))
     return cases

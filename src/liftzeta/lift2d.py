@@ -212,7 +212,7 @@ class LiftedFn:
             coeff = _zcoeff(q, coeff)
             if b is not None and b.is_zero():
                 b = None
-            if not coeff.is_zero() and (g._keys or g._points):
+            if not coeff.is_zero() and g.has_terms():
                 cleaned.append((g, a, gamma, b, coeff))
         self.q = q
         self.terms = tuple(cleaned)
@@ -282,7 +282,7 @@ class LiftedFn:
         out = []
         for gc, base, gamma, b in grouped.values():
             gn = gc.normalize()
-            if gn._keys or gn._points:
+            if gn.has_terms():
                 out.append((gn, base, gamma, b, 1))
         return LiftedFn(self.q, out)
 

@@ -2,29 +2,37 @@
 transform, and the W / nabla / star operators.
 
 An SBFunction is a finite sum of terms coeff * Char(atom), the atom a
-coset a + pi^n O or a single point {c}, stored from construction on as
-digit keys: a base b and pairs (key, coeff), the key (x_0, ..., x_(n-1))
-standing for the coset sum x_i u^(b+i) + pi^(b+n) O, and point masses.
-Keys may overlap, and every map takes them as they are.  The normal form
-has disjoint cosets, no full family of q siblings of equal coefficient,
-and b the least valuation of their points, so equal functions store
-equal keys.  It is built only where roots of unity must be collected
-into coefficients, by `fourier` and `twisted`, or where canonical keys
-are read, by `normalize`, `equals` and zeta1d.zeta; W and nabla map each
-key by a rule that is exact on overlapping keys and return the keys it
-gives, and `terms` and printing show the keys as stored.  A character
-twist psi(b x) is expanded into plain keys where it is applied, by
-`twisted` and inside `fourier`.  Points ride along for the pointwise
+coset a + pi^n O or a single point {c}, where a coset may carry a twist
+psi_0(b x).  psi_0 is the residue character zeta_q^(digit -1 of y); psi
+of conductor d is psi_0(u^-d .), so a twist needs no psi.  The terms are
+stored from construction on as digit keys: a base, pairs (key, coeff),
+the key (x_0, ..., x_(n-1)) standing for the coset sum x_i u^(base+i) +
+pi^(base+n) O, triples (key, twist, coeff) for the twisted cosets, and
+point masses.  A twist (b_0, ..., b_(m-1)), b_0 nonzero, stands for
+b = sum b_i u^(i-L-m) on a coset of level L: only the digits of b below
+-L vary on the coset, and the constant psi_0 of the others is folded
+into the coefficient.  Keys may overlap, and every map takes them as
+they are.  fourier, W and nabla map terms to terms and sum the terms of
+equal key and twist: fourier swaps key and twist (the translation rule
+of Tate's thesis), and W and nabla split a twisted ideal into twisted
+shells and an untwisted tail.  The normal form has no twist, disjoint
+cosets, no full family of q siblings of equal coefficient, and b the
+least valuation of their points, so equal functions store equal keys.
+It is built only where canonical keys are read, by `normalize`, `equals`
+and zeta1d.zeta, which expand each twist once into plain keys, and by
+`twisted`; `terms` shows the atoms as stored, or those of the normal
+form when a twist is stored.  Points ride along for the pointwise
 calculus (evaluation, Haar integral, absolute value), but a point that
 survives the normal form is rejected by the transforms, which only make
-sense on locally constant functions.  The constructors that
-only the tests use live in tests/builders.py: the literal reader
-("2*[u^-1 + u*O] - [1 + u^2*O]"), the point mass and the lift of a
-function on the residue field to pi^r O.
+sense on locally constant functions.  The constructors that only the
+tests use live in tests/builders.py: the literal reader ("2*[u^-1 +
+u*O] - [1 + u^2*O]"), the point mass and the lift of a function on the
+residue field to pi^r O.
 """
 
 from fractions import Fraction
 import math
+import operator
 
 from .exactnum import CycRat, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement, KSingleton
@@ -94,15 +102,27 @@ def _twist_pairs(q, d, base, key, b, width):
     return pairs
 
 
-def _times_unit_powers(q, pi, keys):
+def _twist_digits(level, twist):
+    """The digits (exponent -> digit) of the b of a twist on a coset of
+    the given level."""
+    return {i - level - len(twist): x for i, x in enumerate(twist) if x}
+
+
+def _span(terms):
+    """The most digits a map of these (key, twist, coeff) terms asks
+    `times` for: the longest key and the longest twist together."""
+    return (max((len(k) for k, _, _ in terms), default=0)
+            + max((len(tw) for _, tw, _ in terms), default=0))
+
+
+def _times_unit_powers(q, pi, prec):
     """(a, k) -> the digits of a U^k mod u^len(a), for pi = u U and digits
-    a from u^0 no longer than the keys; each U^k is computed once."""
+    a from u^0, at most prec of them; each U^k is computed once."""
     if not isinstance(pi, KElement) or pi.valuation() != 1:
         raise ValueError("pi must be a uniformizer")
     if pi.q != q:
         raise ValueError("mixed residue sizes")
     unit, powers = pi.shift(-1), {}
-    prec = max((len(k) for k, _ in keys), default=0)
 
     def times(a, k):
         if k not in powers:
@@ -112,6 +132,50 @@ def _times_unit_powers(q, pi, keys):
         return tuple(sum(a[j] * b[i - j] for j in range(i + 1)) % q
                      for i in range(len(a)))
     return times
+
+
+def _moved(q, times, digits, twist, k):
+    """(a U^k, b U^-k, t) for a coset's digits a and its twist's b, under
+    a map that multiplies the coset by U^k (see _times_unit_powers).  The
+    twist keeps the places b had, those below the new level; the next
+    len(a) digits of b U^-k are constant on the new coset, where their
+    psi_0 is zeta_q^t: their digit i meets digit len(a) - 1 - i of a U^k
+    at u^-1."""
+    a = times(digits, k)
+    if not twist:
+        return a, twist, 0
+    m = len(twist)
+    b = times(twist + (0,) * len(a), -k)
+    return a, b[:m], sum(map(operator.mul, b[m:], reversed(a))) % q
+
+
+def _times_root(c, q, t):
+    """c zeta_q^t."""
+    return c * CycRat.root_of_unity(q, t) if t else c
+
+
+def _at_order_q(c, q):
+    """c at the order that its expansion gives it: a twist expanded into
+    plain keys takes each coefficient to order lcm(m, q) (see cyc_sums),
+    and a term that loses its twist in a map keeps that order."""
+    return c.embed(math.lcm(c.m, q))
+
+
+def _ideal_shells(q, times, lev, twist, c, start, top, power):
+    """c psi_0(b x) Char(pi^lev O), b the twist, on the shells s of
+    start..top-1 of a map that takes x on shell s to pi^k x, k = power(s):
+    (s, twist, coeff) for +Char(pi^s O) - Char(pi^(s+1) O) twisted by b
+    pi^k, each twist cut below the level of its piece; then the ideal
+    pi^top O, where the twist is trivial, untwisted.  With no twist there
+    is no shell.  A piece that loses its twist keeps the order of its
+    expansion."""
+    for s in range(start, top):
+        k = power(s)
+        b = times(twist, k)
+        cut = lev + len(twist) - s - k
+        yield s, b[:cut], c
+        yield s + 1, b[:cut - 1], -c if cut > 1 else _at_order_q(-c, q)
+    yield top, (), _at_order_q(c, q) if twist else c
 
 
 def _normal_form(q, mu, base, parts, points=()):
@@ -134,11 +198,25 @@ def _normal_form(q, mu, base, parts, points=()):
     return f
 
 
-def _keyed(q, mu, base, keys, points=()):
-    """The SBFunction of nonzero (key, coeff) pairs at base, and points."""
+def _keyed(q, mu, base, keys, points=(), twists=()):
+    """The SBFunction of nonzero (key, coeff) pairs at base, points and
+    (key, twist, coeff) triples."""
     f = SBFunction(q, (), mu)
     f._base, f._keys, f._points = base, tuple(keys), tuple(points)
+    f._twists = tuple(twists)
     return f
+
+
+def _summed(q, mu, base, terms):
+    """The SBFunction of the (key, twist, coeff) terms at base, twist ()
+    for none, with the terms of equal key and twist summed."""
+    acc = {}
+    for key, twist, c in terms:
+        kt = (key, twist)
+        acc[kt] = acc[kt] + c if kt in acc else c
+    return _keyed(q, mu, base,
+                  [(k, c) for (k, tw), c in acc.items() if c and not tw], (),
+                  [(k, tw, c) for (k, tw), c in acc.items() if c and tw])
 
 
 def _canonical(q, keymap):
@@ -174,11 +252,18 @@ def _canonical(q, keymap):
     return {k: v for k, v in keymap.items() if not v.is_zero()}
 
 
+def _coset(q, base, key):
+    return KCoset(q, KElement(q, dict(enumerate(key, base))),
+                  base + len(key))
+
+
 class SBFunction:
     """Finite combination of coset and point indicators on K: `_base`,
-    the (key, coeff) pairs `_keys`, which may overlap, and `_points`."""
+    the (key, coeff) pairs `_keys` and (key, twist, coeff) triples
+    `_twists`, which may overlap, and `_points`."""
 
-    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_points", "_canon")
+    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_twists",
+                 "_points", "_canon")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
@@ -189,20 +274,30 @@ class SBFunction:
         self._base = base = min((a.valuation() for a, _ in cosets), default=0)
         self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))), c)
                            for a, c in cosets)
+        self._twists = ()
         self._points = tuple((a.point, c) for a, c in terms
                              if isinstance(a, KSingleton))
         self._terms = self._canon = None  # built on first use
 
+    def _stored_atoms(self):
+        """The untwisted cosets and the points as stored, as (atom, coeff)."""
+        q, base = self.q, self._base
+        return (tuple((_coset(q, base, key), c) for key, c in self._keys)
+                + tuple((KSingleton(q, p), c) for p, c in self._points))
+
     @property
     def terms(self):
-        """The (atom, coeff) pairs, cosets then points, built once."""
+        """The (atom, coeff) pairs, cosets then points, built once: as
+        stored, or those of the normal form when a twist is stored."""
         if self._terms is None:
-            q, base = self.q, self._base
-            self._terms = tuple(
-                (KCoset(q, KElement(q, dict(enumerate(key, base))),
-                        base + len(key)), c) for key, c in self._keys) + \
-                tuple((KSingleton(q, p), c) for p, c in self._points)
+            self._terms = (self.normalize().terms if self._twists
+                           else self._stored_atoms())
         return self._terms
+
+    def has_terms(self):
+        """Does the function store a term?  One that stores none is zero;
+        one that stores some may still sum to zero."""
+        return bool(self._keys or self._twists or self._points)
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -229,11 +324,12 @@ class SBFunction:
             raise ValueError("mixed residue sizes")
         if b.is_zero():
             return self.normalize()
-        q, base = self.q, self._base
+        g = self.normalize() if self._twists else self
+        q, base = self.q, g._base
         parts = [(c, q, _twist_pairs(q, psi.d, base, k, b.digits,
-                                     len(self._keys))) for k, c in self._keys]
+                                     len(g._keys))) for k, c in g._keys]
         return _normal_form(q, self.mu, base, parts,
-                            [(p, c * psi(b * p)) for p, c in self._points])
+                            [(p, c * psi(b * p)) for p, c in g._points])
 
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other):
@@ -244,8 +340,10 @@ class SBFunction:
         base = min(self._base, other._base)
         keys = [((0,) * (f._base - base) + k, c)
                 for f in (self, other) for k, c in f._keys]
+        twists = [((0,) * (f._base - base) + k, tw, c)
+                  for f in (self, other) for k, tw, c in f._twists]
         return _keyed(self.q, self.mu, base, keys,
-                      self._points + other._points)
+                      self._points + other._points, twists)
 
     def __neg__(self):
         return self.scale(-1)
@@ -259,7 +357,8 @@ class SBFunction:
             return SBFunction.zero(self.q, self.mu)
         return _keyed(self.q, self.mu, self._base,
                       [(k, c * co) for k, co in self._keys],
-                      [(p, c * co) for p, co in self._points])
+                      [(p, c * co) for p, co in self._points],
+                      [(k, tw, c * co) for k, tw, co in self._twists])
 
     def __mul__(self, c):
         if isinstance(c, SBFunction):
@@ -279,11 +378,15 @@ class SBFunction:
     # -- canonicalization ------------------------------------------------------------
     def normalize(self):
         """The normal form, computed once and kept, so every later call
-        returns the same object; the stored keys are left as they are."""
+        returns the same object; the stored keys are left as they are.
+        Each twist is expanded here, against psi_0."""
         if self._canon is None:
-            self._canon = _normal_form(
-                self.q, self.mu, self._base,
-                [(c, 1, [(k, 0)]) for k, c in self._keys], self._points)
+            q, base = self.q, self._base
+            parts = [(c, 1, [(k, 0)]) for k, c in self._keys]
+            parts += [(c, q, _twist_pairs(
+                q, 0, base, k, _twist_digits(base + len(k), tw),
+                len(self._twists))) for k, tw, c in self._twists]
+            self._canon = _normal_form(q, self.mu, base, parts, self._points)
         return self._canon
 
     def equals(self, other):
@@ -297,7 +400,8 @@ class SBFunction:
 
     # -- integral --------------------------------------------------------------------
     def haar_integral(self):
-        """Sums c mu q^-(base + len(key)) over the keys, which may overlap."""
+        """Sums c mu q^-(base + len(key)) over the keys, which may overlap;
+        a twisted coset integrates to 0, as b has a digit below -L."""
         total = cyc_zero()
         for key, coeff in self._keys:  # points have measure zero
             total = total + coeff * CycRat.from_rational(
@@ -305,104 +409,151 @@ class SBFunction:
         return total
 
     # -- transforms ---------------------------------------------------------------------
-    def _plain_keys(self, op):
-        """The stored base and keys, as the transforms read them.  Only a
-        function with point masses is normalized first, so that points
-        that cancel are accepted and a surviving one raises."""
+    def _plain_terms(self, op):
+        """The stored base and keys, twist () for none, as the transforms
+        read them.  Only a function with point masses is normalized
+        first, so that points that cancel are accepted and a surviving
+        one raises."""
         g = self.normalize() if self._points else self
         if g._points:
             raise ValueError("%s undefined for point masses" % op)
-        return g._base, g._keys
+        return g._base, [(k, (), c) for k, c in g._keys] + list(g._twists)
 
     def fourier(self, psi):
-        """g-hat(y) = integral of g(x) psi(xy) dx.  Char(a + pi^L O) goes to
-        mu q^-L psi(a y) Char(pi^(d-L) O): the twist weights are the digits
-        of a from u^(L-1) down to its valuation."""
+        """g-hat(y) = integral of g(x) psi(xy) dx, term by term by the
+        translation rule: c psi_0(b x) Char(a + pi^L O) goes to c mu q^-L
+        psi_0(u^-d a y) Char(-u^d b + pi^(d-L) O)(y), as psi_0(a b) = 1
+        for b below -L.  So the new key is the twist negated and the new
+        twist is the key, cut of its leading zeros."""
         if psi.q != self.q:
             raise ValueError("mixed residue sizes")
-        base, keys = self._plain_keys("fourier transform")
+        base, terms = self._plain_terms("fourier transform")
         q, d = self.q, psi.d
-        out = d - base - max((len(k) for k, _ in keys), default=0)
+        out = min((d - base - len(k) - len(tw) for k, tw, _ in terms),
+                  default=0)
         scale = {lev: CycRat.from_rational(self.mu * Fraction(q) ** -lev)
-                 for lev in {base + len(k) for k, _ in keys}}
-        parts = []
-        for key, c in keys:
-            lev = base + len(key)
-            ideal = (0,) * (d - lev - out)
-            rep = {e: x for e, x in enumerate(key, base) if x}
-            parts.append((c * scale[lev], q, _twist_pairs(
-                q, d, out, ideal, rep, len(keys))) if rep else
-                (c * scale[lev], 1, [(ideal, 0)]))
-        return _normal_form(q, self.mu, out, parts)
+                 for lev in {base + len(k) for k, _, _ in terms}}
+
+        def image():
+            for key, tw, c in terms:
+                lev = base + len(key)
+                twist, c = key[_lead(key):], c * scale[lev]
+                yield ((0,) * (d - lev - len(tw) - out)
+                       + tuple(-x % q for x in tw), twist,
+                       c if twist or not tw else _at_order_q(c, q))
+        return _summed(q, self.mu, out, image())
 
     def w_operator(self, pi):
-        """x -> g(pi^-k x) for w(x) in {2k, 2k + 1}.  Char(a + pi^L O) with
+        """x -> g(pi^-k x) for w(x) in {2k - 1, 2k}.  Char(a + pi^L O) with
         w(a) = v < L goes to the cosets of a pi^v mod pi^(L+v) and of
-        a pi^(v+1) mod pi^(L+v+1); with pi = u U and a = u^v a', a pi^v
-        is u^(2v) a' U^v."""
-        base, keys = self._plain_keys("W operator")
-        times = _times_unit_powers(self.q, pi, keys)
-        pairs = []
-        for key, c in keys:
-            j = _lead(key)
-            if j == len(key):  # pi^L O goes to pi^2L O
-                shells = [(0,) * (2 * j)]
-            else:
-                unit, v = key[j:], base + j
-                even = (0,) * (2 * j) + times(unit, v)
-                odd = (0,) * (2 * j + 1) + times(unit, v + 1)
-                shells = [even, odd]
-            pairs.extend((k, c) for k in shells)
-        return _keyed(self.q, self.mu, 2 * base, pairs)
+        a pi^(v+1) mod pi^(L+v+1), its twist b to b pi^-v and b pi^-(v+1);
+        with pi = u U and a = u^v a', a pi^v is u^(2v) a' U^v.  pi^L O
+        goes to pi^2L O, and with a twist b to the shells s >= 2L with
+        twist b pi^-ceil(s/2)."""
+        base, terms = self._plain_terms("W operator")
+        q, out = self.q, 2 * base
+        times = _times_unit_powers(q, pi, _span(terms))
+
+        def image():
+            for key, tw, c in terms:
+                j = _lead(key)
+                if j < len(key):
+                    unit, v = key[j:], base + j
+                    even, odd = (2 * j, v), (2 * j + 1, v + 1)
+                    shells = [even, odd]
+                    for zeros, k in shells:
+                        a, b, t = _moved(q, times, unit, tw, k)
+                        yield (0,) * zeros + a, b, _times_root(c, q, t)
+                else:  # shells s >= 2L, twist b pi^-ceil(s/2)
+                    lev = base + j
+                    top = 2 * (lev + len(tw))
+                    for s, b, e in _ideal_shells(q, times, lev, tw, c, 2 * lev,
+                                                 top, lambda s: -s // 2):
+                        yield (0,) * (s - out), b, e
+        return _summed(q, self.mu, out, image())
 
     def nabla_compose(self, pi):
         """x -> g(nabla x) with nabla x = pi^w(x) x.  Char(a + pi^L O) with
         w(a) = 2k < L goes to the coset of a pi^-k mod pi^(L-k), u^k a' U^-k
-        for a = u^2k a', and with w(a) odd to 0."""
-        base, keys = self._plain_keys("nabla composition")
-        out, times = base // 2, _times_unit_powers(self.q, pi, keys)
-        pairs = []
-        for key, c in keys:
-            j = _lead(key)
-            if j == len(key):
-                m = base + j
-                pairs.append(((0,) * (-(-m // 2) - out), c))
-            elif (base + j) % 2 == 0:
-                k = (base + j) // 2
-                pairs.append(((0,) * (k - out) + times(key[j:], -k), c))
-        return _keyed(self.q, self.mu, out, pairs)
+        for a = u^2k a', its twist b to b pi^k, and with w(a) odd to 0.
+        pi^L O goes to pi^ceil(L/2) O, and with a twist b to the shells
+        s >= ceil(L/2) with twist b pi^s."""
+        base, terms = self._plain_terms("nabla composition")
+        q, out = self.q, base // 2
+        times = _times_unit_powers(q, pi, _span(terms))
+
+        def image():
+            for key, tw, c in terms:
+                j = _lead(key)
+                if j == len(key):  # shells s >= ceil(L/2), twist b pi^s
+                    lev, m = base + j, base + j + len(tw)
+                    top = -(-m // 2)
+                    for s, b, e in _ideal_shells(q, times, lev, tw, c,
+                                                 -(-lev // 2), top, lambda s: s):
+                        yield (0,) * (s - out), b, e
+                elif (base + j) % 2 == 0:
+                    k = (base + j) // 2
+                    a, b, t = _moved(q, times, key[j:], tw, -k)
+                    yield (0,) * (k - out) + a, b, _times_root(c, q, t)
+        return _summed(q, self.mu, out, image())
 
     def star(self, psi, pi):
-        """g* = (W g)-hat composed with nabla.  Only fourier builds a normal
-        form; the result holds nabla's keys as they come."""
+        """g* = (W g)-hat composed with nabla.  Each map sends terms to
+        terms, so a star builds no normal form."""
         return self.w_operator(pi).fourier(psi).nabla_compose(pi)
 
     # -- geometry -----------------------------------------------------------------------
     def dilate(self, alpha):
-        """x -> g(alpha x).  For alpha = u^w A, A a unit, a key at base b goes
-        to key * A^-1 at base b - w: _times_unit_powers with pi = u A."""
+        """x -> g(alpha x).  For alpha = u^w A, A a unit, a key at base e goes
+        to key * A^-1 at base e - w and a twist b to b alpha: _moved with
+        pi = u A.  A monomial alpha = c u^w needs no inverse of A: it
+        scales the key digits by c^-1 mod q and the twist digits by c."""
         if alpha.is_zero():
             raise ValueError("dilation by zero")
         q, wa = self.q, alpha.valuation()
-        if self._points and len(alpha.digits) != 1:
+        if len(alpha.digits) == 1:
+            lead = alpha.digit(wa)
+            inv = pow(lead, -1, q)
+
+            def scaled(key, x):
+                return key if x == 1 else tuple(y * x % q for y in key)
+            return _keyed(q, self.mu, self._base - wa,
+                          [(scaled(k, inv), c) for k, c in self._keys],
+                          [(KElement(q, {-wa: inv}) * p, c)
+                           for p, c in self._points],
+                          [(scaled(k, inv), scaled(tw, lead), c)
+                           for k, tw, c in self._twists])
+        if self._points:
             raise ValueError("point dilation needs a monomial scale factor")
-        times = _times_unit_powers(q, alpha.shift(1 - wa), self._keys)
-        inv = KElement(q, {-wa: pow(alpha.digit(wa), -1, q)})
+        times = _times_unit_powers(q, alpha.shift(1 - wa), _span(
+            [(k, (), c) for k, c in self._keys] + list(self._twists)))
+        twists = []
+        for k, tw, c in self._twists:
+            a, b, t = _moved(q, times, k, tw, -1)
+            twists.append((a, b, _times_root(c, q, t)))
         return _keyed(q, self.mu, self._base - wa,
-                      [(times(k, -1), c) for k, c in self._keys],
-                      [(inv * p, c) for p, c in self._points])
+                      [(times(k, -1), c) for k, c in self._keys], (), twists)
 
     def translate(self, tau):
-        """x -> g(x + tau): the keys lose tau's digits mod q, with no carry."""
+        """x -> g(x + tau): the keys lose tau's digits mod q, with no carry,
+        and a twisted term gains psi_0(b tau)."""
         if tau.q != self.q:
             raise ValueError("mixed residue sizes")
         q, base = self.q, min([self._base, *tau.digits])
         pad = (0,) * (self._base - base)
-        keys = [(tuple((x - tau.digit(e)) % q
-                       for e, x in enumerate(pad + k, base)), c)
-                for k, c in self._keys]
-        return _keyed(q, self.mu, base, keys,
-                      [(p - tau, c) for p, c in self._points])
+
+        def shifted(k):
+            return tuple((x - tau.digit(e)) % q
+                         for e, x in enumerate(pad + k, base))
+        twists = []
+        for k, tw, c in self._twists:
+            # digit i of b, at u^(i-L-m), meets the digit L+m-1-i of tau
+            top = self._base + len(k) + len(tw) - 1
+            t = sum(x * tau.digit(top - i) for i, x in enumerate(tw)) % q
+            twists.append((shifted(k), tw, _times_root(c, q, t)))
+        return _keyed(q, self.mu, base,
+                      [(shifted(k), c) for k, c in self._keys],
+                      [(p - tau, c) for p, c in self._points], twists)
 
     def abs_pointwise(self):
         """|g| as an SBFunction; coefficients must have exact absolute value."""
@@ -420,9 +571,12 @@ class SBFunction:
 
     # -- printing -------------------------------------------------------------
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join("%s*%s" % (c, a) for a, c in self.terms)
+        """The terms as stored, a twisted one as c*psi0((b)*x)*[coset]."""
+        q, base = self.q, self._base
+        bits = ["%s*%s" % (c, a) for a, c in self._stored_atoms()]
+        bits += ["%s*psi0((%s)*x)*%s" % (
+            c, KElement(q, _twist_digits(base + len(k), tw)),
+            _coset(q, base, k)) for k, tw, c in self._twists]
+        return " + ".join(bits) or "0"
 
     __repr__ = __str__
-

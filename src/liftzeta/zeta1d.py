@@ -168,7 +168,7 @@ class SBTensor:
     def __init__(self, q, pairs=()):
         self.q = q
         self.pairs = tuple(p for p in pairs
-                           if all(h._keys or h._points for h in p))
+                           if all(h.has_terms() for h in p))
 
     @classmethod
     def pure(cls, f, g):
@@ -180,8 +180,3 @@ class SBTensor:
         if not isinstance(other, SBTensor) or other.q != self.q:
             return NotImplemented
         return SBTensor(self.q, self.pairs + other.pairs)
-
-    def star(self, psi, pi):
-        return SBTensor(self.q, [(f.star(psi, pi), g.star(psi, pi))
-                                 for f, g in self.pairs])
-

@@ -117,17 +117,19 @@ def epsilon2(chi, psi, pi, mu1=Fraction(1), mu2=Fraction(1)):
             * epsilon_star(chi.omega2, psi, pi, mu2))
 
 
-def verify_FE2(tensor, chi, psi, pi, eps):
+def verify_FE2(tensor, starred, chi, eps):
     """Does the normalized zeta of the starred tensor at the dual point
-    equal epsilon times the normalized zeta of the tensor?  eps is
-    epsilon2(chi, psi, pi, mu1, mu2) at the tensor's measure
-    normalizations, which a caller computes once for many tensors."""
+    equal epsilon times the normalized zeta of the tensor?  starred is
+    the tensor with both factors of each pure summand starred for psi and
+    pi, and eps is epsilon2(chi, psi, pi, mu1, mu2) at the tensor's
+    measure normalizations; a caller computes each once for many
+    checks."""
     if not tensor.pairs:
         return True
     if len({(f.mu, g.mu) for f, g in tensor.pairs}) != 1:
         raise ValueError("tensor components must share measure "
                          "normalizations")
-    lhs = z2_normalized(tensor.star(psi, pi), chi.inverse()).subst_dual()
+    lhs = z2_normalized(starred, chi.inverse()).subst_dual()
     rhs = eps * z2_normalized(tensor, chi)
     return lhs == rhs
 

@@ -8,7 +8,8 @@ tuples.  The tests also write them as text or from a few numbers:
   Schwartz functions ("1*[1 + u^2*O] - 2*[u^-1 + u*O]");
 - ``char_point`` is the point mass c Char({x});
 - ``lift_finite`` lifts a function on the residue field to pi^r O;
-- ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists.
+- ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists;
+- ``star_tensor`` stars both factors of each pure summand of an SBTensor.
 """
 
 from fractions import Fraction
@@ -18,6 +19,7 @@ from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import FElement
 from liftzeta.localfield import KCoset, KElement, KSingleton
 from liftzeta.schwartz import SBFunction
+from liftzeta.zeta1d import SBTensor
 
 
 def parse_k(q, text):
@@ -129,3 +131,8 @@ def from_fraction(q, num_coeffs, den_coeffs, x_exp=0):
         return tuple(c if isinstance(c, CycRat) else CycRat.from_rational(c)
                      for c in cs)
     return ZetaValue(q, {x_exp: (mk(num_coeffs), mk(den_coeffs))})
+
+
+def star_tensor(t, psi, pi):
+    return SBTensor(t.q, [(f.star(psi, pi), g.star(psi, pi))
+                          for f, g in t.pairs])

@@ -54,6 +54,17 @@ PINNED = {
     "table-q2": (
         ("epsilon-table", "--q", "2", "--rmax", "3", "--d", "0"),
         "56e08848130c80e60c5d5f69740c905590dbc6d33bf1e3a4e092f06b7bd07830"),
+    # q = 7 reaches characters of order 42 and sqrt 7 in Q(zeta_28)
+    "q7": (
+        ("verify", "--q", "7", "--rmax", "2"),
+        "5f2732c3d5c6fe2e771ac5aae84a627e6cbb33553d41d646c0dc524411caf383"),
+    "table-q7": (
+        ("epsilon-table", "--q", "7", "--rmax", "2", "--d", "1"),
+        "06951811f39ac4c7de4ee18d41453bbc1a12f27ae221c94174c068d3c21c3ce4"),
+    # the scale target: all nine suites at q = 11
+    "q11": (
+        ("verify", "--q", "11"),
+        "6cc701f7ed32222e586fa887b488662c984663f58f6c46699a992295d59dab5c"),
 }
 
 
@@ -186,6 +197,25 @@ class TestVerify:
         text = (tmp_path / report).read_text()
         text = text.replace('"seed": 20260823', '"seed": "SEED"')
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_fe2_stars_each_basis_function_once(self, monkeypatch):
+        basis, starred = [], []
+        coset_basis, star = cli._coset_basis, SBFunction.star
+
+        def kept_basis(*args):
+            basis.extend(coset_basis(*args))
+            return basis
+
+        def counted_star(f, psi, pi):
+            starred.append(f)
+            return star(f, psi, pi)
+        monkeypatch.setattr(cli, "_coset_basis", kept_basis)
+        monkeypatch.setattr(SBFunction, "star", counted_star)
+        cfg = build_parser().parse_args(["verify", "--q", "3"])
+        assert all(case[3] for case in cli.suite_fe2(cfg))
+        # epsilon_star stars test functions of its own
+        of_basis = [f for f in starred if any(f is b for b in basis)]
+        assert len(of_basis) == len({id(f) for f in of_basis}) == 4
 
     def test_report_schema(self, tmp_path):
         run(["verify", "--q", "2", "--suite", "measure",

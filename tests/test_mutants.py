@@ -161,13 +161,17 @@ CHECKS = {
 
 # (mutant, owner, attribute, old, new, the check that kills it)
 MUTANTS = [
+    # a star keeps its twists stored, and FE2 expands them in normalize
     ("twist-digit-exponent-off-by-one", schwartz, "_twist_pairs",
-     "k = d - 1", "k = d", "verify-q2-double-star-level1"),
+     "k = d - 1", "k = d", "verify-q2-FE2"),
     ("w-odd-shell-dropped", SBFunction, "w_operator",
      "shells = [even, odd]", "shells = [even]",
      "test_schwartz-test_w_unit_coset"),
     ("twist-level-from-atom-only", schwartz, "_twist_pairs",
-     "lev = max(level, d - min(b))", "lev = level",
+     "lev = max(level, d - min(b))", "lev = level", "verify-q2-FE2"),
+    # the second star's W splits the twisted ideals of f*
+    ("ideal-tail-one-shell-early", SBFunction, "w_operator",
+     "top = 2 * (lev + len(tw))", "top = 2 * (lev + len(tw)) - 1",
      "verify-q2-double-star-level1"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),

@@ -10,6 +10,7 @@ from liftzeta.exactnum import CycRat, _pmul, _reduce_mod_cyc, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
 from liftzeta.schwartz import TERM_CAP, SBFunction, _canonical, cyc_abs
 from builders import char_point, lift_finite, parse_k, parse_sb
+import staroracle
 
 
 def ideal(q, n):
@@ -577,6 +578,81 @@ class TestTransformsOnCosetSums:
         assert got.evaluate(pi_power(q, d - top - 1)).is_zero()
 
 
+@st.composite
+def keyed_functions(draw):
+    """(f, psi, pi): 1-4 terms stored as digit keys of 0-2 digits at base
+    -1..0, each twisted or not, a twist of 1-2 digits (one at q = 5,
+    where the key path's expansion of longer ones takes seconds);
+    coefficients rational or times a power of z3; mu in {1, 3/2}; q in
+    {2, 3, 5}; pi one of u, u(1+u) and u((q-1) + u + u^2); psi of
+    conductor -1..2."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    digits = st.lists(st.integers(0, q - 1), max_size=2).map(tuple)
+    keys, twists = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(digits)
+        c = CycRat.from_rational(Fraction(draw(st.integers(-3, 3)) or 1,
+                                          draw(st.integers(1, 4))))
+        if draw(st.booleans()):
+            c = c * CycRat.root_of_unity(3, draw(st.integers(1, 2)))
+        if draw(st.booleans()):
+            twists.append((key, (draw(st.integers(1, q - 1)),)
+                           + draw(digits)[:1 if q < 5 else 0], c))
+        else:
+            keys.append((key, c))
+    mu = draw(st.sampled_from([Fraction(1), Fraction(3, 2)]))
+    f = schwartz._keyed(q, mu, draw(st.integers(-1, 0)), keys, (), twists)
+    pi = draw(st.sampled_from(["u", "u + u^2", "%d*u + u^2 + u^3" % (q - 1)]))
+    return f, AdditiveCharacter(q, draw(st.integers(-1, 2))), parse_k(q, pi)
+
+
+class TestKeyPathReference:
+    """The term maps against the earlier key path of tests/staroracle.py,
+    which expands every twist into plain keys as soon as it appears."""
+
+    @given(keyed_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_maps_give_the_normal_forms_of_the_key_path(self, case):
+        f, psi, pi = case
+        star = f.star(psi, pi)
+        ref = staroracle.star(f, psi, pi)
+        for got, want in [
+                (f.fourier(psi), staroracle.fourier(f, psi)),
+                (f.w_operator(pi), staroracle.w_operator(f, pi)),
+                (f.nabla_compose(pi), staroracle.nabla_compose(f, pi)),
+                (star, ref)]:
+            assert got.equals(want)
+        assert star.star(psi, pi).equals(staroracle.star(ref, psi, pi))
+        if f._twists:
+            return
+        # on a normal form, as the reports star, the coefficients sit at
+        # the orders of the key path, so values read off a star print as
+        # they did (an input that stores terms cancelling exactly is not
+        # compared: the maps drop such a sum, whose order the key path
+        # still takes)
+        g = f.normalize()
+        for got, want in [
+                (g.fourier(psi), staroracle.fourier(g, psi)),
+                (g.w_operator(pi), staroracle.w_operator(g, pi)),
+                (g.nabla_compose(pi), staroracle.nabla_compose(g, pi)),
+                (g.star(psi, pi), staroracle.star(g, psi, pi))]:
+            assert str(got.normalize()) == str(want.normalize())
+
+    @given(keyed_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_twisted_terms_as_their_expansion(self, case):
+        """Translation, dilation (by pi and by a monomial) and the Haar
+        integral read twisted terms as the plain keys of their normal
+        form; every twist integrates to zero."""
+        f, _, pi = case
+        g, q = f.normalize(), f.q
+        tau = pi.shift(-3) + KElement.one(q)
+        assert f.haar_integral() == g.haar_integral()
+        assert f.translate(tau).equals(g.translate(tau))
+        for alpha in (pi, KElement(q, {-1: q - 1})):
+            assert f.dilate(alpha).equals(g.dilate(alpha))
+
+
 class TestStar:
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
@@ -603,8 +679,9 @@ class TestStar:
         assert hss.equals(expect)
 
     def test_one_normal_form_per_star(self, monkeypatch):
-        """W and nabla map keys as they are, so only fourier collects the
-        roots of unity into a normal form."""
+        """W, fourier and nabla map terms to terms, so a star builds no
+        normal form; the first normalize of a result builds one, which
+        every later call returns."""
         calls, normal_form = [], schwartz._normal_form
 
         def counted(*args):
@@ -617,8 +694,12 @@ class TestStar:
         f = (SBFunction.char(KCoset(q, KElement.one(q), 2))
              + SBFunction.char_ideal(q, -1, 2))
         g = f.star(psi, pi)
+        gg = g.star(psi, pi)
+        assert not calls
+        h = gg.normalize()
         assert len(calls) == 1
-        g.star(psi, pi)
+        assert gg.normalize() is h and len(calls) == 1
+        g.normalize()
         assert len(calls) == 2
 
     @pytest.mark.parametrize("pi", ["1", "u^2", "0", "int 1"])

@@ -20,7 +20,7 @@ from liftzeta.zeta1d import (
     l_function, rho0, z_normalized, zeta,
 )
 from liftzeta.zeta2d import ChiCharacter, zeta2
-from builders import char_point, from_fraction
+from builders import char_point, from_fraction, star_tensor
 
 
 def coset_basis(q, maxlev):
@@ -555,7 +555,7 @@ class TestTensor:
         wram = ramified_chars(q, 1)[0]
         for wa in (triv, wram):
             for wb in (triv, wram):
-                lhs = (zeta2(t.star(psi, pi),
+                lhs = (zeta2(star_tensor(t, psi, pi),
                              ChiCharacter(wa.inverse(), wb.inverse()))
                        / (l_function(wa.inverse())
                           * l_function(wb.inverse()))).subst_dual()

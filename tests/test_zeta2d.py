@@ -15,7 +15,7 @@ from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
 from liftzeta.zeta2d import (
     ChiCharacter, epsilon2, rho2, verify_FE2, zeta2, zeta_rho2,
 )
-from builders import char_point
+from builders import char_point, star_tensor
 
 
 def trivial(q, pi_value=None):
@@ -185,7 +185,8 @@ class TestFE2:
                 chi = ChiCharacter(om1, om2)
                 eps = epsilon2(chi, psi, pi)
                 for a, b in pairs:
-                    assert verify_FE2(SBTensor.pure(a, b), chi, psi, pi, eps)
+                    t = SBTensor.pure(a, b)
+                    assert verify_FE2(t, star_tensor(t, psi, pi), chi, eps)
 
     def test_sums_of_tensors(self):
         q = 3
@@ -196,14 +197,16 @@ class TestFE2:
                            SBFunction.char(KCoset(q, KElement.one(q), 1)))
              + SBTensor.pure(SBFunction.char_ideal(q, 1, -2),
                              SBFunction.char_ideal(q, 0)))
-        assert verify_FE2(t, chi, psi, pi, epsilon2(chi, psi, pi))
+        assert verify_FE2(t, star_tensor(t, psi, pi), chi,
+                          epsilon2(chi, psi, pi))
 
     def test_empty_tensor(self):
         q = 3
         psi = AdditiveCharacter(q, 0)
         chi = ChiCharacter(trivial(q), trivial(q))
         pi = KElement.uniformizer(q)
-        assert verify_FE2(SBTensor(q), chi, psi, pi, epsilon2(chi, psi, pi))
+        assert verify_FE2(SBTensor(q), SBTensor(q), chi,
+                          epsilon2(chi, psi, pi))
 
     def test_mixed_measures_rejected(self):
         q = 3
@@ -214,7 +217,7 @@ class TestFE2:
              + SBTensor.pure(SBFunction.char_ideal(q, 0, 1, Fraction(2)),
                              SBFunction.char_ideal(q, 0)))
         with pytest.raises(ValueError, match="share measure"):
-            verify_FE2(t, chi, psi, pi, epsilon2(chi, psi, pi))
+            verify_FE2(t, star_tensor(t, psi, pi), chi, epsilon2(chi, psi, pi))
 
 
 class TestRho2:
