@@ -11,10 +11,11 @@ asserted as identities of rational functions, not at sample points.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import itertools
 
 from .exactnum import CycRat, ZetaValue, cyc_sums
-from .localfield import KCoset, KElement, gauss_sum
+from .localfield import AdditiveCharacter, KCoset, KElement, gauss_sum
 from .schwartz import SBFunction, _lead
 
 
@@ -81,14 +82,20 @@ def rho0(omega, psi, pi):
     return CycRat.sqrt_q(q, -r) * gauss_sum(omega, psi, shift, r)
 
 
-def _test_functions(omega, pi, mu):
-    q = omega.q
-    r = omega.r
+@lru_cache(maxsize=None)
+def _test_stars(q, r, d, pi, mu):
+    """The two test functions g of epsilon_star for conductor r, each
+    paired with its star g* for psi of conductor d.  Neither depends on
+    the character beyond r, so each pair, and the normal form that g*
+    keeps, is built once per (q, r, d, pi, mu)."""
     if r == 0:
-        return (SBFunction.char_ideal(q, 0, 1, mu),
-                SBFunction.char_ideal(q, 1, 1, mu))
-    return (SBFunction.char(KCoset(q, KElement.one(q), r), 1, mu),
-            SBFunction.char(KCoset(q, pi, r + 1), 1, mu))
+        gs = (SBFunction.char_ideal(q, 0, 1, mu),
+              SBFunction.char_ideal(q, 1, 1, mu))
+    else:
+        gs = (SBFunction.char(KCoset(q, KElement.one(q), r), 1, mu),
+              SBFunction.char(KCoset(q, pi, r + 1), 1, mu))
+    psi = AdditiveCharacter(q, d)
+    return tuple((g, g.star(psi, pi)) for g in gs)
 
 
 def epsilon_star(omega, psi, pi, mu=Fraction(1)):
@@ -96,16 +103,20 @@ def epsilon_star(omega, psi, pi, mu=Fraction(1)):
     transform: subst_dual(Z(g*, omega^-1)) = eps * Z(g, omega).
 
     Extracted from a canonical test function and cross-checked against a
-    second one; the result must be a monomial a*T^b.
+    second one; the result must be a monomial a*T^b.  The test functions
+    depend on omega only through its conductor r, so they and their stars
+    are built once per (q, r, d, pi, mu) and shared by every character.
     """
+    if psi.q != omega.q or pi.q != omega.q:
+        raise ValueError("mixed residue sizes")
     omega = omega.reduced()
     inv = omega.inverse()
     results = []
-    for g in _test_functions(omega, pi, mu):
+    for g, g_star in _test_stars(omega.q, omega.r, psi.d, pi, mu):
         zg = z_normalized(g, omega)
         if zg.is_zero():
             raise ArithmeticError("degenerate character: test zeta vanishes")
-        zs = z_normalized(g.star(psi, pi), inv)
+        zs = z_normalized(g_star, inv)
         results.append(zs.subst_dual() / zg)
     if results[0] != results[1]:
         raise ArithmeticError("epsilon depends on the test function")

@@ -10,11 +10,16 @@ tuples.  The tests also write them as text or from a few numbers:
 - ``lift_finite`` lifts a function on the residue field to pi^r O;
 - ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists;
 - ``star_tensor`` stars both factors of each pure summand of an SBTensor.
+
+``clear_caches`` empties the library's caches, so that a check computes
+afresh what an earlier call may have kept.
 """
 
 from fractions import Fraction
+import importlib
 import re
 
+import liftzeta
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import FElement
 from liftzeta.localfield import KCoset, KElement, KSingleton
@@ -136,3 +141,13 @@ def from_fraction(q, num_coeffs, den_coeffs, x_exp=0):
 def star_tensor(t, psi, pi):
     return SBTensor(t.q, [(f.star(psi, pi), g.star(psi, pi))
                           for f, g in t.pairs])
+
+
+def clear_caches():
+    """Empty every cache in liftzeta: each value of each module that has a
+    cache_clear, as a functools.lru_cache function has."""
+    for name in liftzeta.__all__:
+        module = importlib.import_module("liftzeta." + name)
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

@@ -18,6 +18,7 @@ from liftzeta import cli, zeta2d
 from liftzeta.cli import SUITE_FUNCS, SUITES, _row, build_parser, main
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.schwartz import SBFunction
+from builders import clear_caches
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "bench" / "golden.json").read_text())
@@ -61,6 +62,10 @@ PINNED = {
     "table-q7": (
         ("epsilon-table", "--q", "7", "--rmax", "2", "--d", "1"),
         "06951811f39ac4c7de4ee18d41453bbc1a12f27ae221c94174c068d3c21c3ce4"),
+    # the largest epsilon test functions, of conductor 3, and their stars
+    "q5-epsilon-rmax3": (
+        ("verify", "--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "3"),
+        "9f3e97c9c81fab8722b285e3071f0e60a6c946e5b1a34cac121ae3dbb9eafd48"),
     # the scale target: all nine suites at q = 11
     "q11": (
         ("verify", "--q", "11"),
@@ -216,6 +221,36 @@ class TestVerify:
         # epsilon_star stars test functions of its own
         of_basis = [f for f in starred if any(f is b for b in basis)]
         assert len(of_basis) == len({id(f) for f in of_basis}) == 4
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "2"),
+        ("epsilon-table", "--q", "5", "--rmax", "2", "--d", "1"),
+    ], ids=["verify", "epsilon-table"])
+    def test_epsilon_stars_two_test_functions_per_conductor(
+            self, args, monkeypatch, tmp_path):
+        starred, star = [], SBFunction.star
+
+        def counted_star(f, psi, pi):
+            starred.append(f)
+            return star(f, psi, pi)
+        clear_caches()
+        monkeypatch.setattr(SBFunction, "star", counted_star)
+        assert run([*args, "--out-dir", str(tmp_path)]) == 0
+        conductors = {w.r for w in cli._characters(5, 2)}
+        assert conductors == {0, 1, 2}
+        assert len(starred) == 2 * len(conductors)
+
+    def test_epsilon_table_cold_and_warm_write_the_pinned_bytes(
+            self, tmp_path):
+        args, digest = PINNED["table-q5"]
+        clear_caches()
+        texts = []
+        for run_dir in ("cold", "warm"):
+            assert run([*args, "--out-dir", str(tmp_path / run_dir)]) == 0
+            texts.append((tmp_path / run_dir / "epsilon-table.json")
+                         .read_bytes())
+        assert texts[0] == texts[1]
+        assert hashlib.sha256(texts[0]).hexdigest() == digest
 
     def test_report_schema(self, tmp_path):
         run(["verify", "--q", "2", "--suite", "measure",

@@ -11,9 +11,11 @@ that function, as an edit of its source file would be (zeta2d
 integrates with `zeta` under its own name); no source file changes.  Each
 must make a named fast check fail, either a `liftzeta verify` run at
 small parameters or a named test function, and each check passes on the
-program as it is.  A check that raises counts as failed.  The caches of
-exactnum are emptied before and after each mutant, so that a mutant
-computes its own cyclotomic polynomials and roots and leaves none behind.
+program as it is.  A check that raises counts as failed.  Every cache of
+every liftzeta module is emptied before and after each mutant
+(`builders.clear_caches`), so that a mutant computes its own cyclotomic
+polynomials, roots and epsilon test-function stars, is never hidden by
+values kept before it was patched in, and leaves none behind.
 This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
 "Hints on test data selection" (IEEE Computer, 1978).
 """
@@ -31,7 +33,9 @@ import test_lift2d
 import test_localfield
 import test_schwartz
 import test_setring
+import test_zeta1d
 import test_zeta2d
+from builders import clear_caches
 from liftzeta import (
     archfe, cli, exactnum, lift2d, localfield, schwartz, setring, zeta1d,
     zeta2d,
@@ -82,12 +86,6 @@ def named_test(cls, name):
             return False
         return True
     return check
-
-
-def clear_caches():
-    for value in vars(exactnum).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
 
 
 # check name -> callable(tmp_path) that is True when the check passes
@@ -147,6 +145,9 @@ CHECKS = {
     "test_lift2d-test_random_expression_membership": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_random_expression_membership"),
+    "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept":
+        named_test(test_zeta1d.TestEpsilonStar,
+                   "test_closed_form_over_d_mu_and_pi_with_stars_kept"),
     "test_zeta2d-test_direct_path_agrees": named_test(
         test_zeta2d.TestZeta2, "test_direct_path_agrees"),
     "test_exactnum-test_value_has_the_image_of_its_tree": named_test(
@@ -202,6 +203,16 @@ MUTANTS = [
     ("delta-parity-always-1", zeta1d, "_delta_parity",
      "return Fraction(1) if k % 2 == 0 else Fraction(1, q)",
      "return Fraction(1)", "verify-q2-identity-A-d1"),
+    # epsilon_star's test-function stars kept by the conductor alone, so
+    # a later d, mu or pi reads the stars of an earlier one
+    ("test-stars-kept-by-conductor-alone", zeta1d, "_test_stars",
+     "@lru_cache(maxsize=None)",
+     "@lambda build, kept={}: lambda q, r, *rest: kept.get((q, r))"
+     " or kept.setdefault((q, r), build(q, r, *rest))",
+     "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept"),
+    ("test-stars-starred-at-u-not-pi", zeta1d, "_test_stars",
+     "g.star(psi, pi)", "g.star(psi, KElement.uniformizer(q))",
+     "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept"),
     ("rho0-shift-off-by-one", zeta1d, "rho0",
      "pi.power_mod(d - r, d)", "pi.power_mod(d - r + 1, d)",
      "verify-q2-zeta1d-epsilon-rmax2"),

@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 import liftzeta
+from builders import clear_caches
 from liftzeta import cli
 
 UNRUN = {
@@ -100,10 +101,7 @@ def public_functions():
 
 def run_reports(out_dir):
     """The code objects called by verify and epsilon-table at q = 3."""
-    for mod in _modules():
-        for value in vars(mod).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    clear_caches()
     seen = set()
 
     def record(frame, event, arg):

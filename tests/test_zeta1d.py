@@ -275,6 +275,18 @@ class TestMixedResidueSizes:
         with pytest.raises(ValueError, match="mixed residue sizes"):
             epsilon_star(omega, psi, u)
 
+    def test_epsilon_star_rejects_another_q_with_stars_kept(self):
+        # the test-function stars are kept by omega's q: a psi or pi of
+        # another q must raise, also after stars for q = 3 were kept
+        q = 3
+        omega = next(w for w in enumerate_characters(q, 1) if w.r == 1)
+        psi, u = AdditiveCharacter(q, 0), KElement.uniformizer(q)
+        epsilon_star(omega, psi, u)
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            epsilon_star(omega, AdditiveCharacter(5, 0), u)
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            epsilon_star(omega, psi, KElement.uniformizer(5))
+
 
 class TestLFunction:
     def test_trivial(self):
@@ -330,6 +342,26 @@ class TestRho0:
         assert [w for w in enumerate_characters(2, 1) if w.r == 1] == []
 
 
+def epsilon_closed_form(w, psi, pi, mu):
+    """The exponential factor in closed form.  For w of conductor r >= 1
+    and k = ceil((r - d)/2) it is
+    mu q^(2k) delta(d - r) w(pi)^k q^(-r/2) rho0(w^-1, psi, pi) T^k;
+    for r = 0 and k = ceil(d/2) it is mu q^(-2k) w(pi)^(-k) T^(-k).  w(pi)
+    is w at the star's uniformizer, which is w.pi_value only at pi = u."""
+    q, d, r = w.q, psi.d, w.r
+    if r == 0:
+        k = -((-d) // 2)
+        return ZetaValue.monomial(
+            q, CycRat.from_rational(mu * Fraction(q) ** (-2 * k))
+            * w(pi) ** (-k), t_exp=-k)
+    k = -((d - r) // 2)
+    delta = Fraction(1) if (d - r) % 2 == 0 else Fraction(1, q)
+    return ZetaValue.monomial(
+        q, CycRat.from_rational(mu * Fraction(q) ** (2 * k) * delta)
+        * w(pi) ** k * CycRat.sqrt_q(q, -r) * rho0(w.inverse(), psi, pi),
+        t_exp=k)
+
+
 class TestEpsilonStar:
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("d", [-1, 0, 1, 2])
@@ -367,6 +399,23 @@ class TestEpsilonStar:
                 * ZetaValue.constant(q, delta)
                 * ZetaValue.constant(q, rho0(w.inverse(), psi, pi)))
             assert epsilon_star(w, psi, pi) == expect
+
+    def test_closed_form_over_d_mu_and_pi_with_stars_kept(self):
+        # one run, no cache emptied between the calls: stars kept under a
+        # key that leaves out d, mu or pi give a later call the stars of
+        # an earlier one, which no verify run at one d, mu and pi sees
+        q = 3
+        u = KElement.uniformizer(q)
+        chars = [w.with_pi_value(CycRat.root_of_unity(4))
+                 for w in enumerate_characters(q, 2)]
+        assert {w.r for w in chars} == {0, 1, 2}
+        for d in range(-1, 3):
+            psi = AdditiveCharacter(q, d)
+            for mu in (Fraction(1), Fraction(5, 4)):
+                for pi in (u, u * (KElement.one(q) + u)):
+                    for w in chars:
+                        assert epsilon_star(w, psi, pi, mu) == \
+                            epsilon_closed_form(w, psi, pi, mu)
 
     def test_product_identity(self):
         q = 3
