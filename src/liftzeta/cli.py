@@ -96,6 +96,26 @@ def suite_schwartz_oracle(cfg):
     return cases
 
 
+def _epsilon_closed_form(om, psi, pi, mu):
+    """The exponential factor of om in closed form, om(pi) its value at
+    the star's uniformizer.  For om of conductor r >= 1 and
+    k = ceil((r - d)/2) it is
+    mu q^(2k) delta(d - r) om(pi)^k q^(-r/2) rho0(om^-1, psi, pi) T^k;
+    for r = 0 and k = ceil(d/2) it is mu q^(-2k) om(pi)^(-k) T^(-k)."""
+    q, d, r = om.q, psi.d, om.r
+    if r == 0:
+        k = -((-d) // 2)
+        return ZetaValue.monomial(
+            q, CycRat.from_rational(mu * Fraction(q) ** (-2 * k))
+            * om(pi) ** (-k), t_exp=-k)
+    k = -((d - r) // 2)
+    delta = Fraction(1) if (d - r) % 2 == 0 else Fraction(1, q)
+    return ZetaValue.monomial(
+        q, CycRat.from_rational(mu * Fraction(q) ** (2 * k) * delta)
+        * om(pi) ** k * CycRat.sqrt_q(q, -r)
+        * zeta1d.rho0(om.inverse(), psi, pi), t_exp=k)
+
+
 def suite_zeta1d_epsilon(cfg):
     q, d, mu = cfg.q, cfg.d, cfg.mu
     psi = AdditiveCharacter(q, d)
@@ -106,20 +126,8 @@ def suite_zeta1d_epsilon(cfg):
         inputs = {"q": q, "d": d, "r": om.r}
         cases.append(("exp-type-%s" % om.label, inputs, True,
                       eps.is_exponential_type() is not None))
-        if om.r == 0:
-            k = -((-d) // 2)
-            want = ZetaValue.monomial(
-                q, CycRat.from_rational(mu * Fraction(q) ** (-2 * k))
-                * om.pi_value ** (-k), t_exp=-k)
-        else:
-            r = om.r
-            k = -((d - r) // 2)
-            delta = Fraction(1) if (d - r) % 2 == 0 else Fraction(1, q)
-            want = ZetaValue.monomial(
-                q, CycRat.from_rational(mu * Fraction(q) ** (2 * k) * delta)
-                * om.pi_value ** k * CycRat.sqrt_q(q, -r)
-                * zeta1d.rho0(om.inverse(), psi, pi), t_exp=k)
-        cases.append(("closed-form-%s" % om.label, inputs, want, eps))
+        cases.append(("closed-form-%s" % om.label, inputs,
+                      _epsilon_closed_form(om, psi, pi, mu), eps))
     return cases
 
 

@@ -355,12 +355,11 @@ class LiftedFn:
 
 
 def _support_ideal_level(g):
-    """Largest m with the support of g inside pi^m O: a normal form's base
-    is the least valuation of its cosets."""
-    g = g.normalize()
-    levels = [g._base] if g._keys else []
-    levels += [p.valuation() for p, _ in g._points if not p.is_zero()]
-    return min(levels, default=0)
+    """Largest m with the support of g inside pi^m O: the least valuation
+    of an atom of its normal form, the point 0 left out."""
+    levels = [a.point.valuation() if isinstance(a, KSingleton)
+              else a.valuation() for a, _ in g.normalize().terms]
+    return min((v for v in levels if v != math.inf), default=0)
 
 
 def _abs_rec(f):

@@ -5,29 +5,31 @@ An SBFunction is a finite sum of terms coeff * Char(atom), the atom a
 coset a + pi^n O or a single point {c}, where a coset may carry a twist
 psi_0(b x).  psi_0 is the residue character zeta_q^(digit -1 of y); psi
 of conductor d is psi_0(u^-d .), so a twist needs no psi.  The terms are
-stored from construction on as digit keys: a base, pairs (key, coeff),
-the key (x_0, ..., x_(n-1)) standing for the coset sum x_i u^(base+i) +
-pi^(base+n) O, triples (key, twist, coeff) for the twisted cosets, and
-point masses.  A twist (b_0, ..., b_(m-1)), b_0 nonzero, stands for
-b = sum b_i u^(i-L-m) on a coset of level L: only the digits of b below
--L vary on the coset, and the constant psi_0 of the others is folded
-into the coefficient.  Keys may overlap, and every map takes them as
-they are.  fourier, W and nabla map terms to terms and sum the terms of
-equal key and twist: fourier swaps key and twist (the translation rule
-of Tate's thesis), and W and nabla split a twisted ideal into twisted
-shells and an untwisted tail.  The normal form has no twist, disjoint
-cosets, no full family of q siblings of equal coefficient, and b the
-least valuation of their points, so equal functions store equal keys.
-It is built only where canonical keys are read, by `normalize`, `equals`
-and zeta1d.zeta, which expand each twist once into plain keys, and by
-`twisted`; `terms` shows the atoms as stored, or those of the normal
-form when a twist is stored.  Points ride along for the pointwise
-calculus (evaluation, Haar integral, absolute value), but a point that
-survives the normal form is rejected by the transforms, which only make
-sense on locally constant functions.  The constructors that only the
-tests use live in tests/builders.py: the literal reader ("2*[u^-1 +
-u*O] - [1 + u^2*O]"), the point mass and the lift of a function on the
-residue field to pi^r O.
+stored from construction on as a base, one list of (key, twist, coeff)
+triples and the point masses.  The key (x_0, ..., x_(n-1)) stands for
+the coset sum x_i u^(base+i) + pi^(base+n) O.  The twist is () for none;
+a twist (b_0, ..., b_(m-1)), b_0 nonzero, stands for b = sum b_i
+u^(i-L-m) on a coset of level L: only the digits of b below -L vary on
+the coset, and the constant psi_0 of the others is folded into the
+coefficient.  Keys may overlap, and every map takes them as they are.
+fourier, W and nabla map terms to terms and sum the terms of equal key
+and twist.  fourier swaps key and twist (the translation rule of Tate's
+thesis).  W and nabla are one shell rule, x -> g(pi^power(s) x) on the
+shell s = w(x), with power(s) = -ceil(s/2) for W and s for nabla: it
+moves each coset and its twist by a power of pi, and splits a twisted
+ideal into twisted shells and an untwisted tail.  The normal form has
+no twist, disjoint cosets, no full family of q siblings of equal
+coefficient, and b the least valuation of their points, so equal
+functions store equal keys.  It is built only where canonical keys are
+read, by `normalize`, `equals` and zeta1d.zeta, which expand each twist
+once into plain keys, and by `twisted`; `terms` shows the atoms as
+stored, or those of the normal form when a twist is stored.  Points ride
+along for the pointwise calculus (evaluation, Haar integral, absolute
+value), but a point that survives the normal form is rejected by the
+transforms, which only make sense on locally constant functions.  The
+constructors that only the tests use live in tests/builders.py: the
+literal reader ("2*[u^-1 + u*O] - [1 + u^2*O]"), the point mass and the
+lift of a function on the residue field to pi^r O.
 """
 
 from fractions import Fraction
@@ -161,23 +163,6 @@ def _at_order_q(c, q):
     return c.embed(math.lcm(c.m, q))
 
 
-def _ideal_shells(q, times, lev, twist, c, start, top, power):
-    """c psi_0(b x) Char(pi^lev O), b the twist, on the shells s of
-    start..top-1 of a map that takes x on shell s to pi^k x, k = power(s):
-    (s, twist, coeff) for +Char(pi^s O) - Char(pi^(s+1) O) twisted by b
-    pi^k, each twist cut below the level of its piece; then the ideal
-    pi^top O, where the twist is trivial, untwisted.  With no twist there
-    is no shell.  A piece that loses its twist keeps the order of its
-    expansion."""
-    for s in range(start, top):
-        k = power(s)
-        b = times(twist, k)
-        cut = lev + len(twist) - s - k
-        yield s, b[:cut], c
-        yield s + 1, b[:cut - 1], -c if cut > 1 else _at_order_q(-c, q)
-    yield top, (), _at_order_q(c, q) if twist else c
-
-
 def _normal_form(q, mu, base, parts, points=()):
     """The normal form of the sum of c zeta_n^t Char(key) over (c, n,
     pairs) in parts and (key, t) in pairs, keys at base (see cyc_sums and
@@ -186,8 +171,8 @@ def _normal_form(q, mu, base, parts, points=()):
     cut = 0  # the leading digits that are zero in every key
     while keymap and all(cut < len(k) and not k[cut] for k in keymap):
         cut += 1
-    keys = sorted(((k[cut:], c) for k, c in keymap.items()),
-                  key=lambda kc: (len(kc[0]), kc[0]))
+    keys = sorted(((k[cut:], (), c) for k, c in keymap.items()),
+                  key=lambda t: (len(t[0]), t[0]))
     singles = {}
     for pt, c in points:
         singles[pt] = singles[pt] + c if pt in singles else c
@@ -198,12 +183,11 @@ def _normal_form(q, mu, base, parts, points=()):
     return f
 
 
-def _keyed(q, mu, base, keys, points=(), twists=()):
-    """The SBFunction of nonzero (key, coeff) pairs at base, points and
-    (key, twist, coeff) triples."""
+def _keyed(q, mu, base, keys, points=()):
+    """The SBFunction of nonzero (key, twist, coeff) terms at base, twist
+    () for none, and points."""
     f = SBFunction(q, (), mu)
     f._base, f._keys, f._points = base, tuple(keys), tuple(points)
-    f._twists = tuple(twists)
     return f
 
 
@@ -214,9 +198,7 @@ def _summed(q, mu, base, terms):
     for key, twist, c in terms:
         kt = (key, twist)
         acc[kt] = acc[kt] + c if kt in acc else c
-    return _keyed(q, mu, base,
-                  [(k, c) for (k, tw), c in acc.items() if c and not tw], (),
-                  [(k, tw, c) for (k, tw), c in acc.items() if c and tw])
+    return _keyed(q, mu, base, [(k, tw, c) for (k, tw), c in acc.items() if c])
 
 
 def _canonical(q, keymap):
@@ -259,11 +241,10 @@ def _coset(q, base, key):
 
 class SBFunction:
     """Finite combination of coset and point indicators on K: `_base`,
-    the (key, coeff) pairs `_keys` and (key, twist, coeff) triples
-    `_twists`, which may overlap, and `_points`."""
+    the (key, twist, coeff) terms `_keys`, twist () for none, which may
+    overlap, and `_points`."""
 
-    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_twists",
-                 "_points", "_canon")
+    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_points", "_canon")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
@@ -272,9 +253,8 @@ class SBFunction:
         terms = [(a, c) for a, c in terms if not c.is_zero()]
         cosets = [(a, c) for a, c in terms if not isinstance(a, KSingleton)]
         self._base = base = min((a.valuation() for a, _ in cosets), default=0)
-        self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))), c)
-                           for a, c in cosets)
-        self._twists = ()
+        self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))),
+                            (), c) for a, c in cosets)
         self._points = tuple((a.point, c) for a, c in terms
                              if isinstance(a, KSingleton))
         self._terms = self._canon = None  # built on first use
@@ -282,22 +262,27 @@ class SBFunction:
     def _stored_atoms(self):
         """The untwisted cosets and the points as stored, as (atom, coeff)."""
         q, base = self.q, self._base
-        return (tuple((_coset(q, base, key), c) for key, c in self._keys)
+        return (tuple((_coset(q, base, key), c)
+                      for key, tw, c in self._keys if not tw)
                 + tuple((KSingleton(q, p), c) for p, c in self._points))
+
+    def _has_twist(self):
+        """Does a stored term carry a twist?  A normal form has none."""
+        return any(tw for _, tw, _ in self._keys)
 
     @property
     def terms(self):
         """The (atom, coeff) pairs, cosets then points, built once: as
         stored, or those of the normal form when a twist is stored."""
         if self._terms is None:
-            self._terms = (self.normalize().terms if self._twists
+            self._terms = (self.normalize().terms if self._has_twist()
                            else self._stored_atoms())
         return self._terms
 
     def has_terms(self):
         """Does the function store a term?  One that stores none is zero;
         one that stores some may still sum to zero."""
-        return bool(self._keys or self._twists or self._points)
+        return bool(self._keys or self._points)
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -324,10 +309,10 @@ class SBFunction:
             raise ValueError("mixed residue sizes")
         if b.is_zero():
             return self.normalize()
-        g = self.normalize() if self._twists else self
+        g = self.normalize() if self._has_twist() else self
         q, base = self.q, g._base
         parts = [(c, q, _twist_pairs(q, psi.d, base, k, b.digits,
-                                     len(g._keys))) for k, c in g._keys]
+                                     len(g._keys))) for k, _, c in g._keys]
         return _normal_form(q, self.mu, base, parts,
                             [(p, c * psi(b * p)) for p, c in g._points])
 
@@ -338,12 +323,10 @@ class SBFunction:
         if self.q != other.q or self.mu != other.mu:
             raise ValueError("mixed base field or measure normalization")
         base = min(self._base, other._base)
-        keys = [((0,) * (f._base - base) + k, c)
-                for f in (self, other) for k, c in f._keys]
-        twists = [((0,) * (f._base - base) + k, tw, c)
-                  for f in (self, other) for k, tw, c in f._twists]
+        keys = [((0,) * (f._base - base) + k, tw, c)
+                for f in (self, other) for k, tw, c in f._keys]
         return _keyed(self.q, self.mu, base, keys,
-                      self._points + other._points, twists)
+                      self._points + other._points)
 
     def __neg__(self):
         return self.scale(-1)
@@ -356,9 +339,8 @@ class SBFunction:
         if c.is_zero():
             return SBFunction.zero(self.q, self.mu)
         return _keyed(self.q, self.mu, self._base,
-                      [(k, c * co) for k, co in self._keys],
-                      [(p, c * co) for p, co in self._points],
-                      [(k, tw, c * co) for k, tw, co in self._twists])
+                      [(k, tw, c * co) for k, tw, co in self._keys],
+                      [(p, c * co) for p, co in self._points])
 
     def __mul__(self, c):
         if isinstance(c, SBFunction):
@@ -382,10 +364,10 @@ class SBFunction:
         Each twist is expanded here, against psi_0."""
         if self._canon is None:
             q, base = self.q, self._base
-            parts = [(c, 1, [(k, 0)]) for k, c in self._keys]
-            parts += [(c, q, _twist_pairs(
-                q, 0, base, k, _twist_digits(base + len(k), tw),
-                len(self._twists))) for k, tw, c in self._twists]
+            width = sum(1 for _, tw, _ in self._keys if tw)
+            parts = [(c, q, _twist_pairs(
+                q, 0, base, k, _twist_digits(base + len(k), tw), width))
+                if tw else (c, 1, [(k, 0)]) for k, tw, c in self._keys]
             self._canon = _normal_form(q, self.mu, base, parts, self._points)
         return self._canon
 
@@ -403,21 +385,21 @@ class SBFunction:
         """Sums c mu q^-(base + len(key)) over the keys, which may overlap;
         a twisted coset integrates to 0, as b has a digit below -L."""
         total = cyc_zero()
-        for key, coeff in self._keys:  # points have measure zero
-            total = total + coeff * CycRat.from_rational(
-                self.mu * Fraction(self.q) ** -(self._base + len(key)))
+        for key, tw, coeff in self._keys:  # points have measure zero
+            if not tw:
+                total = total + coeff * CycRat.from_rational(
+                    self.mu * Fraction(self.q) ** -(self._base + len(key)))
         return total
 
     # -- transforms ---------------------------------------------------------------------
     def _plain_terms(self, op):
-        """The stored base and keys, twist () for none, as the transforms
-        read them.  Only a function with point masses is normalized
-        first, so that points that cancel are accepted and a surviving
-        one raises."""
+        """The stored base and terms, as the transforms read them.  Only a
+        function with point masses is normalized first, so that points
+        that cancel are accepted and a surviving one raises."""
         g = self.normalize() if self._points else self
         if g._points:
             raise ValueError("%s undefined for point masses" % op)
-        return g._base, [(k, (), c) for k, c in g._keys] + list(g._twists)
+        return g._base, g._keys
 
     def fourier(self, psi):
         """g-hat(y) = integral of g(x) psi(xy) dx, term by term by the
@@ -443,59 +425,54 @@ class SBFunction:
                        c if twist or not tw else _at_order_q(c, q))
         return _summed(q, self.mu, out, image())
 
-    def w_operator(self, pi):
-        """x -> g(pi^-k x) for w(x) in {2k - 1, 2k}.  Char(a + pi^L O) with
-        w(a) = v < L goes to the cosets of a pi^v mod pi^(L+v) and of
-        a pi^(v+1) mod pi^(L+v+1), its twist b to b pi^-v and b pi^-(v+1);
-        with pi = u U and a = u^v a', a pi^v is u^(2v) a' U^v.  pi^L O
-        goes to pi^2L O, and with a twist b to the shells s >= 2L with
-        twist b pi^-ceil(s/2)."""
-        base, terms = self._plain_terms("W operator")
-        q, out = self.q, 2 * base
+    def _shell_map(self, pi, op, power, first):
+        """x -> g(pi^power(s) x) on each shell s = w(x), where first(n) is
+        the least s with s + power(s) >= n.  A coset a + pi^L O with
+        w(a) = v < L is reached from the shells s with s + power(s) = v,
+        first(v) up to first(v + 1), where it pulls back to
+        a pi^-power(s) + pi^(L - power(s)) O: with pi = u U and
+        a = u^v a', the key a' U^-power(s) at s, its twist b moved to
+        b pi^power(s) (see _moved).  pi^L O pulls back to pi^first(L) O;
+        with a twist b of m digits, each shell s from first(L) up to
+        first(L + m) gives +Char(pi^s O) - Char(pi^(s+1) O) twisted by
+        b pi^power(s), cut below the level of its piece, and the ideal
+        pi^first(L + m) O, where the twist is trivial, is untwisted.  A
+        piece that loses its twist keeps the order of its expansion."""
+        base, terms = self._plain_terms(op)
+        q, out = self.q, first(base)
         times = _times_unit_powers(q, pi, _span(terms))
 
         def image():
             for key, tw, c in terms:
                 j = _lead(key)
+                v = base + j
                 if j < len(key):
-                    unit, v = key[j:], base + j
-                    even, odd = (2 * j, v), (2 * j + 1, v + 1)
-                    shells = [even, odd]
-                    for zeros, k in shells:
-                        a, b, t = _moved(q, times, unit, tw, k)
-                        yield (0,) * zeros + a, b, _times_root(c, q, t)
-                else:  # shells s >= 2L, twist b pi^-ceil(s/2)
-                    lev = base + j
-                    top = 2 * (lev + len(tw))
-                    for s, b, e in _ideal_shells(q, times, lev, tw, c, 2 * lev,
-                                                 top, lambda s: -s // 2):
-                        yield (0,) * (s - out), b, e
+                    for s in range(first(v), first(v + 1)):
+                        a, b, t = _moved(q, times, key[j:], tw, -power(s))
+                        yield (0,) * (s - out) + a, b, _times_root(c, q, t)
+                    continue
+                top = first(v + len(tw))
+                for s in range(first(v), top):
+                    k = power(s)
+                    b, cut = times(tw, k), v + len(tw) - s - k
+                    yield (0,) * (s - out), b[:cut], c
+                    yield ((0,) * (s + 1 - out), b[:cut - 1],
+                           -c if cut > 1 else _at_order_q(-c, q))
+                yield (0,) * (top - out), (), _at_order_q(c, q) if tw else c
         return _summed(q, self.mu, out, image())
+
+    def w_operator(self, pi):
+        """x -> g(pi^-k x) for w(x) in {2k - 1, 2k}: a coset of valuation
+        v goes to the shells 2v and 2v + 1, pi^L O to pi^2L O."""
+        return self._shell_map(pi, "W operator", lambda s: -s // 2,
+                               lambda n: 2 * n)
 
     def nabla_compose(self, pi):
-        """x -> g(nabla x) with nabla x = pi^w(x) x.  Char(a + pi^L O) with
-        w(a) = 2k < L goes to the coset of a pi^-k mod pi^(L-k), u^k a' U^-k
-        for a = u^2k a', its twist b to b pi^k, and with w(a) odd to 0.
-        pi^L O goes to pi^ceil(L/2) O, and with a twist b to the shells
-        s >= ceil(L/2) with twist b pi^s."""
-        base, terms = self._plain_terms("nabla composition")
-        q, out = self.q, base // 2
-        times = _times_unit_powers(q, pi, _span(terms))
-
-        def image():
-            for key, tw, c in terms:
-                j = _lead(key)
-                if j == len(key):  # shells s >= ceil(L/2), twist b pi^s
-                    lev, m = base + j, base + j + len(tw)
-                    top = -(-m // 2)
-                    for s, b, e in _ideal_shells(q, times, lev, tw, c,
-                                                 -(-lev // 2), top, lambda s: s):
-                        yield (0,) * (s - out), b, e
-                elif (base + j) % 2 == 0:
-                    k = (base + j) // 2
-                    a, b, t = _moved(q, times, key[j:], tw, -k)
-                    yield (0,) * (k - out) + a, b, _times_root(c, q, t)
-        return _summed(q, self.mu, out, image())
+        """x -> g(nabla x) with nabla x = pi^w(x) x: a coset of valuation
+        2k goes to the shell k, one of odd valuation to 0, pi^L O to
+        pi^ceil(L/2) O."""
+        return self._shell_map(pi, "nabla composition", lambda s: s,
+                               lambda n: -(-n // 2))
 
     def star(self, psi, pi):
         """g* = (W g)-hat composed with nabla.  Each map sends terms to
@@ -510,6 +487,8 @@ class SBFunction:
         scales the key digits by c^-1 mod q and the twist digits by c."""
         if alpha.is_zero():
             raise ValueError("dilation by zero")
+        if alpha.q != self.q:
+            raise ValueError("mixed residue sizes")
         q, wa = self.q, alpha.valuation()
         if len(alpha.digits) == 1:
             lead = alpha.digit(wa)
@@ -518,21 +497,18 @@ class SBFunction:
             def scaled(key, x):
                 return key if x == 1 else tuple(y * x % q for y in key)
             return _keyed(q, self.mu, self._base - wa,
-                          [(scaled(k, inv), c) for k, c in self._keys],
-                          [(KElement(q, {-wa: inv}) * p, c)
-                           for p, c in self._points],
                           [(scaled(k, inv), scaled(tw, lead), c)
-                           for k, tw, c in self._twists])
+                           for k, tw, c in self._keys],
+                          [(KElement(q, {-wa: inv}) * p, c)
+                           for p, c in self._points])
         if self._points:
             raise ValueError("point dilation needs a monomial scale factor")
-        times = _times_unit_powers(q, alpha.shift(1 - wa), _span(
-            [(k, (), c) for k, c in self._keys] + list(self._twists)))
-        twists = []
-        for k, tw, c in self._twists:
+        times = _times_unit_powers(q, alpha.shift(1 - wa), _span(self._keys))
+        keys = []
+        for k, tw, c in self._keys:
             a, b, t = _moved(q, times, k, tw, -1)
-            twists.append((a, b, _times_root(c, q, t)))
-        return _keyed(q, self.mu, self._base - wa,
-                      [(times(k, -1), c) for k, c in self._keys], (), twists)
+            keys.append((a, b, _times_root(c, q, t)))
+        return _keyed(q, self.mu, self._base - wa, keys)
 
     def translate(self, tau):
         """x -> g(x + tau): the keys lose tau's digits mod q, with no carry,
@@ -541,19 +517,16 @@ class SBFunction:
             raise ValueError("mixed residue sizes")
         q, base = self.q, min([self._base, *tau.digits])
         pad = (0,) * (self._base - base)
-
-        def shifted(k):
-            return tuple((x - tau.digit(e)) % q
-                         for e, x in enumerate(pad + k, base))
-        twists = []
-        for k, tw, c in self._twists:
+        keys = []
+        for k, tw, c in self._keys:
+            key = tuple((x - tau.digit(e)) % q
+                        for e, x in enumerate(pad + k, base))
             # digit i of b, at u^(i-L-m), meets the digit L+m-1-i of tau
             top = self._base + len(k) + len(tw) - 1
             t = sum(x * tau.digit(top - i) for i, x in enumerate(tw)) % q
-            twists.append((shifted(k), tw, _times_root(c, q, t)))
-        return _keyed(q, self.mu, base,
-                      [(shifted(k), c) for k, c in self._keys],
-                      [(p - tau, c) for p, c in self._points], twists)
+            keys.append((key, tw, _times_root(c, q, t)))
+        return _keyed(q, self.mu, base, keys,
+                      [(p - tau, c) for p, c in self._points])
 
     def abs_pointwise(self):
         """|g| as an SBFunction; coefficients must have exact absolute value."""
@@ -576,7 +549,7 @@ class SBFunction:
         bits = ["%s*%s" % (c, a) for a, c in self._stored_atoms()]
         bits += ["%s*psi0((%s)*x)*%s" % (
             c, KElement(q, _twist_digits(base + len(k), tw)),
-            _coset(q, base, k)) for k, tw, c in self._twists]
+            _coset(q, base, k)) for k, tw, c in self._keys if tw]
         return " + ".join(bits) or "0"
 
     __repr__ = __str__

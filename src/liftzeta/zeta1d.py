@@ -33,7 +33,7 @@ def zeta(g, omega):
     q, r, g = g.q, omega.r, g.normalize()
     tails = ZetaValue.zero(q)
     parts, scale = [], {}  # scale: exponent e -> mu q^e
-    for key, coeff in g._keys:
+    for key, _, coeff in g._keys:
         j = _lead(key)
         v = g._base + j
         if j < len(key):

@@ -20,11 +20,11 @@ from liftzeta.schwartz import (
 def _plain(g):
     """g's stored keys; with a point mass or a twist, those of its normal
     form, the only form of a twisted function on the key path."""
-    if g._points or g._twists:
+    if g._points or g._has_twist():
         g = g.normalize()
     if g._points:
         raise ValueError("transforms undefined for point masses")
-    return g._base, g._keys
+    return g._base, [(k, c) for k, _, c in g._keys]
 
 
 def fourier(g, psi):
@@ -57,7 +57,7 @@ def w_operator(g, pi):
             unit, v = key[j:], base + j
             shells = [(0,) * (2 * j) + times(unit, v),
                       (0,) * (2 * j + 1) + times(unit, v + 1)]
-        pairs.extend((k, c) for k in shells)
+        pairs.extend((k, (), c) for k in shells)
     return _keyed(g.q, g.mu, 2 * base, pairs)
 
 
@@ -70,10 +70,10 @@ def nabla_compose(g, pi):
     for key, c in keys:
         j = _lead(key)
         if j == len(key):
-            pairs.append(((0,) * (-(-(base + j) // 2) - out), c))
+            pairs.append(((0,) * (-(-(base + j) // 2) - out), (), c))
         elif (base + j) % 2 == 0:
             k = (base + j) // 2
-            pairs.append(((0,) * (k - out) + times(key[j:], -k), c))
+            pairs.append(((0,) * (k - out) + times(key[j:], -k), (), c))
     return _keyed(g.q, g.mu, out, pairs)
 
 

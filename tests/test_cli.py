@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import liftzeta
-from liftzeta import cli, zeta2d
+from liftzeta import cli, zeta1d, zeta2d
 from liftzeta.cli import SUITE_FUNCS, SUITES, _row, build_parser, main
 from liftzeta.exactnum import CycRat, ZetaValue
+from liftzeta.localfield import AdditiveCharacter, KElement
 from liftzeta.schwartz import SBFunction
 from builders import clear_caches
 
@@ -221,6 +222,23 @@ class TestVerify:
         # epsilon_star stars test functions of its own
         of_basis = [f for f in starred if any(f is b for b in basis)]
         assert len(of_basis) == len({id(f) for f in of_basis}) == 4
+
+    def test_closed_form_reads_the_character_at_the_stars_pi(self):
+        # omega(pi) is omega's pi_value only at pi = u; the suite's pi is
+        # u, so no report sees another pi
+        q = 3
+        u = KElement.uniformizer(q)
+        one = KElement.one(q)
+        chars = cli._characters(q, 2)
+        assert {w.r for w in chars} == {0, 1, 2}
+        for pi in (u * (one + u), u * (KElement.constant(q, 2) + u * u),
+                   KElement(q, {1: 2})):
+            for d in range(-1, 3):
+                psi = AdditiveCharacter(q, d)
+                for mu in (Fraction(1), Fraction(5, 4)):
+                    for w in chars:
+                        assert cli._epsilon_closed_form(w, psi, pi, mu) == \
+                            zeta1d.epsilon_star(w, psi, pi, mu)
 
     @pytest.mark.parametrize("args", [
         ("verify", "--q", "5", "--suite", "zeta1d-epsilon", "--rmax", "2"),

@@ -73,13 +73,13 @@ def verify(*argv):
     return check
 
 
-def named_test(cls, name):
+def named_test(cls, name, **params):
     def check(tmp_path):
         try:
             obj = cls()
             if hasattr(obj, "setup_method"):
                 obj.setup_method()
-            getattr(obj, name)()
+            getattr(obj, name)(**params)
         except (Exception, pytest.fail.Exception):
             # pytest.raises reports a missing raise as pytest's Failed,
             # which is no Exception
@@ -100,6 +100,9 @@ CHECKS = {
         test_schwartz.TestWAndNabla, "test_w_unit_coset"),
     "test_schwartz-test_linear_maps_pointwise": named_test(
         test_schwartz.TestKeyMaps, "test_linear_maps_pointwise"),
+    "test_schwartz-test_w_nabla_star_match_untruncated-d8": named_test(
+        test_schwartz.TestTruncatedPowers,
+        "test_w_nabla_star_match_untruncated", d=8, pi_text="u + u^2"),
     "verify-q2-zeta1d-epsilon": verify(
         "--q", "2", "--suite", "zeta1d-epsilon"),
     "verify-q2-zeta1d-epsilon-rmax2": verify(
@@ -165,25 +168,32 @@ MUTANTS = [
     # a star keeps its twists stored, and FE2 expands them in normalize
     ("twist-digit-exponent-off-by-one", schwartz, "_twist_pairs",
      "k = d - 1", "k = d", "verify-q2-FE2"),
-    ("w-odd-shell-dropped", SBFunction, "w_operator",
-     "shells = [even, odd]", "shells = [even]",
+    # W reaches a coset of valuation v from the shells 2v and 2v + 1
+    ("w-odd-shell-dropped", SBFunction, "_shell_map",
+     "range(first(v), first(v + 1))", "range(first(v), first(v + 1) - 1)",
      "test_schwartz-test_w_unit_coset"),
     ("twist-level-from-atom-only", schwartz, "_twist_pairs",
      "lev = max(level, d - min(b))", "lev = level", "verify-q2-FE2"),
     # the second star's W splits the twisted ideals of f*
-    ("ideal-tail-one-shell-early", SBFunction, "w_operator",
-     "top = 2 * (lev + len(tw))", "top = 2 * (lev + len(tw)) - 1",
+    ("ideal-tail-one-shell-early", SBFunction, "_shell_map",
+     "top = first(v + len(tw))", "top = first(v + len(tw)) - 1",
      "verify-q2-double-star-level1"),
+    # a coset pulled back by pi^power(s) where pi^-power(s) belongs; at
+    # q = 2 and pi = u the unit U is 1, so only another pi shows it
+    ("shell-coset-moved-the-wrong-way", SBFunction, "_shell_map",
+     "tw, -power(s))", "tw, power(s))",
+     "test_schwartz-test_w_nabla_star_match_untruncated-d8"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
-     "-(-m // 2)", "m // 2", "verify-q2-schwartz-oracle-d1"),
+     "-(-n // 2)", "n // 2", "verify-q2-schwartz-oracle-d1"),
     ("translate-adds-tau", SBFunction, "translate",
      "(x - tau.digit(e)) % q", "(x + tau.digit(e)) % q",
      "test_schwartz-test_linear_maps_pointwise"),
     # A where A^-1 belongs, for alpha = u^w A
-    ("dilate-by-the-unit", SBFunction, "dilate", "times(k, -1)",
-     "times(k, 1)", "test_schwartz-test_linear_maps_pointwise"),
+    ("dilate-by-the-unit", SBFunction, "dilate",
+     "_moved(q, times, k, tw, -1)", "_moved(q, times, k, tw, 1)",
+     "test_schwartz-test_linear_maps_pointwise"),
     ("add-drops-the-rebase-prefix", SBFunction, "__add__",
-     "((0,) * (f._base - base) + k, c)", "(k, c)",
+     "((0,) * (f._base - base) + k, tw, c)", "(k, tw, c)",
      "test_schwartz-test_linear_maps_pointwise"),
     ("double-star-composition-sign-of-d1", zeta1d, "double_star_invariance",
      "-d1 - d2 - 1", "d1 - d2 - 1", "verify-q2-double-star-d1"),

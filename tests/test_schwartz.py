@@ -504,6 +504,13 @@ class TestMixedResidueSizes:
         with pytest.raises(ValueError, match="mixed residue sizes"):
             f.translate(KElement(5, {-1: 1}))
 
+    def test_dilate_rejects_alpha_of_another_q(self):
+        # a monomial alpha is one branch of dilate, any other the second
+        f = SBFunction.char(KCoset(3, KElement.one(3), 2))
+        for alpha in (KElement(5, {1: 2}), KElement(5, {1: 2, 2: 1})):
+            with pytest.raises(ValueError, match="mixed residue sizes"):
+                f.dilate(alpha)
+
 
 class TestTruncatedPowers:
     @pytest.mark.parametrize("pi_text", ["u + u^2", "u + 2*u^3"])
@@ -588,20 +595,20 @@ def keyed_functions(draw):
     conductor -1..2."""
     q = draw(st.sampled_from([2, 3, 5]))
     digits = st.lists(st.integers(0, q - 1), max_size=2).map(tuple)
-    keys, twists = [], []
+    keys = []
     for _ in range(draw(st.integers(1, 4))):
         key = draw(digits)
         c = CycRat.from_rational(Fraction(draw(st.integers(-3, 3)) or 1,
                                           draw(st.integers(1, 4))))
         if draw(st.booleans()):
             c = c * CycRat.root_of_unity(3, draw(st.integers(1, 2)))
+        twist = ()
         if draw(st.booleans()):
-            twists.append((key, (draw(st.integers(1, q - 1)),)
-                           + draw(digits)[:1 if q < 5 else 0], c))
-        else:
-            keys.append((key, c))
+            twist = ((draw(st.integers(1, q - 1)),)
+                     + draw(digits)[:1 if q < 5 else 0])
+        keys.append((key, twist, c))
     mu = draw(st.sampled_from([Fraction(1), Fraction(3, 2)]))
-    f = schwartz._keyed(q, mu, draw(st.integers(-1, 0)), keys, (), twists)
+    f = schwartz._keyed(q, mu, draw(st.integers(-1, 0)), keys)
     pi = draw(st.sampled_from(["u", "u + u^2", "%d*u + u^2 + u^3" % (q - 1)]))
     return f, AdditiveCharacter(q, draw(st.integers(-1, 2))), parse_k(q, pi)
 
@@ -623,7 +630,7 @@ class TestKeyPathReference:
                 (star, ref)]:
             assert got.equals(want)
         assert star.star(psi, pi).equals(staroracle.star(ref, psi, pi))
-        if f._twists:
+        if f._has_twist():
             return
         # on a normal form, as the reports star, the coefficients sit at
         # the orders of the key path, so values read off a star print as
@@ -637,6 +644,14 @@ class TestKeyPathReference:
                 (g.nabla_compose(pi), staroracle.nabla_compose(g, pi)),
                 (g.star(psi, pi), staroracle.star(g, psi, pi))]:
             assert str(got.normalize()) == str(want.normalize())
+
+    @given(keyed_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_nabla_after_w_is_the_identity(self, case):
+        """nabla(pi^-k x) = x for w(x) in {2k - 1, 2k}, so composing with
+        nabla undoes W; both run through one shell map."""
+        f, _, pi = case
+        assert f.w_operator(pi).nabla_compose(pi).equals(f)
 
     @given(keyed_functions())
     @settings(max_examples=80, deadline=None)
