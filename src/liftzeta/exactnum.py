@@ -256,14 +256,6 @@ class CycRat:
     def is_zero(self):
         return not self
 
-    def is_rational(self):
-        return not any(self.n[1:])
-
-    def as_fraction(self):
-        if not self.is_rational():
-            raise ValueError("not a rational number")
-        return Fraction(self.n[0], self.d)
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other):
         if type(other) is CycRat and other.m == self.m:
@@ -519,8 +511,7 @@ class ZetaValue:
 
     ``terms`` is the reduced view, built by the polynomial gcd on first
     read and cached: lowest terms, lowest nonzero denominator coefficient
-    1.  Only the shape queries (is_constant, constant_value,
-    is_exponential_type) and printing read it.
+    1.  Only the shape query is_exponential_type and printing read it.
     """
 
     __slots__ = ("q", "_fr", "_terms")
@@ -626,21 +617,6 @@ class ZetaValue:
     # -- predicates -----------------------------------------------------------
     def is_zero(self):
         return not self._fr
-
-    def is_constant(self):
-        if not self.terms:
-            return True
-        if set(self.terms) != {0}:
-            return False
-        num, den = self.terms[0]
-        return len(num) == 1 and den == (cyc_one(),)
-
-    def constant_value(self):
-        if self.is_zero():
-            return cyc_zero()
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.terms[0][0][0]
 
     # -- arithmetic ------------------------------------------------------------
     def _coerce(self, other):

@@ -18,7 +18,6 @@ from .exactnum import CycRat, ZetaValue, cyc_one
 from .localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, gauss_sum,
 )
-from .schwartz import SBFunction, cyc_abs
 from .setring import DddSet, KCosetFamily
 
 
@@ -61,12 +60,6 @@ class FElement:
         if self.is_zero():
             raise ZeroDivisionError("zero has no leading coefficient")
         return self.coeffs[self.nu()]
-
-    def rho(self):
-        """Residue map on the ring of integers: the t^0 coefficient."""
-        if self.coeffs and self.nu() < 0:
-            raise ValueError("residue defined on integral elements only")
-        return self.coeff(0)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -142,17 +135,15 @@ class FElement:
                                          t_terms).coeffs.items()})
         return inv_unit.t_shift(-n)
 
-    def key(self):
-        return tuple(sorted((e, tuple(sorted(k.digits.items())))
-                            for e, k in self.coeffs.items()))
-
     def __eq__(self, other):
         if not isinstance(other, FElement):
             return NotImplemented
         return self.q == other.q and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.q, self.key()))
+        return hash((self.q, tuple(sorted(
+            (e, tuple(sorted(k.digits.items())))
+            for e, k in self.coeffs.items()))))
 
     def __str__(self):
         if self.is_zero():
@@ -222,10 +213,6 @@ class LiftedFn:
         a = FElement.zero(g.q) if a is None else a
         return cls(g.q, [(g, a, gamma, b, coeff)])
 
-    @classmethod
-    def zero(cls, q):
-        return cls(q, ())
-
     def __add__(self, other):
         if not isinstance(other, LiftedFn) or other.q != self.q:
             return NotImplemented
@@ -242,9 +229,6 @@ class LiftedFn:
         return LiftedFn(self.q, [(g, a, gamma, b, coeff * c)
                                  for g, a, gamma, b, coeff in self.terms])
 
-    def is_untwisted(self):
-        return all(b is None for _, _, _, b, _ in self.terms)
-
     def evaluate(self, x, psi=None):
         total = ZetaValue.zero(self.q)
         for g, a, gamma, b, coeff in self.terms:
@@ -260,31 +244,6 @@ class LiftedFn:
                 v = v * psi(b * x)
             total = total + coeff * ZetaValue.constant(self.q, v)
         return total
-
-    # -- canonical form -------------------------------------------------------
-    def canonicalize(self):
-        """Group terms by support coset, level and twist; constant
-        coefficients are folded into the K-level functions."""
-        grouped = {}
-        for g, a, gamma, b, coeff in self.terms:
-            if not coeff.is_constant():
-                raise ValueError("canonical form needs scalar coefficients")
-            base = a.truncate_t(gamma)
-            shift = a.coeff(gamma)
-            gc = g.translate(-shift) if not shift.is_zero() else g
-            gc = gc.scale(coeff.constant_value())
-            key = (gamma, base.key(), None if b is None else b.key())
-            if key in grouped:
-                prev_g, _, _, _ = grouped[key]
-                grouped[key] = (prev_g + gc, base, gamma, b)
-            else:
-                grouped[key] = (gc, base, gamma, b)
-        out = []
-        for gc, base, gamma, b in grouped.values():
-            gn = gc.normalize()
-            if gn.has_terms():
-                out.append((gn, base, gamma, b, 1))
-        return LiftedFn(self.q, out)
 
     # -- integral -------------------------------------------------------------
     def integrate(self, psi):
@@ -344,44 +303,6 @@ class LiftedFn:
             c = coeff * ZetaValue.monomial(self.q, const, x_exp=gamma)
             out.append((ghat, new_a, -gamma, new_b, c))
         return LiftedFn(self.q, out)
-
-    # -- absolute value ----------------------------------------------------------
-    def abs_pointwise(self):
-        """Pointwise |f|, again a lifted function."""
-        if not self.is_untwisted():
-            raise ValueError(
-                "absolute value only defined for untwisted lifts")
-        return _abs_rec(self.canonicalize())
-
-
-def _support_ideal_level(g):
-    """Largest m with the support of g inside pi^m O: the least valuation
-    of an atom of its normal form, the point 0 left out."""
-    levels = [a.point.valuation() if isinstance(a, KSingleton)
-              else a.valuation() for a, _ in g.normalize().terms]
-    return min((v for v in levels if v != math.inf), default=0)
-
-
-def _abs_rec(f):
-    q = f.q
-    terms = list(f.terms)
-    if not terms:
-        return LiftedFn.zero(q)
-    if len(terms) == 1:
-        g, a, gamma, _, coeff = terms[0]
-        return LiftedFn(q, [(g.abs_pointwise(), a, gamma, None, coeff)])
-    # split off a term of maximal level; the rest is constant on its
-    # support coset, equal to its value at the base point
-    idx = max(range(len(terms)), key=lambda i: terms[i][2])
-    g, a, gamma, _, coeff = terms[idx]
-    rest = LiftedFn(q, [t for i, t in enumerate(terms) if i != idx])
-    c = rest.evaluate(a).constant_value()
-    m = _support_ideal_level(g)
-    backdrop = SBFunction.char_ideal(q, m, c, g.mu)
-    phi = (g + backdrop).abs_pointwise() + SBFunction.char_ideal(
-        q, m, -cyc_abs(c, q), g.mu)
-    return _abs_rec(rest) + LiftedFn(q, [(phi.normalize(), a, gamma,
-                                          None, coeff)])
 
 
 # -- distinguished sets and their measure -------------------------------------

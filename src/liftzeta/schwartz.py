@@ -24,9 +24,9 @@ functions store equal keys.  It is built only where canonical keys are
 read, by `normalize`, `equals` and zeta1d.zeta, which expand each twist
 once into plain keys, and by `twisted`; `terms` shows the atoms as
 stored, or those of the normal form when a twist is stored.  Points ride
-along for the pointwise calculus (evaluation, Haar integral, absolute
-value), but a point that survives the normal form is rejected by the
-transforms, which only make sense on locally constant functions.  The
+along for the pointwise calculus (evaluation and Haar integral), but a
+point that survives the normal form is rejected by the transforms,
+which only make sense on locally constant functions.  The
 constructors that only the tests use live in tests/builders.py: the
 literal reader ("2*[u^-1 + u*O] - [1 + u^2*O]"), the point mass and the
 lift of a function on the residue field to pi^r O.
@@ -40,37 +40,6 @@ from .exactnum import CycRat, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement, KSingleton
 
 TERM_CAP = 10 ** 5
-
-
-def _isqrt_fraction(fr):
-    """Exact square root of a nonnegative Fraction, or None."""
-    n, d = fr.numerator, fr.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def cyc_abs(z, q):
-    """|z| for a cyclotomic scalar, exact when z * conj(z) is a rational
-    square times a power of q.  Raises otherwise."""
-    n = z * z.conjugate()
-    if not n.is_rational():
-        raise ValueError("absolute value not exactly representable")
-    fr = n.as_fraction()
-    if fr == 0:
-        return CycRat.from_rational(0)
-    k = 0
-    while fr.numerator % q == 0:
-        fr /= q
-        k += 1
-    while fr.denominator % q == 0:
-        fr *= q
-        k -= 1
-    root = _isqrt_fraction(fr)
-    if root is None:
-        raise ValueError("absolute value not exactly representable")
-    return CycRat.sqrt_q(q, k) * CycRat.from_rational(root)
 
 
 def _coerce_coeff(c):
@@ -527,20 +496,6 @@ class SBFunction:
             keys.append((key, tw, _times_root(c, q, t)))
         return _keyed(q, self.mu, base, keys,
                       [(p - tau, c) for p, c in self._points])
-
-    def abs_pointwise(self):
-        """|g| as an SBFunction; coefficients must have exact absolute value."""
-        g, q = self.normalize(), self.q
-        out = []
-        for atom, c in g.terms:
-            if isinstance(atom, KSingleton):
-                # g is c plus the value of its cosets at the point
-                at = g.evaluate(atom.point)
-                c = cyc_abs(at, q) - cyc_abs(at - c, q)
-            else:
-                c = cyc_abs(c, q)
-            out.append((atom, c))
-        return SBFunction(q, out, self.mu).normalize()
 
     # -- printing -------------------------------------------------------------
     def __str__(self):

@@ -7,16 +7,15 @@ factors are products and the functional equation in s -> 2-s follows
 from the one-variable theory.  The shell decomposition here writes a
 one-variable integral as a sum over the shells of valuation k of g; the
 oracle zeta2_direct of tests/test_zeta2d.py is the product of the two
-shell decompositions of each pure summand.  A second, boundary,
-construction lifts a single K-integral through the generalised residue
-map; the resulting identity is verified by the same shell decomposition.
+shell decompositions of each pure summand.  A second construction,
+zeta_rho2, lifts a single K-integral along the border map; the resulting
+boundary-lifting identity is verified by the same shell decomposition.
 """
 
 from fractions import Fraction
 
 from .exactnum import CycRat, ZetaValue
-from .lift2d import FElement
-from .localfield import KCoset, KElement, KSingleton, QuasiCharacter
+from .localfield import KCoset, KSingleton
 from .schwartz import SBFunction
 from .zeta1d import epsilon_star, l_function, zeta as zeta_k
 
@@ -33,14 +32,6 @@ class ChiCharacter:
         self.q = omega1.q
         self.omega1 = omega1
         self.omega2 = omega2
-
-    @classmethod
-    def boundary(cls, omega):
-        """The character factoring through the border map: the second
-        coordinate only contributes through its valuation, so the second
-        component is unramified with the same value at the prime."""
-        return cls(omega, QuasiCharacter.trivial(omega.q,
-                                                 pi_value=omega.pi_value))
 
     def inverse(self):
         return ChiCharacter(self.omega1.inverse(), self.omega2.inverse())
@@ -132,31 +123,6 @@ def verify_FE2(tensor, starred, chi, eps):
     lhs = z2_normalized(starred, chi.inverse()).subst_dual()
     rhs = eps * z2_normalized(tensor, chi)
     return lhs == rhs
-
-
-def rho2(x_data, y_data, pi=None):
-    """Generalised residue of a decomposed pair.
-
-    Each point is given as (i1, i2, u) for t1^i1 t2^i2 u with u a unit of
-    the rank-two ring of integers.  The residue is the K element
-    pi^min(i1,j1) times the residue of u when min(i2, j2) = 0, and 0
-    otherwise (the residue leaves the integers of K in the other cases,
-    which this implementation maps to 0 by convention).
-    """
-    i1, i2, u = x_data
-    j1, j2, v = y_data
-    for name, unit in (("u", u), ("v", v)):
-        if not isinstance(unit, FElement) or unit.nu() != 0 \
-                or unit.rho().valuation() != 0:
-            raise ValueError("%s must be a rank-two unit" % name)
-    q = u.q
-    if min(i2, j2) != 0:
-        return KElement.zero(q)
-    if pi is None:
-        pi = KElement.uniformizer(q)
-    if pi.valuation() != 1:
-        raise ValueError("pi must be a uniformizer")
-    return (pi ** min(i1, j1)) * u.rho()
 
 
 def _boundary_prefactor(omega, mu):

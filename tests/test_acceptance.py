@@ -27,7 +27,7 @@ from liftzeta.zeta1d import (
     double_star_invariance, epsilon_star, rho0, z_normalized, zeta,
 )
 from liftzeta.zeta2d import ChiCharacter, epsilon2, zeta_rho2
-from builders import char_point, lift_finite
+from builders import lift_finite
 from setoracle import (
     IntervalFamily, atoms, probe_points, rand_coset, rand_expr, rand_interval,
 )
@@ -283,18 +283,6 @@ class TestLiftedMeasure:
             y = DddSet.atom(self.fam, self.rand_atom(rng)).difference(x)
             assert measure_F(x.union(y), self.fam) == \
                 measure_F(x, self.fam) + measure_F(y, self.fam)
-
-
-class TestAbsolutePathology:
-    @pytest.mark.parametrize("gamma", [1, 2])
-    def test_integral_of_abs_vanishes_while_integral_does_not(self, gamma):
-        q = 3
-        psi = GoodCharacter(q, 0)
-        f = (LiftedFn.lift(char_point(q, KElement.zero(q)))
-             + LiftedFn.lift(SBFunction.char_ideal(q, 0), gamma=gamma,
-                             coeff=-2))
-        assert f.integrate(psi) == ZetaValue.monomial(q, -2, x_exp=gamma)
-        assert f.abs_pointwise().integrate(psi).is_zero()
 
 
 class TestTwoVariableFunctionalEquation:

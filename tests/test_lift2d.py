@@ -12,10 +12,10 @@ from liftzeta.lift2d import (
 from liftzeta.localfield import (
     KCoset, KElement, QuasiCharacter, enumerate_characters,
 )
-from liftzeta.schwartz import SBFunction, cyc_abs
+from liftzeta.schwartz import SBFunction
 from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
 from liftzeta.zeta1d import rho0
-from builders import char_point, parse_f as fe, parse_k
+from builders import parse_f as fe, parse_k
 from liftoracle import integrate_reference, measure_reference
 from setoracle import atoms, measure_relation, probe_points, rand_expr
 
@@ -103,10 +103,17 @@ class TestFElement:
         assert x.eta() == KElement.constant(5, 3)
         assert FElement.zero(5).nu() == float("inf")
 
-    def test_residue(self):
-        assert fe(3, "2 + u*t").rho() == KElement.constant(3, 2)
-        with pytest.raises(ValueError):
-            fe(3, "t^-1").rho()
+    def test_equal_elements_hash_equal(self):
+        # the same element built in other dict orders, and once with a
+        # zero coefficient that the constructor drops
+        q = 3
+        k0, k2 = KElement(q, {0: 1, 1: 2}), KElement(q, {1: 2, 0: 1})
+        one = KElement.one(q)
+        x = FElement(q, {-1: one, 0: k0, 2: k2})
+        y = FElement(q, {2: k0, -1: one, 0: k2})
+        z = FElement(q, {0: k0, 5: KElement.zero(q), 2: k2, -1: one})
+        assert x == y == z and hash(x) == hash(y) == hash(z)
+        assert len({x, y, z, x + one}) == 2
 
     def test_arithmetic(self):
         q = 3
@@ -249,13 +256,15 @@ class TestIntegral:
         q = 3
         a = fe(q, "u*t^-1")
         whole = LiftedFn.lift(SBFunction.char_ideal(q, 0), a=a, gamma=1)
-        parts = LiftedFn.zero(q)
+        parts = LiftedFn(q)
         for c in range(q):
             parts = parts + LiftedFn.lift(
                 SBFunction.char(KCoset(q, KElement.constant(q, c), 1)),
                 a=a, gamma=1)
         diff = whole - parts
-        assert not diff.canonicalize().terms
+        grid = probe_grid(diff)
+        assert any(not whole.evaluate(x).is_zero() for x in grid)
+        assert all(diff.evaluate(x).is_zero() for x in grid)
         psi = GoodCharacter(q, 1)
         assert diff.integrate(psi).is_zero()
 
@@ -313,37 +322,6 @@ class TestAbsF:
             if x.is_zero() or y.is_zero():
                 continue
             assert abs_F(x * y) == abs_F(x) * abs_F(y)
-
-
-class TestAbsLifted:
-    def test_matches_pointwise_oracle(self):
-        q = 3
-        rng = random.Random(17)
-        for _ in range(50):
-            f = rand_lifted(q, rng, twisted=False)
-            af = f.abs_pointwise()
-            for p in probe_grid(f):
-                want = cyc_abs(f.evaluate(p).constant_value(), q)
-                assert af.evaluate(p).constant_value() == want
-
-    def test_twisted_rejected(self):
-        q = 3
-        f = LiftedFn.lift(SBFunction.char_ideal(q, 0),
-                          b=FElement.from_k(KElement.one(q)))
-        with pytest.raises(ValueError):
-            f.abs_pointwise()
-
-    def test_integral_of_abs_can_vanish_while_integral_does_not(self):
-        # a nonnegative-looking pathology: the function is -2 on a set of
-        # measure X^gamma and 1 on a measure-zero neighbourhood of it
-        q = 3
-        gamma = 2
-        psi = GoodCharacter(q, 0)
-        f = (LiftedFn.lift(char_point(q, KElement.zero(q)))
-             + LiftedFn.lift(SBFunction.char_ideal(q, 0), gamma=gamma,
-                             coeff=-2))
-        assert f.integrate(psi) == ZetaValue.monomial(q, -2, x_exp=gamma)
-        assert f.abs_pointwise().integrate(psi).is_zero()
 
 
 class TestFourier:

@@ -18,7 +18,10 @@ quantity of the paper that no report row reaches yet, or a path that
 only other inputs or the benchmark reach.
 
 Every name that a module of src/liftzeta or tests/ imports must be read
-in that module, as a plain name or the root of an attribute chain.
+in that module, as a plain name or the root of an attribute chain.  Every
+private function or method of src/liftzeta (a leading underscore, not a
+dunder) must be read somewhere in src/liftzeta outside its own body, as a
+plain name or an attribute.
 """
 
 import ast
@@ -38,27 +41,14 @@ UNRUN = {
     "setring.DddSet.measure": "per-atom measure of tests/liftoracle.py",
     "setring.KCosetFamily.haar": "coset measure of tests/liftoracle.py",
     "lift2d.DistinguishedSetF.contains": "membership of tests/setoracle.py",
+    "exactnum.CycRat.conjugate": "test_zeta1d's rho0 conjugate identity "
+                                 "and test_exactnum",
     # quantities of the paper that wait for a report row
     "lift2d.zeta_F1": "one-variable zeta integral on F",
     "lift2d.zeta_F1_regularized": "its principal-value variant",
     "lift2d.LiftedFn.lift": "the lift g^(a, gamma) the zeta_F1 tests build",
     "lift2d.LiftedFn.fourier": "Fourier transform on F",
     "schwartz.SBFunction.translate": "x -> g(x + tau); zeta_F1 calls it",
-    "lift2d.LiftedFn.abs_pointwise": "|f| on F",
-    "lift2d.LiftedFn.canonicalize": "groups the terms of |f|",
-    "lift2d.LiftedFn.is_untwisted": "|f| is defined on untwisted lifts",
-    "lift2d.LiftedFn.zero": "|f| of no terms",
-    "lift2d.FElement.key": "canonicalize groups terms by it",
-    "exactnum.ZetaValue.is_constant": "canonicalize folds constants",
-    "exactnum.ZetaValue.constant_value": "canonicalize and |f|",
-    "schwartz.SBFunction.abs_pointwise": "|g| on K, for |f|",
-    "schwartz.cyc_abs": "|z| of a coefficient, for |g|",
-    "exactnum.CycRat.conjugate": "z conj(z) in cyc_abs",
-    "exactnum.CycRat.is_rational": "cyc_abs",
-    "exactnum.CycRat.as_fraction": "cyc_abs",
-    "zeta2d.rho2": "the generalised residue map",
-    "lift2d.FElement.rho": "the residue map, for rho2",
-    "zeta2d.ChiCharacter.boundary": "the character through the border map",
     # paths that only other inputs or the benchmark reach
     "setring.DddSet.intersection": "the lift2d-measure workload",
     "lift2d.DistinguishedFamily.join": "overlapping inners of one carve",
@@ -151,3 +141,28 @@ def test_every_imported_name_is_read():
     unread = {str(p.relative_to(root)): sorted(unread_imports(p))
               for p in paths}
     assert not {p: names for p, names in unread.items() if names}
+
+
+def unread_private_functions(paths):
+    """The private functions and methods of paths that no code of paths
+    reads outside their own bodies."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in paths]
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and isinstance(node.ctx, ast.Load)]
+    unread = set()
+    for fn in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and fn.name.startswith("_") and not fn.name.endswith("__"):
+            inside = set(map(id, ast.walk(fn)))
+            if not any(name == fn.name and node not in inside
+                       for name, node in reads):
+                unread.add(fn.name)
+    return unread
+
+
+def test_every_private_function_is_read():
+    root = Path(__file__).resolve().parent.parent
+    paths = sorted((root / "src" / "liftzeta").glob("*.py"))
+    assert not unread_private_functions(paths)

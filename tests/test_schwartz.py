@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from liftzeta import schwartz
 from liftzeta.exactnum import CycRat, _pmul, _reduce_mod_cyc, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
-from liftzeta.schwartz import TERM_CAP, SBFunction, _canonical, cyc_abs
+from liftzeta.schwartz import TERM_CAP, SBFunction, _canonical
 from builders import char_point, lift_finite, parse_k, parse_sb
 import staroracle
 
@@ -897,29 +897,6 @@ class TestLiftFinite:
             lhs = f.star(psi, pi)
             rhs = f.fourier(psi).scale(Fraction(q) ** (-(r + 1)))
             assert lhs.equals(rhs)
-
-
-class TestAbs:
-    def test_cyc_abs(self):
-        q = 3
-        assert cyc_abs(CycRat.from_rational(-4), q) == 4
-        z = CycRat.root_of_unity(3)
-        assert cyc_abs(z, q) == 1
-        assert cyc_abs(CycRat.sqrt_q(3), 3) == CycRat.sqrt_q(3)
-
-    def test_abs_pointwise(self):
-        q = 3
-        f = (SBFunction.char_ideal(q, 0, -2)
-             + char_point(q, KElement.zero(q), 2))
-        g = f.abs_pointwise()
-        assert g.evaluate(KElement.zero(q)).is_zero()
-        assert g.evaluate(KElement.one(q)) == 2
-
-    def test_abs_rejects_inexact(self):
-        q = 3
-        f = SBFunction.char_ideal(q, 0, CycRat.root_of_unity(5) + 1)
-        with pytest.raises(ValueError):
-            f.abs_pointwise()
 
 
 class TestParse:

@@ -5,7 +5,6 @@ import pytest
 
 from liftzeta import zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
-from liftzeta.lift2d import FElement
 from liftzeta.localfield import (
     AdditiveCharacter, KCoset, KElement, QuasiCharacter,
     enumerate_characters,
@@ -13,7 +12,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
 from liftzeta.zeta2d import (
-    ChiCharacter, epsilon2, rho2, verify_FE2, zeta2, zeta_rho2,
+    ChiCharacter, epsilon2, verify_FE2, zeta2, zeta_rho2,
 )
 from builders import char_point, star_tensor
 
@@ -46,18 +45,6 @@ def zeta2_direct(tensor, chi):
 
 def t_mon(q, c=1, k=1):
     return ZetaValue.monomial(q, c, t_exp=k)
-
-
-class TestChiCharacter:
-    def test_boundary_character(self):
-        # the border map sends (x, y) to xbar pi^w(ybar), so the second
-        # component is unramified with the same value at the prime
-        q = 3
-        om = all_chars(q, 1, CycRat.root_of_unity(4))[1]
-        chi = ChiCharacter.boundary(om)
-        assert chi.omega1 is om
-        assert chi.omega2.r == 0
-        assert chi.omega2.pi_value == om.pi_value
 
 
 class TestZeta2:
@@ -218,39 +205,6 @@ class TestFE2:
                              SBFunction.char_ideal(q, 0)))
         with pytest.raises(ValueError, match="share measure"):
             verify_FE2(t, star_tensor(t, psi, pi), chi, epsilon2(chi, psi, pi))
-
-
-class TestRho2:
-    def unit(self, q, digits=None):
-        k = KElement.one(q) if digits is None else KElement(q, digits)
-        return FElement.from_k(k) + FElement(q, {2: KElement.one(q)})
-
-    def test_rule(self):
-        q = 3
-        pi = KElement.uniformizer(q)
-        u = self.unit(q)
-        v = self.unit(q, {0: 2})
-        assert rho2((2, 0, u), (5, 0, v)) == pi ** 2
-        assert rho2((0, 0, u), (0, 0, v)) == KElement.one(q)
-        assert rho2((0, 1, u), (3, 2, v)).is_zero()
-        # the residue only sees the first point's unit
-        w = self.unit(q, {0: 2, 1: 1})
-        assert rho2((1, 0, w), (4, 0, v)) == pi * w.rho()
-
-    def test_valuation_is_the_minimum(self):
-        q = 3
-        u, v = self.unit(q), self.unit(q, {0: 2})
-        for i, j in [(0, 0), (1, 3), (4, 2)]:
-            assert rho2((i, 0, u), (j, 0, v)).valuation() == min(i, j)
-
-    def test_malformed_inputs(self):
-        q = 3
-        u = self.unit(q)
-        with pytest.raises(ValueError):
-            rho2((1, 0, FElement(q, {1: KElement.one(q)})), (0, 0, u))
-        with pytest.raises(ValueError):
-            rho2((1, 0, u), (0, 0, FElement.from_k(
-                KElement.uniformizer(q))))
 
 
 class TestZetaRho2:
