@@ -241,6 +241,8 @@ class CycRat:
             return self
         if m2 % self.m:
             raise ValueError("can only embed into a multiple order")
+        if self.m == 1:  # a rational keeps its one coordinate
+            return _cyc(m2, self.n + (0,) * (_phi_deg(m2) - 1), self.d)
         return _cyc(m2, _remap(self.n, m2 // self.m, m2), self.d)
 
     def _align(self, other):

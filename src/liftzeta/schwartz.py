@@ -17,7 +17,12 @@ and twist.  fourier swaps key and twist (the translation rule of Tate's
 thesis).  W and nabla are one shell rule, x -> g(pi^power(s) x) on the
 shell s = w(x), with power(s) = -ceil(s/2) for W and s for nabla: it
 moves each coset and its twist by a power of pi, and splits a twisted
-ideal into twisted shells and an untwisted tail.  The normal form has
+ideal into twisted shells and an untwisted tail.  With pi = u U, a map
+reads the digits of U^k from `_unit_power` and fourier its Haar scales
+mu q^-L from `_haar_scale`: both are lru caches that live as long as
+the process, at most 4096 entries each, so W, nabla and dilate compute
+each (U, k, precision) once and fourier each (mu, q, L) once; for
+pi = u, U = 1 and the digits are not multiplied.  The normal form has
 no twist, disjoint cosets, no full family of q siblings of equal
 coefficient, and b the least valuation of their points, so equal
 functions store equal keys.  It is built only where canonical keys are
@@ -33,6 +38,7 @@ lift of a function on the residue field to pi^r O.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 import math
 import operator
 
@@ -40,6 +46,13 @@ from .exactnum import CycRat, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement, KSingleton
 
 TERM_CAP = 10 ** 5
+
+
+@lru_cache(maxsize=4096)
+def _haar_scale(mu, q, lev):
+    """mu q^-lev, the measure of a coset of level lev, as a CycRat; kept
+    for the life of the process, at most 4096 of them."""
+    return CycRat.from_rational(mu * Fraction(q) ** -lev)
 
 
 def _coerce_coeff(c):
@@ -86,20 +99,30 @@ def _span(terms):
             + max((len(tw) for _, tw, _ in terms), default=0))
 
 
+@lru_cache(maxsize=4096)
+def _unit_power(q, unit, k, prec):
+    """The digits u^0 .. u^(prec-1) of U^k, for the unit U with the given
+    (exponent, digit) pairs.  Kept for the life of the process, at most
+    4096 of them: a map asks for few (U, k, prec)."""
+    p = KElement(q, dict(unit)).power_mod(k, prec)
+    return tuple(map(p.digit, range(prec)))
+
+
 def _times_unit_powers(q, pi, prec):
     """(a, k) -> the digits of a U^k mod u^len(a), for pi = u U and digits
-    a from u^0, at most prec of them; each U^k is computed once."""
+    a from u^0, at most prec of them.  The digits of U^k come from
+    _unit_power, so every map with this pi and prec shares them; for
+    U = 1 (pi = u) a comes back as it is."""
     if not isinstance(pi, KElement) or pi.valuation() != 1:
         raise ValueError("pi must be a uniformizer")
     if pi.q != q:
         raise ValueError("mixed residue sizes")
-    unit, powers = pi.shift(-1), {}
+    unit = tuple(sorted(pi.shift(-1).digits.items()))
+    if unit == ((0, 1),):
+        return lambda a, k: a
 
     def times(a, k):
-        if k not in powers:
-            p = unit.power_mod(k, prec)
-            powers[k] = tuple(map(p.digit, range(prec)))
-        b = powers[k]
+        b = _unit_power(q, unit, k, prec)
         return tuple(sum(a[j] * b[i - j] for j in range(i + 1)) % q
                      for i in range(len(a)))
     return times
@@ -154,9 +177,11 @@ def _normal_form(q, mu, base, parts, points=()):
 
 def _keyed(q, mu, base, keys, points=()):
     """The SBFunction of nonzero (key, twist, coeff) terms at base, twist
-    () for none, and points."""
-    f = SBFunction(q, (), mu)
-    f._base, f._keys, f._points = base, tuple(keys), tuple(points)
+    () for none, and points, for mu a Fraction; no term is read."""
+    f = object.__new__(SBFunction)
+    f.q, f.mu, f._base = q, mu, base
+    f._keys, f._points = tuple(keys), tuple(points)
+    f._terms = f._canon = None
     return f
 
 
@@ -356,8 +381,8 @@ class SBFunction:
         total = cyc_zero()
         for key, tw, coeff in self._keys:  # points have measure zero
             if not tw:
-                total = total + coeff * CycRat.from_rational(
-                    self.mu * Fraction(self.q) ** -(self._base + len(key)))
+                total = total + coeff * _haar_scale(
+                    self.mu, self.q, self._base + len(key))
         return total
 
     # -- transforms ---------------------------------------------------------------------
@@ -382,7 +407,7 @@ class SBFunction:
         q, d = self.q, psi.d
         out = min((d - base - len(k) - len(tw) for k, tw, _ in terms),
                   default=0)
-        scale = {lev: CycRat.from_rational(self.mu * Fraction(q) ** -lev)
+        scale = {lev: _haar_scale(self.mu, q, lev)
                  for lev in {base + len(k) for k, _, _ in terms}}
 
         def image():

@@ -6,15 +6,16 @@ read the plain keys as stored (a twisted input is normalized first, so
 its twists are expanded), `fourier` expands the twist of each
 transformed coset into plain keys and returns a normal form, and W and
 nabla map plain keys by the rules of the library and return them as
-they come.
+they come.  A key moved by a power of the unit U of pi = u U is the
+product with U^k in `KElement` arithmetic, computed afresh each time, so
+the library's caches of U^k are checked, not shared.
 """
 
 from fractions import Fraction
 
 from liftzeta.exactnum import CycRat
-from liftzeta.schwartz import (
-    _keyed, _lead, _normal_form, _times_unit_powers, _twist_pairs,
-)
+from liftzeta.localfield import KElement
+from liftzeta.schwartz import _keyed, _lead, _normal_form, _twist_pairs
 
 
 def _plain(g):
@@ -25,6 +26,18 @@ def _plain(g):
     if g._points:
         raise ValueError("transforms undefined for point masses")
     return g._base, [(k, c) for k, _, c in g._keys]
+
+
+def _times(pi):
+    """(a, k) -> the digits of a U^k mod u^len(a), for pi = u U and digits
+    a from u^0: the product with power_mod, truncated."""
+    unit = pi.shift(-1)
+
+    def times(a, k):
+        n = len(a)
+        p = KElement(pi.q, dict(enumerate(a))) * unit.power_mod(k, n)
+        return tuple(map(p.truncate(n).digit, range(n)))
+    return times
 
 
 def fourier(g, psi):
@@ -46,8 +59,7 @@ def fourier(g, psi):
 
 def w_operator(g, pi):
     base, keys = _plain(g)
-    times = _times_unit_powers(g.q, pi, max((len(k) for k, _ in keys),
-                                            default=0))
+    times = _times(pi)
     pairs = []
     for key, c in keys:
         j = _lead(key)
@@ -64,8 +76,7 @@ def w_operator(g, pi):
 def nabla_compose(g, pi):
     base, keys = _plain(g)
     out = base // 2
-    times = _times_unit_powers(g.q, pi, max((len(k) for k, _ in keys),
-                                            default=0))
+    times = _times(pi)
     pairs = []
     for key, c in keys:
         j = _lead(key)

@@ -14,8 +14,9 @@ small parameters or a named test function, and each check passes on the
 program as it is.  A check that raises counts as failed.  Every cache of
 every liftzeta module is emptied before and after each mutant
 (`builders.clear_caches`), so that a mutant computes its own cyclotomic
-polynomials, roots and epsilon test-function stars, is never hidden by
-values kept before it was patched in, and leaves none behind.
+polynomials, roots, unit powers, Haar scales and epsilon test-function
+stars, is never hidden by values kept before it was patched in, and
+leaves none behind.
 This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
 "Hints on test data selection" (IEEE Computer, 1978).
 """
@@ -103,6 +104,9 @@ CHECKS = {
     "test_schwartz-test_w_nabla_star_match_untruncated-d8": named_test(
         test_schwartz.TestTruncatedPowers,
         "test_w_nabla_star_match_untruncated", d=8, pi_text="u + u^2"),
+    "test_schwartz-test_cached_constants_match_fresh_ones": named_test(
+        test_schwartz.TestCachedConstants,
+        "test_cached_constants_match_fresh_ones"),
     "verify-q2-zeta1d-epsilon": verify(
         "--q", "2", "--suite", "zeta1d-epsilon"),
     "verify-q2-zeta1d-epsilon-rmax2": verify(
@@ -182,6 +186,18 @@ MUTANTS = [
     # q = 2 and pi = u the unit U is 1, so only another pi shows it
     ("shell-coset-moved-the-wrong-way", SBFunction, "_shell_map",
      "tw, -power(s))", "tw, power(s))",
+     "test_schwartz-test_w_nabla_star_match_untruncated-d8"),
+    # the digits of U^k kept by unit and k alone, so a map that asks
+    # more digits than an earlier one reads too few
+    ("unit-powers-kept-without-prec", schwartz, "_unit_power",
+     "@lru_cache(maxsize=4096)",
+     "@lambda build, kept={}: lambda q, unit, k, prec:"
+     " kept.get((q, unit, k)) or kept.setdefault((q, unit, k),"
+     " build(q, unit, k, prec))",
+     "test_schwartz-test_cached_constants_match_fresh_ones"),
+    # the pi = u shortcut, a unchanged, taken for every unit
+    ("unit-shortcut-for-every-unit", schwartz, "_times_unit_powers",
+     "if unit == ((0, 1),):", "if True:",
      "test_schwartz-test_w_nabla_star_match_untruncated-d8"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-n // 2)", "n // 2", "verify-q2-schwartz-oracle-d1"),

@@ -535,6 +535,48 @@ class TestTruncatedPowers:
                     nabla_untruncated(g, pi).terms
 
 
+class TestCachedConstants:
+    """The constants that the maps keep across calls, against ones made
+    afresh: the digits of U^k for pi = u U, asked at two precisions in
+    either order in one process, the Haar scales mu q^-L, and a rational
+    embedded at order m.  A static method, so that a mutation check may
+    run it from an instance of its own."""
+
+    @staticmethod
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cached_constants_match_fresh_ones(data):
+        q = data.draw(st.sampled_from([2, 3, 5]))
+        digit = st.integers(0, q - 1)
+        unit = KElement(q, dict(enumerate(
+            [data.draw(st.integers(1, q - 1))]
+            + data.draw(st.lists(digit, max_size=3)))))
+        pi, k = unit.shift(1), data.draw(st.integers(-8, 8))
+        for prec in data.draw(st.lists(st.integers(1, 6), min_size=2,
+                                       max_size=2, unique=True)):
+            fresh = unit.power_mod(k, prec)
+            cached = schwartz._unit_power(
+                q, tuple(sorted(unit.digits.items())), k, prec)
+            assert cached == tuple(map(fresh.digit, range(prec)))
+            a = tuple(data.draw(digit) for _ in range(prec))
+            product = (KElement(q, dict(enumerate(a))) * fresh).truncate(prec)
+            assert schwartz._times_unit_powers(q, pi, prec)(a, k) == \
+                tuple(map(product.digit, range(prec)))
+            ident = schwartz._times_unit_powers(q, KElement.uniformizer(q),
+                                                prec)
+            assert ident(a, k) == a
+        x = Fraction(data.draw(st.integers(-9, 9)),
+                     data.draw(st.integers(1, 9)))
+        m = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 20]))
+        got, want = CycRat.from_rational(x).embed(m), CycRat.from_rational(x, m)
+        assert (got.m, got.n, got.d) == (want.m, want.n, want.d)
+        lev = data.draw(st.integers(-4, 4))
+        for mu in (Fraction(1), Fraction(5, 4)):
+            got = schwartz._haar_scale(mu, q, lev)
+            want = CycRat.from_rational(mu * Fraction(q) ** -lev)
+            assert (got.m, got.n, got.d) == (want.m, want.n, want.d)
+
+
 @st.composite
 def coset_sums(draw):
     """(f, psi, pi): a sum of 1-5 cosets at levels -1..1, representatives
