@@ -9,6 +9,7 @@ verified by a double-exponential quadrature rule rather than exactly.
 
 import cmath
 import math
+from functools import lru_cache
 
 
 def nabla(x):
@@ -52,6 +53,23 @@ def gaussian_nabla():
     return g
 
 
+def _node(t):
+    """The exp-sinh abscissa x = exp(pi/2 sinh t) and cosh t, the
+    Jacobian factor dx/dt = x (pi/2) cosh t without x and pi/2."""
+    return math.exp(math.pi / 2 * math.sinh(t)), math.cosh(t)
+
+
+@lru_cache(maxsize=None)
+def _nodes(level):
+    """The (x, cosh t) pairs of the t window [-6, 4] that halving level
+    adds: t = -6 + k/2 for k = 1..19 at level 0, the odd multiples of the
+    step 0.5/2^level past -6 after that.  The nodes depend on the level
+    alone, so every quadrature shares them."""
+    h = 0.5 / 2 ** level
+    ks = range(1, 20) if level == 0 else range(1, round(10 / h), 2)
+    return tuple(_node(-6 + k * h) for k in ks)
+
+
 def _complex_quad(fn, tol):
     """int_0^inf fn(x) dx and an error estimate by the exp-sinh rule of
     Takahasi and Mori (Publ. RIMS 9, 1974): x = exp(pi/2 sinh t), then
@@ -61,18 +79,17 @@ def _complex_quad(fn, tol):
     at x ~ e^43, before x^4 overflows.  A sum cut off by the window still
     converges, so the error adds the end terms to the step difference.
     """
-    def term(t):
-        x = math.exp(math.pi / 2 * math.sinh(t))
-        return fn(x) * x * (math.pi / 2) * math.cosh(t)
+    half_pi = math.pi / 2
 
-    lo, hi, h = -6, 4, 0.5
-    end_lo, end_hi = term(lo), term(hi)
-    total = h * ((end_lo + end_hi) / 2
-                 + sum(term(lo + k * h) for k in range(1, 20)))
-    for _ in range(9):
+    def terms(nodes):
+        return (fn(x) * x * half_pi * c for x, c in nodes)
+
+    end_lo, end_hi = terms([_node(-6), _node(4)])
+    h = 0.5
+    total = h * ((end_lo + end_hi) / 2 + sum(terms(_nodes(0))))
+    for level in range(1, 10):
         h /= 2
-        new = total / 2 + h * sum(term(lo + k * h)
-                                  for k in range(1, round((hi - lo) / h), 2))
+        new = total / 2 + h * sum(terms(_nodes(level)))
         diff, total = abs(new - total), new
         if diff <= tol * max(1.0, abs(total)):
             break

@@ -234,16 +234,23 @@ def suite_fe2(cfg):
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
     chars = _characters(q, min(cfg.rmax, 1))
-    basis = [(f, f.star(psi, pi))
-             for f in _coset_basis(q, min(cfg.level, 2), cfg.mu)[:4]]
+    basis = _coset_basis(q, min(cfg.level, 2), cfg.mu)[:4]
+    stars = [f.star(psi, pi) for f in basis]
+    # per character omega: Z(f, omega)/L(omega) for each basis function f
+    # and Z(f*, omega^-1)/L(omega^-1) for its star, the factors of every
+    # tensor a (x) b and of its starred pair under every chi
+    tables = []
+    for om in chars:
+        inv = om.inverse()
+        tables.append(([zeta1d.z_normalized(f, om) for f in basis],
+                       [zeta1d.z_normalized(fs, inv) for fs in stars]))
     cases = []
-    for om1 in chars:
-        for om2 in chars[:2]:
+    for om1, (z1, zs1) in zip(chars, tables):
+        for om2, (z2, zs2) in zip(chars[:2], tables):
             chi = zeta2d.ChiCharacter(om1, om2)
             eps = zeta2d.epsilon2(chi, psi, pi, cfg.mu, cfg.mu)
-            ok = all(zeta2d.verify_FE2(
-                zeta1d.SBTensor.pure(a, b), zeta1d.SBTensor.pure(sa, sb),
-                chi, eps) for a, sa in basis for b, sb in basis)
+            ok = all(zeta2d.verify_FE2([(a, b)], [(sa, sb)], eps)
+                     for a, sa in zip(z1, zs1) for b, sb in zip(z2, zs2))
             cases.append(("chi-%s-%s" % (om1.label, om2.label),
                           {"q": q, "d": d, "r": (om1.r, om2.r)}, True, ok))
     return cases

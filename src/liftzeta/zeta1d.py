@@ -170,24 +170,3 @@ def double_star_invariance(f, pi1, pi2, psi1, psi2):
     expect = f.scale(f.mu ** 4 * Fraction(q) ** (-d1 - d2 - 1))
     return composed.equals(expect)
 
-
-class SBTensor:
-    """Finite sums of pure tensors f(x)g(y) of one-variable functions."""
-
-    __slots__ = ("q", "pairs")
-
-    def __init__(self, q, pairs=()):
-        self.q = q
-        self.pairs = tuple(p for p in pairs
-                           if all(h.has_terms() for h in p))
-
-    @classmethod
-    def pure(cls, f, g):
-        if f.q != g.q:
-            raise ValueError("mixed residue sizes")
-        return cls(f.q, [(f, g)])
-
-    def __add__(self, other):
-        if not isinstance(other, SBTensor) or other.q != self.q:
-            return NotImplemented
-        return SBTensor(self.q, self.pairs + other.pairs)

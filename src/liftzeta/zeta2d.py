@@ -4,7 +4,10 @@ A character of the symbol group that factors through the residue map is
 a pair of quasi-characters on K; the zeta integral of a lifted tensor
 then reduces to a product of one-variable integrals, so L and epsilon
 factors are products and the functional equation in s -> 2-s follows
-from the one-variable theory.  The shell decomposition here writes a
+from the one-variable theory.  verify_FE2 takes the normalized
+one-variable factors of each pure summand, so a caller computes each
+once per (function, character) and shares it over every tensor and
+character pair that uses it.  The shell decomposition here writes a
 one-variable integral as a sum over the shells of valuation k of g; the
 oracle zeta2_direct of tests/test_zeta2d.py is the product of the two
 shell decompositions of each pure summand.  A second construction,
@@ -17,7 +20,7 @@ from fractions import Fraction
 from .exactnum import CycRat, ZetaValue
 from .localfield import KCoset, KSingleton
 from .schwartz import SBFunction
-from .zeta1d import epsilon_star, l_function, zeta as zeta_k
+from .zeta1d import epsilon_star, zeta as zeta_k
 
 
 class ChiCharacter:
@@ -32,19 +35,6 @@ class ChiCharacter:
         self.q = omega1.q
         self.omega1 = omega1
         self.omega2 = omega2
-
-    def inverse(self):
-        return ChiCharacter(self.omega1.inverse(), self.omega2.inverse())
-
-
-def zeta2(tensor, chi):
-    """The two-variable zeta integral of a lifted tensor against a
-    residue-factoring character: the reduction to K turns it into the
-    product of one-variable integrals on each pure summand."""
-    total = ZetaValue.zero(tensor.q)
-    for f, g in tensor.pairs:
-        total = total + zeta_k(f, chi.omega1) * zeta_k(g, chi.omega2)
-    return total
 
 
 def _shell_restriction(g, omega, k):
@@ -97,32 +87,28 @@ def _shell_zeta(g, omega):
         omega.pi_value, hi)
 
 
-def z2_normalized(tensor, chi):
-    return zeta2(tensor, chi) / (l_function(chi.omega1)
-                                 * l_function(chi.omega2))
-
-
 def epsilon2(chi, psi, pi, mu1=Fraction(1), mu2=Fraction(1)):
     """Product of the two one-variable exponential factors."""
     return (epsilon_star(chi.omega1, psi, pi, mu1)
             * epsilon_star(chi.omega2, psi, pi, mu2))
 
 
-def verify_FE2(tensor, starred, chi, eps):
+def verify_FE2(pairs, starred_pairs, eps):
     """Does the normalized zeta of the starred tensor at the dual point
-    equal epsilon times the normalized zeta of the tensor?  starred is
-    the tensor with both factors of each pure summand starred for psi and
-    pi, and eps is epsilon2(chi, psi, pi, mu1, mu2) at the tensor's
-    measure normalizations; a caller computes each once for many
-    checks."""
-    if not tensor.pairs:
+    equal epsilon times the normalized zeta of the tensor?
+
+    pairs holds the normalized factors (Z(f, omega1)/L(omega1),
+    Z(g, omega2)/L(omega2)) of each pure summand f (x) g of the tensor
+    under chi = (omega1, omega2), and starred_pairs those of f* (x) g*
+    under chi^-1, in the same order; eps is epsilon2(chi, psi, pi, mu1,
+    mu2) at the tensor's measure normalizations.  The two-variable values
+    are formed from the factors before the two sides are compared, so one
+    equation of two-variable values is decided, not one per variable; a
+    caller computes each factor and eps once for many checks."""
+    if not pairs:
         return True
-    if len({(f.mu, g.mu) for f, g in tensor.pairs}) != 1:
-        raise ValueError("tensor components must share measure "
-                         "normalizations")
-    lhs = z2_normalized(starred, chi.inverse()).subst_dual()
-    rhs = eps * z2_normalized(tensor, chi)
-    return lhs == rhs
+    lhs = sum(a * b for a, b in starred_pairs).subst_dual()
+    return lhs == eps * sum(a * b for a, b in pairs)
 
 
 def _boundary_prefactor(omega, mu):

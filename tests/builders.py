@@ -9,7 +9,8 @@ tuples.  The tests also write them as text or from a few numbers:
 - ``char_point`` is the point mass c Char({x});
 - ``lift_finite`` lifts a function on the residue field to pi^r O;
 - ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists;
-- ``star_tensor`` stars both factors of each pure summand of an SBTensor.
+- ``fe2_factors`` gives ``zeta2d.verify_FE2`` its two factor lists for a
+  sum of pure tensors.
 
 ``clear_caches`` empties the library's caches, so that a check computes
 afresh what an earlier call may have kept.
@@ -24,7 +25,7 @@ from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import FElement
 from liftzeta.localfield import KCoset, KElement, KSingleton
 from liftzeta.schwartz import SBFunction
-from liftzeta.zeta1d import SBTensor
+from liftzeta.zeta1d import z_normalized
 
 
 def parse_k(q, text):
@@ -138,9 +139,16 @@ def from_fraction(q, num_coeffs, den_coeffs, x_exp=0):
     return ZetaValue(q, {x_exp: (mk(num_coeffs), mk(den_coeffs))})
 
 
-def star_tensor(t, psi, pi):
-    return SBTensor(t.q, [(f.star(psi, pi), g.star(psi, pi))
-                          for f, g in t.pairs])
+def fe2_factors(pairs, chi, psi, pi):
+    """The factor lists of zeta2d.verify_FE2 for the sum of the pure
+    tensors f (x) g of pairs under chi = (omega1, omega2): the normalized
+    one-variable zetas of each f (x) g under chi, and of f* (x) g*, both
+    stars for psi and pi, under chi^-1."""
+    w1, w2 = chi.omega1, chi.omega2
+    v1, v2 = w1.inverse(), w2.inverse()
+    return ([(z_normalized(f, w1), z_normalized(g, w2)) for f, g in pairs],
+            [(z_normalized(f.star(psi, pi), v1),
+              z_normalized(g.star(psi, pi), v2)) for f, g in pairs])
 
 
 def clear_caches():

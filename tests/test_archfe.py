@@ -2,14 +2,69 @@ import math
 
 import pytest
 
+from liftzeta import archfe
 from liftzeta.archfe import (
     RealTestFunction, fe_product_check, gamma_zeta_closed_form, gaussian,
     gaussian_nabla, nabla, star_numeric, zeta_numeric,
 )
+from builders import clear_caches
 
 
 def zero_function():
     return RealTestFunction("zero", lambda x: 0.0, star_form=lambda y: 0.0)
+
+
+def reference_quad(fn, tol):
+    """The exp-sinh rule with each node computed where it is summed, as
+    term(t); archfe builds its nodes once per halving level."""
+    def term(t):
+        x = math.exp(math.pi / 2 * math.sinh(t))
+        return fn(x) * x * (math.pi / 2) * math.cosh(t)
+
+    lo, hi, h = -6, 4, 0.5
+    end_lo, end_hi = term(lo), term(hi)
+    total = h * ((end_lo + end_hi) / 2
+                 + sum(term(lo + k * h) for k in range(1, 20)))
+    for _ in range(9):
+        h /= 2
+        new = total / 2 + h * sum(term(lo + k * h)
+                                  for k in range(1, round((hi - lo) / h), 2))
+        diff, total = abs(new - total), new
+        if diff <= tol * max(1.0, abs(total)):
+            break
+    return total, diff + abs(end_lo) + abs(end_hi)
+
+
+def with_reference_quad(compute):
+    """compute() with archfe's quadrature replaced by reference_quad."""
+    quad = archfe._complex_quad
+    archfe._complex_quad = reference_quad
+    try:
+        return compute()
+    finally:
+        archfe._complex_quad = quad
+
+
+class TestNodeTable:
+    def values(self):
+        g, gn = gaussian(), gaussian_nabla()
+        out = [star_numeric(g, -2.0 + 0.2 * k) for k in range(20)]
+        for f in (g, gn):
+            for omega in (1, "sign"):
+                for s in (0.2, 0.5, 2, 4, 6, 1, 1 + 0.3j, 1 - 0.3j):
+                    out.append(zeta_numeric(f, omega, s))
+        return out
+
+    def test_quadratures_match_the_reference_bit_for_bit(self):
+        # takes no fixtures: tests/test_mutants.py runs it as a named check
+        clear_caches()
+        cold = self.values()
+        # == on floats: the table moves where each node is computed, not
+        # one bit of any sum, with the table cold or warm
+        assert cold == self.values() == with_reference_quad(self.values)
+        for run in (lambda compute: compute(), with_reference_quad):
+            with pytest.raises(ArithmeticError):
+                run(lambda: zeta_numeric(gaussian_nabla(), 1, 0.05))
 
 
 class TestStar:

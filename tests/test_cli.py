@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -222,6 +223,49 @@ class TestVerify:
         # epsilon_star stars test functions of its own
         of_basis = [f for f in starred if any(f is b for b in basis)]
         assert len(of_basis) == len({id(f) for f in of_basis}) == 4
+
+    @pytest.mark.parametrize("q,zetas,tables,epsilons,checks", [
+        ("3", 48, 16, 8, 64), ("11", 240, 80, 40, 320)])
+    def test_fe2_computes_each_zeta_factor_once(
+            self, q, zetas, tables, epsilons, checks, monkeypatch):
+        # the suite integrates each basis function under each character
+        # and each star under its inverse once; epsilon_star integrates
+        # its own test functions
+        counts, in_epsilon, table_inputs = Counter(), [], []
+        zeta, epsilon_star = zeta1d.zeta, zeta1d.epsilon_star
+        verify_FE2 = zeta2d.verify_FE2
+
+        def counted_zeta(g, omega):
+            counts["zeta"] += 1
+            if not in_epsilon:
+                table_inputs.append((g, omega))
+            return zeta(g, omega)
+
+        def counted_epsilon(*args):
+            counts["epsilon_star"] += 1
+            in_epsilon.append(True)
+            try:
+                return epsilon_star(*args)
+            finally:
+                in_epsilon.pop()
+
+        def counted_check(*args):
+            counts["verify_FE2"] += 1
+            return verify_FE2(*args)
+        for module, attr, fn in (
+                (zeta1d, "zeta", counted_zeta),
+                (zeta2d, "zeta_k", counted_zeta),
+                (zeta1d, "epsilon_star", counted_epsilon),
+                (zeta2d, "epsilon_star", counted_epsilon),
+                (zeta2d, "verify_FE2", counted_check)):
+            monkeypatch.setattr(module, attr, fn)
+        cfg = build_parser().parse_args(["verify", "--q", q])
+        assert all(case[3] for case in cli.suite_fe2(cfg))
+        assert counts == {"zeta": zetas, "epsilon_star": epsilons,
+                          "verify_FE2": checks}
+        # table_inputs keeps every input alive, so their ids are distinct
+        assert len({tuple(map(id, args)) for args in table_inputs}) == \
+            len(table_inputs) == tables
 
     def test_closed_form_reads_the_character_at_the_stars_pi(self):
         # omega(pi) is omega's pi_value only at pi = u; the suite's pi is

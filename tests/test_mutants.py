@@ -7,16 +7,17 @@ driver's one verdict path.
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
 replaced, and patched in by monkeypatch wherever a liftzeta module binds
-that function, as an edit of its source file would be (zeta2d
-integrates with `zeta` under its own name); no source file changes.  Each
-must make a named fast check fail, either a `liftzeta verify` run at
-small parameters or a named test function, and each check passes on the
-program as it is.  A check that raises counts as failed.  Every cache of
-every liftzeta module is emptied before and after each mutant
-(`builders.clear_caches`), so that a mutant computes its own cyclotomic
-polynomials, roots, unit powers, Haar scales and epsilon test-function
-stars, is never hidden by values kept before it was patched in, and
-leaves none behind.
+that function, as a module-level name or a value of a module-level dict,
+as an edit of its source file would be (zeta2d integrates with `zeta`
+under its own name, and `cli.SUITE_FUNCS` holds the suites); no source
+file changes.  Each must make a named fast check fail, either a
+`liftzeta verify` run at small parameters or a named test function, and
+each check passes on the program as it is.  A check that raises counts
+as failed.  Every cache of every liftzeta module is emptied before and
+after each mutant (`builders.clear_caches`), so that a mutant computes
+its own cyclotomic polynomials, roots, unit powers, Haar scales, epsilon
+test-function stars and quadrature nodes, is never hidden by values kept
+before it was patched in, and leaves none behind.
 This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
 "Hints on test data selection" (IEEE Computer, 1978).
 """
@@ -121,6 +122,9 @@ CHECKS = {
     "verify-q2-archfe": verify("--q", "2", "--suite", "archfe"),
     "test_archfe-test_quadrature_edges": named_test(
         test_archfe.TestZeta, "test_quadrature_edges"),
+    "test_archfe-test_quadratures_match_the_reference_bit_for_bit":
+        named_test(test_archfe.TestNodeTable,
+                   "test_quadratures_match_the_reference_bit_for_bit"),
     "test_exactnum-test_values_with_one_trace_compare_unequal": named_test(
         test_exactnum.TestCycRat, "test_values_with_one_trace_compare_unequal"),
     "test_exactnum-test_sqrt_q_lies_in_the_field": named_test(
@@ -221,6 +225,9 @@ MUTANTS = [
     ("sqrt-negative-root-q3mod4", exactnum, "_sqrt_prime",
      "else -CycRat.root_of_unity(4) * g", "else CycRat.root_of_unity(4) * g",
      "test_exactnum-test_sqrt_q_lies_in_the_field"),
+    ("fe2-starred-factors-at-omega-not-its-inverse", cli, "suite_fe2",
+     "zeta1d.z_normalized(fs, inv)", "zeta1d.z_normalized(fs, om)",
+     "verify-q2-FE2"),
     ("bool-always-true", CycRat, "__bool__", "return any(self.n)",
      "return True", "verify-q2-FE2"),
     ("geometric-start-off-by-one", ZetaValue, "geometric",
@@ -306,8 +313,12 @@ MUTANTS = [
      "_component_minus_component", 'if kind in ("equal", "contains"):',
      'if kind == "equal":',
      "test_lift2d-test_coset_counts_match_the_measure_oracle"),
-    ("exp-sinh-without-jacobian-cosh", archfe, "_complex_quad",
-     "* math.cosh(t)", "", "verify-q2-archfe"),
+    ("exp-sinh-without-jacobian-cosh", archfe, "_node",
+     "math.cosh(t)", "1.0", "verify-q2-archfe"),
+    # the nodes of a finer level land on those of the coarser ones
+    ("quad-nodes-at-even-multiples", archfe, "_nodes",
+     "range(1, round(10 / h), 2)", "range(2, round(10 / h), 2)",
+     "test_archfe-test_quadratures_match_the_reference_bit_for_bit"),
     ("quad-error-without-end-terms", archfe, "_complex_quad",
      "return total, diff + abs(end_lo) + abs(end_hi)", "return total, diff",
      "test_archfe-test_quadrature_edges"),
@@ -318,6 +329,13 @@ MUTANTS = [
      "except Exception", "except ArithmeticError",
      "test_cli-test_raising_suite_becomes_an_error_row"),
 ]
+
+
+def test_clear_caches_empties_the_quadrature_node_table():
+    archfe.zeta_numeric(archfe.gaussian_nabla(), 1, 2)
+    assert archfe._nodes.cache_info().currsize
+    clear_caches()
+    assert not archfe._nodes.cache_info().currsize
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
@@ -338,6 +356,10 @@ def test_mutant_killed(owner, attr, old, new, check, monkeypatch, tmp_path):
                 for name, value in list(vars(module).items()):
                     if value is real:
                         patch.setattr(module, name, fake)
+                    elif type(value) is dict:
+                        for key in [k for k, v in value.items()
+                                    if v is real]:
+                            patch.setitem(value, key, fake)
             clear_caches()
             passed = CHECKS[check](tmp_path)
     finally:

@@ -17,6 +17,11 @@ each has its reason: a reference that tests compare the library with, a
 quantity of the paper that no report row reaches yet, or a path that
 only other inputs or the benchmark reach.
 
+Every (module, attribute path) that bench/tracing.py wraps must resolve
+in liftzeta, so that a rename shows here and not first in a traced
+benchmark run.  TARGETS is read from the file's syntax tree, since the
+tracer itself imports numpy.
+
 Every name that a module of src/liftzeta or tests/ imports must be read
 in that module, as a plain name or the root of an attribute chain.  Every
 private function or method of src/liftzeta (a leading underscore, not a
@@ -166,3 +171,31 @@ def test_every_private_function_is_read():
     root = Path(__file__).resolve().parent.parent
     paths = sorted((root / "src" / "liftzeta").glob("*.py"))
     assert not unread_private_functions(paths)
+
+
+def tracer_targets():
+    """TARGETS of bench/tracing.py, evaluated from its assignments to
+    SUITES and TARGETS alone."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(), str(path))
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) in ("SUITES", "TARGETS")
+                for t in node.targets):
+            exec(compile(ast.Module([node], []), str(path), "exec"), names)
+    return names["TARGETS"]
+
+
+def test_every_tracer_target_resolves():
+    targets = tracer_targets()
+    assert "verify_FE2" in dict(targets["zeta2d"])
+    missing = []
+    for module, spans in targets.items():
+        for path, _ in spans:
+            obj = importlib.import_module("liftzeta." + module)
+            for attr in path.split("."):
+                obj = getattr(obj, attr, None)
+            if obj is None:
+                missing.append("%s.%s" % (module, path))
+    assert not missing, missing

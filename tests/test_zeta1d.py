@@ -16,11 +16,10 @@ from liftzeta.localfield import (
 from liftzeta import zeta1d as zeta1d_module
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import (
-    SBTensor, check_identity_A, double_star_invariance, epsilon_star,
-    l_function, rho0, z_normalized, zeta,
+    check_identity_A, double_star_invariance, epsilon_star, l_function,
+    rho0, z_normalized, zeta,
 )
-from liftzeta.zeta2d import ChiCharacter, zeta2
-from builders import char_point, from_fraction, star_tensor
+from builders import char_point, from_fraction
 
 
 def coset_basis(q, maxlev):
@@ -577,38 +576,44 @@ class TestDoubleStar:
 
 
 class TestTensor:
+    """The two-variable zeta of a sum of pure tensors f (x) g under
+    (omega1, omega2) is the sum of the products z_normalized(f, omega1)
+    z_normalized(g, omega2) times L(omega1) L(omega2)."""
+
     def test_product_value(self):
         q = 3
-        t = SBTensor.pure(SBFunction.char_ideal(q, 0),
-                          SBFunction.char_ideal(q, 0))
+        f = SBFunction.char_ideal(q, 0)
         triv = QuasiCharacter.trivial(q)
-        one_var = zeta(SBFunction.char_ideal(q, 0), triv)
-        assert zeta2(t, ChiCharacter(triv, triv)) == one_var * one_var
+        one_var = zeta(f, triv)
+        assert one_var == ZetaValue.geometric(q, Fraction(q - 1, q), 1, 0)
+        # the L-factor cancels the pole: mu(units) is left
+        norm = z_normalized(f, triv)
+        assert norm * norm == ZetaValue.constant(q, Fraction(q - 1, q) ** 2)
 
     def test_zero_tensor(self):
         q = 3
-        t = SBTensor.pure(SBFunction.zero(q), SBFunction.char_ideal(q, 0))
-        assert not t.pairs
         triv = QuasiCharacter.trivial(q)
-        assert zeta2(t, ChiCharacter(triv, triv)).is_zero()
+        zero = z_normalized(SBFunction.zero(q), triv)
+        assert zero.is_zero()
+        assert (zero * z_normalized(SBFunction.char_ideal(q, 0), triv)
+                ).is_zero()
 
     def test_functional_equation(self):
         q = 3
         pi = KElement.uniformizer(q)
         psi = AdditiveCharacter(q, 0)
-        t = (SBTensor.pure(SBFunction.char_ideal(q, 0),
-                           SBFunction.char(KCoset(q, KElement.one(q), 1)))
-             + SBTensor.pure(SBFunction.char_ideal(q, 1),
-                             SBFunction.char_ideal(q, 0)))
+        pairs = [(SBFunction.char_ideal(q, 0),
+                  SBFunction.char(KCoset(q, KElement.one(q), 1))),
+                 (SBFunction.char_ideal(q, 1), SBFunction.char_ideal(q, 0))]
         triv = QuasiCharacter.trivial(q)
         wram = ramified_chars(q, 1)[0]
         for wa in (triv, wram):
             for wb in (triv, wram):
-                lhs = (zeta2(star_tensor(t, psi, pi),
-                             ChiCharacter(wa.inverse(), wb.inverse()))
-                       / (l_function(wa.inverse())
-                          * l_function(wb.inverse()))).subst_dual()
-                rhs = (epsilon_star(wa, psi, pi) * epsilon_star(wb, psi, pi)
-                       * zeta2(t, ChiCharacter(wa, wb))
-                       / (l_function(wa) * l_function(wb)))
-                assert lhs == rhs
+                va, vb = wa.inverse(), wb.inverse()
+                lhs = rhs = ZetaValue.zero(q)
+                for f, g in pairs:
+                    lhs = lhs + (z_normalized(f.star(psi, pi), va)
+                                 * z_normalized(g.star(psi, pi), vb))
+                    rhs = rhs + z_normalized(f, wa) * z_normalized(g, wb)
+                assert lhs.subst_dual() == (epsilon_star(wa, psi, pi)
+                                            * epsilon_star(wb, psi, pi) * rhs)

@@ -10,11 +10,9 @@ from liftzeta.localfield import (
     enumerate_characters,
 )
 from liftzeta.schwartz import SBFunction
-from liftzeta.zeta1d import SBTensor, l_function, rho0, _delta_parity
-from liftzeta.zeta2d import (
-    ChiCharacter, epsilon2, verify_FE2, zeta2, zeta_rho2,
-)
-from builders import char_point, star_tensor
+from liftzeta.zeta1d import l_function, rho0, z_normalized, _delta_parity
+from liftzeta.zeta2d import ChiCharacter, epsilon2, verify_FE2, zeta_rho2
+from builders import char_point, fe2_factors
 
 
 def trivial(q, pi_value=None):
@@ -31,16 +29,24 @@ def one(q):
     return ZetaValue.constant(q, 1)
 
 
-def zeta2_direct(tensor, chi):
-    """The same integral as the product of the two shell decompositions
-    of each pure summand; an independent path used as an oracle for
-    zeta2.  _shell_zeta is read through its module, so that a patched
-    one is seen."""
-    total = ZetaValue.zero(tensor.q)
-    for f, g in tensor.pairs:
+def zeta2_direct(pairs, chi):
+    """The two-variable zeta of the sum of the pure tensors f (x) g of
+    pairs as the sum of the products of the two shell decompositions of
+    each summand; an independent path used as an oracle for the factors
+    verify_FE2 multiplies.  _shell_zeta is read through its module, so
+    that a patched one is seen."""
+    total = ZetaValue.zero(chi.q)
+    for f, g in pairs:
         total = total + zeta2d._shell_zeta(f, chi.omega1) * zeta2d._shell_zeta(
             g, chi.omega2)
     return total
+
+
+def normalized_value(pairs, chi):
+    """The sum of the products of the normalized one-variable factors,
+    as verify_FE2 forms it."""
+    return sum(z_normalized(f, chi.omega1) * z_normalized(g, chi.omega2)
+               for f, g in pairs)
 
 
 def t_mon(q, c=1, k=1):
@@ -51,19 +57,24 @@ class TestZeta2:
     def test_char_o_squared_trivial_chi(self):
         q = 3
         chi = ChiCharacter(trivial(q), trivial(q))
-        f = SBTensor.pure(SBFunction.char_ideal(q, 0),
-                          SBFunction.char_ideal(q, 0))
+        f = SBFunction.char_ideal(q, 0)
         base = ZetaValue.constant(q, Fraction(q - 1, q)) * (
             one(q) - t_mon(q)).inverse()
-        assert zeta2(f, chi) == base * base
+        assert zeta2_direct([(f, f)], chi) == base * base
+        # the L-factors cancel the poles: mu(units)^2 is left
+        assert normalized_value([(f, f)], chi) == ZetaValue.constant(
+            q, Fraction(q - 1, q) ** 2)
 
     def test_zero_function(self):
         q = 3
         chi = ChiCharacter(trivial(q), trivial(q))
-        assert zeta2(SBTensor(q), chi).is_zero()
+        pairs = [(SBFunction.zero(q), SBFunction.char_ideal(q, 0))]
+        assert zeta2_direct(pairs, chi).is_zero()
+        assert normalized_value(pairs, chi).is_zero()
 
     def test_direct_path_agrees(self):
-        # the reduction to K equals the shell-pair computation on lifts
+        # the product of the normalized one-variable factors equals the
+        # shell-pair computation on lifts over L(omega1) L(omega2)
         q = 3
         rng = random.Random(2)
         chars = all_chars(q, 1, CycRat.root_of_unity(4))
@@ -74,19 +85,23 @@ class TestZeta2:
                                        for k in (-1, 0)}),
                        rng.randrange(-1, 2)), rng.choice([1, 2, -1]))
 
+        def agrees(pairs, chi):
+            want = zeta2_direct(pairs, chi) / (
+                l_function(chi.omega1) * l_function(chi.omega2))
+            return normalized_value(pairs, chi) == want
+
         for _ in range(25):
-            t = SBTensor.pure(rnd(), rnd())
+            pairs = [(rnd(), rnd())]
             if rng.random() < 0.5:
-                t = t + SBTensor.pure(rnd(), rnd())
+                pairs.append((rnd(), rnd()))
             chi = ChiCharacter(rng.choice(chars), rng.choice(chars))
-            assert zeta2_direct(t, chi) == zeta2(t, chi)
+            assert agrees(pairs, chi)
         # the shells above the window take the ideal term's coefficient,
         # not the value at 0, which a point mass there changes
         chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
         g = SBFunction.char_ideal(q, 0) + char_point(
             q, KElement.zero(q), 5)
-        t = SBTensor.pure(g, SBFunction.char_ideal(q, 0))
-        assert zeta2_direct(t, chi) == zeta2(t, chi)
+        assert agrees([(g, SBFunction.char_ideal(q, 0))], chi)
 
 
 class TestEpsilon2:
@@ -140,7 +155,8 @@ class TestEpsilon2:
             for om2 in chars[:2]:
                 chi = ChiCharacter(om1, om2)
                 a = epsilon2(chi, psi, pi)
-                b = epsilon2(chi.inverse(), psi, pi).subst_dual()
+                b = epsilon2(ChiCharacter(om1.inverse(), om2.inverse()),
+                             psi, pi).subst_dual()
                 c = CycRat.from_rational(Fraction(q) ** (-d))
                 want = ZetaValue.constant(
                     q,
@@ -171,20 +187,19 @@ class TestFE2:
             for om2 in chars[:2]:
                 chi = ChiCharacter(om1, om2)
                 eps = epsilon2(chi, psi, pi)
-                for a, b in pairs:
-                    t = SBTensor.pure(a, b)
-                    assert verify_FE2(t, star_tensor(t, psi, pi), chi, eps)
+                for pair in pairs:
+                    assert verify_FE2(*fe2_factors([pair], chi, psi, pi), eps)
 
     def test_sums_of_tensors(self):
         q = 3
         psi = AdditiveCharacter(q, 1)
         pi = KElement.uniformizer(q)
         chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
-        t = (SBTensor.pure(SBFunction.char_ideal(q, 0),
-                           SBFunction.char(KCoset(q, KElement.one(q), 1)))
-             + SBTensor.pure(SBFunction.char_ideal(q, 1, -2),
-                             SBFunction.char_ideal(q, 0)))
-        assert verify_FE2(t, star_tensor(t, psi, pi), chi,
+        pairs = [(SBFunction.char_ideal(q, 0),
+                  SBFunction.char(KCoset(q, KElement.one(q), 1))),
+                 (SBFunction.char_ideal(q, 1, -2),
+                  SBFunction.char_ideal(q, 0))]
+        assert verify_FE2(*fe2_factors(pairs, chi, psi, pi),
                           epsilon2(chi, psi, pi))
 
     def test_empty_tensor(self):
@@ -192,19 +207,20 @@ class TestFE2:
         psi = AdditiveCharacter(q, 0)
         chi = ChiCharacter(trivial(q), trivial(q))
         pi = KElement.uniformizer(q)
-        assert verify_FE2(SBTensor(q), SBTensor(q), chi,
-                          epsilon2(chi, psi, pi))
+        assert verify_FE2([], [], epsilon2(chi, psi, pi))
 
     def test_mixed_measures_rejected(self):
+        # the factors carry no measure, and eps is linear in mu: a summand
+        # at mu = 2 under the eps of mu = 1 breaks the equation
         q = 3
         psi, pi = AdditiveCharacter(q, 0), KElement.uniformizer(q)
         chi = ChiCharacter(trivial(q), trivial(q))
-        t = (SBTensor.pure(SBFunction.char_ideal(q, 0),
-                           SBFunction.char_ideal(q, 0))
-             + SBTensor.pure(SBFunction.char_ideal(q, 0, 1, Fraction(2)),
-                             SBFunction.char_ideal(q, 0)))
-        with pytest.raises(ValueError, match="share measure"):
-            verify_FE2(t, star_tensor(t, psi, pi), chi, epsilon2(chi, psi, pi))
+        pairs = [(SBFunction.char_ideal(q, 0), SBFunction.char_ideal(q, 0)),
+                 (SBFunction.char_ideal(q, 0, 1, Fraction(2)),
+                  SBFunction.char_ideal(q, 0))]
+        eps = epsilon2(chi, psi, pi)
+        assert verify_FE2(*fe2_factors(pairs[:1], chi, psi, pi), eps)
+        assert not verify_FE2(*fe2_factors(pairs, chi, psi, pi), eps)
 
 
 class TestZetaRho2:
