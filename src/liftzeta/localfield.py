@@ -227,10 +227,8 @@ class KCoset:
 
 
 class KSingleton:
-    """A one-point set {c}; Haar measure zero.  Needed so the calculus can
-    carry indicator functions of points through integrals and absolute
-    values (they never survive a Fourier transform).  On F it is the
-    residue set of a null distinguished set."""
+    """A one-point set {c}: the residue set of a null distinguished set
+    on F (see lift2d.DistinguishedSetF)."""
 
     __slots__ = ("q", "point")
 
@@ -240,18 +238,6 @@ class KSingleton:
 
     def contains(self, x):
         return x == self.point
-
-    def __eq__(self, other):
-        return (isinstance(other, KSingleton) and self.q == other.q
-                and self.point == other.point)
-
-    def __hash__(self):
-        return hash((self.q, self.point, "singleton"))
-
-    def __str__(self):
-        return "[{%s}]" % self.point
-
-    __repr__ = __str__
 
 
 class AdditiveCharacter:

@@ -1,22 +1,22 @@
 """Schwartz functions on K: canonical forms, Haar integral, Fourier
 transform, and the W / nabla / star operators.
 
-An SBFunction is a finite sum of terms coeff * Char(atom), the atom a
-coset a + pi^n O or a single point {c}, where a coset may carry a twist
-psi_0(b x).  psi_0 is the residue character zeta_q^(digit -1 of y); psi
-of conductor d is psi_0(u^-d .), so a twist needs no psi.  The terms are
-stored from construction on as a base, one list of (key, twist, coeff)
-triples and the point masses.  The key (x_0, ..., x_(n-1)) stands for
-the coset sum x_i u^(base+i) + pi^(base+n) O.  The twist is () for none;
-a twist (b_0, ..., b_(m-1)), b_0 nonzero, stands for b = sum b_i
-u^(i-L-m) on a coset of level L: only the digits of b below -L vary on
-the coset, and the constant psi_0 of the others is folded into the
-coefficient.  Keys may overlap, and every map takes them as they are.
-fourier, W and nabla map terms to terms and sum the terms of equal key
-and twist.  fourier swaps key and twist (the translation rule of Tate's
-thesis).  W and nabla are one shell rule, x -> g(pi^power(s) x) on the
-shell s = w(x), with power(s) = -ceil(s/2) for W and s for nabla: it
-moves each coset and its twist by a power of pi, and splits a twisted
+An SBFunction is a Schwartz-Bruhat function on K, locally constant with
+compact support: a finite sum of terms coeff * Char(a + pi^n O), where
+a coset may carry a twist psi_0(b x).  psi_0 is the residue character
+zeta_q^(digit -1 of y); psi of conductor d is psi_0(u^-d .), so a twist
+needs no psi.  The terms are stored from construction on as a base and
+one list of (key, twist, coeff) triples.  The key (x_0, ..., x_(n-1))
+stands for the coset sum x_i u^(base+i) + pi^(base+n) O.  The twist is
+() for none; a twist (b_0, ..., b_(m-1)), b_0 nonzero, stands for
+b = sum b_i u^(i-L-m) on a coset of level L: only the digits of b below
+-L vary on the coset, and the constant psi_0 of the others is folded
+into the coefficient.  Keys may overlap, and every map takes them as
+they are.  fourier, W and nabla map terms to terms and sum the terms of
+equal key and twist.  fourier swaps key and twist (the translation rule
+of Tate's thesis).  W and nabla are one shell rule, x -> g(pi^power(s) x)
+on the shell s = w(x), with power(s) = -ceil(s/2) for W and s for nabla:
+it moves each coset and its twist by a power of pi, and splits a twisted
 ideal into twisted shells and an untwisted tail.  With pi = u U, a map
 reads the digits of U^k from `_unit_power` and fourier its Haar scales
 mu q^-L from `_haar_scale`: both are lru caches that live as long as
@@ -24,17 +24,14 @@ the process, at most 4096 entries each, so W, nabla and dilate compute
 each (U, k, precision) once and fourier each (mu, q, L) once; for
 pi = u, U = 1 and the digits are not multiplied.  The normal form has
 no twist, disjoint cosets, no full family of q siblings of equal
-coefficient, and b the least valuation of their points, so equal
+coefficient, and the base the least valuation of their points, so equal
 functions store equal keys.  It is built only where canonical keys are
 read, by `normalize`, `equals` and zeta1d.zeta, which expand each twist
-once into plain keys, and by `twisted`; `terms` shows the atoms as
-stored, or those of the normal form when a twist is stored.  Points ride
-along for the pointwise calculus (evaluation and Haar integral), but a
-point that survives the normal form is rejected by the transforms,
-which only make sense on locally constant functions.  The
+once into plain keys, and by `twisted`; `terms` shows the cosets as
+stored, or those of the normal form when a twist is stored.  The
 constructors that only the tests use live in tests/builders.py: the
-literal reader ("2*[u^-1 + u*O] - [1 + u^2*O]"), the point mass and the
-lift of a function on the residue field to pi^r O.
+literal reader ("2*[u^-1 + u*O] - [1 + u^2*O]") and the lift of a
+function on the residue field to pi^r O.
 """
 
 from fractions import Fraction
@@ -43,7 +40,7 @@ import math
 import operator
 
 from .exactnum import CycRat, cyc_sums, cyc_zero
-from .localfield import KCoset, KElement, KSingleton
+from .localfield import KCoset, KElement
 
 TERM_CAP = 10 ** 5
 
@@ -155,32 +152,26 @@ def _at_order_q(c, q):
     return c.embed(math.lcm(c.m, q))
 
 
-def _normal_form(q, mu, base, parts, points=()):
+def _normal_form(q, mu, base, parts):
     """The normal form of the sum of c zeta_n^t Char(key) over (c, n,
     pairs) in parts and (key, t) in pairs, keys at base (see cyc_sums and
-    _canonical), plus the point masses (point, coeff)."""
+    _canonical)."""
     keymap = _canonical(q, cyc_sums(parts))
     cut = 0  # the leading digits that are zero in every key
     while keymap and all(cut < len(k) and not k[cut] for k in keymap):
         cut += 1
     keys = sorted(((k[cut:], (), c) for k, c in keymap.items()),
                   key=lambda t: (len(t[0]), t[0]))
-    singles = {}
-    for pt, c in points:
-        singles[pt] = singles[pt] + c if pt in singles else c
-    order = sorted(singles, key=lambda p: tuple(sorted(p.digits.items())))
-    f = _keyed(q, mu, base + cut if keys else 0, keys, [
-        (p, singles[p]) for p in order if not singles[p].is_zero()])
+    f = _keyed(q, mu, base + cut if keys else 0, keys)
     f._canon = f
     return f
 
 
-def _keyed(q, mu, base, keys, points=()):
+def _keyed(q, mu, base, keys):
     """The SBFunction of nonzero (key, twist, coeff) terms at base, twist
-    () for none, and points, for mu a Fraction; no term is read."""
+    () for none, for mu a Fraction; no term is read."""
     f = object.__new__(SBFunction)
-    f.q, f.mu, f._base = q, mu, base
-    f._keys, f._points = tuple(keys), tuple(points)
+    f.q, f.mu, f._base, f._keys = q, mu, base, tuple(keys)
     f._terms = f._canon = None
     return f
 
@@ -234,31 +225,31 @@ def _coset(q, base, key):
 
 
 class SBFunction:
-    """Finite combination of coset and point indicators on K: `_base`,
-    the (key, twist, coeff) terms `_keys`, twist () for none, which may
-    overlap, and `_points`."""
+    """Finite combination of coset indicators on K: `_base` and the
+    (key, twist, coeff) terms `_keys`, twist () for none, which may
+    overlap."""
 
-    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_points", "_canon")
+    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_canon")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
         self.mu = Fraction(mu)
         terms = [(a, _coerce_coeff(c)) for a, c in terms]
+        for a, _ in terms:
+            if not isinstance(a, KCoset):
+                raise TypeError("a term's atom must be a KCoset, not %s"
+                                % type(a).__name__)
         terms = [(a, c) for a, c in terms if not c.is_zero()]
-        cosets = [(a, c) for a, c in terms if not isinstance(a, KSingleton)]
-        self._base = base = min((a.valuation() for a, _ in cosets), default=0)
+        self._base = base = min((a.valuation() for a, _ in terms), default=0)
         self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))),
-                            (), c) for a, c in cosets)
-        self._points = tuple((a.point, c) for a, c in terms
-                             if isinstance(a, KSingleton))
+                            (), c) for a, c in terms)
         self._terms = self._canon = None  # built on first use
 
     def _stored_atoms(self):
-        """The untwisted cosets and the points as stored, as (atom, coeff)."""
+        """The untwisted cosets as stored, as (coset, coeff)."""
         q, base = self.q, self._base
-        return (tuple((_coset(q, base, key), c)
-                      for key, tw, c in self._keys if not tw)
-                + tuple((KSingleton(q, p), c) for p, c in self._points))
+        return tuple((_coset(q, base, key), c)
+                     for key, tw, c in self._keys if not tw)
 
     def _has_twist(self):
         """Does a stored term carry a twist?  A normal form has none."""
@@ -266,8 +257,8 @@ class SBFunction:
 
     @property
     def terms(self):
-        """The (atom, coeff) pairs, cosets then points, built once: as
-        stored, or those of the normal form when a twist is stored."""
+        """The (coset, coeff) pairs, built once: as stored, or those of
+        the normal form when a twist is stored."""
         if self._terms is None:
             self._terms = (self.normalize().terms if self._has_twist()
                            else self._stored_atoms())
@@ -276,7 +267,7 @@ class SBFunction:
     def has_terms(self):
         """Does the function store a term?  One that stores none is zero;
         one that stores some may still sum to zero."""
-        return bool(self._keys or self._points)
+        return bool(self._keys)
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -307,8 +298,7 @@ class SBFunction:
         q, base = self.q, g._base
         parts = [(c, q, _twist_pairs(q, psi.d, base, k, b.digits,
                                      len(g._keys))) for k, _, c in g._keys]
-        return _normal_form(q, self.mu, base, parts,
-                            [(p, c * psi(b * p)) for p, c in g._points])
+        return _normal_form(q, self.mu, base, parts)
 
     # -- algebra ---------------------------------------------------------------
     def __add__(self, other):
@@ -319,8 +309,7 @@ class SBFunction:
         base = min(self._base, other._base)
         keys = [((0,) * (f._base - base) + k, tw, c)
                 for f in (self, other) for k, tw, c in f._keys]
-        return _keyed(self.q, self.mu, base, keys,
-                      self._points + other._points)
+        return _keyed(self.q, self.mu, base, keys)
 
     def __neg__(self):
         return self.scale(-1)
@@ -333,8 +322,7 @@ class SBFunction:
         if c.is_zero():
             return SBFunction.zero(self.q, self.mu)
         return _keyed(self.q, self.mu, self._base,
-                      [(k, tw, c * co) for k, tw, co in self._keys],
-                      [(p, c * co) for p, co in self._points])
+                      [(k, tw, c * co) for k, tw, co in self._keys])
 
     def __mul__(self, c):
         if isinstance(c, SBFunction):
@@ -362,12 +350,12 @@ class SBFunction:
             parts = [(c, q, _twist_pairs(
                 q, 0, base, k, _twist_digits(base + len(k), tw), width))
                 if tw else (c, 1, [(k, 0)]) for k, tw, c in self._keys]
-            self._canon = _normal_form(q, self.mu, base, parts, self._points)
+            self._canon = _normal_form(q, self.mu, base, parts)
         return self._canon
 
     def equals(self, other):
         f, g = self.normalize(), other.normalize()
-        return (f._base, f._keys, f._points) == (g._base, g._keys, g._points)
+        return (f._base, f._keys) == (g._base, g._keys)
 
     def __eq__(self, other):
         if not isinstance(other, SBFunction):
@@ -379,22 +367,13 @@ class SBFunction:
         """Sums c mu q^-(base + len(key)) over the keys, which may overlap;
         a twisted coset integrates to 0, as b has a digit below -L."""
         total = cyc_zero()
-        for key, tw, coeff in self._keys:  # points have measure zero
+        for key, tw, coeff in self._keys:
             if not tw:
                 total = total + coeff * _haar_scale(
                     self.mu, self.q, self._base + len(key))
         return total
 
     # -- transforms ---------------------------------------------------------------------
-    def _plain_terms(self, op):
-        """The stored base and terms, as the transforms read them.  Only a
-        function with point masses is normalized first, so that points
-        that cancel are accepted and a surviving one raises."""
-        g = self.normalize() if self._points else self
-        if g._points:
-            raise ValueError("%s undefined for point masses" % op)
-        return g._base, g._keys
-
     def fourier(self, psi):
         """g-hat(y) = integral of g(x) psi(xy) dx, term by term by the
         translation rule: c psi_0(b x) Char(a + pi^L O) goes to c mu q^-L
@@ -403,8 +382,7 @@ class SBFunction:
         twist is the key, cut of its leading zeros."""
         if psi.q != self.q:
             raise ValueError("mixed residue sizes")
-        base, terms = self._plain_terms("fourier transform")
-        q, d = self.q, psi.d
+        q, d, base, terms = self.q, psi.d, self._base, self._keys
         out = min((d - base - len(k) - len(tw) for k, tw, _ in terms),
                   default=0)
         scale = {lev: _haar_scale(self.mu, q, lev)
@@ -419,7 +397,7 @@ class SBFunction:
                        c if twist or not tw else _at_order_q(c, q))
         return _summed(q, self.mu, out, image())
 
-    def _shell_map(self, pi, op, power, first):
+    def _shell_map(self, pi, power, first):
         """x -> g(pi^power(s) x) on each shell s = w(x), where first(n) is
         the least s with s + power(s) >= n.  A coset a + pi^L O with
         w(a) = v < L is reached from the shells s with s + power(s) = v,
@@ -432,8 +410,8 @@ class SBFunction:
         b pi^power(s), cut below the level of its piece, and the ideal
         pi^first(L + m) O, where the twist is trivial, is untwisted.  A
         piece that loses its twist keeps the order of its expansion."""
-        base, terms = self._plain_terms(op)
-        q, out = self.q, first(base)
+        q, base, terms = self.q, self._base, self._keys
+        out = first(base)
         times = _times_unit_powers(q, pi, _span(terms))
 
         def image():
@@ -458,15 +436,13 @@ class SBFunction:
     def w_operator(self, pi):
         """x -> g(pi^-k x) for w(x) in {2k - 1, 2k}: a coset of valuation
         v goes to the shells 2v and 2v + 1, pi^L O to pi^2L O."""
-        return self._shell_map(pi, "W operator", lambda s: -s // 2,
-                               lambda n: 2 * n)
+        return self._shell_map(pi, lambda s: -s // 2, lambda n: 2 * n)
 
     def nabla_compose(self, pi):
         """x -> g(nabla x) with nabla x = pi^w(x) x: a coset of valuation
         2k goes to the shell k, one of odd valuation to 0, pi^L O to
         pi^ceil(L/2) O."""
-        return self._shell_map(pi, "nabla composition", lambda s: s,
-                               lambda n: -(-n // 2))
+        return self._shell_map(pi, lambda s: s, lambda n: -(-n // 2))
 
     def star(self, psi, pi):
         """g* = (W g)-hat composed with nabla.  Each map sends terms to
@@ -492,11 +468,7 @@ class SBFunction:
                 return key if x == 1 else tuple(y * x % q for y in key)
             return _keyed(q, self.mu, self._base - wa,
                           [(scaled(k, inv), scaled(tw, lead), c)
-                           for k, tw, c in self._keys],
-                          [(KElement(q, {-wa: inv}) * p, c)
-                           for p, c in self._points])
-        if self._points:
-            raise ValueError("point dilation needs a monomial scale factor")
+                           for k, tw, c in self._keys])
         times = _times_unit_powers(q, alpha.shift(1 - wa), _span(self._keys))
         keys = []
         for k, tw, c in self._keys:
@@ -519,8 +491,7 @@ class SBFunction:
             top = self._base + len(k) + len(tw) - 1
             t = sum(x * tau.digit(top - i) for i, x in enumerate(tw)) % q
             keys.append((key, tw, _times_root(c, q, t)))
-        return _keyed(q, self.mu, base, keys,
-                      [(p - tau, c) for p, c in self._points])
+        return _keyed(q, self.mu, base, keys)
 
     # -- printing -------------------------------------------------------------
     def __str__(self):

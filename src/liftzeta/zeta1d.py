@@ -26,8 +26,7 @@ def zeta(g, omega):
     v = base + j; omega and |.| are constant on its cosets of level
     v + max(r, 1), whose unit digits, key[j:] and a tail of free digits,
     give omega's table exponent k.  The zeta_n^k are summed per shell as
-    integer vectors, and each shell is multiplied once by omega(pi)^v.
-    Point masses carry no measure."""
+    integer vectors, and each shell is multiplied once by omega(pi)^v."""
     if g.q != omega.q:
         raise ValueError("mixed residue sizes")
     q, r, g = g.q, omega.r, g.normalize()

@@ -18,7 +18,7 @@ boundary-lifting identity is verified by the same shell decomposition.
 from fractions import Fraction
 
 from .exactnum import CycRat, ZetaValue
-from .localfield import KCoset, KSingleton
+from .localfield import KCoset
 from .schwartz import SBFunction
 from .zeta1d import epsilon_star, zeta as zeta_k
 
@@ -44,8 +44,6 @@ def _shell_restriction(g, omega, k):
     need = max(omega.r, 1)
     out = []
     for atom, coeff in g.normalize().terms:
-        if isinstance(atom, KSingleton):
-            continue
         v = atom.valuation()
         if v >= atom.level:
             # an ideal: meets every shell at or below its level
@@ -67,12 +65,10 @@ def _shell_zeta(g, omega):
     valuation k, for each k of the window [lo, hi) outside of which g is
     constant on shells, plus the shells above it, a geometric series in
     omega(pi) T from the ideal term of g when omega is unramified and
-    zero otherwise.  Point masses carry no measure."""
+    zero otherwise."""
     q = g.q
     lo, hi, tail = 0, 1, None
     for atom, coeff in g.normalize().terms:
-        if isinstance(atom, KSingleton):
-            continue
         lo = min(lo, atom.valuation())
         hi = max(hi, atom.level)
         if atom.valuation() >= atom.level:

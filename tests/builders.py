@@ -6,7 +6,6 @@ tuples.  The tests also write them as text or from a few numbers:
 - ``parse_k``, ``parse_f`` and ``parse_sb`` read the literal syntax of
   K elements ("2*u^-1 + 1 + u^3"), F elements ("u^-1 + t*(1+u)") and
   Schwartz functions ("1*[1 + u^2*O] - 2*[u^-1 + u*O]");
-- ``char_point`` is the point mass c Char({x});
 - ``lift_finite`` lifts a function on the residue field to pi^r O;
 - ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists;
 - ``fe2_factors`` gives ``zeta2d.verify_FE2`` its two factor lists for a
@@ -23,7 +22,7 @@ import re
 import liftzeta
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import FElement
-from liftzeta.localfield import KCoset, KElement, KSingleton
+from liftzeta.localfield import KCoset, KElement
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import z_normalized
 
@@ -110,10 +109,6 @@ def parse_sb(q, text, mu=Fraction(1)):
         rep = parse_k(q, rep_text)
         terms.append((KCoset(q, rep, level), coeff))
     return SBFunction(q, terms, mu)
-
-
-def char_point(q, point, coeff=1, mu=Fraction(1)):
-    return SBFunction(q, [(KSingleton(q, point), coeff)], mu)
 
 
 def lift_finite(h, r, q, mu=Fraction(1)):

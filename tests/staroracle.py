@@ -19,12 +19,10 @@ from liftzeta.schwartz import _keyed, _lead, _normal_form, _twist_pairs
 
 
 def _plain(g):
-    """g's stored keys; with a point mass or a twist, those of its normal
-    form, the only form of a twisted function on the key path."""
-    if g._points or g._has_twist():
+    """g's stored keys; with a twist, those of its normal form, the only
+    form of a twisted function on the key path."""
+    if g._has_twist():
         g = g.normalize()
-    if g._points:
-        raise ValueError("transforms undefined for point masses")
     return g._base, [(k, c) for k, _, c in g._keys]
 
 

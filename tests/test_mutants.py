@@ -259,9 +259,6 @@ MUTANTS = [
      "t * b", "t * a", "verify-q2-zeta1d-epsilon-rmax3"),
     ("shell-tail-one-shell-late", zeta2d, "_shell_zeta",
      "omega.pi_value, hi)", "omega.pi_value, hi + 1)", "verify-q2-rho2"),
-    ("shell-tail-reads-the-point-mass", zeta2d, "_shell_zeta",
-     "q, tail * CycRat", "q, g.evaluate(KElement.zero(q)) * CycRat",
-     "test_zeta2d-test_direct_path_agrees"),
     ("ptrim-keeps-a-last-zero", exactnum, "_ptrim",
      "while n and not p[n - 1]:", "while n > 1 and not p[n - 1]:",
      "test_exactnum-test_inverse"),

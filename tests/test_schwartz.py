@@ -9,7 +9,7 @@ from liftzeta import schwartz
 from liftzeta.exactnum import CycRat, _pmul, _reduce_mod_cyc, cyc_zero
 from liftzeta.localfield import AdditiveCharacter, KCoset, KElement, KSingleton
 from liftzeta.schwartz import TERM_CAP, SBFunction, _canonical
-from builders import char_point, lift_finite, parse_k, parse_sb
+from builders import lift_finite, parse_k, parse_sb
 import staroracle
 
 
@@ -56,14 +56,8 @@ def reference_normalize(q, terms, psi):
     coeff * psi(b x) * Char(atom), b None for no twist, with one CycRat
     summand coeff * zeta_q^t per expanded key, t read off the digit d - 1
     of the product b x itself."""
-    singles, pending = {}, []
+    pending = []
     for atom, twist, coeff in terms:
-        if isinstance(atom, KSingleton):
-            v = coeff if twist is None else \
-                polynomial_mul(coeff, psi(twist * atom.point))
-            key = atom.point
-            singles[key] = singles[key] + v if key in singles else v
-            continue
         if twist is None or twist.is_zero():
             pending.append((atom.rep.digits, atom.level, coeff))
             continue
@@ -89,9 +83,6 @@ def reference_normalize(q, terms, psi):
         for key in sorted(keymap, key=lambda k: (len(k), k)):
             rep = KElement(q, {base + i: d for i, d in enumerate(key)})
             out.append((KCoset(q, rep, base + len(key)), keymap[key]))
-    for pt in sorted(singles, key=lambda p: tuple(sorted(p.digits.items()))):
-        if not singles[pt].is_zero():
-            out.append((KSingleton(q, pt), singles[pt]))
     return SBFunction(q, out)
 
 
@@ -118,8 +109,7 @@ def twisted_value(terms, x, psi):
 @st.composite
 def twisted_terms(draw):
     """(q, terms, psi): 1-6 (coset, b, coeff) terms at levels -2..3, most
-    of them twisted by b with w(b) in -2..2, and at times a point atom;
-    psi of conductor -1..2; coefficients rational, cyclotomic of order 3,
+    of them twisted by b with w(b) in -2..2; psi of conductor -1..2; coefficients rational, cyclotomic of order 3,
     4, 5, 12 or 20, or with a factor sqrt(q)."""
     q = draw(st.sampled_from([2, 3, 5]))
     digit = st.integers(0, q - 1)
@@ -151,8 +141,6 @@ def twisted_terms(draw):
         lev = draw(st.integers(-2, 3))
         terms.append((KCoset(q, element(lev - 2, lev), lev), twist(),
                       coeff()))
-    if draw(st.booleans()):
-        terms.append((KSingleton(q, element(-1, 2)), twist(), coeff()))
     psi = AdditiveCharacter(q, draw(st.integers(-1, 2)))
     # an SBFunction drops a zero coefficient, and with it its order
     return q, [t for t in terms if not t[2].is_zero()], psi
@@ -227,9 +215,8 @@ class TestNormalize:
             assert len(g.terms) == size
             for x in window_points(q, 0, 2):
                 assert g.evaluate(x) == psi(b * x) * f.evaluate(x)
-        # the pointwise law psi(b x) h(x) on more inputs, a point among them
-        h = (parse_sb(q, "2*[u^-1 + u*O] - [1 + u^2*O]")
-             + char_point(q, parse_k(q, "u^-1 + 2"), 3))
+        # the pointwise law psi(b x) h(x) on more inputs
+        h = parse_sb(q, "2*[u^-1 + u*O] - [1 + u^2*O]")
         for text in ("1", "u^-2", "2*u^-3 + u"):
             b = parse_k(q, text)
             for d in (-1, 0, 2):
@@ -289,11 +276,6 @@ class TestHaar:
         assert SBFunction.char_ideal(q, 1, mu=mu).haar_integral() == \
             mu * Fraction(1, 3)
 
-    def test_singleton_measure_zero(self):
-        q = 3
-        f = char_point(q, KElement.one(q), 5)
-        assert f.haar_integral().is_zero()
-
     def test_translation_invariance(self):
         q = 3
         rng = random.Random(7)
@@ -346,12 +328,6 @@ class TestFourier:
     def test_zero(self):
         psi = AdditiveCharacter(3, 0)
         assert not SBFunction.zero(3).fourier(psi).terms
-
-    def test_singleton_rejected(self):
-        psi = AdditiveCharacter(3, 0)
-        f = char_point(3, KElement.zero(3))
-        with pytest.raises(ValueError):
-            f.fourier(psi)
 
     def test_linearity(self):
         q = 2
@@ -425,27 +401,12 @@ class TestWAndNabla:
                 assert got.evaluate(x) == nabla_ref(f, x)
 
 
-class TestPointMasses:
-    def test_cancelled_points_accepted(self):
-        q = 3
-        psi = AdditiveCharacter(q, 0)
-        pi = KElement.uniformizer(q)
-        x = parse_k(q, "u^-1 + 2")
-        f = SBFunction.char(KCoset(q, KElement.one(q), 1))
-        g = f + char_point(q, x) - char_point(q, x)
-        assert g.fourier(psi).equals(f.fourier(psi))
-        assert g.w_operator(pi).equals(f.w_operator(pi))
-        assert g.nabla_compose(pi).equals(f.nabla_compose(pi))
-
-    def test_surviving_point_rejected_by_w_and_nabla(self):
-        q = 3
-        pi = KElement.uniformizer(q)
-        x = parse_k(q, "u^-1 + 2")
-        g = (SBFunction.char(KCoset(q, KElement.one(q), 1))
-             + char_point(q, x) + char_point(q, x, 2) - char_point(q, x))
-        for op in (g.w_operator, g.nabla_compose):
-            with pytest.raises(ValueError, match="point masses"):
-                op(pi)
+def test_point_atom_rejected():
+    # a point has measure zero and no place among the locally constant
+    # functions of compact support
+    q = 3
+    with pytest.raises(TypeError, match="KCoset"):
+        SBFunction(q, [(KSingleton(q, parse_k(q, "u^-1 + 2")), 1)])
 
 
 def w_untruncated(f, pi):
@@ -819,10 +780,9 @@ def rand_digits(q, rng, lo, hi):
     return KElement(q, {e: rng.randrange(q) for e in range(lo, hi)})
 
 
-def rand_keyed(q, rng, lo, points=False):
+def rand_keyed(q, rng, lo):
     """1-4 cosets with digits from u^lo, levels lo + 1..lo + 3, the first
-    of valuation lo, so the base is lo; a point mass or two when points
-    is set."""
+    of valuation lo, so the base is lo."""
     terms = []
     for i in range(rng.randint(1, 4)):
         lev = rng.randint(lo + 1, lo + 3)
@@ -830,19 +790,15 @@ def rand_keyed(q, rng, lo, points=False):
             KElement(q, {lo: rng.randrange(1 if i == 0 else 0, q)})
         terms.append((KCoset(q, rep, lev),
                       rng.choice([1, -1, 2, Fraction(1, 3)])))
-    for _ in range(rng.randint(1, 2) if points else 0):
-        terms.append((KSingleton(q, rand_digits(q, rng, lo, lo + 3)),
-                      rng.choice([1, 3])))
     return SBFunction(q, terms)
 
 
 def assert_pointwise(rng, window, got, want, fns):
     """got(x) == want(x) on the window (on 150 of its points when it is
-    larger than 300) and at a point of every atom of fns."""
+    larger than 300) and at the representative of every coset of fns."""
     pts = rng.sample(window, 150) if len(window) > 300 else list(window)
     for f in fns:
-        pts += [a.point if isinstance(a, KSingleton) else a.rep
-                for a, _ in f.terms]
+        pts += [a.rep for a, _ in f.terms]
     for x in pts:
         assert got.evaluate(x) == want(x)
 
@@ -861,8 +817,8 @@ class TestKeyMaps:
             window = window_points(q, -3, 2)
             for _ in range(5):
                 f = rand_keyed(q, rng, -1)
-                fp = rand_keyed(q, rng, -1, points=True)
-                g = rand_keyed(q, rng, 1, points=rng.random() < 0.5)
+                e = rand_keyed(q, rng, -1)
+                g = rand_keyed(q, rng, 1)
                 assert f._base < g._base
                 s = f + g
                 assert_pointwise(rng, window, s,
@@ -871,11 +827,11 @@ class TestKeyMaps:
                 assert s.haar_integral() == \
                     f.haar_integral() + g.haar_integral()
                 c = CycRat.root_of_unity(q) + 2
-                assert_pointwise(rng, window, fp.scale(c),
-                                 lambda x: c * fp.evaluate(x), [fp])
+                assert_pointwise(rng, window, e.scale(c),
+                                 lambda x: c * e.evaluate(x), [e])
                 # tau has digits below the base of every function here
                 tau = rand_digits(q, rng, -3, 2) + KElement(q, {-3: 1})
-                for h in (fp, g):
+                for h in (e, g):
                     got = h.translate(tau)
                     assert_pointwise(rng, window, got,
                                      lambda x: h.evaluate(x + tau), [got])
@@ -885,11 +841,9 @@ class TestKeyMaps:
                     assert_pointwise(rng, window, got,
                                      lambda x: f.evaluate(alpha * x), [got])
                 mono = KElement(q, {rng.randint(-1, 1): rng.randrange(2, q)})
-                got = fp.dilate(mono)
+                got = e.dilate(mono)
                 assert_pointwise(rng, window, got,
-                                 lambda x: fp.evaluate(mono * x), [got])
-                with pytest.raises(ValueError):
-                    fp.dilate(parse_k(q, "1 + u"))
+                                 lambda x: e.evaluate(mono * x), [got])
 
 
 class TestLiftFinite:

@@ -10,7 +10,7 @@ from liftzeta.exactnum import (
     cyclotomic_poly,
 )
 from liftzeta.localfield import (
-    AdditiveCharacter, KCoset, KElement, KSingleton, QuasiCharacter,
+    AdditiveCharacter, KCoset, KElement, QuasiCharacter,
     enumerate_characters,
 )
 from liftzeta import zeta1d as zeta1d_module
@@ -19,7 +19,7 @@ from liftzeta.zeta1d import (
     check_identity_A, double_star_invariance, epsilon_star, l_function,
     rho0, z_normalized, zeta,
 )
-from builders import char_point, from_fraction
+from builders import from_fraction
 
 
 def coset_basis(q, maxlev):
@@ -49,8 +49,6 @@ def zeta_by_atoms(g, omega):
     tails = ZetaValue.zero(q)
     monomials = []
     for atom, coeff in g.normalize().terms:
-        if isinstance(atom, KSingleton):
-            continue
         v = atom.valuation()
         if v < atom.level:
             need = v + max(omega.r, 1)
@@ -75,21 +73,17 @@ COEFFS = [1, -1, 2, Fraction(1, 3), Fraction(-3, 2), CycRat.root_of_unity(3),
 
 @st.composite
 def sb_functions(draw, q):
-    """Sums of ideals, point masses and cosets with cyclotomic
+    """Sums of ideals and cosets with cyclotomic
     coefficients: keys of one to five digits, shorter and longer than a
     conductor <= 3, at bases down to -7."""
     mu = draw(st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(1, 3)]))
     pieces = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["ideal", "point", "coset"]))
+        kind = draw(st.sampled_from(["ideal", "coset"]))
         c = draw(st.sampled_from(COEFFS))
         if kind == "ideal":
             pieces.append(SBFunction.char_ideal(
                 q, draw(st.integers(-2, 2)), c, mu))
-        elif kind == "point":
-            x = KElement(q, {draw(st.integers(-2, 2)):
-                             draw(st.integers(1, q - 1))})
-            pieces.append(char_point(q, x, c, mu))
         else:
             lev = draw(st.integers(-2, 4))
             digits = draw(st.lists(st.integers(0, q - 1),
@@ -207,16 +201,12 @@ class TestZetaAdditive:
         mu = data.draw(st.sampled_from([Fraction(1), Fraction(5, 4)]))
         pieces = []
         for _ in range(data.draw(st.integers(1, 5))):
-            kind = data.draw(st.sampled_from(["ideal", "point", "coset"]))
+            kind = data.draw(st.sampled_from(["ideal", "coset"]))
             c = data.draw(st.sampled_from(
                 [1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]))
             if kind == "ideal":
                 n = data.draw(st.integers(-2, 2))
                 pieces.append(SBFunction.char_ideal(q, n, c, mu))
-            elif kind == "point":
-                x = KElement(q, {data.draw(st.integers(-1, 2)):
-                                 data.draw(st.integers(1, q - 1))})
-                pieces.append(char_point(q, x, c, mu))
             else:
                 lev = data.draw(st.integers(-2, 3))
                 digits = data.draw(st.lists(st.integers(0, q - 1),

@@ -12,7 +12,7 @@ from liftzeta.localfield import (
 from liftzeta.schwartz import SBFunction
 from liftzeta.zeta1d import l_function, rho0, z_normalized, _delta_parity
 from liftzeta.zeta2d import ChiCharacter, epsilon2, verify_FE2, zeta_rho2
-from builders import char_point, fe2_factors
+from builders import fe2_factors
 
 
 def trivial(q, pi_value=None):
@@ -96,12 +96,6 @@ class TestZeta2:
                 pairs.append((rnd(), rnd()))
             chi = ChiCharacter(rng.choice(chars), rng.choice(chars))
             assert agrees(pairs, chi)
-        # the shells above the window take the ideal term's coefficient,
-        # not the value at 0, which a point mass there changes
-        chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
-        g = SBFunction.char_ideal(q, 0) + char_point(
-            q, KElement.zero(q), 5)
-        assert agrees([(g, SBFunction.char_ideal(q, 0))], chi)
 
 
 class TestEpsilon2:
@@ -230,9 +224,7 @@ class TestZetaRho2:
         gs = [SBFunction.char_ideal(q, 0),
               SBFunction.char_ideal(q, 0) - SBFunction.char_ideal(q, 1),
               SBFunction.char(KCoset(q, KElement.one(q), 1)),
-              SBFunction.zero(q),
-              SBFunction.char_ideal(q, 0) + char_point(
-                  q, KElement.zero(q), 5)]
+              SBFunction.zero(q)]
         oms = [trivial(q), trivial(q, z)] + all_chars(q, 1, z)
         for g in gs:
             for om in oms:
