@@ -17,40 +17,20 @@ def nabla(x):
     return abs(x) * x
 
 
-class RealTestFunction:
-    """A real test function with a closed-form evaluator."""
-
-    __slots__ = ("tag", "fn", "star_form")
-
-    def __init__(self, tag, fn, star_form=None):
-        self.tag = tag
-        self.fn = fn
-        self.star_form = star_form
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def star_closed_form(self, y):
-        if self.star_form is None:
-            raise ValueError("no closed form for the transform of %s"
-                             % self.tag)
-        return self.star_form(y)
+def gaussian(x):
+    """e^(-pi x^2)."""
+    return math.exp(-math.pi * x * x)
 
 
-def gaussian():
-    return RealTestFunction(
-        "gaussian", lambda x: math.exp(-math.pi * x * x),
-        star_form=lambda y: 2 * math.pi / (
-            math.pi ** 2 + 4 * math.pi ** 2 * y ** 4))
+def gaussian_star(y):
+    """The closed form of the transform of the Gaussian."""
+    return 2 * math.pi / (math.pi ** 2 + 4 * math.pi ** 2 * y ** 4)
 
 
-def gaussian_nabla():
+def gaussian_nabla(x):
     """The Gaussian composed with nabla, e^(-pi x^4); a fixed point of
-    the transform."""
-    g = RealTestFunction("gaussian-nabla",
-                         lambda x: math.exp(-math.pi * x ** 4))
-    g.star_form = lambda y: g(y)
-    return g
+    the transform, so it is its own closed form."""
+    return math.exp(-math.pi * x ** 4)
 
 
 def _node(t):
@@ -154,16 +134,11 @@ def gamma_zeta_closed_form(s):
     raise ValueError("closed form implemented for real s only")
 
 
-def fe_product_check(f, g, omega, s, tol=1e-6):
-    """Does zeta(f, omega, s) zeta(g*, omega^-1, 2-s) equal
-    zeta(f*, omega^-1, 2-s) zeta(g, omega, s) within tolerance?
-
-    f and g must carry closed-form transforms; omega^-1 = omega for the
-    two characters supported here.
-    """
-    fs = RealTestFunction(f.tag + "*", f.star_closed_form)
-    gs = RealTestFunction(g.tag + "*", g.star_closed_form)
-    lhs = zeta_numeric(f, omega, s) * zeta_numeric(gs, omega, 2 - s)
-    rhs = zeta_numeric(fs, omega, 2 - s) * zeta_numeric(g, omega, s)
+def fe_product_check(f, f_star, g, g_star, s, tol=1e-6):
+    """Does zeta(f, s) zeta(g*, 2-s) equal zeta(f*, 2-s) zeta(g, s)
+    within tolerance, for the trivial character and the closed-form
+    transforms f_star and g_star?"""
+    lhs = zeta_numeric(f, 1, s) * zeta_numeric(g_star, 1, 2 - s)
+    rhs = zeta_numeric(f_star, 1, 2 - s) * zeta_numeric(g, 1, s)
     scale = 1 + max(abs(lhs), abs(rhs))
     return abs(lhs - rhs) <= tol * scale

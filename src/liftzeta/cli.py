@@ -247,8 +247,7 @@ def suite_fe2(cfg):
     cases = []
     for om1, (z1, zs1) in zip(chars, tables):
         for om2, (z2, zs2) in zip(chars[:2], tables):
-            chi = zeta2d.ChiCharacter(om1, om2)
-            eps = zeta2d.epsilon2(chi, psi, pi, cfg.mu, cfg.mu)
+            eps = zeta2d.epsilon2(om1, om2, psi, pi, cfg.mu)
             ok = all(zeta2d.verify_FE2([(a, b)], [(sa, sb)], eps)
                      for a, sa in zip(z1, zs1) for b, sb in zip(z2, zs2))
             cases.append(("chi-%s-%s" % (om1.label, om2.label),
@@ -272,20 +271,19 @@ def suite_rho2(cfg):
 
 def suite_archfe(cfg):
     tol = cfg.tol
-    g = archfe.gaussian()
-    worst = max(abs(archfe.star_numeric(g, -2.0 + 0.2 * k)
-                    - g.star_closed_form(-2.0 + 0.2 * k))
+    worst = max(abs(archfe.star_numeric(archfe.gaussian, -2.0 + 0.2 * k)
+                    - archfe.gaussian_star(-2.0 + 0.2 * k))
                 for k in range(20))
     cases = [("star-grid", {"tol": tol}, True, worst < max(tol, 1e-6))]
-    gn = archfe.gaussian_nabla()
+    gn = archfe.gaussian_nabla
     for s in (2, 4, 6):
         err = abs(archfe.zeta_numeric(gn, 1, s)
                   - archfe.gamma_zeta_closed_form(s))
         cases.append(("gamma-s%d" % s, {"s": s}, True, err < max(tol, 1e-8)))
     for s in (1, 1 + 0.3j):
-        cases.append((
-            "product-fe-s%s" % s, {"s": str(s)}, True,
-            archfe.fe_product_check(gn, g, 1, s, tol=max(tol, 1e-6))))
+        ok = archfe.fe_product_check(gn, gn, archfe.gaussian,
+                                     archfe.gaussian_star, s, max(tol, 1e-6))
+        cases.append(("product-fe-s%s" % s, {"s": str(s)}, True, ok))
     return cases
 
 

@@ -283,9 +283,6 @@ class CycRat:
         o = other if isinstance(other, CycRat) else CycRat.from_rational(other)
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if type(other) is not CycRat:
             try:
@@ -320,10 +317,6 @@ class CycRat:
         norm = _reduce_mod_cyc(_pmul(n, adj, 0), m)[0]
         s = -d if norm < 0 else d
         return _cyc(m, tuple(s * c for c in adj), abs(norm))
-
-    def __truediv__(self, other):
-        o = other if isinstance(other, CycRat) else CycRat.from_rational(other)
-        return self * o.inverse()
 
     def __pow__(self, n):
         if n < 0:
@@ -650,9 +643,6 @@ class ZetaValue:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -84,19 +84,15 @@ class FElement:
         raise TypeError("cannot combine with %r" % (other,))
 
     def __mul__(self, other):
-        if isinstance(other, KElement):
-            other = FElement.from_k(other)
-        if isinstance(other, FElement):
-            out = {}
-            for e1, k1 in self.coeffs.items():
-                for e2, k2 in other.coeffs.items():
-                    e = e1 + e2
-                    prod = k1 * k2
-                    out[e] = out[e] + prod if e in out else prod
-            return FElement(self.q, out)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        if not isinstance(other, FElement):
+            return NotImplemented
+        out = {}
+        for e1, k1 in self.coeffs.items():
+            for e2, k2 in other.coeffs.items():
+                e = e1 + e2
+                prod = k1 * k2
+                out[e] = out[e] + prod if e in out else prod
+        return FElement(self.q, out)
 
     def t_shift(self, n):
         return FElement(self.q, {e + n: k for e, k in self.coeffs.items()})

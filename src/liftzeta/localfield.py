@@ -73,8 +73,6 @@ class KElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return KElement(self.q, {e: d * other for e, d in self.digits.items()})
         if not isinstance(other, KElement):
             return NotImplemented
         out = {}
@@ -82,8 +80,6 @@ class KElement:
             for e2, d2 in other.digits.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + d1 * d2
         return KElement(self.q, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:

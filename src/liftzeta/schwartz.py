@@ -271,10 +271,6 @@ class SBFunction:
 
     # -- constructors --------------------------------------------------------
     @classmethod
-    def zero(cls, q, mu=Fraction(1)):
-        return cls(q, (), mu)
-
-    @classmethod
     def char(cls, coset, coeff=1, mu=Fraction(1)):
         return cls(coset.q, [(coset, coeff)], mu)
 
@@ -320,16 +316,9 @@ class SBFunction:
     def scale(self, c):
         c = _coerce_coeff(c)
         if c.is_zero():
-            return SBFunction.zero(self.q, self.mu)
+            return _keyed(self.q, self.mu, 0, ())
         return _keyed(self.q, self.mu, self._base,
                       [(k, tw, c * co) for k, tw, co in self._keys])
-
-    def __mul__(self, c):
-        if isinstance(c, SBFunction):
-            return NotImplemented
-        return self.scale(c)
-
-    __rmul__ = __mul__
 
     # -- evaluation ---------------------------------------------------------------
     def evaluate(self, x):

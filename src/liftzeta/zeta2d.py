@@ -23,20 +23,6 @@ from .schwartz import SBFunction
 from .zeta1d import epsilon_star, zeta as zeta_k
 
 
-class ChiCharacter:
-    """A residue-factoring character of the symbol group, recorded by the
-    pair of K quasi-characters it induces on the two unit coordinates."""
-
-    __slots__ = ("q", "omega1", "omega2")
-
-    def __init__(self, omega1, omega2):
-        if omega1.q != omega2.q:
-            raise ValueError("mixed residue sizes")
-        self.q = omega1.q
-        self.omega1 = omega1
-        self.omega2 = omega2
-
-
 def _shell_restriction(g, omega, k):
     """A coset function whose plain Haar integral equals the integral of
     g(z) omega(z) over the shell of valuation k."""
@@ -83,10 +69,12 @@ def _shell_zeta(g, omega):
         omega.pi_value, hi)
 
 
-def epsilon2(chi, psi, pi, mu1=Fraction(1), mu2=Fraction(1)):
-    """Product of the two one-variable exponential factors."""
-    return (epsilon_star(chi.omega1, psi, pi, mu1)
-            * epsilon_star(chi.omega2, psi, pi, mu2))
+def epsilon2(omega1, omega2, psi, pi, mu=Fraction(1)):
+    """The exponential factor of the character (omega1, omega2): the
+    product of the two one-variable factors at the measure mu;
+    ValueError("mixed residue sizes") if the two q differ."""
+    return (epsilon_star(omega1, psi, pi, mu)
+            * epsilon_star(omega2, psi, pi, mu))
 
 
 def verify_FE2(pairs, starred_pairs, eps):
@@ -95,12 +83,13 @@ def verify_FE2(pairs, starred_pairs, eps):
 
     pairs holds the normalized factors (Z(f, omega1)/L(omega1),
     Z(g, omega2)/L(omega2)) of each pure summand f (x) g of the tensor
-    under chi = (omega1, omega2), and starred_pairs those of f* (x) g*
-    under chi^-1, in the same order; eps is epsilon2(chi, psi, pi, mu1,
-    mu2) at the tensor's measure normalizations.  The two-variable values
-    are formed from the factors before the two sides are compared, so one
-    equation of two-variable values is decided, not one per variable; a
-    caller computes each factor and eps once for many checks."""
+    under the character (omega1, omega2), and starred_pairs those of
+    f* (x) g* under its inverse, in the same order; eps is
+    epsilon2(omega1, omega2, psi, pi, mu) at the tensor's measure mu.
+    The two-variable values are formed from the factors before the two
+    sides are compared, so one equation of two-variable values is
+    decided, not one per variable; a caller computes each factor and eps
+    once for many checks."""
     if not pairs:
         return True
     lhs = sum(a * b for a, b in starred_pairs).subst_dual()

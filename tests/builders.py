@@ -78,7 +78,7 @@ def parse_sb(q, text, mu=Fraction(1)):
     the ring of integers, "u^k*O" the ideal pi^k O."""
     text = text.strip()
     if text in ("0", ""):
-        return SBFunction.zero(q, mu)
+        return SBFunction(q, (), mu)
     terms = []
     pat = re.compile(r"([+-])?\s*([^+\-\[\]]*)\[([^\]]*)\]")
     spans = list(pat.finditer(text))
@@ -134,12 +134,11 @@ def from_fraction(q, num_coeffs, den_coeffs, x_exp=0):
     return ZetaValue(q, {x_exp: (mk(num_coeffs), mk(den_coeffs))})
 
 
-def fe2_factors(pairs, chi, psi, pi):
+def fe2_factors(pairs, w1, w2, psi, pi):
     """The factor lists of zeta2d.verify_FE2 for the sum of the pure
-    tensors f (x) g of pairs under chi = (omega1, omega2): the normalized
-    one-variable zetas of each f (x) g under chi, and of f* (x) g*, both
-    stars for psi and pi, under chi^-1."""
-    w1, w2 = chi.omega1, chi.omega2
+    tensors f (x) g of pairs under the character (w1, w2): the normalized
+    one-variable zetas of each f (x) g under it, and of f* (x) g*, both
+    stars for psi and pi, under its inverse."""
     v1, v2 = w1.inverse(), w2.inverse()
     return ([(z_normalized(f, w1), z_normalized(g, w2)) for f, g in pairs],
             [(z_normalized(f.star(psi, pi), v1),

@@ -10,7 +10,7 @@ import pytest
 
 from liftzeta.archfe import (
     fe_product_check, gamma_zeta_closed_form, gaussian, gaussian_nabla,
-    star_numeric, zeta_numeric,
+    gaussian_star, star_numeric, zeta_numeric,
 )
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import (
@@ -26,7 +26,7 @@ from liftzeta.setring import DddSet, KCosetFamily
 from liftzeta.zeta1d import (
     double_star_invariance, epsilon_star, rho0, z_normalized, zeta,
 )
-from liftzeta.zeta2d import ChiCharacter, epsilon2, zeta_rho2
+from liftzeta.zeta2d import epsilon2, zeta_rho2
 from builders import lift_finite
 from setoracle import (
     IntervalFamily, atoms, probe_points, rand_coset, rand_expr, rand_interval,
@@ -329,18 +329,17 @@ class TestTwoVariableFunctionalEquation:
             if om1.r == 0:
                 continue
             r = om1.r
-            chi = ChiCharacter(om1, QuasiCharacter.trivial(q))
             k1 = -((d - r) // 2)
             k0 = -(-d // 2)
             delta = 1 if (d - r) % 2 == 0 else Fraction(1, q)
             want = ZetaValue.monomial(
                 q,
                 CycRat.from_rational(Fraction(q) ** (2 * (k1 - k0)))
-                * chi.omega1.pi_value ** k1 * CycRat.sqrt_q(q, -r)
+                * om1.pi_value ** k1 * CycRat.sqrt_q(q, -r)
                 * CycRat.from_rational(delta)
                 * rho0(om1.inverse(), psi, pi),
                 t_exp=k1 - k0)
-            assert epsilon2(chi, psi, pi) == want
+            assert epsilon2(om1, QuasiCharacter.trivial(q), psi, pi) == want
 
 
 class TestBoundaryLiftingIdentity:
@@ -387,17 +386,16 @@ class TestSetRingRandomized:
 
 class TestArchimedean:
     def test_gaussian_star_on_grid(self):
-        g = gaussian()
         for k in range(20):
             y = -2.0 + 0.2 * k
-            assert abs(star_numeric(g, y) - g.star_closed_form(y)) < 1e-6
+            assert abs(star_numeric(gaussian, y) - gaussian_star(y)) < 1e-6
 
     @pytest.mark.parametrize("s", [2, 4, 6])
     def test_gamma_closed_form(self, s):
-        got = zeta_numeric(gaussian_nabla(), 1, s)
+        got = zeta_numeric(gaussian_nabla, 1, s)
         assert abs(got - gamma_zeta_closed_form(s)) < 1e-8
 
     @pytest.mark.parametrize("s", [1, 1 + 0.3j])
     def test_product_functional_equation(self, s):
-        assert fe_product_check(gaussian_nabla(), gaussian(), 1, s,
-                                tol=1e-6)
+        assert fe_product_check(gaussian_nabla, gaussian_nabla, gaussian,
+                                gaussian_star, s, tol=1e-6)

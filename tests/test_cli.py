@@ -267,6 +267,11 @@ class TestVerify:
         assert len({tuple(map(id, args)) for args in table_inputs}) == \
             len(table_inputs) == tables
 
+    def test_fe2_passes_at_a_measure_other_than_one(self):
+        cfg = build_parser().parse_args(["verify", "--q", "3", "--mu", "5/4"])
+        cases = cli.suite_fe2(cfg)
+        assert cases and all(case[3] for case in cases)
+
     def test_closed_form_reads_the_character_at_the_stars_pi(self):
         # omega(pi) is omega's pi_value only at pi = u; the suite's pi is
         # u, so no report sees another pi

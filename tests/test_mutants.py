@@ -161,6 +161,9 @@ CHECKS = {
                    "test_closed_form_over_d_mu_and_pi_with_stars_kept"),
     "test_zeta2d-test_direct_path_agrees": named_test(
         test_zeta2d.TestZeta2, "test_direct_path_agrees"),
+    "test_zeta2d-test_product_of_the_one_variable_factors_at_mu": named_test(
+        test_zeta2d.TestEpsilon2,
+        "test_product_of_the_one_variable_factors_at_mu"),
     "test_exactnum-test_value_has_the_image_of_its_tree": named_test(
         test_exactnum.TestModularImage, "test_value_has_the_image_of_its_tree"),
     "test_exactnum-test_ring_laws_agree_with_images": named_test(
@@ -259,6 +262,14 @@ MUTANTS = [
      "t * b", "t * a", "verify-q2-zeta1d-epsilon-rmax3"),
     ("shell-tail-one-shell-late", zeta2d, "_shell_zeta",
      "omega.pi_value, hi)", "omega.pi_value, hi + 1)", "verify-q2-rho2"),
+    # the window opens at the shallowest level, not the least valuation
+    ("shell-window-opens-at-the-level", zeta2d, "_shell_zeta",
+     "lo = min(lo, atom.valuation())", "lo = min(lo, atom.level)",
+     "test_zeta2d-test_direct_path_agrees"),
+    # verify-q2-FE2 runs at mu = 1, where the slip does not show
+    ("epsilon2-second-factor-at-unit-measure", zeta2d, "epsilon2",
+     "epsilon_star(omega2, psi, pi, mu)", "epsilon_star(omega2, psi, pi)",
+     "test_zeta2d-test_product_of_the_one_variable_factors_at_mu"),
     ("ptrim-keeps-a-last-zero", exactnum, "_ptrim",
      "while n and not p[n - 1]:", "while n > 1 and not p[n - 1]:",
      "test_exactnum-test_inverse"),
@@ -273,6 +284,9 @@ MUTANTS = [
     ("fadd-adds-over-denominators-of-one-length", exactnum, "_fadd",
      "if d1 == d2:", "if len(d1) == len(d2):",
      "test_exactnum-test_value_has_the_image_of_its_tree"),
+    ("zeta-inverse-keeps-num-over-den", ZetaValue, "inverse",
+     "{-g: (d, n)}", "{-g: (n, d)}",
+     "test_exactnum-test_inverse_cancellation"),
     ("eq-cross-multiplies-the-wrong-way", ZetaValue, "__eq__",
      "_pmul(n1, d2, z) == _pmul(n2, d1, z)",
      "_pmul(n1, d1, z) == _pmul(n2, d2, z)",
@@ -291,6 +305,14 @@ MUTANTS = [
     ("coset-count-drops-inner-pairs", lift2d, "_coset_counts",
      "+ sum(n(a, b) for a in I1 for b in I2)", "",
      "test_lift2d-test_coset_counts_match_the_measure_oracle"),
+    # B's residue set moved by -c into A's coordinates
+    ("same-level-shift-read-backwards", DistinguishedFamily, "relation",
+     "c = hi.a.coeff(g) - lo.a.coeff(g)", "c = lo.a.coeff(g) - hi.a.coeff(g)",
+     "test_lift2d-test_additivity_and_membership_on_random_pairs"),
+    # the measure mu q^-L of a level-L coset taken as mu q^L
+    ("measure-scaled-by-q-to-the-plus-L", lift2d, "measure_F",
+     "mu.numerator * q ** max(-L, 0)", "mu.numerator * q ** max(L, 0)",
+     "verify-q2-measure"),
     ("bases-compared-at-the-level-of-A", DistinguishedFamily, "relation",
      "g = lo.gamma", "g = A.gamma", "test_lift2d-test_relation_is_mirrored"),
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
@@ -329,7 +351,7 @@ MUTANTS = [
 
 
 def test_clear_caches_empties_the_quadrature_node_table():
-    archfe.zeta_numeric(archfe.gaussian_nabla(), 1, 2)
+    archfe.zeta_numeric(archfe.gaussian_nabla, 1, 2)
     assert archfe._nodes.cache_info().currsize
     clear_caches()
     assert not archfe._nodes.cache_info().currsize

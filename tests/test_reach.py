@@ -19,8 +19,10 @@ only other inputs or the benchmark reach.
 
 Every (module, attribute path) that bench/tracing.py wraps must resolve
 in liftzeta, so that a rename shows here and not first in a traced
-benchmark run.  TARGETS is read from the file's syntax tree, since the
-tracer itself imports numpy.
+benchmark run, and must run under the same reports or be pinned in
+UNRUN, dunders included, so that no traced metric reads zero because
+the reports stopped calling its function.  TARGETS is read from the
+file's syntax tree, since the tracer itself imports numpy.
 
 Every name that a module of src/liftzeta or tests/ imports must be read
 in that module, as a plain name or the root of an attribute chain.  Every
@@ -34,6 +36,8 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import liftzeta
 from builders import clear_caches
@@ -59,7 +63,6 @@ UNRUN = {
     "lift2d.DistinguishedFamily.join": "overlapping inners of one carve",
     "schwartz.SBFunction.twisted": "integrate of a term twisted at its "
                                    "level; no report input has a twist",
-    "schwartz.SBFunction.zero": "scale(0); no report scales by zero",
     "lift2d.LiftedFn.scale": "-f and f - g; no report negates a lift",
 }
 
@@ -113,9 +116,13 @@ def run_reports(out_dir):
     return seen
 
 
-def test_public_functions_run_under_the_reports_or_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def seen(tmp_path_factory):
+    return run_reports(tmp_path_factory.mktemp("reports"))
+
+
+def test_public_functions_run_under_the_reports_or_are_pinned(seen):
     public = public_functions()
-    seen = run_reports(tmp_path)
     unrun = {name for code, name in public.items() if code not in seen}
     assert unrun <= set(UNRUN), sorted(unrun - set(UNRUN))
 
@@ -187,15 +194,25 @@ def tracer_targets():
     return names["TARGETS"]
 
 
-def test_every_tracer_target_resolves():
-    targets = tracer_targets()
-    assert "verify_FE2" in dict(targets["zeta2d"])
-    missing = []
-    for module, spans in targets.items():
+def resolved_targets():
+    """"module.path" -> the object TARGETS names there, or None."""
+    out = {}
+    for module, spans in tracer_targets().items():
         for path, _ in spans:
             obj = importlib.import_module("liftzeta." + module)
             for attr in path.split("."):
                 obj = getattr(obj, attr, None)
-            if obj is None:
-                missing.append("%s.%s" % (module, path))
+            out["%s.%s" % (module, path)] = obj
+    return out
+
+
+def test_every_tracer_target_resolves():
+    assert "verify_FE2" in dict(tracer_targets()["zeta2d"])
+    missing = [name for name, obj in resolved_targets().items() if obj is None]
     assert not missing, missing
+
+
+def test_every_tracer_target_runs_under_the_reports_or_is_pinned(seen):
+    unrun = {name for name, obj in resolved_targets().items()
+             if _code(obj) not in seen}
+    assert unrun <= set(UNRUN), sorted(unrun - set(UNRUN))

@@ -90,7 +90,7 @@ def twisted_sum(q, terms, psi):
     """The normal form of the sum over (atom, b, coeff) in terms of
     coeff * psi(b x) * Char(atom), each twisted term bound to psi by
     twisted(b, psi)."""
-    total = SBFunction.zero(q)
+    total = SBFunction(q)
     for atom, b, coeff in terms:
         g = SBFunction(q, [(atom, coeff)])
         total = total + (g if b is None else g.twisted(b, psi))
@@ -327,7 +327,7 @@ class TestFourier:
 
     def test_zero(self):
         psi = AdditiveCharacter(3, 0)
-        assert not SBFunction.zero(3).fourier(psi).terms
+        assert not SBFunction(3).fourier(psi).terms
 
     def test_linearity(self):
         q = 2

@@ -495,7 +495,7 @@ class TestIdentityA:
 
     def test_zero_function(self):
         q = 2
-        f, psi = SBFunction.zero(q), AdditiveCharacter(q, 0)
+        f, psi = SBFunction(q), AdditiveCharacter(q, 0)
         assert check_identity_A(f, QuasiCharacter.trivial(q), psi,
                                 double_star(f, psi))
 
@@ -583,7 +583,7 @@ class TestTensor:
     def test_zero_tensor(self):
         q = 3
         triv = QuasiCharacter.trivial(q)
-        zero = z_normalized(SBFunction.zero(q), triv)
+        zero = z_normalized(SBFunction(q), triv)
         assert zero.is_zero()
         assert (zero * z_normalized(SBFunction.char_ideal(q, 0), triv)
                 ).is_zero()

@@ -10,8 +10,10 @@ from liftzeta.localfield import (
     enumerate_characters,
 )
 from liftzeta.schwartz import SBFunction
-from liftzeta.zeta1d import l_function, rho0, z_normalized, _delta_parity
-from liftzeta.zeta2d import ChiCharacter, epsilon2, verify_FE2, zeta_rho2
+from liftzeta.zeta1d import (
+    epsilon_star, l_function, rho0, z_normalized, _delta_parity,
+)
+from liftzeta.zeta2d import epsilon2, verify_FE2, zeta_rho2
 from builders import fe2_factors
 
 
@@ -29,24 +31,22 @@ def one(q):
     return ZetaValue.constant(q, 1)
 
 
-def zeta2_direct(pairs, chi):
+def zeta2_direct(pairs, w1, w2):
     """The two-variable zeta of the sum of the pure tensors f (x) g of
-    pairs as the sum of the products of the two shell decompositions of
-    each summand; an independent path used as an oracle for the factors
-    verify_FE2 multiplies.  _shell_zeta is read through its module, so
-    that a patched one is seen."""
-    total = ZetaValue.zero(chi.q)
+    pairs under the character (w1, w2) as the sum of the products of the
+    two shell decompositions of each summand; an independent path used
+    as an oracle for the factors verify_FE2 multiplies.  _shell_zeta is
+    read through its module, so that a patched one is seen."""
+    total = ZetaValue.zero(w1.q)
     for f, g in pairs:
-        total = total + zeta2d._shell_zeta(f, chi.omega1) * zeta2d._shell_zeta(
-            g, chi.omega2)
+        total = total + zeta2d._shell_zeta(f, w1) * zeta2d._shell_zeta(g, w2)
     return total
 
 
-def normalized_value(pairs, chi):
+def normalized_value(pairs, w1, w2):
     """The sum of the products of the normalized one-variable factors,
     as verify_FE2 forms it."""
-    return sum(z_normalized(f, chi.omega1) * z_normalized(g, chi.omega2)
-               for f, g in pairs)
+    return sum(z_normalized(f, w1) * z_normalized(g, w2) for f, g in pairs)
 
 
 def t_mon(q, c=1, k=1):
@@ -56,21 +56,21 @@ def t_mon(q, c=1, k=1):
 class TestZeta2:
     def test_char_o_squared_trivial_chi(self):
         q = 3
-        chi = ChiCharacter(trivial(q), trivial(q))
+        chi = trivial(q), trivial(q)
         f = SBFunction.char_ideal(q, 0)
         base = ZetaValue.constant(q, Fraction(q - 1, q)) * (
             one(q) - t_mon(q)).inverse()
-        assert zeta2_direct([(f, f)], chi) == base * base
+        assert zeta2_direct([(f, f)], *chi) == base * base
         # the L-factors cancel the poles: mu(units)^2 is left
-        assert normalized_value([(f, f)], chi) == ZetaValue.constant(
+        assert normalized_value([(f, f)], *chi) == ZetaValue.constant(
             q, Fraction(q - 1, q) ** 2)
 
     def test_zero_function(self):
         q = 3
-        chi = ChiCharacter(trivial(q), trivial(q))
-        pairs = [(SBFunction.zero(q), SBFunction.char_ideal(q, 0))]
-        assert zeta2_direct(pairs, chi).is_zero()
-        assert normalized_value(pairs, chi).is_zero()
+        chi = trivial(q), trivial(q)
+        pairs = [(SBFunction(q), SBFunction.char_ideal(q, 0))]
+        assert zeta2_direct(pairs, *chi).is_zero()
+        assert normalized_value(pairs, *chi).is_zero()
 
     def test_direct_path_agrees(self):
         # the product of the normalized one-variable factors equals the
@@ -85,17 +85,16 @@ class TestZeta2:
                                        for k in (-1, 0)}),
                        rng.randrange(-1, 2)), rng.choice([1, 2, -1]))
 
-        def agrees(pairs, chi):
-            want = zeta2_direct(pairs, chi) / (
-                l_function(chi.omega1) * l_function(chi.omega2))
-            return normalized_value(pairs, chi) == want
+        def agrees(pairs, w1, w2):
+            want = zeta2_direct(pairs, w1, w2) / (
+                l_function(w1) * l_function(w2))
+            return normalized_value(pairs, w1, w2) == want
 
         for _ in range(25):
             pairs = [(rnd(), rnd())]
             if rng.random() < 0.5:
                 pairs.append((rnd(), rnd()))
-            chi = ChiCharacter(rng.choice(chars), rng.choice(chars))
-            assert agrees(pairs, chi)
+            assert agrees(pairs, rng.choice(chars), rng.choice(chars))
 
 
 class TestEpsilon2:
@@ -103,8 +102,30 @@ class TestEpsilon2:
         q = 3
         psi = AdditiveCharacter(q, 0)
         pi = KElement.uniformizer(q)
-        chi = ChiCharacter(trivial(q), trivial(q))
-        assert epsilon2(chi, psi, pi) == one(q)
+        assert epsilon2(trivial(q), trivial(q), psi, pi) == one(q)
+
+    def test_mixed_residue_sizes_rejected(self):
+        psi, pi = AdditiveCharacter(3, 0), KElement.uniformizer(3)
+        with pytest.raises(ValueError, match="mixed residue sizes"):
+            epsilon2(trivial(3), trivial(5), psi, pi)
+
+    def test_product_of_the_one_variable_factors_at_mu(self):
+        # takes no fixtures: tests/test_mutants.py runs it as a named
+        # check, and epsilon2 is read through its module, so that a
+        # patched one is seen.  Each factor is linear in the measure, so
+        # the product is mu^2 times the product at mu = 1
+        q, mu = 3, Fraction(5, 4)
+        pi = KElement.uniformizer(q)
+        chars = all_chars(q, 1, CycRat.root_of_unity(4))
+        for d in (0, 1):
+            psi = AdditiveCharacter(q, d)
+            for om1 in chars:
+                for om2 in chars[:2]:
+                    eps = zeta2d.epsilon2(om1, om2, psi, pi, mu)
+                    assert eps == epsilon_star(om1, psi, pi, mu) * \
+                        epsilon_star(om2, psi, pi, mu)
+                    assert eps == ZetaValue.constant(q, mu * mu) * \
+                        zeta2d.epsilon2(om1, om2, psi, pi)
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_ramified_unramified_closed_form(self, d):
@@ -115,17 +136,16 @@ class TestEpsilon2:
             if om1.r == 0:
                 continue
             r = om1.r
-            chi = ChiCharacter(om1, trivial(q))
             k1 = -((d - r) // 2)
             k0 = -(-d // 2)
             want = ZetaValue.monomial(
                 q,
                 CycRat.from_rational(Fraction(q) ** (2 * (k1 - k0)))
-                * chi.omega1.pi_value ** k1 * CycRat.sqrt_q(q, -r)
+                * om1.pi_value ** k1 * CycRat.sqrt_q(q, -r)
                 * CycRat.from_rational(_delta_parity(q, d - r))
                 * rho0(om1.inverse(), psi, pi),
                 t_exp=k1 - k0)
-            assert epsilon2(chi, psi, pi) == want
+            assert epsilon2(om1, trivial(q), psi, pi) == want
 
     def test_exponential_type(self):
         q = 3
@@ -134,7 +154,7 @@ class TestEpsilon2:
         chars = all_chars(q, 1, CycRat.root_of_unity(4))
         for om1 in chars:
             for om2 in chars:
-                eps = epsilon2(ChiCharacter(om1, om2), psi, pi)
+                eps = epsilon2(om1, om2, psi, pi)
                 assert eps.is_exponential_type() is not None
 
     def test_product_identity(self):
@@ -147,9 +167,8 @@ class TestEpsilon2:
         chars = all_chars(q, 1, CycRat.root_of_unity(4))
         for om1 in chars:
             for om2 in chars[:2]:
-                chi = ChiCharacter(om1, om2)
-                a = epsilon2(chi, psi, pi)
-                b = epsilon2(ChiCharacter(om1.inverse(), om2.inverse()),
+                a = epsilon2(om1, om2, psi, pi)
+                b = epsilon2(om1.inverse(), om2.inverse(),
                              psi, pi).subst_dual()
                 c = CycRat.from_rational(Fraction(q) ** (-d))
                 want = ZetaValue.constant(
@@ -179,42 +198,41 @@ class TestFE2:
         pairs += [(basis[-1], basis[1]), (basis[2], basis[-1])]
         for om1 in chars:
             for om2 in chars[:2]:
-                chi = ChiCharacter(om1, om2)
-                eps = epsilon2(chi, psi, pi)
+                eps = epsilon2(om1, om2, psi, pi)
                 for pair in pairs:
-                    assert verify_FE2(*fe2_factors([pair], chi, psi, pi), eps)
+                    assert verify_FE2(
+                        *fe2_factors([pair], om1, om2, psi, pi), eps)
 
     def test_sums_of_tensors(self):
         q = 3
         psi = AdditiveCharacter(q, 1)
         pi = KElement.uniformizer(q)
-        chi = ChiCharacter(trivial(q, CycRat.root_of_unity(4)), trivial(q))
+        chi = trivial(q, CycRat.root_of_unity(4)), trivial(q)
         pairs = [(SBFunction.char_ideal(q, 0),
                   SBFunction.char(KCoset(q, KElement.one(q), 1))),
                  (SBFunction.char_ideal(q, 1, -2),
                   SBFunction.char_ideal(q, 0))]
-        assert verify_FE2(*fe2_factors(pairs, chi, psi, pi),
-                          epsilon2(chi, psi, pi))
+        assert verify_FE2(*fe2_factors(pairs, *chi, psi, pi),
+                          epsilon2(*chi, psi, pi))
 
     def test_empty_tensor(self):
         q = 3
         psi = AdditiveCharacter(q, 0)
-        chi = ChiCharacter(trivial(q), trivial(q))
         pi = KElement.uniformizer(q)
-        assert verify_FE2([], [], epsilon2(chi, psi, pi))
+        assert verify_FE2([], [], epsilon2(trivial(q), trivial(q), psi, pi))
 
     def test_mixed_measures_rejected(self):
         # the factors carry no measure, and eps is linear in mu: a summand
         # at mu = 2 under the eps of mu = 1 breaks the equation
         q = 3
         psi, pi = AdditiveCharacter(q, 0), KElement.uniformizer(q)
-        chi = ChiCharacter(trivial(q), trivial(q))
+        chi = trivial(q), trivial(q)
         pairs = [(SBFunction.char_ideal(q, 0), SBFunction.char_ideal(q, 0)),
                  (SBFunction.char_ideal(q, 0, 1, Fraction(2)),
                   SBFunction.char_ideal(q, 0))]
-        eps = epsilon2(chi, psi, pi)
-        assert verify_FE2(*fe2_factors(pairs[:1], chi, psi, pi), eps)
-        assert not verify_FE2(*fe2_factors(pairs, chi, psi, pi), eps)
+        eps = epsilon2(*chi, psi, pi)
+        assert verify_FE2(*fe2_factors(pairs[:1], *chi, psi, pi), eps)
+        assert not verify_FE2(*fe2_factors(pairs, *chi, psi, pi), eps)
 
 
 class TestZetaRho2:
@@ -224,7 +242,7 @@ class TestZetaRho2:
         gs = [SBFunction.char_ideal(q, 0),
               SBFunction.char_ideal(q, 0) - SBFunction.char_ideal(q, 1),
               SBFunction.char(KCoset(q, KElement.one(q), 1)),
-              SBFunction.zero(q)]
+              SBFunction(q)]
         oms = [trivial(q), trivial(q, z)] + all_chars(q, 1, z)
         for g in gs:
             for om in oms:
