@@ -502,7 +502,11 @@ class ZetaValue:
     canonical one: zero is decided by an empty map, and two values are
     equal when they have the same X-support and n1 d2 == n2 d1 at each
     X-exponent.  The hash reads only the
-    X-support, so it does not depend on the representation.
+    X-support, so it does not depend on the representation.  The settled
+    form is an invariant the arithmetic trusts: ``__init__`` settles
+    every fraction it is given, and ``_settled``, the only entry that
+    skips ``_settle``, stores fractions already settled and nonzero as
+    they are.
 
     ``terms`` is the reduced view, built by the polynomial gcd on first
     read and cached: lowest terms, lowest nonzero denominator coefficient
@@ -520,6 +524,12 @@ class ZetaValue:
                 fr[g] = (num, den)
         self._fr = fr
         self._terms = None
+
+    @classmethod
+    def _settled(cls, q, fr):
+        v = cls.__new__(cls)
+        v.q, v._fr, v._terms = q, fr, None
+        return v
 
     @property
     def terms(self):
@@ -553,7 +563,7 @@ class ZetaValue:
     def constant(cls, q, c):
         if not isinstance(c, CycRat):
             c = CycRat.from_rational(c)
-        return cls(q, {0: ((c,), (cyc_one(),))})
+        return cls._settled(q, {0: ((c,), (cyc_one(),))} if c else {})
 
     @classmethod
     def monomial(cls, q, c, t_exp=0, x_exp=0):
@@ -598,16 +608,22 @@ class ZetaValue:
     def sum_scaled(cls, q, parts):
         """The sum of c * v * X^k over the (v, c, k) in parts, v a
         ZetaValue and c a CycRat; the fractions are added per X exponent
-        and settled once, and a zero c adds nothing."""
-        acc = {}
+        and settled once where two met, and a zero c adds nothing."""
+        acc, merged = {}, set()
         for v, c, k in parts:
             if not c:
                 continue
             for g, (n, d) in v._fr.items():
                 f = tuple([x * c for x in n]), d
                 g += k
-                acc[g] = _fadd(acc[g], f) if g in acc else f
-        return cls(q, acc)
+                if g in acc:
+                    acc[g] = _fadd(acc[g], f)
+                    merged.add(g)
+                else:
+                    acc[g] = f
+        for g in merged:
+            acc[g] = _settle(*acc[g])
+        return cls._settled(q, {g: f for g, f in acc.items() if f[0]})
 
     # -- predicates -----------------------------------------------------------
     def is_zero(self):
@@ -629,14 +645,15 @@ class ZetaValue:
             return NotImplemented
         out = dict(self._fr)
         for g, f in o._fr.items():
-            out[g] = _fadd(out[g], f) if g in out else f
-        return ZetaValue(self.q, out)
+            out[g] = _settle(*_fadd(out[g], f)) if g in out else f
+        return ZetaValue._settled(self.q,
+                                  {g: f for g, f in out.items() if f[0]})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ZetaValue(self.q, {g: (tuple(-c for c in n), d)
-                                  for g, (n, d) in self._fr.items()})
+        return ZetaValue._settled(self.q, {g: (tuple(-c for c in n), d)
+                                           for g, (n, d) in self._fr.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -390,6 +390,8 @@ class DistinguishedFamily:
         """Sets at different levels are disjoint or the one at the lower
         level contains the other; at one level the residue sets decide,
         B's moved into A's coordinates."""
+        if A is B:
+            return "equal", None
         lo, hi = (A, B) if A.gamma <= B.gamma else (B, A)
         g = lo.gamma
         if _below(lo.a, g) != _below(hi.a, g):
@@ -470,8 +472,9 @@ def measure_F(W, family):
         counts[A.gamma] = counts.get(A.gamma, 0) + s * _coset_size(q, A.S, L)
     mu = family.kfam.mu  # mu q^-L as num/den
     num, den = mu.numerator * q ** max(-L, 0), mu.denominator * q ** max(L, 0)
-    return ZetaValue(q, {g: ((CycRat.from_rational(Fraction(num * n, den)),),
-                             (cyc_one(),)) for g, n in counts.items() if n})
+    return ZetaValue._settled(q, {
+        g: ((CycRat.from_rational(Fraction(num * n, den)),), (cyc_one(),))
+        for g, n in counts.items() if n})
 
 
 # -- multiplicative theory ------------------------------------------------------

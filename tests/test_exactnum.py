@@ -324,6 +324,11 @@ class TestZetaValue:
         t = ZetaValue.monomial(self.q, 1, t_exp=1)
         assert t + t == ZetaValue.monomial(self.q, 2, t_exp=1)
         assert (t - t).is_zero()
+        # the X^1 that only x has cancels and is dropped
+        x = ZetaValue.monomial(self.q, 1, x_exp=1)
+        one = CycRat.from_rational(1)
+        assert (t + x) - x == t == ZetaValue.sum_scaled(
+            self.q, [(x, one, 0), (t, one, 0), (x, -one, 0)])
 
     def test_subst_dual_on_t(self):
         t = ZetaValue.monomial(self.q, 1, t_exp=1)
@@ -590,3 +595,49 @@ class TestModularImage:
         pts = modoracle.points(9)
         for a, b, got in verdicts:
             assert got == modoracle.same_image(a, b, pts), (str(a), str(b))
+
+
+# a zero among the scalars, so that sum_scaled and constant see one
+SCALARS = NONZERO + [CycRat.from_rational(0)]
+ONE = CycRat.from_rational(1)
+
+
+@st.composite
+def laurent_leaves(draw):
+    # over c T^k, k >= 1, at X^0: two of them with different k, or whose
+    # constant terms cancel, add to a fraction that must be settled
+    c = st.sampled_from(NONZERO)
+    k = draw(st.integers(1, 2))
+    return ("leaf", tuple(draw(st.lists(c, min_size=1, max_size=3))),
+            (0,) * k + (draw(c),), 0)
+
+
+class TestSettledForm:
+    @given(st.lists(st.one_of(laurent_leaves(), leaves()), min_size=2,
+                    max_size=4), st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=OWN_INSTANCE)
+    def test_arithmetic_keeps_every_fraction_settled(self, leaf_trees, data):
+        # +, -, unary -, sum_scaled and constant store settled fractions
+        # only, so settling them again changes nothing, and what cancels
+        # is gone: a zero sum is_zero, and u + v - u keeps no exponent
+        # that only u had; one of the values joins the pool
+        pool = [build(t) for t in leaf_trees]
+        for _ in range(data.draw(st.integers(1, 6))):
+            pick = st.sampled_from(tuple(pool))
+            u, v = data.draw(pick), data.draw(pick)
+            c = data.draw(st.sampled_from(NONZERO))
+            for zero in (u - u, u + -u, ZetaValue.sum_scaled(
+                    Q, [(u, c, 1), (u, -c, 1)])):
+                assert zero.is_zero()
+            kept = ZetaValue.sum_scaled(Q, [(u, c, 0), (v, ONE, 0),
+                                            (u, -c, 0)])
+            assert kept == v and (u + v) - u == v
+            built = [u + v, u - v, -u, kept, ZetaValue.constant(
+                Q, data.draw(st.sampled_from(SCALARS))),
+                ZetaValue.sum_scaled(Q, data.draw(st.lists(st.tuples(
+                    pick, st.sampled_from(SCALARS), st.integers(-1, 1)),
+                    max_size=4)))]
+            for w in built:
+                assert ZetaValue(Q, w._fr)._fr == w._fr
+            pool.append(data.draw(st.sampled_from(built)))

@@ -560,6 +560,40 @@ class TestDistinguishedSets:
             assert not DddSet.atom(self.fam, E).difference(
                 DddSet.atom(self.fam, other)).components
 
+    def test_a_set_against_itself_is_equal(self):
+        # relation(A, A) answers as for a separately built copy of A: a
+        # null set, an empty residue set and random sets
+        q = self.q
+
+        def sets():
+            rng = random.Random(13)
+            return [DistinguishedSetF.null_ideal(q, 1, fe(q, "u*t^-1")),
+                    DistinguishedSetF(q, FElement.zero(q), 0,
+                                      empty_residue_set(self.fam.kfam)),
+                    *(self.rand_atom(rng) for _ in range(30))]
+        for A, A2 in zip(sets(), sets()):
+            assert self.fam.relation(A, A) == self.fam.relation(A, A2) == (
+                "equal", None)
+
+    def test_overlap_meet_at_the_base_of_A(self):
+        # A = 0 + t^0 rho^-1([0 + pi O] u [1 + pi O]) and B the same set
+        # at a = 1 overlap in rho^-1(1 + pi O), of measure 1/3; the meet
+        # lies at A's base, where the residue sets were compared
+        q = self.q
+        cosets = [KCoset(q, KElement.constant(q, c), 1) for c in (0, 1)]
+        A = self.dset(FElement.zero(q), 0, cosets)
+        B = self.dset(fe(q, "1"), 0, cosets)
+        assert self.fam.relation(A, B)[0] == "overlap"
+        x, y = DddSet.atom(self.fam, A), DddSet.atom(self.fam, B)
+        meet = x.intersection(y)
+        assert measure_F(meet, self.fam) == ZetaValue.constant(
+            q, Fraction(1, 3))
+        for p in probe_points([A, B]):
+            inx, iny = A.contains(p), B.contains(p)
+            assert meet.contains(p) == (inx and iny)
+            assert x.difference(y).contains(p) == (inx and not iny)
+            assert y.difference(x).contains(p) == (iny and not inx)
+
     def test_same_level_relations_match_membership(self):
         q, kfam = self.q, self.fam.kfam
         rng = random.Random(11)

@@ -131,6 +131,8 @@ CHECKS = {
         test_exactnum.TestCycRat, "test_sqrt_q_lies_in_the_field"),
     "test_exactnum-test_inverse": named_test(
         test_exactnum.TestCycRat, "test_inverse"),
+    "test_exactnum-test_add": named_test(
+        test_exactnum.TestZetaValue, "test_add"),
     "test_exactnum-test_inverse_cancellation": named_test(
         test_exactnum.TestZetaValue, "test_inverse_cancellation"),
     "test_exactnum-test_exponential_type": named_test(
@@ -156,11 +158,16 @@ CHECKS = {
     "test_lift2d-test_random_expression_membership": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_random_expression_membership"),
+    "test_lift2d-test_overlap_meet_at_the_base_of_A": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_overlap_meet_at_the_base_of_A"),
     "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept":
         named_test(test_zeta1d.TestEpsilonStar,
                    "test_closed_form_over_d_mu_and_pi_with_stars_kept"),
     "test_zeta2d-test_direct_path_agrees": named_test(
         test_zeta2d.TestZeta2, "test_direct_path_agrees"),
+    "test_zeta2d-test_identity_on_examples": named_test(
+        test_zeta2d.TestZetaRho2, "test_identity_on_examples"),
     "test_zeta2d-test_product_of_the_one_variable_factors_at_mu": named_test(
         test_zeta2d.TestEpsilon2,
         "test_product_of_the_one_variable_factors_at_mu"),
@@ -266,6 +273,10 @@ MUTANTS = [
     ("shell-window-opens-at-the-level", zeta2d, "_shell_zeta",
      "lo = min(lo, atom.valuation())", "lo = min(lo, atom.level)",
      "test_zeta2d-test_direct_path_agrees"),
+    # every rho2 input of level at most 1 hides the window's end
+    ("shell-window-one-level-short", zeta2d, "_shell_zeta",
+     "hi = max(hi, atom.level)", "hi = max(hi, atom.level - 1)",
+     "test_zeta2d-test_identity_on_examples"),
     # verify-q2-FE2 runs at mu = 1, where the slip does not show
     ("epsilon2-second-factor-at-unit-measure", zeta2d, "epsilon2",
      "epsilon_star(omega2, psi, pi, mu)", "epsilon_star(omega2, psi, pi)",
@@ -281,6 +292,9 @@ MUTANTS = [
     ("pdivmod-adds-the-multiple", exactnum, "_pdivmod",
      "r[k + i] -= c * d[i]", "r[k + i] += c * d[i]",
      "test_exactnum-test_inverse"),
+    ("add-keeps-a-cancelled-exponent", ZetaValue, "__add__",
+     "for g, f in out.items() if f[0]}", "for g, f in out.items()}",
+     "test_exactnum-test_add"),
     ("fadd-adds-over-denominators-of-one-length", exactnum, "_fadd",
      "if d1 == d2:", "if len(d1) == len(d2):",
      "test_exactnum-test_value_has_the_image_of_its_tree"),
@@ -313,6 +327,10 @@ MUTANTS = [
     ("measure-scaled-by-q-to-the-plus-L", lift2d, "measure_F",
      "mu.numerator * q ** max(-L, 0)", "mu.numerator * q ** max(L, 0)",
      "verify-q2-measure"),
+    ("overlap-meet-at-the-base-of-B", DistinguishedFamily, "relation",
+     "DistinguishedSetF(self.q, A.a, A.gamma, meet)",
+     "DistinguishedSetF(self.q, B.a, B.gamma, meet)",
+     "test_lift2d-test_overlap_meet_at_the_base_of_A"),
     ("bases-compared-at-the-level-of-A", DistinguishedFamily, "relation",
      "g = lo.gamma", "g = A.gamma", "test_lift2d-test_relation_is_mirrored"),
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",

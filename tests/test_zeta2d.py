@@ -242,7 +242,10 @@ class TestZetaRho2:
         gs = [SBFunction.char_ideal(q, 0),
               SBFunction.char_ideal(q, 0) - SBFunction.char_ideal(q, 1),
               SBFunction.char(KCoset(q, KElement.one(q), 1)),
-              SBFunction(q)]
+              SBFunction(q),
+              # level 2, above the initial end of the shell window
+              SBFunction.char_ideal(q, 2),
+              SBFunction.char(KCoset(q, KElement.uniformizer(q), 2))]
         oms = [trivial(q), trivial(q, z)] + all_chars(q, 1, z)
         for g in gs:
             for om in oms:
