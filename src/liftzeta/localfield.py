@@ -302,11 +302,15 @@ def gauss_sum(omega, psi, x, level):
 class QuasiCharacter:
     """omega on K^x: the value at pi (a CycRat) and a table on the units,
     where omega factors through O^x/(1+pi^r O) and each value is a root
-    of unity: unit key -> k mod n, standing for zeta_n^k."""
+    of unity: unit key -> k mod n, standing for zeta_n^k.  r is the exact
+    conductor, so omega is nontrivial on 1 + pi^(r-1) O when r >= 1; the
+    constructor rejects a table presented above it."""
 
     __slots__ = ("q", "r", "n", "unit_table", "pi_value", "label")
 
     def __init__(self, q, r, n, unit_table, pi_value=None, label=""):
+        if r and _at_conductor(q, r, unit_table)[0] < r:
+            raise ValueError("unit table above its conductor")
         self.q = q
         self.r = r
         self.n = n
@@ -342,28 +346,20 @@ class QuasiCharacter:
     def at_minus_one(self):
         return self(KElement.constant(self.q, self.q - 1))
 
-    def exact_conductor(self):
-        """Least r' with the table trivial on (1 + pi^r' O): zero on the
-        keys congruent to 1 mod pi^r'."""
-        one = (1,) + (0,) * self.r
-        for rp in range(self.r + 1):
-            if all(k == 0 for key, k in self.unit_table.items()
-                   if key[:rp] == one[:rp]):
-                return rp
-        return self.r
 
-    def reduced(self):
-        """Same character presented at its exact conductor."""
-        rp = self.exact_conductor()
-        if rp == self.r:
-            return self
-        # read each coset of level rp at its member whose digits rp..r-1
-        # are those of 1 (for rp = 0 the key needs its nonzero digit 0)
-        pad = ((1,) + (0,) * self.r)[rp:self.r]
-        table = {key: self.unit_table[key + pad]
-                 for key in _unit_keys(self.q, rp)}
-        return QuasiCharacter(self.q, rp, self.n, table, self.pi_value,
-                              self.label)
+def _at_conductor(q, r, table):
+    """The exact conductor of a unit table of level r, the least r' with
+    the table zero on the keys congruent to 1 mod pi^r', and the table at
+    level r' (the table itself when r' = r)."""
+    one = (1,) + (0,) * r
+    for rp in range(r + 1):
+        if all(k == 0 for key, k in table.items() if key[:rp] == one[:rp]):
+            break
+    if rp == r:
+        return r, table
+    # read each coset of level rp at its member whose digits rp..r-1 are
+    # those of 1 (for rp = 0 the key needs its nonzero digit 0)
+    return rp, {key: table[key + one[rp:r]] for key in _unit_keys(q, rp)}
 
 
 def enumerate_characters(q, r):
@@ -424,6 +420,7 @@ def enumerate_characters(q, r):
                           for o, t, e in zip(orders, cexps, exps)) % n
                  for key, exps in key_to_exps.items()}
         label = "chi" + "".join("_%d" % t for t in cexps)
-        out.append(QuasiCharacter(q, r, n, table, label=label).reduced())
+        rp, table = _at_conductor(q, r, table)
+        out.append(QuasiCharacter(q, rp, n, table, label=label))
     out.sort(key=lambda w: w.label)
     return out

@@ -5,14 +5,15 @@ rational function of T = q^(-s) once g is written in coset terms: the
 cosets of one shell away from 0 sum to a single monomial, while the ideal
 tail sums to a geometric series.  `zeta` reads g's digit keys and omega's
 table of exponents, sums each shell's roots of unity as one integer vector
-and raises omega(pi) once per shell.  Everything stays exact (ZetaValue
+and raises omega(pi) once per shell.  A key with fewer unit digits than
+omega's exact conductor adds nothing, by orthogonality of characters
+(Tate's thesis, 1950, section 2.5).  Everything stays exact (ZetaValue
 over the cyclotomic coefficient field), so functional equations are
 asserted as identities of rational functions, not at sample points.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-import itertools
 
 from .exactnum import CycRat, ZetaValue, cyc_sums
 from .localfield import AdditiveCharacter, KCoset, KElement, gauss_sum
@@ -23,10 +24,10 @@ def zeta(g, omega):
     """Exact rational function in T for the multiplicative integral of
     g(x) omega(x) |x|^s, read off the digit keys of g's normal form.  A
     key with first nonzero digit j lies in the shell of valuation
-    v = base + j; omega and |.| are constant on its cosets of level
-    v + max(r, 1), whose unit digits, key[j:] and a tail of free digits,
-    give omega's table exponent k.  The zeta_n^k are summed per shell as
-    integer vectors, and each shell is multiplied once by omega(pi)^v."""
+    v = base + j.  omega and |.| are constant on a key with max(r, 1) unit
+    digits or more, its first r giving omega's table exponent k; omega,
+    of exact conductor r, sums to 0 over a shorter key.  The zeta_n^k are
+    summed per shell as integer vectors, each shell times omega(pi)^v."""
     if g.q != omega.q:
         raise ValueError("mixed residue sizes")
     q, r, g = g.q, omega.r, g.normalize()
@@ -35,16 +36,14 @@ def zeta(g, omega):
     for key, _, coeff in g._keys:
         j = _lead(key)
         v = g._base + j
-        if j < len(key):
+        if len(key) - j >= max(r, 1):
             # the multiplicative measure of a + pi^n O is mu q^(v - n) by
             # d*x = |x|^-1 dx
-            free = max(max(r, 1) - len(key) + j, 0)
-            e = j - len(key) - free
+            e = j - len(key)
             if e not in scale:
                 scale[e] = CycRat.from_rational(g.mu * Fraction(q) ** e)
-            parts.append((coeff * scale[e], omega.n, [
-                (v, omega.unit_table[(key[j:] + tail)[:r]])
-                for tail in itertools.product(range(q), repeat=free)]))
+            parts.append((coeff * scale[e], omega.n,
+                          [(v, omega.unit_table[key[j:j + r]])]))
         elif r == 0:
             # the ideal pi^m O: a union of shells pi^k O^x, k >= m; each
             # shell integral of a ramified character vanishes
@@ -108,7 +107,6 @@ def epsilon_star(omega, psi, pi, mu=Fraction(1)):
     """
     if psi.q != omega.q or pi.q != omega.q:
         raise ValueError("mixed residue sizes")
-    omega = omega.reduced()
     inv = omega.inverse()
     results = []
     for g, g_star in _test_stars(omega.q, omega.r, psi.d, pi, mu):

@@ -161,6 +161,19 @@ class TestQuasiCharacter:
         conds = sorted(w.r for w in chars)
         assert conds == [0, 2]  # trivial, and the 1+u digit character
 
+    @pytest.mark.parametrize("q,r", [(2, 2), (3, 2), (5, 1)])
+    def test_table_above_its_conductor_rejected(self, q, r):
+        # each character read through the finer group O^x/(1+pi^(r+1) O)
+        # is trivial on 1 + pi^r O, so level r + 1 is above its conductor
+        for w in enumerate_characters(q, r):
+            lifted = {key: w.unit_table[key[:w.r]]
+                      for key in _unit_keys(q, r + 1)}
+            with pytest.raises(ValueError):
+                QuasiCharacter(q, r + 1, w.n, lifted)
+            assert QuasiCharacter(q, w.r, w.n, w.unit_table).r == w.r
+            assert w.inverse().r == w.r
+            assert w.with_pi_value(CycRat.root_of_unity(4)).r == w.r
+
     def test_trivial_eval(self):
         w = QuasiCharacter.trivial(3)
         assert w(ke(3, "2*u^5")) == 1

@@ -259,10 +259,12 @@ MUTANTS = [
     ("rho0-shift-off-by-one", zeta1d, "rho0",
      "pi.power_mod(d - r, d)", "pi.power_mod(d - r + 1, d)",
      "verify-q2-zeta1d-epsilon-rmax2"),
-    ("zeta-unit-key-from-the-tail", zeta1d, "zeta", "tail)[:r]",
-     "tail)[-r:]", "verify-q2-FE2"),
-    ("zeta-one-free-digit-too-many", zeta1d, "zeta", "repeat=free",
-     "repeat=free + 1", "verify-q2-rho2"),
+    # a key with more unit digits than the conductor read at its last r
+    ("zeta-unit-key-from-the-end", zeta1d, "zeta", "key[j:j + r]",
+     "key[len(key) - r:]", "test_zeta2d-test_direct_path_agrees"),
+    # a key with exactly r unit digits taken for one that vanishes
+    ("zeta-skips-keys-at-the-conductor", zeta1d, "zeta", ">= max(r, 1)",
+     "> max(r, 1)", "verify-q2-zeta1d-epsilon-rmax2"),
     # at q = 2 and conductor <= 2 the steps L/n and L/q of gauss_sum are
     # equal; a character of conductor 3 has n = 4
     ("gauss-scales-t-by-the-character-step", localfield, "gauss_sum",
@@ -307,8 +309,8 @@ MUTANTS = [
      "test_exactnum-test_ring_laws_agree_with_images"),
     ("character-inverse-keeps-exponents", QuasiCharacter, "inverse",
      "-k % self.n", "k", "test_localfield-test_inverse"),
-    ("conductor-search-skips-0", QuasiCharacter, "exact_conductor",
-     "range(self.r + 1)", "range(1, self.r + 1)",
+    ("conductor-search-skips-0", localfield, "_at_conductor",
+     "range(r + 1)", "range(1, r + 1)",
      "test_localfield-test_exact_conductors"),
     ("lower-level-always-contains", DistinguishedFamily, "relation",
      '("contains" if lo is A else "in")', '"contains"',
