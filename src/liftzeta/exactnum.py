@@ -506,7 +506,10 @@ class ZetaValue:
     form is an invariant the arithmetic trusts: ``__init__`` settles
     every fraction it is given, and ``_settled``, the only entry that
     skips ``_settle``, stores fractions already settled and nonzero as
-    they are.
+    they are.  A sum settles only the exponents where two fractions met,
+    and a product also those where a factor's denominator is not 1: the
+    product of two settled fractions over 1 is settled, since the
+    product of two trimmed nonzero numerators is trimmed and nonzero.
 
     ``terms`` is the reduced view, built by the polynomial gcd on first
     read and cached: lowest terms, lowest nonzero denominator coefficient
@@ -665,9 +668,10 @@ class ZetaValue:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out, z = {}, cyc_zero()
+        out, loose, z, one = {}, set(), cyc_zero(), (cyc_one(),)
         for g1, (n1, d1) in self._fr.items():
             for g2, (n2, d2) in o._fr.items():
+                over_one = d1 == one == d2
                 # a factor one side's numerator shares with the other's
                 # denominator cancels with no gcd
                 if n2 == d1:
@@ -675,10 +679,22 @@ class ZetaValue:
                 elif n1 == d2:
                     f = n2, d1
                 else:
-                    f = _pmul(n1, n2, z), _pmul(d1, d2, z)
+                    f = _pmul(n1, n2, z), one if over_one else _pmul(d1, d2, z)
                 g = g1 + g2
-                out[g] = _fadd(out[g], f) if g in out else f
-        return ZetaValue(self.q, out)
+                if g in out:
+                    out[g] = _fadd(out[g], f)
+                    loose.add(g)
+                else:
+                    out[g] = f
+                    if not over_one:
+                        loose.add(g)
+        for g in loose:
+            f = _settle(*out[g])
+            if f[0]:
+                out[g] = f
+            else:
+                del out[g]
+        return ZetaValue._settled(self.q, out)
 
     __rmul__ = __mul__
 

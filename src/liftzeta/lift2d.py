@@ -14,7 +14,7 @@ the tests, in tests/builders.py.
 from fractions import Fraction
 import math
 
-from .exactnum import CycRat, ZetaValue, cyc_one
+from .exactnum import CycRat, ZetaValue, _cyc, cyc_one
 from .localfield import (
     AdditiveCharacter, KCoset, KElement, KSingleton, gauss_sum,
 )
@@ -309,13 +309,14 @@ class DistinguishedSetF:
     it): S = {0} makes the set the full ideal a + t^(gamma+1) O, which
     has measure zero."""
 
-    __slots__ = ("q", "a", "gamma", "S")
+    __slots__ = ("q", "a", "gamma", "S", "_count")
 
     def __init__(self, q, a, gamma, S):
         self.q = q
         self.a = a
         self.gamma = gamma
         self.S = S
+        self._count = None
 
     @classmethod
     def null_ideal(cls, q, gamma, a=None):
@@ -326,6 +327,16 @@ class DistinguishedSetF:
 
     def is_null(self):
         return isinstance(self.S, KSingleton)
+
+    def residue_count(self):
+        """(L, |S|) for a set that is not null: L the deepest level among
+        the atoms of S (0 when S has none) and |S| its count in cosets of
+        level L, counted on first call and kept with the set.  The count
+        is translation invariant, so moving S leaves it as it is."""
+        if self._count is None:
+            L = max(_levels((self.S,)), default=0)
+            self._count = L, _coset_size(self.q, self.S, L)
+        return self._count
 
     def contains(self, x):
         d = x - self.a
@@ -347,7 +358,12 @@ class DistinguishedFamily:
     |S1 & S2| = |S1|.  This is exact because every component of a DddSet
     is a coset minus disjoint proper subcosets, so it is either empty or
     contains a whole coset, and because mu > 0.  The meet S1 & S2 is
-    built only for an overlap, the one kind that returns it."""
+    built only for an overlap, the one kind that returns it.
+
+    Haar measure is translation invariant, and so is |S| at the deepest
+    level of S's own atoms: each set counts its residue set once and
+    keeps the count (DistinguishedSetF.residue_count), which measure_F
+    reads."""
 
     def __init__(self, q, mu=Fraction(1)):
         self.q = q
@@ -394,8 +410,10 @@ class DistinguishedFamily:
             return "equal", None
         lo, hi = (A, B) if A.gamma <= B.gamma else (B, A)
         g = lo.gamma
-        if _below(lo.a, g) != _below(hi.a, g):
-            return "disjoint", None
+        la, ha = lo.a.coeffs, hi.a.coeffs
+        for e in (*la, *ha):
+            if e < g and la.get(e) != ha.get(e):
+                return "disjoint", None
         c = hi.a.coeff(g) - lo.a.coeff(g)
         if g < hi.gamma:
             if not lo.S.contains(c):
@@ -412,11 +430,6 @@ class DistinguishedFamily:
         c = (B.a - A.a).coeff(A.gamma)
         return DistinguishedSetF(self.q, A.a, A.gamma,
                                  A.S.union(self._s_translate(B.S, c)))
-
-
-def _below(x, n):
-    """The t-coefficients of the F element x below t^n, by exponent."""
-    return {e: k for e, k in x.coeffs.items() if e < n}
 
 
 def _coset_counts(q, S1, S2):
@@ -457,23 +470,26 @@ def _coset_size(q, S, L):
 
 def measure_F(W, family):
     """The finitely additive measure of a set from the ring generated by
-    distinguished sets; values are Laurent polynomials in X.  Every
-    residue set is counted in cosets of the deepest level L among the
-    residue atoms of W, as _coset_counts counts, so the value at X^gamma
-    is mu q^-L times the signed count N_gamma of W's atoms at level
-    gamma; a null atom counts 0."""
+    distinguished sets; values are Laurent polynomials in X.  Each atom A
+    brings its residue count (L_A, |S_A|), kept with the set and
+    translation invariant (DistinguishedSetF.residue_count), and is
+    counted in cosets of the deepest level L = max L_A by
+    |S_A| q^(L - L_A), as _coset_counts counts; the value at X^gamma is
+    mu q^-L times the signed count N_gamma of W's atoms at level gamma.
+    A null atom counts 0."""
     q = family.q
-    signed = [(A, s) for outer, inners in W.components
+    signed = [(A.gamma, s, A.residue_count())
+              for outer, inners in W.components
               for A, s in ((outer, 1), *((a, -1) for a in inners))
               if not A.is_null()]
-    L = max(_levels(A.S for A, _ in signed), default=0)
+    L = max((LA for _, _, (LA, _) in signed), default=0)
     counts = {}
-    for A, s in signed:
-        counts[A.gamma] = counts.get(A.gamma, 0) + s * _coset_size(q, A.S, L)
+    for g, s, (LA, n) in signed:
+        counts[g] = counts.get(g, 0) + s * n * q ** (L - LA)
     mu = family.kfam.mu  # mu q^-L as num/den
     num, den = mu.numerator * q ** max(-L, 0), mu.denominator * q ** max(L, 0)
     return ZetaValue._settled(q, {
-        g: ((CycRat.from_rational(Fraction(num * n, den)),), (cyc_one(),))
+        g: ((_cyc(1, (num * n,), den),), (cyc_one(),))
         for g, n in counts.items() if n})
 
 

@@ -70,7 +70,12 @@ class KElement:
         return KElement(self.q, {e: -d for e, d in self.digits.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        if not isinstance(other, KElement):
+            return NotImplemented
+        out = dict(self.digits)
+        for e, d in other.digits.items():
+            out[e] = out.get(e, 0) - d
+        return KElement(self.q, out)
 
     def __mul__(self, other):
         if not isinstance(other, KElement):
@@ -169,7 +174,9 @@ class KCoset:
         return cls(q, KElement.zero(q), n)
 
     def contains(self, x):
-        return (x - self.rep).valuation() >= self.level
+        """x lies in the coset when its digits below the level are those
+        of the canonical representative."""
+        return _digits_below(x, self.level) == self.rep.digits
 
     def valuation(self):
         """The least valuation of a point of the coset: the level for an
@@ -181,9 +188,7 @@ class KCoset:
         disjoint, so they meet when the finer representative cut at the
         coarser level has the coarser representative's digits."""
         lo, hi = (self, other) if self.level >= other.level else (other, self)
-        n = hi.level
-        return ({e: d for e, d in lo.rep.digits.items() if e < n}
-                == hi.rep.digits)
+        return _digits_below(lo.rep, hi.level) == hi.rep.digits
 
     def relation(self, other):
         """One of "equal", "in" (self inside other), "contains", "disjoint"."""
@@ -220,6 +225,12 @@ class KCoset:
         return "[%s + pi^%d*O]" % (self.rep, self.level)
 
     __repr__ = __str__
+
+
+def _digits_below(x, n):
+    """The digits of the K element x at exponents below n, by exponent:
+    x mod pi^n, which a coset's canonical representative is."""
+    return {e: d for e, d in x.digits.items() if e < n}
 
 
 class KSingleton:

@@ -172,7 +172,7 @@ def _keyed(q, mu, base, keys):
     () for none, for mu a Fraction; no term is read."""
     f = object.__new__(SBFunction)
     f.q, f.mu, f._base, f._keys = q, mu, base, tuple(keys)
-    f._terms = f._canon = None
+    f._terms = f._canon = f._haar = None
     return f
 
 
@@ -229,7 +229,7 @@ class SBFunction:
     (key, twist, coeff) terms `_keys`, twist () for none, which may
     overlap."""
 
-    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_canon")
+    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_canon", "_haar")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
@@ -243,7 +243,7 @@ class SBFunction:
         self._base = base = min((a.valuation() for a, _ in terms), default=0)
         self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))),
                             (), c) for a, c in terms)
-        self._terms = self._canon = None  # built on first use
+        self._terms = self._canon = self._haar = None  # built on first use
 
     def _stored_atoms(self):
         """The untwisted cosets as stored, as (coset, coeff)."""
@@ -354,13 +354,16 @@ class SBFunction:
     # -- integral --------------------------------------------------------------------
     def haar_integral(self):
         """Sums c mu q^-(base + len(key)) over the keys, which may overlap;
-        a twisted coset integrates to 0, as b has a digit below -L."""
-        total = cyc_zero()
-        for key, tw, coeff in self._keys:
-            if not tw:
-                total = total + coeff * _haar_scale(
-                    self.mu, self.q, self._base + len(key))
-        return total
+        a twisted coset integrates to 0, as b has a digit below -L.
+        Computed once and kept."""
+        if self._haar is None:
+            total = cyc_zero()
+            for key, tw, coeff in self._keys:
+                if not tw:
+                    total = total + coeff * _haar_scale(
+                        self.mu, self.q, self._base + len(key))
+            self._haar = total
+        return self._haar
 
     # -- transforms ---------------------------------------------------------------------
     def fourier(self, psi):

@@ -602,6 +602,28 @@ SCALARS = NONZERO + [CycRat.from_rational(0)]
 ONE = CycRat.from_rational(1)
 
 
+# products of values over 1 whose terms meet at X^1: there (1 + X)(1 - X),
+# without T, and (T + X)(T - X), with T, cancel, and (T + X)(1 + 2X) does
+# not
+def _x_binomial(c0, c1):
+    return ("+", ("leaf", c0, (1,), 0), ("leaf", c1, (1,), 1))
+
+
+MERGING_PRODUCTS = [
+    (_x_binomial((1,), (1,)), _x_binomial((1,), (-1,))),
+    (_x_binomial((0, 1), (1,)), _x_binomial((0, 1), (-1,))),
+    (_x_binomial((0, 1), (1,)), _x_binomial((1,), (2,))),
+]
+
+
+@st.composite
+def over_one_leaves(draw):
+    # over 1 at X^-1, X^0 or X^1, a constant or a polynomial in T
+    c = st.sampled_from(NONZERO)
+    return ("leaf", tuple(draw(st.lists(c, min_size=1, max_size=2))), (1,),
+            draw(st.integers(-1, 1)))
+
+
 @st.composite
 def laurent_leaves(draw):
     # over c T^k, k >= 1, at X^0: two of them with different k, or whose
@@ -613,15 +635,21 @@ def laurent_leaves(draw):
 
 
 class TestSettledForm:
-    @given(st.lists(st.one_of(laurent_leaves(), leaves()), min_size=2,
-                    max_size=4), st.data())
+    @given(st.lists(st.one_of(laurent_leaves(), leaves(),
+                              over_one_leaves()), min_size=2, max_size=4),
+           st.data())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=OWN_INSTANCE)
     def test_arithmetic_keeps_every_fraction_settled(self, leaf_trees, data):
-        # +, -, unary -, sum_scaled and constant store settled fractions
-        # only, so settling them again changes nothing, and what cancels
-        # is gone: a zero sum is_zero, and u + v - u keeps no exponent
-        # that only u had; one of the values joins the pool
+        # +, -, unary -, *, sum_scaled and constant store settled
+        # fractions only, so settling them again changes nothing, and
+        # what cancels is gone: a zero sum is_zero, and u + v - u keeps
+        # no exponent that only u had; one of the values joins the pool.
+        # A product of fractions over 1 is settled only where its terms
+        # meet at one X exponent
+        for a, b in MERGING_PRODUCTS:
+            w = build(a) * build(b)
+            assert ZetaValue(Q, w._fr)._fr == w._fr
         pool = [build(t) for t in leaf_trees]
         for _ in range(data.draw(st.integers(1, 6))):
             pick = st.sampled_from(tuple(pool))
@@ -633,7 +661,7 @@ class TestSettledForm:
             kept = ZetaValue.sum_scaled(Q, [(u, c, 0), (v, ONE, 0),
                                             (u, -c, 0)])
             assert kept == v and (u + v) - u == v
-            built = [u + v, u - v, -u, kept, ZetaValue.constant(
+            built = [u + v, u - v, u * v, -u, kept, ZetaValue.constant(
                 Q, data.draw(st.sampled_from(SCALARS))),
                 ZetaValue.sum_scaled(Q, data.draw(st.lists(st.tuples(
                     pick, st.sampled_from(SCALARS), st.integers(-1, 1)),

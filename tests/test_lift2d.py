@@ -474,7 +474,9 @@ class TestDistinguishedSets:
 
     def test_measure_matches_the_per_atom_sum(self):
         # random sets with null atoms and atoms at several levels, at
-        # q = 3 and mu = 1, and at q = 5 and mu = 5/4
+        # q = 3 and mu = 1, and at q = 5 and mu = 5/4; atoms at one level
+        # whose residue sets reach different depths are counted at the
+        # deepest
         shapes = set()
         for q, mu in ((3, 1), (5, Fraction(5, 4))):
             fam = DistinguishedFamily(q, mu)
@@ -499,11 +501,37 @@ class TestDistinguishedSets:
                 assert got == want and str(got) == str(want)
                 if any(A.is_null() for A in atoms(s)):
                     shapes.add("null atom")
+                depths = {}
+                for A in atoms(s):
+                    if not A.is_null():
+                        depths.setdefault(A.gamma, set()).add(
+                            A.residue_count()[0])
+                if any(len(d) > 1 for d in depths.values()):
+                    shapes.add("depths differ at one level")
                 if len(got.terms) > 1:
                     shapes.add("several X exponents")
                 if got.is_zero():
                     shapes.add("zero")
-        assert shapes == {"null atom", "several X exponents", "zero"}
+        assert shapes == {"null atom", "several X exponents", "zero",
+                          "depths differ at one level"}
+
+    def test_residue_count_is_translation_invariant(self):
+        # a set's residue count is |S| in cosets of the deepest level of
+        # S's own atoms, its Haar measure over mu q^-L; a residue set
+        # moved by c keeps it, and a set keeps the count it made
+        for q, mu in ((3, 1), (5, Fraction(5, 4))):
+            fam = DistinguishedFamily(q, mu)
+            rng = random.Random(40 + q)
+            for _ in range(60):
+                S = rand_residue_set(fam.kfam, rng)
+                c = KElement(q, {e: rng.randrange(q) for e in (-1, 0, 1, 2)})
+                a, gamma = rand_felement(q, rng), rng.randrange(-1, 2)
+                A = DistinguishedSetF(q, a, gamma, S)
+                moved = DistinguishedSetF(q, a, gamma, fam._s_translate(S, c))
+                L, n = A.residue_count()
+                assert S.measure(fam.kfam.haar) == mu * Fraction(q) ** -L * n
+                assert moved.residue_count() == (L, n)
+                assert A.residue_count() is A.residue_count()
 
     def test_complement_inside_measure_zero_ideal(self):
         big = DddSet.atom(self.fam, DistinguishedSetF.null_ideal(3, 2))

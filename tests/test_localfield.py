@@ -4,7 +4,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liftzeta import lift2d
 from liftzeta.exactnum import CycRat, cyc_zero
@@ -103,6 +103,32 @@ class TestKCoset:
         assert len(cs) == 4
         reps = {c.rep for c in cs}
         assert len(reps) == 4
+
+    @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 5]),
+           st.integers(-2, 3),
+           st.sampled_from(["any", "zero", "rep", "off-below", "off-at"]))
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.differing_executors])
+    def test_membership_by_digits(self, seed, q, n, kind):
+        # contains and meets compare digits below the level; the
+        # reference is the valuation of a difference.  x is random, 0,
+        # the representative, or the representative changed first at
+        # digit n - 1 (outside) or at digit n (inside)
+        rng = random.Random(seed)
+        c = KCoset(q, random_kelement(q, rng), n)
+        x = {"any": random_kelement(q, rng), "zero": KElement.zero(q),
+             "rep": c.rep}.get(kind)
+        if x is None:
+            e = n - 1 if kind == "off-below" else n
+            x = c.rep + random_kelement(q, rng, e + 1, e + 3) + KElement(
+                q, {e: rng.randrange(1, q)})
+        assert c.contains(x) == ((x - c.rep).valuation() >= n)
+        if kind not in ("any", "zero"):
+            assert c.contains(x) == (kind != "off-below")
+        other = KCoset(q, x, rng.randrange(-2, 4))
+        fine, coarse = sorted((c, other), key=lambda k: -k.level)
+        meets = (fine.rep - coarse.rep).valuation() >= coarse.level
+        assert c.meets(other) == other.meets(c) == meets
 
     def test_valuation_is_the_least_of_its_points(self):
         q = 3

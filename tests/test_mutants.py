@@ -141,6 +141,11 @@ CHECKS = {
         test_localfield.TestQuasiCharacter, "test_inverse"),
     "test_localfield-test_exact_conductors": named_test(
         test_localfield.TestQuasiCharacter, "test_exact_conductors"),
+    "test_localfield-test_membership_by_digits": named_test(
+        test_localfield.TestKCoset, "test_membership_by_digits"),
+    "test_exactnum-test_arithmetic_keeps_every_fraction_settled": named_test(
+        test_exactnum.TestSettledForm,
+        "test_arithmetic_keeps_every_fraction_settled"),
     "test_lift2d-test_additivity_and_membership_on_random_pairs": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_additivity_and_membership_on_random_pairs"),
@@ -303,10 +308,18 @@ MUTANTS = [
     ("zeta-inverse-keeps-num-over-den", ZetaValue, "inverse",
      "{-g: (d, n)}", "{-g: (n, d)}",
      "test_exactnum-test_inverse_cancellation"),
+    # a product whose terms meet at one X exponent and cancel there
+    ("merged-product-left-unsettled", ZetaValue, "__mul__",
+     "out[g] = _fadd(out[g], f) loose.add(g)", "out[g] = _fadd(out[g], f)",
+     "test_exactnum-test_arithmetic_keeps_every_fraction_settled"),
     ("eq-cross-multiplies-the-wrong-way", ZetaValue, "__eq__",
      "_pmul(n1, d2, z) == _pmul(n2, d1, z)",
      "_pmul(n1, d1, z) == _pmul(n2, d2, z)",
      "test_exactnum-test_ring_laws_agree_with_images"),
+    # the digit at the level read too, which a canonical representative
+    # never has
+    ("contains-reads-the-level-digit", localfield, "_digits_below",
+     "if e < n", "if e <= n", "test_localfield-test_membership_by_digits"),
     ("character-inverse-keeps-exponents", QuasiCharacter, "inverse",
      "-k % self.n", "k", "test_localfield-test_inverse"),
     ("conductor-search-skips-0", localfield, "_at_conductor",
@@ -335,6 +348,13 @@ MUTANTS = [
      "test_lift2d-test_overlap_meet_at_the_base_of_A"),
     ("bases-compared-at-the-level-of-A", DistinguishedFamily, "relation",
      "g = lo.gamma", "g = A.gamma", "test_lift2d-test_relation_is_mirrored"),
+    # two bases that differ at t^g can still give sets that meet
+    ("base-points-compared-through-g", DistinguishedFamily, "relation",
+     "if e < g and", "if e <= g and",
+     "test_lift2d-test_same_level_relations_match_membership"),
+    # each count taken at its own depth, not at the deepest
+    ("residue-count-not-rescaled-to-L", lift2d, "measure_F",
+     "s * n * q ** (L - LA)", "s * n", "verify-q2-measure"),
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
      "gamma - 1,", "gamma,",
      "test_lift2d-test_complement_inside_measure_zero_ideal"),
