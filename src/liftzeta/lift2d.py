@@ -98,7 +98,10 @@ class FElement:
         return FElement(self.q, {e + n: k for e, k in self.coeffs.items()})
 
     def truncate_t(self, n):
-        """Drop coefficients at t-exponents >= n."""
+        """Drop coefficients at t-exponents >= n.  Returns self when it
+        has none there, as KElement.truncate does."""
+        if max(self.coeffs, default=-math.inf) < n:
+            return self
         return FElement(self.q, {e: k for e, k in self.coeffs.items()
                                  if e < n})
 
@@ -307,15 +310,21 @@ class DistinguishedSetF:
     """The set a + t^gamma rho^(-1)(S) for a residue set S.  The set is
     null when S is a KSingleton (null_ideal builds one and is_null reads
     it): S = {0} makes the set the full ideal a + t^(gamma+1) O, which
-    has measure zero."""
+    has measure zero.
+
+    The set depends on a only through its coefficients below t^gamma
+    and its t^gamma coefficient c, so it is stored at the canonical base
+    point a truncated at t^gamma, with S moved by c (a null set's point
+    moves by c), as KCoset stores its canonical representative."""
 
     __slots__ = ("q", "a", "gamma", "S", "_count")
 
     def __init__(self, q, a, gamma, S):
+        c = a.coeff(gamma)
         self.q = q
-        self.a = a
+        self.a = a.truncate_t(gamma)
         self.gamma = gamma
-        self.S = S
+        self.S = S if c.is_zero() else _s_translate(q, S, c)
         self._count = None
 
     @classmethod
@@ -330,12 +339,16 @@ class DistinguishedSetF:
 
     def residue_count(self):
         """(L, |S|) for a set that is not null: L the deepest level among
-        the atoms of S (0 when S has none) and |S| its count in cosets of
-        level L, counted on first call and kept with the set.  The count
-        is translation invariant, so moving S leaves it as it is."""
+        the atoms of S (0 when S has none) and |S| the number of cosets
+        of level L inside S, its Haar measure over mu q^-L, counted on
+        first call and kept with the set."""
         if self._count is None:
-            L = max(_levels((self.S,)), default=0)
-            self._count = L, _coset_size(self.q, self.S, L)
+            q, comps = self.q, self.S.components
+            L = max((a.level for o, inners in comps for a in (o, *inners)),
+                    default=0)
+            self._count = L, sum(q ** (L - o.level)
+                                 - sum(q ** (L - a.level) for a in inners)
+                                 for o, inners in comps)
         return self._count
 
     def contains(self, x):
@@ -345,10 +358,20 @@ class DistinguishedSetF:
         return self.S.contains(d.coeff(self.gamma))
 
 
+def _s_translate(q, S, c):
+    """The residue set S moved by the K element c."""
+    if isinstance(S, KSingleton):
+        return KSingleton(q, S.point + c)
+    return DddSet(S.family, [
+        (KCoset(q, outer.rep + c, outer.level),
+         tuple(KCoset(q, a.rep + c, a.level) for a in inners))
+        for outer, inners in S.components])
+
+
 class DistinguishedFamily:
     """Distinguished subsets of F form an atom family: two meeting sets
-    are nested unless they share a level, in which case the residue sets
-    combine.
+    are nested unless they share a level, in which case they share their
+    canonical base point and the residue sets combine as they are stored.
 
     Residue sets are compared by integer coset counts, not by probing:
     |S| is the number of cosets of level L inside S, with L the deepest
@@ -357,40 +380,31 @@ class DistinguishedFamily:
     |S2|, else disjoint when |S1 & S2| = 0, and S1 lies in S2 when
     |S1 & S2| = |S1|.  This is exact because every component of a DddSet
     is a coset minus disjoint proper subcosets, so it is either empty or
-    contains a whole coset, and because mu > 0.  The meet S1 & S2 is
-    built only for an overlap, the one kind that returns it.
-
-    Haar measure is translation invariant, and so is |S| at the deepest
-    level of S's own atoms: each set counts its residue set once and
-    keeps the count (DistinguishedSetF.residue_count), which measure_F
-    reads."""
+    contains a whole coset, and because mu > 0.  |S1| and |S2| are each
+    set's own count (DistinguishedSetF.residue_count) rescaled to L;
+    only |S1 & S2| is counted here.  The meet S1 & S2 is built only for
+    an overlap, the one kind that returns it."""
 
     def __init__(self, q, mu=Fraction(1)):
         self.q = q
         self.kfam = KCosetFamily(q, mu)
 
-    # residue-set helpers ------------------------------------------------------
-    def _s_translate(self, S, c):
-        if isinstance(S, KSingleton):
-            return KSingleton(self.q, S.point + c)
-        moved = []
-        for outer, inners in S.components:
-            moved.append((KCoset(self.q, outer.rep + c, outer.level),
-                          tuple(KCoset(self.q, i.rep + c, i.level)
-                                for i in inners)))
-        return DddSet(S.family, moved)
-
-    def _s_relation(self, S1, S2):
-        """(kind, meet) of two residue sets in the kinds of relation,
-        decided by coset counts as the class docstring explains; equal
-        comes first, so an empty residue set is equal to itself."""
+    def _s_relation(self, A, B):
+        """(kind, meet) of the residue sets of two sets at one level and
+        one base point, in the kinds of relation, decided by coset counts
+        as the class docstring explains; equal comes first, so an empty
+        residue set is equal to itself."""
+        S1, S2 = A.S, B.S
         if isinstance(S1, KSingleton):
             if not S2.contains(S1.point):
                 return "disjoint", None
             return ("equal" if isinstance(S2, KSingleton) else "in"), None
         if isinstance(S2, KSingleton):
             return ("contains" if S1.contains(S2.point) else "disjoint"), None
-        m, m1, m2 = _coset_counts(self.q, S1, S2)
+        (L1, n1), (L2, n2) = A.residue_count(), B.residue_count()
+        L = max(L1, L2)
+        m = _meet_count(self.q, S1, S2, L)
+        m1, m2 = n1 * self.q ** (L - L1), n2 * self.q ** (L - L2)
         if m == m1 == m2:
             return "equal", None
         if m == 0:
@@ -404,44 +418,39 @@ class DistinguishedFamily:
     # family interface -----------------------------------------------------------
     def relation(self, A, B):
         """Sets at different levels are disjoint or the one at the lower
-        level contains the other; at one level the residue sets decide,
-        B's moved into A's coordinates."""
+        level contains the other; at one level the residue sets decide.
+        Two sets meet only where the higher one's base point, cut at the
+        lower level, is the lower one's."""
         if A is B:
             return "equal", None
         lo, hi = (A, B) if A.gamma <= B.gamma else (B, A)
         g = lo.gamma
-        la, ha = lo.a.coeffs, hi.a.coeffs
-        for e in (*la, *ha):
-            if e < g and la.get(e) != ha.get(e):
-                return "disjoint", None
-        c = hi.a.coeff(g) - lo.a.coeff(g)
+        if hi.a.truncate_t(g) != lo.a:
+            return "disjoint", None
         if g < hi.gamma:
-            if not lo.S.contains(c):
+            if not lo.S.contains(hi.a.coeff(g)):
                 return "disjoint", None
             return ("contains" if lo is A else "in"), None
-        kind, meet = self._s_relation(A.S, self._s_translate(B.S, c))
+        kind, meet = self._s_relation(A, B)
         if meet is not None:
             meet = DistinguishedSetF(self.q, A.a, A.gamma, meet)
         return kind, meet
 
     def join(self, A, B):
-        """Two overlapping sets share a level and join their residue
-        sets."""
-        c = (B.a - A.a).coeff(A.gamma)
-        return DistinguishedSetF(self.q, A.a, A.gamma,
-                                 A.S.union(self._s_translate(B.S, c)))
+        """Two overlapping sets share their level and base point and join
+        their residue sets."""
+        return DistinguishedSetF(self.q, A.a, A.gamma, A.S.union(B.S))
 
 
-def _coset_counts(q, S1, S2):
-    """|S1 & S2|, |S1| and |S2| for two residue sets, counted in cosets
-    of the deepest level L among their atoms.
+def _meet_count(q, S1, S2, L):
+    """|S1 & S2|, the number of cosets of level L in the meet of two
+    residue sets, for L at least every level among their atoms.
 
     Cosets are nested or disjoint, so |a & b| is the count of the finer
     one or 0.  A component is an outer o minus disjoint inners inside o,
     so two components (o1, I1) and (o2, I2) meet in
     |o1 & o2| - sum |a & o2| - sum |b & o1| + sum |a & b|
     over a in I1 and b in I2, and components of one set are disjoint."""
-    L = max(_levels((S1, S2)), default=0)
 
     def n(a, b):
         return q ** (L - max(a.level, b.level)) if a.meets(b) else 0
@@ -452,29 +461,15 @@ def _coset_counts(q, S1, S2):
             m += (n(o1, o2) - sum(n(a, o2) for a in I1)
                   - sum(n(b, o1) for b in I2)
                   + sum(n(a, b) for a in I1 for b in I2))
-    return m, _coset_size(q, S1, L), _coset_size(q, S2, L)
-
-
-def _levels(sets):
-    """The levels of the atoms of the residue sets in sets."""
-    return (a.level for S in sets for o, inners in S.components
-            for a in (o, *inners))
-
-
-def _coset_size(q, S, L):
-    """|S|, the number of cosets of level L in the residue set S, for L
-    at least every level in S: its Haar measure over mu q^-L."""
-    return sum(q ** (L - o.level) - sum(q ** (L - a.level) for a in I)
-               for o, I in S.components)
+    return m
 
 
 def measure_F(W, family):
     """The finitely additive measure of a set from the ring generated by
     distinguished sets; values are Laurent polynomials in X.  Each atom A
-    brings its residue count (L_A, |S_A|), kept with the set and
-    translation invariant (DistinguishedSetF.residue_count), and is
-    counted in cosets of the deepest level L = max L_A by
-    |S_A| q^(L - L_A), as _coset_counts counts; the value at X^gamma is
+    brings its residue count (L_A, |S_A|) from
+    DistinguishedSetF.residue_count, and is counted in cosets of the
+    deepest level L = max L_A by |S_A| q^(L - L_A); the value at X^gamma is
     mu q^-L times the signed count N_gamma of W's atoms at level gamma.
     A null atom counts 0."""
     q = family.q

@@ -10,7 +10,7 @@ from liftzeta.lift2d import (
     LiftedFn, abs_F, measure_F, zeta_F1, zeta_F1_regularized,
 )
 from liftzeta.localfield import (
-    KCoset, KElement, QuasiCharacter, enumerate_characters,
+    KCoset, KElement, KSingleton, QuasiCharacter, enumerate_characters,
 )
 from liftzeta.schwartz import SBFunction
 from liftzeta.setring import DddSet, KCosetFamily, refine_disjoint
@@ -133,6 +133,12 @@ class TestFElement:
         x = fe(q, "u*t^-2 + t")
         inv = x.invert(8)
         assert (x * inv).truncate_t(4) == fe(q, "1")
+
+    def test_truncate_returns_self_when_nothing_is_cut(self):
+        x = fe(3, "u^-1 + (1+u)*t + 2*t^3")
+        assert x.truncate_t(4) is x
+        assert x.truncate_t(3) == fe(3, "u^-1 + (1+u)*t")
+        assert FElement.zero(3).truncate_t(0).is_zero()
 
 
 class TestGoodCharacter:
@@ -517,8 +523,9 @@ class TestDistinguishedSets:
 
     def test_residue_count_is_translation_invariant(self):
         # a set's residue count is |S| in cosets of the deepest level of
-        # S's own atoms, its Haar measure over mu q^-L; a residue set
-        # moved by c keeps it, and a set keeps the count it made
+        # S's own atoms, its Haar measure over mu q^-L; a base point
+        # moved by t^gamma c moves the stored residue set by c and keeps
+        # the count, and a set keeps the count it made
         for q, mu in ((3, 1), (5, Fraction(5, 4))):
             fam = DistinguishedFamily(q, mu)
             rng = random.Random(40 + q)
@@ -527,11 +534,48 @@ class TestDistinguishedSets:
                 c = KElement(q, {e: rng.randrange(q) for e in (-1, 0, 1, 2)})
                 a, gamma = rand_felement(q, rng), rng.randrange(-1, 2)
                 A = DistinguishedSetF(q, a, gamma, S)
-                moved = DistinguishedSetF(q, a, gamma, fam._s_translate(S, c))
+                moved = DistinguishedSetF(
+                    q, a + FElement(q, {gamma: c}), gamma, S)
                 L, n = A.residue_count()
                 assert S.measure(fam.kfam.haar) == mu * Fraction(q) ** -L * n
                 assert moved.residue_count() == (L, n)
                 assert A.residue_count() is A.residue_count()
+
+    def test_canonical_base_point_keeps_the_set(self):
+        # a set is stored at its base point cut at t^gamma, its residue
+        # set moved by the t^gamma coefficient; it holds x exactly when
+        # x - a, for the a it was given, has valuation at least gamma and
+        # a t^gamma coefficient in the S it was given
+        q, kfam = self.q, self.fam.kfam
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(200):
+            gamma = rng.randrange(-1, 3)
+            a = rand_felement(q, rng, exps=(gamma - 1, gamma, gamma + 1),
+                              density=0.7)
+            if rng.random() < 0.25:
+                S = KSingleton(q, KElement.zero(q))
+                A = DistinguishedSetF.null_ideal(q, gamma + 1, a)
+                pool = [KElement.zero(q), KElement.one(q)]
+            else:
+                S = DddSet(kfam)
+                for c in self.rand_cosets(rng):
+                    S = S.union(DddSet.atom(kfam, c))
+                A = DistinguishedSetF(q, a, gamma, S)
+                pool = probe_points(atoms(S))
+            assert A.gamma == gamma and A.a == a.truncate_t(gamma)
+            for k in pool:
+                x = a + FElement(q, {gamma: k})
+                for p in (x, x + FElement(q, {gamma - 1: KElement.one(q)})):
+                    d = p - a
+                    want = ((d.is_zero() or d.nu() >= gamma)
+                            and S.contains(d.coeff(gamma)))
+                    assert A.contains(p) == want
+                    seen.add((A.is_null(), not a.coeff(gamma).is_zero(),
+                              want))
+        # null and residue sets, with and without a t^gamma coefficient
+        # to move, each holding some probes and missing others
+        assert len(seen) == 8
 
     def test_complement_inside_measure_zero_ideal(self):
         big = DddSet.atom(self.fam, DistinguishedSetF.null_ideal(3, 2))
@@ -668,7 +712,8 @@ class TestDistinguishedSets:
 
     def test_coset_counts_match_the_measure_oracle(self):
         # _s_relation decides by coset counts; the oracle builds the meet
-        # and compares Haar measures
+        # and compares Haar measures.  Each residue set is that of a set
+        # at the base point 0 and level 0
         kinds = set()
         for q in (3, 5):
             fam = DistinguishedFamily(q)
@@ -689,7 +734,9 @@ class TestDistinguishedSets:
                     S2 = rand_residue_set(kfam, rng)
                 pairs += [(S1, S2), (S2, S1)]
             for S1, S2 in pairs:
-                kind, meet = fam._s_relation(S1, S2)
+                kind, meet = fam._s_relation(
+                    *(DistinguishedSetF(q, FElement.zero(q), 0, S)
+                      for S in (S1, S2)))
                 want, want_meet = measure_relation(kfam, S1, S2)
                 assert kind == want
                 if kind == "overlap":

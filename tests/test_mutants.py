@@ -6,11 +6,12 @@ driver's one verdict path.
 
 Each mutant is a plausible one-line slip, made in process by compiling
 one function from its own source with one statement or expression
-replaced, and patched in by monkeypatch wherever a liftzeta module binds
-that function, as a module-level name or a value of a module-level dict,
-as an edit of its source file would be (zeta2d integrates with `zeta`
-under its own name, and `cli.SUITE_FUNCS` holds the suites); no source
-file changes.  Each must make a named fast check fail, either a
+replaced, and patched in by monkeypatch wherever a liftzeta module or a
+test module imported here binds that function, as a module-level name or
+a value of a module-level dict, as an edit of its source file would be
+(zeta2d integrates with `zeta` under its own name, `cli.SUITE_FUNCS`
+holds the suites, and test_lift2d imports `measure_F` by name); no
+source file changes.  Each must make a named fast check fail, either a
 `liftzeta verify` run at small parameters or a named test function, and
 each check passes on the program as it is.  A check that raises counts
 as failed.  Every cache of every liftzeta module is emptied before and
@@ -43,7 +44,7 @@ from liftzeta import (
     zeta2d,
 )
 from liftzeta.exactnum import CycRat, ZetaValue
-from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF
+from liftzeta.lift2d import DistinguishedFamily, DistinguishedSetF, FElement
 from liftzeta.localfield import QuasiCharacter
 from liftzeta.schwartz import SBFunction
 from liftzeta.setring import DddSet
@@ -63,7 +64,9 @@ def mutant(func, old, new):
 
 
 MODULES = (archfe, cli, exactnum, lift2d, localfield, schwartz, setring,
-           zeta1d, zeta2d)
+           zeta1d, zeta2d, test_archfe, test_cli, test_exactnum, test_lift2d,
+           test_localfield, test_schwartz, test_setring, test_zeta1d,
+           test_zeta2d)
 
 
 def verify(*argv):
@@ -166,6 +169,12 @@ CHECKS = {
     "test_lift2d-test_overlap_meet_at_the_base_of_A": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_overlap_meet_at_the_base_of_A"),
+    "test_lift2d-test_canonical_base_point_keeps_the_set": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_canonical_base_point_keeps_the_set"),
+    "test_lift2d-test_measure_matches_the_per_atom_sum": named_test(
+        test_lift2d.TestDistinguishedSets,
+        "test_measure_matches_the_per_atom_sum"),
     "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept":
         named_test(test_zeta1d.TestEpsilonStar,
                    "test_closed_form_over_d_mu_and_pi_with_stars_kept"),
@@ -331,30 +340,43 @@ MUTANTS = [
     ("residue-in-read-from-m2", DistinguishedFamily, "_s_relation",
      "m == m1:", "m == m2:",
      "test_lift2d-test_same_level_relations_match_membership"),
-    ("coset-count-drops-inner-pairs", lift2d, "_coset_counts",
+    ("coset-count-drops-inner-pairs", lift2d, "_meet_count",
      "+ sum(n(a, b) for a in I1 for b in I2)", "",
      "test_lift2d-test_coset_counts_match_the_measure_oracle"),
-    # B's residue set moved by -c into A's coordinates
-    ("same-level-shift-read-backwards", DistinguishedFamily, "relation",
-     "c = hi.a.coeff(g) - lo.a.coeff(g)", "c = lo.a.coeff(g) - hi.a.coeff(g)",
-     "test_lift2d-test_additivity_and_membership_on_random_pairs"),
+    # the residue set moved by -c to the canonical base point; at q = 2
+    # -c is c
+    ("same-level-shift-read-backwards", DistinguishedSetF, "__init__",
+     "_s_translate(q, S, c)", "_s_translate(q, S, -c)",
+     "test_lift2d-test_canonical_base_point_keeps_the_set"),
+    # the base point cut above the level keeps its t^gamma coefficient,
+    # which the residue set has taken up as well
+    ("truncate-keeps-the-level-coefficient", FElement, "truncate_t",
+     "if e < n", "if e <= n",
+     "test_lift2d-test_canonical_base_point_keeps_the_set"),
+    # each residue count taken at its own depth, not at the deeper of
+    # the two
+    ("residue-size-not-rescaled-to-L", DistinguishedFamily, "_s_relation",
+     "n1 * self.q ** (L - L1)", "n1",
+     "test_lift2d-test_coset_counts_match_the_measure_oracle"),
     # the measure mu q^-L of a level-L coset taken as mu q^L
     ("measure-scaled-by-q-to-the-plus-L", lift2d, "measure_F",
      "mu.numerator * q ** max(-L, 0)", "mu.numerator * q ** max(L, 0)",
      "verify-q2-measure"),
-    ("overlap-meet-at-the-base-of-B", DistinguishedFamily, "relation",
-     "DistinguishedSetF(self.q, A.a, A.gamma, meet)",
-     "DistinguishedSetF(self.q, B.a, B.gamma, meet)",
+    # the overlap handed on as the join
+    ("overlap-meet-is-the-join", DistinguishedFamily, "_s_relation",
+     '"overlap", S1.intersection(S2)', '"overlap", S1.union(S2)',
      "test_lift2d-test_overlap_meet_at_the_base_of_A"),
     ("bases-compared-at-the-level-of-A", DistinguishedFamily, "relation",
      "g = lo.gamma", "g = A.gamma", "test_lift2d-test_relation_is_mirrored"),
-    # two bases that differ at t^g can still give sets that meet
+    # the higher base point's t^g coefficient lies in the lower set's
+    # residue set, not in its base point
     ("base-points-compared-through-g", DistinguishedFamily, "relation",
-     "if e < g and", "if e <= g and",
-     "test_lift2d-test_same_level_relations_match_membership"),
+     "truncate_t(g)", "truncate_t(g + 1)",
+     "test_lift2d-test_random_expression_membership"),
     # each count taken at its own depth, not at the deepest
     ("residue-count-not-rescaled-to-L", lift2d, "measure_F",
-     "s * n * q ** (L - LA)", "s * n", "verify-q2-measure"),
+     "s * n * q ** (L - LA)", "s * n",
+     "test_lift2d-test_measure_matches_the_per_atom_sum"),
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
      "gamma - 1,", "gamma,",
      "test_lift2d-test_complement_inside_measure_zero_ideal"),
