@@ -250,16 +250,16 @@ class LiftedFn:
         each term adds coeff times a K integral at X^gamma."""
         parts = []
         for g, a, gamma, b, coeff in self.terms:
-            if b is None or gamma > -b.nu():
-                const = cyc_one() if b is None else psi(b * a)
-                val = g.haar_integral()
+            if b is None:
+                c = g.haar_integral()
+            elif gamma > -b.nu():
+                c = psi(b * a) * g.haar_integral()
             elif gamma == -b.nu():
                 # the twist restricts to the residue character of eta(b)
-                const = psi(b * a)
-                val = g.twisted(b.eta(), psi.base).haar_integral()
+                c = psi(b * a) * g.twisted(b.eta(), psi.base).haar_integral()
             else:
                 continue
-            parts.append((coeff, const * val, gamma))
+            parts.append((coeff, c, gamma))
         return ZetaValue.sum_scaled(self.q, parts)
 
     # -- geometry -------------------------------------------------------------
@@ -420,12 +420,13 @@ class DistinguishedFamily:
         """Sets at different levels are disjoint or the one at the lower
         level contains the other; at one level the residue sets decide.
         Two sets meet only where the higher one's base point, cut at the
-        lower level, is the lower one's."""
+        lower level, is the lower one's; the lower one's is canonical, so
+        their coefficients below that level are compared in place."""
         if A is B:
             return "equal", None
         lo, hi = (A, B) if A.gamma <= B.gamma else (B, A)
         g = lo.gamma
-        if hi.a.truncate_t(g) != lo.a:
+        if {e: k for e, k in hi.a.coeffs.items() if e < g} != lo.a.coeffs:
             return "disjoint", None
         if g < hi.gamma:
             if not lo.S.contains(hi.a.coeff(g)):
@@ -471,16 +472,24 @@ def measure_F(W, family):
     DistinguishedSetF.residue_count, and is counted in cosets of the
     deepest level L = max L_A by |S_A| q^(L - L_A); the value at X^gamma is
     mu q^-L times the signed count N_gamma of W's atoms at level gamma.
-    A null atom counts 0."""
+    A null atom counts 0.  One pass reads each atom's count and the
+    deepest L, and one loop adds the rescaled counts."""
     q = family.q
-    signed = [(A.gamma, s, A.residue_count())
-              for outer, inners in W.components
-              for A, s in ((outer, 1), *((a, -1) for a in inners))
-              if not A.is_null()]
-    L = max((LA for _, _, (LA, _) in signed), default=0)
+    atoms, L = [], None
+    for outer, inners in W.components:
+        s = 1  # the outer atom adds, its inners subtract
+        for A in (outer, *inners):
+            if not A.is_null():
+                LA, n = A.residue_count()
+                atoms.append((A.gamma, s * n, LA))
+                if L is None or LA > L:
+                    L = LA
+            s = -1
+    if L is None:
+        L = 0
     counts = {}
-    for g, s, (LA, n) in signed:
-        counts[g] = counts.get(g, 0) + s * n * q ** (L - LA)
+    for g, n, LA in atoms:
+        counts[g] = counts.get(g, 0) + n * q ** (L - LA)
     mu = family.kfam.mu  # mu q^-L as num/den
     num, den = mu.numerator * q ** max(-L, 0), mu.denominator * q ** max(L, 0)
     return ZetaValue._settled(q, {

@@ -175,6 +175,9 @@ CHECKS = {
     "test_lift2d-test_measure_matches_the_per_atom_sum": named_test(
         test_lift2d.TestDistinguishedSets,
         "test_measure_matches_the_per_atom_sum"),
+    "test_lift2d-test_integrate_matches_the_per_term_sum": named_test(
+        test_lift2d.TestIntegral, "test_integrate_matches_the_per_term_sum",
+        q=3, d=0),
     "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept":
         named_test(test_zeta1d.TestEpsilonStar,
                    "test_closed_form_over_d_mu_and_pi_with_stars_kept"),
@@ -371,12 +374,23 @@ MUTANTS = [
     # the higher base point's t^g coefficient lies in the lower set's
     # residue set, not in its base point
     ("base-points-compared-through-g", DistinguishedFamily, "relation",
-     "truncate_t(g)", "truncate_t(g + 1)",
+     "if e < g", "if e <= g",
      "test_lift2d-test_random_expression_membership"),
+    # only the lower base point's coefficients looked up in the higher
+    # one, so an extra coefficient of the higher one below g goes unseen
+    ("base-points-compared-one-sided", DistinguishedFamily, "relation",
+     "{e: k for e, k in hi.a.coeffs.items() if e < g} != lo.a.coeffs",
+     "not all(hi.a.coeffs.get(e) == k for e, k in lo.a.coeffs.items())",
+     "test_lift2d-test_relation_is_mirrored"),
     # each count taken at its own depth, not at the deepest
     ("residue-count-not-rescaled-to-L", lift2d, "measure_F",
-     "s * n * q ** (L - LA)", "s * n",
+     "n * q ** (L - LA)", "n",
      "test_lift2d-test_measure_matches_the_per_atom_sum"),
+    # an untwisted term's K integral added one power of X too high;
+    # translation and scaling move both sides of an invariance row alike
+    ("untwisted-integral-one-X-too-high", lift2d.LiftedFn, "integrate",
+     "c = g.haar_integral()", "c, gamma = g.haar_integral(), gamma + 1",
+     "test_lift2d-test_integrate_matches_the_per_term_sum"),
     ("null-ideal-one-level-too-deep", DistinguishedSetF, "null_ideal",
      "gamma - 1,", "gamma,",
      "test_lift2d-test_complement_inside_measure_zero_ideal"),
