@@ -402,6 +402,10 @@ _CYC_ZERO = CycRat.from_rational(0)
 _CYC_ONE = CycRat.from_rational(1)
 
 
+# the settled fractions of the constant 1
+_ONE_FR = {0: ((_CYC_ONE,), (_CYC_ONE,))}
+
+
 def cyc_zero():
     return _CYC_ZERO
 
@@ -707,9 +711,13 @@ class ZetaValue:
         return ZetaValue(self.q, {-g: (d, n)})
 
     def __truediv__(self, other):
+        """self / other; a divisor equal to the constant 1, as the L-factor
+        of every ramified character is, gives self back as it is."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if o._fr == _ONE_FR:
+            return self
         return self * o.inverse()
 
     def __eq__(self, other):

@@ -28,7 +28,11 @@ coefficient, and the base the least valuation of their points, so equal
 functions store equal keys.  It is built only where canonical keys are
 read, by `normalize`, `equals` and zeta1d.zeta, which expand each twist
 once into plain keys, and by `twisted`; `terms` shows the cosets as
-stored, or those of the normal form when a twist is stored.  The
+stored, or those of the normal form when a twist is stored.  A function
+keeps, each built on first use: its normal form (`_canon`, itself for
+a normal form), the cosets of `terms`, its Haar integral (`_haar`), and
+on a normal form the key table that zeta1d.zeta reads for every
+character (`_zeta_keys`).  The
 constructors that only the tests use live in tests/builders.py: the
 literal reader ("2*[u^-1 + u*O] - [1 + u^2*O]") and the lift of a
 function on the residue field to pi^r O.
@@ -172,7 +176,7 @@ def _keyed(q, mu, base, keys):
     () for none, for mu a Fraction; no term is read."""
     f = object.__new__(SBFunction)
     f.q, f.mu, f._base, f._keys = q, mu, base, tuple(keys)
-    f._terms = f._canon = f._haar = None
+    f._terms = f._canon = f._haar = f._zeta_keys = None
     return f
 
 
@@ -229,7 +233,8 @@ class SBFunction:
     (key, twist, coeff) terms `_keys`, twist () for none, which may
     overlap."""
 
-    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_canon", "_haar")
+    __slots__ = ("q", "mu", "_terms", "_base", "_keys", "_canon", "_haar",
+                 "_zeta_keys")
 
     def __init__(self, q, terms=(), mu=Fraction(1)):
         self.q = q
@@ -243,7 +248,8 @@ class SBFunction:
         self._base = base = min((a.valuation() for a, _ in terms), default=0)
         self._keys = tuple((tuple(map(a.rep.digit, range(base, a.level))),
                             (), c) for a, c in terms)
-        self._terms = self._canon = self._haar = None  # built on first use
+        # built on first use
+        self._terms = self._canon = self._haar = self._zeta_keys = None
 
     def _stored_atoms(self):
         """The untwisted cosets as stored, as (coset, coeff)."""

@@ -3,9 +3,12 @@
 The integral of g(x) omega(x) |x|^s over the nonzero elements becomes a
 rational function of T = q^(-s) once g is written in coset terms: the
 cosets of one shell away from 0 sum to a single monomial, while the ideal
-tail sums to a geometric series.  `zeta` reads g's digit keys and omega's
-table of exponents, sums each shell's roots of unity as one integer vector
-and raises omega(pi) once per shell.  A key with fewer unit digits than
+tail sums to a geometric series.  None of that bookkeeping depends on
+the character: the shell, unit digits and scaled coefficient of each of
+g's digit keys are worked out on the first `zeta` call and kept on g's
+normal form, so every later character reads only omega's table of
+exponents, sums each shell's roots of unity as one integer vector and
+raises omega(pi) once per shell.  A key with fewer unit digits than
 omega's exact conductor adds nothing, by orthogonality of characters
 (Tate's thesis, 1950, section 2.5).  Everything stays exact (ZetaValue
 over the cyclotomic coefficient field), so functional equations are
@@ -20,36 +23,55 @@ from .localfield import AdditiveCharacter, KCoset, KElement, gauss_sum
 from .schwartz import SBFunction, _lead
 
 
+def _scaled(coeff, s):
+    """coeff times the rational s, held at order 1 when coeff has no
+    irrational coordinate."""
+    if any(coeff.n[1:]):
+        return coeff * CycRat.from_rational(s)
+    return CycRat.from_rational(Fraction(coeff.n[0], coeff.d) * s)
+
+
+def _key_table(g):
+    """The keys of the normal form g as zeta reads them, one (v, units, c)
+    per key, kept in g's `_zeta_keys` slot.  A key with first nonzero digit
+    j lies in the shell of valuation v = base + j, and units are its
+    digits from j on.  c is the coefficient times mu q^(j - len(key)), the
+    multiplicative measure of the coset by d*x = |x|^-1 dx, or, for an
+    ideal key (no unit digit), times mu (q - 1)/q, that of each shell the
+    ideal holds.  Nothing here depends on a character, so the table is
+    built on the first zeta call and every character reads it."""
+    q, mu = g.q, g.mu
+    table = []
+    for key, _, coeff in g._keys:
+        j = _lead(key)
+        s = mu * (Fraction(q) ** (j - len(key)) if j < len(key)
+                  else Fraction(q - 1, q))
+        table.append((g._base + j, key[j:], _scaled(coeff, s)))
+    g._zeta_keys = table
+    return table
+
+
 def zeta(g, omega):
     """Exact rational function in T for the multiplicative integral of
-    g(x) omega(x) |x|^s, read off the digit keys of g's normal form.  A
-    key with first nonzero digit j lies in the shell of valuation
-    v = base + j.  omega and |.| are constant on a key with max(r, 1) unit
-    digits or more, its first r giving omega's table exponent k; omega,
-    of exact conductor r, sums to 0 over a shorter key.  The zeta_n^k are
-    summed per shell as integer vectors, each shell times omega(pi)^v."""
+    g(x) omega(x) |x|^s, from the key table of g's normal form (see
+    _key_table), built once per function.  omega and |.| are constant on
+    a key with max(r, 1) unit digits or more, its first r giving omega's
+    table exponent k; omega, of exact conductor r, sums to 0 over a
+    shorter key.  The zeta_n^k are summed per shell as integer vectors,
+    each shell times omega(pi)^v.  An ideal key is a union of shells
+    pi^k O^x, k >= v, each of which a ramified character sums to 0."""
     if g.q != omega.q:
         raise ValueError("mixed residue sizes")
     q, r, g = g.q, omega.r, g.normalize()
+    table = g._zeta_keys if g._zeta_keys is not None else _key_table(g)
+    n, exponent, least = omega.n, omega.unit_table, max(r, 1)
     tails = ZetaValue.zero(q)
-    parts, scale = [], {}  # scale: exponent e -> mu q^e
-    for key, _, coeff in g._keys:
-        j = _lead(key)
-        v = g._base + j
-        if len(key) - j >= max(r, 1):
-            # the multiplicative measure of a + pi^n O is mu q^(v - n) by
-            # d*x = |x|^-1 dx
-            e = j - len(key)
-            if e not in scale:
-                scale[e] = CycRat.from_rational(g.mu * Fraction(q) ** e)
-            parts.append((coeff * scale[e], omega.n,
-                          [(v, omega.unit_table[key[j:j + r]])]))
+    parts = []
+    for v, units, c in table:
+        if len(units) >= least:
+            parts.append((c, n, [(v, exponent[units[:r]])]))
         elif r == 0:
-            # the ideal pi^m O: a union of shells pi^k O^x, k >= m; each
-            # shell integral of a ramified character vanishes
-            tails = tails + ZetaValue.geometric(
-                q, coeff * CycRat.from_rational(g.mu * Fraction(q - 1, q)),
-                omega.pi_value, v)
+            tails = tails + ZetaValue.geometric(q, c, omega.pi_value, v)
     return tails + ZetaValue.laurent(q, [
         (v, c * omega.pi_value ** v) for v, c in cyc_sums(parts).items()])
 
@@ -62,7 +84,8 @@ def l_function(omega):
 
 
 def z_normalized(g, omega):
-    """The zeta integral divided by the L-factor of the character."""
+    """The zeta integral divided by the L-factor of the character; that
+    of a ramified character is 1, and the integral comes back as it is."""
     return zeta(g, omega) / l_function(omega)
 
 

@@ -147,7 +147,9 @@ def fe2_factors(pairs, w1, w2, psi, pi):
 
 def clear_caches():
     """Empty every cache in liftzeta: each value of each module that has a
-    cache_clear, as a functools.lru_cache function has."""
+    cache_clear, as a functools.lru_cache function has.  What a function
+    keeps on itself (its normal form, Haar integral and zeta key table)
+    goes with the cache that holds the function."""
     for name in liftzeta.__all__:
         module = importlib.import_module("liftzeta." + name)
         for value in vars(module).values():

@@ -267,6 +267,36 @@ class TestVerify:
         assert len({tuple(map(id, args)) for args in table_inputs}) == \
             len(table_inputs) == tables
 
+    @pytest.mark.parametrize("q,zetas,tables", [
+        ("3", 52, 26), ("11", 2660, 266)])
+    def test_identity_a_builds_one_key_table_per_function(
+            self, q, zetas, tables, monkeypatch):
+        # each basis function and its double star is integrated under
+        # every character; zeta builds the key table of each normal form
+        # on the first of those integrals, and the others read it
+        counts, built, normal_forms = Counter(), [], {}
+        zeta, key_table = zeta1d.zeta, zeta1d._key_table
+
+        def counted_zeta(g, omega):
+            counts["zeta"] += 1
+            f = g.normalize()
+            normal_forms[id(f)] = f
+            return zeta(g, omega)
+
+        def counted_table(g):
+            built.append(g)
+            return key_table(g)
+        monkeypatch.setattr(zeta1d, "zeta", counted_zeta)
+        monkeypatch.setattr(zeta1d, "_key_table", counted_table)
+        cfg = build_parser().parse_args(
+            ["verify", "--q", q, "--suite", "identity-A"])
+        assert all(case[3] for case in cli.suite_identity_a(cfg))
+        assert counts["zeta"] == zetas
+        # built and normal_forms keep every function alive, so their ids
+        # are distinct
+        assert len(built) == len({id(g) for g in built}) == \
+            len(normal_forms) == tables
+
     def test_fe2_passes_at_a_measure_other_than_one(self):
         cfg = build_parser().parse_args(["verify", "--q", "3", "--mu", "5/4"])
         cases = cli.suite_fe2(cfg)

@@ -578,6 +578,19 @@ class TestModularImage:
             assert lhs == rhs and modoracle.same_image(lhs, rhs, pts)
         assert not u + e == u and not modoracle.same_image(u + e, u, pts)
 
+    @given(trees(3), st.sampled_from(NONZERO), st.sampled_from([1, 4, 12]))
+    @example(LEAF, NONZERO[0], 12)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=OWN_INSTANCE)
+    def test_division_by_a_constant(self, tree, c, m):
+        # the constant 1, held at any order, divides as nothing, and any
+        # other constant as the product with its inverse
+        v = build(tree)
+        assert v / ZetaValue.constant(Q, CycRat.from_rational(1, m)) == v
+        got = v / ZetaValue.constant(Q, c)
+        assert got == v * ZetaValue.constant(Q, c).inverse()
+        assert (got == v) == (c == 1 or v.is_zero())
+
     def test_every_verdict_of_a_verify_run(self, monkeypatch, tmp_path):
         verdicts = []
         eq = ZetaValue.__eq__

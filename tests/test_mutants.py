@@ -18,7 +18,10 @@ as failed.  Every cache of every liftzeta module is emptied before and
 after each mutant (`builders.clear_caches`), so that a mutant computes
 its own cyclotomic polynomials, roots, unit powers, Haar scales, epsilon
 test-function stars and quadrature nodes, is never hidden by values kept
-before it was patched in, and leaves none behind.
+before it was patched in, and leaves none behind.  A function keeps its
+normal form, Haar integral and zeta key table on itself, not in a cache;
+the only cache that holds functions is that of the epsilon test-function
+stars, so emptying it drops their kept values too.
 This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
 "Hints on test data selection" (IEEE Computer, 1978).
 """
@@ -178,6 +181,8 @@ CHECKS = {
     "test_lift2d-test_integrate_matches_the_per_term_sum": named_test(
         test_lift2d.TestIntegral, "test_integrate_matches_the_per_term_sum",
         q=3, d=0),
+    "test_exactnum-test_division_by_a_constant": named_test(
+        test_exactnum.TestModularImage, "test_division_by_a_constant"),
     "test_zeta1d-test_closed_form_over_d_mu_and_pi_with_stars_kept":
         named_test(test_zeta1d.TestEpsilonStar,
                    "test_closed_form_over_d_mu_and_pi_with_stars_kept"),
@@ -277,11 +282,22 @@ MUTANTS = [
      "pi.power_mod(d - r, d)", "pi.power_mod(d - r + 1, d)",
      "verify-q2-zeta1d-epsilon-rmax2"),
     # a key with more unit digits than the conductor read at its last r
-    ("zeta-unit-key-from-the-end", zeta1d, "zeta", "key[j:j + r]",
-     "key[len(key) - r:]", "test_zeta2d-test_direct_path_agrees"),
+    ("zeta-unit-key-from-the-end", zeta1d, "zeta", "units[:r]",
+     "units[len(units) - r:]", "test_zeta2d-test_direct_path_agrees"),
     # a key with exactly r unit digits taken for one that vanishes
-    ("zeta-skips-keys-at-the-conductor", zeta1d, "zeta", ">= max(r, 1)",
-     "> max(r, 1)", "verify-q2-zeta1d-epsilon-rmax2"),
+    ("zeta-skips-keys-at-the-conductor", zeta1d, "zeta",
+     "len(units) >= least", "len(units) > least",
+     "verify-q2-zeta1d-epsilon-rmax2"),
+    # a rational coefficient rebuilt at order 1 from its numerator alone
+    ("order-one-rebuild-drops-the-denominator", zeta1d, "_scaled",
+     "Fraction(coeff.n[0], coeff.d)", "coeff.n[0]",
+     "verify-q2-identity-A-d1"),
+    # every constant divisor, not only 1, taken to leave the dividend as
+    # it is
+    ("divide-by-any-constant-skipped", ZetaValue, "__truediv__",
+     "o._fr == _ONE_FR",
+     "o._fr.keys() == {0} and len(o._fr[0][0]) == len(o._fr[0][1]) == 1",
+     "test_exactnum-test_division_by_a_constant"),
     # at q = 2 and conductor <= 2 the steps L/n and L/q of gauss_sum are
     # equal; a character of conductor 3 has n = 4
     ("gauss-scales-t-by-the-character-step", localfield, "gauss_sum",
@@ -431,6 +447,35 @@ def test_clear_caches_empties_the_quadrature_node_table():
     assert archfe._nodes.cache_info().currsize
     clear_caches()
     assert not archfe._nodes.cache_info().currsize
+
+
+def test_clear_caches_drops_the_key_tables_of_kept_stars(monkeypatch):
+    # the stars that epsilon_star keeps carry the key tables that zeta
+    # built on their normal forms; emptying the caches drops the stars
+    # and their tables, so a mutant of the table builder shows on a
+    # fresh call, where the kept tables hide it
+    q = 3
+    omega = next(w for w in localfield.enumerate_characters(q, 1)
+                 if w.r == 1)
+    psi = localfield.AdditiveCharacter(q, 0)
+    u = localfield.KElement.uniformizer(q)
+    clear_caches()
+    try:
+        want = zeta1d.epsilon_star(omega, psi, u)
+        with monkeypatch.context() as patch:
+            patch.setattr(zeta1d, "_key_table", mutant(
+                zeta1d._key_table, "key[j:]", "key[j + 1:]"))
+            assert zeta1d.epsilon_star(omega, psi, u) == want
+            clear_caches()
+            try:
+                got = zeta1d.epsilon_star(omega, psi, u)
+            except ArithmeticError:
+                got = None
+            assert got != want
+        clear_caches()
+        assert zeta1d.epsilon_star(omega, psi, u) == want
+    finally:
+        clear_caches()
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))

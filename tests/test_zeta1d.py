@@ -242,6 +242,22 @@ class TestZetaOnKeys:
         assert got == want
         assert str(got) == str(want)
 
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rational_coefficients_at_any_order(self, q, data):
+        # zeta holds a rational coefficient at order 1; one embedded at
+        # order q, as a star's expansion leaves it, or at omega's order n
+        # gives an equal value
+        g = data.draw(sb_functions(q))
+        omega = data.draw(st.sampled_from(CHARACTERS[q])).with_pi_value(
+            data.draw(st.sampled_from(PI_VALUES)))
+        want = zeta(g, omega)
+        for m in (q, omega.n):
+            gm = SBFunction(q, [(a, c.embed(math.lcm(c.m, m)))
+                                for a, c in g.terms], g.mu)
+            assert all(c.m % m == 0 for _, _, c in gm.normalize()._keys)
+            assert zeta(gm, omega) == want
+
     def test_star_transforms_of_the_basis(self):
         # the inputs of the epsilon and identity-A suites
         q = 3
