@@ -418,7 +418,12 @@ def cyc_sums(parts):
     """{key: sum of c * zeta_n^t} over (c, n, pairs) in parts and (key, t)
     in pairs, as integer vectors over one common denominator; each sum is
     one CycRat at the lcm of the lcm(c.m, n) that reach its key, the order
-    a CycRat sum of the same terms has.  Equal sums share one value."""
+    a CycRat sum of the same terms has.  Equal sums share one value.
+    zeta1d.zeta prints each shell at the order of its sum, so its printed
+    values rest on this rule: holding rational sums at order 1 here
+    changed seven of twenty standard reports, three of them pinned in
+    tests/test_cli.py.  A normal form's rational coefficients are held at
+    order 1 by schwartz._normal_form instead."""
     parts = list(parts)
     den = math.lcm(*(c.d for c, _, _ in parts))
     big = math.lcm(*(math.lcm(c.m, n) for c, n, _ in parts))

@@ -40,10 +40,9 @@ function on the residue field to pi^r O.
 
 from fractions import Fraction
 from functools import lru_cache
-import math
 import operator
 
-from .exactnum import CycRat, cyc_sums, cyc_zero
+from .exactnum import CycRat, _cyc, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement
 
 TERM_CAP = 10 ** 5
@@ -149,22 +148,18 @@ def _times_root(c, q, t):
     return c * CycRat.root_of_unity(q, t) if t else c
 
 
-def _at_order_q(c, q):
-    """c at the order that its expansion gives it: a twist expanded into
-    plain keys takes each coefficient to order lcm(m, q) (see cyc_sums),
-    and a term that loses its twist in a map keeps that order."""
-    return c.embed(math.lcm(c.m, q))
-
-
 def _normal_form(q, mu, base, parts):
     """The normal form of the sum of c zeta_n^t Char(key) over (c, n,
     pairs) in parts and (key, t) in pairs, keys at base (see cyc_sums and
-    _canonical)."""
+    _canonical).  A coefficient with an irrational coordinate keeps the
+    order of its sum; a rational one is held at order 1, whatever order
+    its terms had, so no map and no reader of the keys decides it."""
     keymap = _canonical(q, cyc_sums(parts))
     cut = 0  # the leading digits that are zero in every key
     while keymap and all(cut < len(k) and not k[cut] for k in keymap):
         cut += 1
-    keys = sorted(((k[cut:], (), c) for k, c in keymap.items()),
+    keys = sorted(((k[cut:], (), c if any(c.n[1:]) else _cyc(1, c.n[:1], c.d))
+                   for k, c in keymap.items()),
                   key=lambda t: (len(t[0]), t[0]))
     f = _keyed(q, mu, base + cut if keys else 0, keys)
     f._canon = f
@@ -391,8 +386,7 @@ class SBFunction:
                 lev = base + len(key)
                 twist, c = key[_lead(key):], c * scale[lev]
                 yield ((0,) * (d - lev - len(tw) - out)
-                       + tuple(-x % q for x in tw), twist,
-                       c if twist or not tw else _at_order_q(c, q))
+                       + tuple(-x % q for x in tw), twist, c)
         return _summed(q, self.mu, out, image())
 
     def _shell_map(self, pi, power, first):
@@ -407,7 +401,8 @@ class SBFunction:
         first(L + m) gives +Char(pi^s O) - Char(pi^(s+1) O) twisted by
         b pi^power(s), cut below the level of its piece, and the ideal
         pi^first(L + m) O, where the twist is trivial, is untwisted.  A
-        piece that loses its twist keeps the order of its expansion."""
+        piece that loses its twist keeps its coefficient as it is: the
+        order a coefficient is held at is left to the normal form."""
         q, base, terms = self.q, self._base, self._keys
         out = first(base)
         times = _times_unit_powers(q, pi, _span(terms))
@@ -426,9 +421,8 @@ class SBFunction:
                     k = power(s)
                     b, cut = times(tw, k), v + len(tw) - s - k
                     yield (0,) * (s - out), b[:cut], c
-                    yield ((0,) * (s + 1 - out), b[:cut - 1],
-                           -c if cut > 1 else _at_order_q(-c, q))
-                yield (0,) * (top - out), (), _at_order_q(c, q) if tw else c
+                    yield (0,) * (s + 1 - out), b[:cut - 1], -c
+                yield (0,) * (top - out), (), c
         return _summed(q, self.mu, out, image())
 
     def w_operator(self, pi):

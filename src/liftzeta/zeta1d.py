@@ -23,14 +23,6 @@ from .localfield import AdditiveCharacter, KCoset, KElement, gauss_sum
 from .schwartz import SBFunction, _lead
 
 
-def _scaled(coeff, s):
-    """coeff times the rational s, held at order 1 when coeff has no
-    irrational coordinate."""
-    if any(coeff.n[1:]):
-        return coeff * CycRat.from_rational(s)
-    return CycRat.from_rational(Fraction(coeff.n[0], coeff.d) * s)
-
-
 def _key_table(g):
     """The keys of the normal form g as zeta reads them, one (v, units, c)
     per key, kept in g's `_zeta_keys` slot.  A key with first nonzero digit
@@ -38,15 +30,17 @@ def _key_table(g):
     digits from j on.  c is the coefficient times mu q^(j - len(key)), the
     multiplicative measure of the coset by d*x = |x|^-1 dx, or, for an
     ideal key (no unit digit), times mu (q - 1)/q, that of each shell the
-    ideal holds.  Nothing here depends on a character, so the table is
-    built on the first zeta call and every character reads it."""
+    ideal holds.  A normal form holds a rational coefficient at order 1,
+    and a rational scale keeps it there.  Nothing here depends on a
+    character, so the table is built on the first zeta call and every
+    character reads it."""
     q, mu = g.q, g.mu
     table = []
     for key, _, coeff in g._keys:
         j = _lead(key)
         s = mu * (Fraction(q) ** (j - len(key)) if j < len(key)
                   else Fraction(q - 1, q))
-        table.append((g._base + j, key[j:], _scaled(coeff, s)))
+        table.append((g._base + j, key[j:], coeff * CycRat.from_rational(s)))
     g._zeta_keys = table
     return table
 

@@ -288,9 +288,10 @@ MUTANTS = [
     ("zeta-skips-keys-at-the-conductor", zeta1d, "zeta",
      "len(units) >= least", "len(units) > least",
      "verify-q2-zeta1d-epsilon-rmax2"),
-    # a rational coefficient rebuilt at order 1 from its numerator alone
-    ("order-one-rebuild-drops-the-denominator", zeta1d, "_scaled",
-     "Fraction(coeff.n[0], coeff.d)", "coeff.n[0]",
+    # a rational coefficient of a normal form rebuilt at order 1 from its
+    # numerator alone
+    ("order-one-rebuild-drops-the-denominator", schwartz, "_normal_form",
+     "_cyc(1, c.n[:1], c.d)", "_cyc(1, c.n[:1])",
      "verify-q2-identity-A-d1"),
     # every constant divisor, not only 1, taken to leave the dividend as
     # it is
