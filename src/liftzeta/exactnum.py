@@ -74,6 +74,11 @@ def _pdivmod(p, d, zero):
     return _ptrim(quo), tuple(r)
 
 
+def _paren(x):
+    s = str(x)
+    return "(%s)" % s if " " in s else s
+
+
 def _join_terms(terms):
     """The signed terms of a sum as one string: "a + b - c", or "0"."""
     if not terms:
@@ -103,30 +108,27 @@ def _phi_deg(m):
 
 
 @lru_cache(maxsize=None)
-def _xpow_mod_cyc(m, k):
-    """x^k reduced modulo the m-th cyclotomic polynomial, which is monic
-    and integral, as a dense integer tuple of length phi(m)."""
-    d = _phi_deg(m)
-    if k < d:
-        row = [0] * d
-        row[k] = 1
-        return tuple(row)
-    shifted = [0] + list(_xpow_mod_cyc(m, k - 1))
-    top = shifted[d]
-    out = shifted[:d]
-    if top:
-        phi = cyclotomic_poly(m)
-        for i in range(d):
-            if phi[i]:
-                out[i] -= top * phi[i]
-    return tuple(out)
+def _xpow_rows(m):
+    """The rows _xpow_terms(m, k) for k = 0, 1, ... as far as built."""
+    return [((k, 1),) for k in range(_phi_deg(m))]
 
 
 @lru_cache(maxsize=None)
 def _xpow_terms(m, k):
     """The nonzero (i, c) of x^k reduced modulo the m-th cyclotomic
-    polynomial."""
-    return tuple((i, c) for i, c in enumerate(_xpow_mod_cyc(m, k)) if c)
+    polynomial, which is monic and integral.  Each row past the highest
+    one kept is x times the row before, its term at x^phi(m) replaced by
+    minus that coefficient times the lower terms of Phi_m."""
+    rows, phi = _xpow_rows(m), cyclotomic_poly(m)
+    while len(rows) <= k:
+        out = [0] * len(phi)
+        for i, c in rows[-1]:
+            out[i + 1] = c
+        top = out.pop()
+        for i in range(len(out)):
+            out[i] -= top * phi[i]
+        rows.append(tuple((i, c) for i, c in enumerate(out) if c))
+    return rows[k]
 
 
 def _reduce_mod_cyc(p, m):
@@ -193,7 +195,8 @@ class CycRat:
     (Hart, "ANTIC: Algebraic Number Theory in C", 2015).  That is
     canonical at each order m, so equality embeds both sides into the lcm
     order and compares (n, d).  Arithmetic runs on ints; the inverse is
-    the product of the other Galois conjugates over the rational norm.
+    the product of the other Galois conjugates ``galois(k)`` over the
+    rational norm.
     ``a`` is the Fraction view n_i/d, which printing reads.  The hash is
     the normalized trace to Q, which does not depend on the order, and is
     the value's own hash when it is rational.
@@ -311,9 +314,9 @@ class CycRat:
             return _cyc(m, (s * d,) + n[1:], s * n[0])
         # x^-1 = (product of sigma_k(x), k != 1) / N(x), and N(x) is the
         # constant coordinate of x times that product
-        adj = (1,)
+        x, adj = _cyc(m, n), (1,)
         for k in _other_units(m):
-            adj = _reduce_mod_cyc(_pmul(adj, _remap(n, k, m), 0), m)
+            adj = _reduce_mod_cyc(_pmul(adj, x.galois(k).n, 0), m)
         norm = _reduce_mod_cyc(_pmul(n, adj, 0), m)[0]
         s = -d if norm < 0 else d
         return _cyc(m, tuple(s * c for c in adj), abs(norm))
@@ -331,9 +334,9 @@ class CycRat:
                 base = base * base
         return out
 
-    def conjugate(self):
-        """Complex conjugation: zeta_m -> zeta_m^(m-1)."""
-        return _cyc(self.m, _remap(self.n, self.m - 1, self.m), self.d)
+    def galois(self, k):
+        """sigma_k: zeta_m -> zeta_m^k, for k prime to m."""
+        return _cyc(self.m, _remap(self.n, k % self.m, self.m), self.d)
 
     def __eq__(self, other):
         if type(other) is not CycRat:
@@ -370,7 +373,7 @@ class CycRat:
 
 @lru_cache(maxsize=None)
 def _cached_root(m, k):
-    return _cyc(m, _xpow_mod_cyc(m, k))
+    return _cyc(m, _reduce_mod_cyc((0,) * k + (1,), m))
 
 
 def is_prime(n):
@@ -806,10 +809,7 @@ class ZetaValue:
             elif c == -1:
                 s = "-" + tpart
             else:
-                cs = str(c)
-                if " " in cs:
-                    cs = "(%s)" % cs
-                s = "%s*%s" % (cs, tpart)
+                s = "%s*%s" % (_paren(c), tpart)
             bits.append(s)
         return _join_terms(bits)
 
@@ -820,10 +820,9 @@ class ZetaValue:
         for g in sorted(self.terms):
             n, d = self.terms[g]
             bits = []
-            ns = self._poly_str(n)
             one_num = len(n) == 1 and n[0] == 1
             if not one_num or d == (cyc_one(),) and g == 0:
-                bits.append("(%s)" % ns if " " in ns else ns)
+                bits.append(_paren(self._poly_str(n)))
             if d != (cyc_one(),):
                 bits.append("(%s)^-1" % self._poly_str(d))
             if g:

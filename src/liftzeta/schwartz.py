@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 import operator
 
-from .exactnum import CycRat, _cyc, cyc_sums, cyc_zero
+from .exactnum import CycRat, _cyc, _paren, cyc_sums, cyc_zero
 from .localfield import KCoset, KElement
 
 TERM_CAP = 10 ** 5
@@ -489,9 +489,9 @@ class SBFunction:
     def __str__(self):
         """The terms as stored, a twisted one as c*psi0((b)*x)*[coset]."""
         q, base = self.q, self._base
-        bits = ["%s*%s" % (c, a) for a, c in self._stored_atoms()]
+        bits = ["%s*%s" % (_paren(c), a) for a, c in self._stored_atoms()]
         bits += ["%s*psi0((%s)*x)*%s" % (
-            c, KElement(q, _twist_digits(base + len(k), tw)),
+            _paren(c), KElement(q, _twist_digits(base + len(k), tw)),
             _coset(q, base, k)) for k, tw, c in self._keys if tw]
         return " + ".join(bits) or "0"
 

@@ -7,6 +7,8 @@ tuples.  The tests also write them as text or from a few numbers:
   K elements ("2*u^-1 + 1 + u^3"), F elements ("u^-1 + t*(1+u)") and
   Schwartz functions ("1*[1 + u^2*O] - 2*[u^-1 + u*O]");
 - ``lift_finite`` lifts a function on the residue field to pi^r O;
+- ``coset_basis`` is the basis of ideals and cosets refining pi^-1 O,
+  or another ideal;
 - ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists;
 - ``fe2_factors`` gives ``zeta2d.verify_FE2`` its two factor lists for a
   sum of pure tensors.
@@ -125,6 +127,17 @@ def lift_finite(h, r, q, mu=Fraction(1)):
         coeff = h.get(c, 0) if isinstance(h, dict) else h(c)
         terms.append((KCoset(q, KElement(q, {r: c}), r + 1), coeff))
     return SBFunction(q, terms, mu).normalize()
+
+
+def coset_basis(q, maxlev, top=-1):
+    """The ideals pi^n O for top <= n <= maxlev, and the nonzero cosets
+    refining pi^top O at levels top + 1 to maxlev."""
+    out = [SBFunction.char_ideal(q, n) for n in range(top, maxlev + 1)]
+    for lev in range(top + 1, maxlev + 1):
+        for c in KCoset.ideal(q, top).subcosets(lev):
+            if not c.rep.is_zero():
+                out.append(SBFunction.char(c))
+    return out
 
 
 def from_fraction(q, num_coeffs, den_coeffs, x_exp=0):

@@ -27,23 +27,13 @@ from liftzeta.zeta1d import (
     double_star_invariance, epsilon_star, rho0, z_normalized, zeta,
 )
 from liftzeta.zeta2d import epsilon2, zeta_rho2
-from builders import lift_finite
+from builders import coset_basis, lift_finite
 from setoracle import (
     IntervalFamily, atoms, probe_points, rand_coset, rand_expr, rand_interval,
 )
 
 QS = (2, 3, 5)
 Z4 = CycRat.root_of_unity(4)
-
-
-def coset_basis(q, maxlev):
-    """Ideals and all nonzero cosets refining pi^-1 O up to maxlev."""
-    out = [SBFunction.char_ideal(q, n) for n in range(-1, maxlev + 1)]
-    for lev in range(0, maxlev + 1):
-        for c in KCoset.ideal(q, -1).subcosets(lev):
-            if not c.rep.is_zero():
-                out.append(SBFunction.char(c))
-    return out
 
 
 def characters(q, rmax):
@@ -286,21 +276,13 @@ class TestLiftedMeasure:
 
 
 class TestTwoVariableFunctionalEquation:
-    def basis(self, q, maxlev):
-        out = [SBFunction.char_ideal(q, n) for n in range(0, maxlev + 1)]
-        for lev in range(1, maxlev + 1):
-            for c in KCoset.ideal(q, 0).subcosets(lev):
-                if not c.rep.is_zero():
-                    out.append(SBFunction.char(c))
-        return out
-
     @pytest.mark.parametrize("q", [2, 3])
     def test_all_characters_all_basis_tensors(self, q):
         d = 0
         psi = AdditiveCharacter(q, d)
         pi = KElement.uniformizer(q)
         chars = characters(q, 2)
-        basis = self.basis(q, 2)
+        basis = coset_basis(q, 2, top=0)
         starred = [f.star(psi, pi) for f in basis]
         znorm = {}
         zdual = {}

@@ -9,7 +9,7 @@ from hypothesis import (
 )
 
 import modoracle
-from builders import from_fraction
+from builders import clear_caches, from_fraction
 from test_zeta1d import euclid_inverse
 from liftzeta import cli, exactnum
 from liftzeta.exactnum import (
@@ -18,6 +18,11 @@ from liftzeta.exactnum import (
 )
 from liftzeta.localfield import QuasiCharacter
 from liftzeta.zeta1d import l_function
+
+
+# the mutation checks of test_mutants.py run these properties again on an
+# instance of their own
+OWN_INSTANCE = [HealthCheck.differing_executors]
 
 
 def zeta(m, k=1):
@@ -46,8 +51,8 @@ class TestCycRat:
         assert zeta(3) + zeta(3, 2) == -1
 
     def test_conjugate(self):
-        assert zeta(3).conjugate() == zeta(3, 2)
-        assert zeta(3) * zeta(3).conjugate() == 1
+        assert zeta(3).galois(-1) == zeta(3, 2)
+        assert zeta(3) * zeta(3).galois(-1) == 1
 
     def test_mixed_orders(self):
         # zeta_2 = -1, and zeta_6^3 = -1
@@ -194,7 +199,36 @@ class TestCycRat:
         for m in (3, 4, 5, 8):
             for k in range(1, m):
                 r = zeta(m, k)
-                assert r.conjugate() * r == 1
+                assert r.galois(-1) * r == 1
+
+    @given(st.sampled_from([3, 4, 5, 8, 12, 20, 60]), st.data())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=OWN_INSTANCE)
+    def test_galois_is_a_field_automorphism(self, m, data):
+        # sigma_k sends zeta_m to zeta_m^k, respects + and *, fixes Q,
+        # and sigma_j sigma_k = sigma_jk
+        units = st.sampled_from([k for k in range(1, m)
+                                 if math.gcd(k, m) == 1])
+        k, j = data.draw(units), data.draw(units)
+        coord = st.fractions(-3, 3, max_denominator=4)
+        n = len(CycRat.from_rational(0, m).a)
+        x, y = (CycRat(m, data.draw(st.lists(coord, min_size=n, max_size=n)))
+                for _ in range(2))
+        r = data.draw(coord)
+        assert zeta(m).galois(k) == zeta(m, k)
+        assert (x + y).galois(k) == x.galois(k) + y.galois(k)
+        assert (x * y).galois(k) == x.galois(k) * y.galois(k)
+        assert CycRat.from_rational(r, m).galois(k) == r
+        assert x.galois(k).galois(j) == x.galois(k * j)
+        z = zeta(m, data.draw(st.integers(0, m - 1)))
+        assert z.galois(-1) * z == 1
+
+    def test_roots_of_high_order_from_fresh_caches(self):
+        # order 1012, that of the FE2 values at q = 23: x^1011 lies 571
+        # rows past phi(1012) = 440, each built from the one before
+        clear_caches()
+        assert zeta(1012, 1011) * zeta(1012) == 1
+        assert zeta(1012).galois(-1) == zeta(1012, 1011)
 
     def test_power_one_and_minus_one_make_no_product(self, monkeypatch):
         # square only while bits remain: x ** 1 is one multiplication by
@@ -545,9 +579,6 @@ def tree_image(tree, t, x):
     return OPS[op](a, b) % P
 
 
-# the mutation checks of test_mutants.py run these properties again on an
-# instance of their own
-OWN_INSTANCE = [HealthCheck.differing_executors]
 # two fractions over distinct binomials of one length, added
 BINOMIAL_SUM = ("+", ("leaf", (1,), (1, 2), 0), ("leaf", (1,), (1, 3), 0))
 LEAF = ("leaf", (1, 2), (1, -1), 1)

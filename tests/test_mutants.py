@@ -137,6 +137,8 @@ CHECKS = {
         test_exactnum.TestCycRat, "test_sqrt_q_lies_in_the_field"),
     "test_exactnum-test_inverse": named_test(
         test_exactnum.TestCycRat, "test_inverse"),
+    "test_exactnum-test_galois_is_a_field_automorphism": named_test(
+        test_exactnum.TestCycRat, "test_galois_is_a_field_automorphism"),
     "test_exactnum-test_add": named_test(
         test_exactnum.TestZetaValue, "test_add"),
     "test_exactnum-test_inverse_cancellation": named_test(
@@ -317,6 +319,13 @@ MUTANTS = [
     ("epsilon2-second-factor-at-unit-measure", zeta2d, "epsilon2",
      "epsilon_star(omega2, psi, pi, mu)", "epsilon_star(omega2, psi, pi)",
      "test_zeta2d-test_product_of_the_one_variable_factors_at_mu"),
+    # every element fixed, so sigma_-1 z is z, not 1/z
+    ("galois-ignores-k", CycRat, "galois", "k % self.m", "1",
+     "test_exactnum-test_galois_is_a_field_automorphism"),
+    # x^phi(m) taken as plus the lower terms of Phi_m
+    ("xpow-row-adds-the-top", exactnum, "_xpow_terms",
+     "out[i] -= top * phi[i]", "out[i] += top * phi[i]",
+     "test_exactnum-test_inverse"),
     ("ptrim-keeps-a-last-zero", exactnum, "_ptrim",
      "while n and not p[n - 1]:", "while n > 1 and not p[n - 1]:",
      "test_exactnum-test_inverse"),

@@ -50,8 +50,6 @@ UNRUN = {
     "setring.DddSet.measure": "per-atom measure of tests/liftoracle.py",
     "setring.KCosetFamily.haar": "coset measure of tests/liftoracle.py",
     "lift2d.DistinguishedSetF.contains": "membership of tests/setoracle.py",
-    "exactnum.CycRat.conjugate": "test_zeta1d's rho0 conjugate identity "
-                                 "and test_exactnum",
     # quantities of the paper that wait for a report row
     "lift2d.zeta_F1": "one-variable zeta integral on F",
     "lift2d.zeta_F1_regularized": "its principal-value variant",

@@ -913,3 +913,13 @@ class TestParse:
         assert f.equals(SBFunction.char_ideal(2, 0))
         g = parse_sb(2, "[u^2*O]")
         assert g.equals(SBFunction.char_ideal(2, 2))
+
+
+class TestPrinting:
+    def test_a_sum_coefficient_is_parenthesized(self):
+        # zeta_3 at order 6 is z6 - 1, and 1 + z4 is a sum of two terms
+        z3 = CycRat.root_of_unity(3).embed(6)
+        assert str(SBFunction.char_ideal(2, 0, z3)) == "(-1 + z6)*[pi^0*O]"
+        assert (str(SBFunction.char_ideal(3, 1, 1 + CycRat.root_of_unity(4)))
+                == "(1 + z4)*[pi^1*O]")
+        assert str(SBFunction.char_ideal(3, 1, -2)) == "-2*[pi^1*O]"

@@ -20,17 +20,7 @@ from liftzeta.zeta1d import (
     check_identity_A, double_star_invariance, epsilon_star, l_function,
     rho0, z_normalized, zeta,
 )
-from builders import from_fraction
-
-
-def coset_basis(q, maxlev):
-    """Ideals and all nonzero cosets refining pi^-1 O up to maxlev."""
-    out = [SBFunction.char_ideal(q, n) for n in range(-1, maxlev + 1)]
-    for lev in range(0, maxlev + 1):
-        for c in KCoset.ideal(q, -1).subcosets(lev):
-            if not c.rep.is_zero():
-                out.append(SBFunction.char(c))
-    return out
+from builders import coset_basis, from_fraction
 
 
 def ramified_chars(q, rmax, pi_value=None):
@@ -363,7 +353,7 @@ class TestRho0:
         seen = False
         for w in ramified_chars(q, 2):
             r = rho0(w, psi, pi)
-            assert r * r.conjugate() == 1
+            assert r * r.galois(-1) == 1
             seen = True
         assert seen
 
@@ -374,7 +364,7 @@ class TestRho0:
             psi = AdditiveCharacter(q, d)
             for w in ramified_chars(q, 2):
                 lhs = rho0(w.inverse(), psi, pi)
-                rhs = w.at_minus_one() * rho0(w, psi, pi).conjugate()
+                rhs = w.at_minus_one() * rho0(w, psi, pi).galois(-1)
                 assert lhs == rhs
 
     def test_unramified_rejected(self):

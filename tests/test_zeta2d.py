@@ -14,7 +14,7 @@ from liftzeta.zeta1d import (
     epsilon_star, l_function, rho0, z_normalized, _delta_parity,
 )
 from liftzeta.zeta2d import epsilon2, verify_FE2, zeta_rho2
-from builders import fe2_factors
+from builders import coset_basis, fe2_factors
 
 
 def trivial(q, pi_value=None):
@@ -180,20 +180,12 @@ class TestEpsilon2:
 
 
 class TestFE2:
-    def basis(self, q, maxlev):
-        out = [SBFunction.char_ideal(q, n) for n in range(0, maxlev + 1)]
-        for lev in range(1, maxlev + 1):
-            for c in KCoset.ideal(q, 0).subcosets(lev):
-                if not c.rep.is_zero():
-                    out.append(SBFunction.char(c))
-        return out
-
     @pytest.mark.parametrize("q", [2, 3])
     def test_functional_equation(self, q):
         psi = AdditiveCharacter(q, 0)
         pi = KElement.uniformizer(q)
         chars = all_chars(q, 1, CycRat.root_of_unity(4))
-        basis = self.basis(q, 2)
+        basis = coset_basis(q, 2, top=0)
         pairs = [(a, b) for a in basis[:3] for b in basis[:3]]
         pairs += [(basis[-1], basis[1]), (basis[2], basis[-1])]
         for om1 in chars:
