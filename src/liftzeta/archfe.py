@@ -43,8 +43,10 @@ def _node(t):
 def _nodes(level):
     """The (x, cosh t) pairs of the t window [-6, 4] that halving level
     adds: t = -6 + k/2 for k = 1..19 at level 0, the odd multiples of the
-    step 0.5/2^level past -6 after that.  The nodes depend on the level
-    alone, so every quadrature shares them."""
+    step 0.5/2^level past -6 after that, in increasing t.  So the nodes
+    of a finer level strictly between t = -6 + a/2 and t = -6 + b/2 are
+    its slice [a 2^(level-1) : b 2^(level-1)].  The nodes depend on the
+    level alone, so every quadrature shares them."""
     h = 0.5 / 2 ** level
     ks = range(1, 20) if level == 0 else range(1, round(10 / h), 2)
     return tuple(_node(-6 + k * h) for k in ks)
@@ -58,22 +60,46 @@ def _complex_quad(fn, tol):
     x ~ e^-317, where |x|^s has decayed even for small s, and t = 4 stops
     at x ~ e^43, before x^4 overflows.  A sum cut off by the window still
     converges, so the error adds the end terms to the step difference.
+
+    The finer levels sum only where the level-0 terms matter: between the
+    first and the last of them that reach 1e-20 of the largest, widened
+    by one level-0 node on each side; the error adds the largest level-0
+    term left outside.  A zero integrand keeps the whole window: its cut
+    is 0, which every term reaches.  The step difference d of the
+    trapezoid sums about squares with each halving, so once it shrinks,
+    d^2 over the previous difference estimates the error of the current
+    sum (Bailey, Jeyabalan and Li, Experimental Math. 14, 2005); the rule
+    stops when that is within tol too, a level before the difference
+    itself would be.
     """
     half_pi = math.pi / 2
 
     def terms(nodes):
-        return (fn(x) * x * half_pi * c for x, c in nodes)
+        return [fn(x) * x * half_pi * c for x, c in nodes]
 
     end_lo, end_hi = terms([_node(-6), _node(4)])
+    coarse = terms(_nodes(0))
+    cut = 1e-20 * max(map(abs, coarse))
+    kept = [k for k, v in enumerate(coarse, 1) if abs(v) >= cut]
+    a, b = kept[0] - 1, kept[-1] + 1
+    dropped = max((abs(v) for k, v in enumerate(coarse, 1)
+                   if not a <= k <= b), default=0.0)
     h = 0.5
-    total = h * ((end_lo + end_hi) / 2 + sum(terms(_nodes(0))))
+    total = h * ((end_lo + end_hi) / 2 + sum(coarse))
+    prev = 0.0  # no earlier difference, so none is shrinking yet
     for level in range(1, 10):
         h /= 2
-        new = total / 2 + h * sum(terms(_nodes(level)))
+        half = 2 ** (level - 1)
+        new = total / 2 + h * sum(terms(_nodes(level)[a * half:b * half]))
         diff, total = abs(new - total), new
-        if diff <= tol * max(1.0, abs(total)):
+        bound = tol * max(1.0, abs(total))
+        if diff <= bound:
             break
-    return total, diff + abs(end_lo) + abs(end_hi)
+        if diff < prev and diff * diff / prev <= bound:
+            diff = diff * diff / prev
+            break
+        prev = diff
+    return total, diff + abs(end_lo) + abs(end_hi) + dropped
 
 
 def star_numeric(f, y):

@@ -21,6 +21,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .exactnum import CycRat, ZetaValue
@@ -367,7 +368,10 @@ def cmd_epsilon_table(cfg):
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The parser of both commands, built on the first call and kept:
+    parsing leaves it as it was, so every main call can share it."""
     parser = argparse.ArgumentParser(
         prog="liftzeta",
         description="exact verification of lifted zeta-integral "

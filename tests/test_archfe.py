@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 
@@ -14,13 +15,54 @@ def zero_function(x):
     return 0.0
 
 
-def reference_quad(fn, tol):
-    """The exp-sinh rule with each node computed where it is summed, as
-    term(t); archfe builds its nodes once per halving level."""
+def term_at(fn):
+    """t -> the exp-sinh term fn(x) x (pi/2) cosh t, x = exp(pi/2 sinh t),
+    computed where it is summed."""
     def term(t):
         x = math.exp(math.pi / 2 * math.sinh(t))
         return fn(x) * x * (math.pi / 2) * math.cosh(t)
+    return term
 
+
+def reference_quad(fn, tol):
+    """archfe's exp-sinh rule with each node computed where it is summed,
+    as term(t); archfe builds its nodes once per halving level and takes
+    each level's nodes as a slice of them."""
+    term = term_at(fn)
+    lo, hi, h = -6, 4, 0.5
+    end_lo, end_hi = term(lo), term(hi)
+    coarse = [term(lo + k * h) for k in range(1, 20)]
+    total = h * ((end_lo + end_hi) / 2 + sum(coarse))
+    # finer levels only between the first and the last level-0 term of
+    # at least 1e-20 of the largest, with one level-0 node to spare
+    big = max(abs(v) for v in coarse)
+    kept = [k for k in range(1, 20) if abs(coarse[k - 1]) >= 1e-20 * big]
+    t_lo, t_hi = lo + (kept[0] - 1) * h, lo + (kept[-1] + 1) * h
+    dropped = max([abs(coarse[k - 1]) for k in range(1, 20)
+                   if not t_lo <= lo + k * h <= t_hi] + [0.0])
+    prev = None
+    for _ in range(9):
+        h /= 2
+        new = total / 2 + h * sum(term(lo + k * h)
+                                  for k in range(1, round((hi - lo) / h), 2)
+                                  if t_lo < lo + k * h < t_hi)
+        diff, total = abs(new - total), new
+        if diff <= tol * max(1.0, abs(total)):
+            break
+        # the step difference shrinks, and its square over the one before
+        # is within tol: that estimates the error of this level's sum
+        if prev is not None and diff < prev \
+                and diff * diff / prev <= tol * max(1.0, abs(total)):
+            diff = diff * diff / prev
+            break
+        prev = diff
+    return total, diff + abs(end_lo) + abs(end_hi) + dropped
+
+
+def full_window_quad(fn, tol):
+    """The exp-sinh rule before it cut its window: every level sums the
+    whole window [-6, 4], and it stops only when two sums agree."""
+    term = term_at(fn)
     lo, hi, h = -6, 4, 0.5
     end_lo, end_hi = term(lo), term(hi)
     total = h * ((end_lo + end_hi) / 2
@@ -35,14 +77,22 @@ def reference_quad(fn, tol):
     return total, diff + abs(end_lo) + abs(end_hi)
 
 
-def with_reference_quad(compute):
-    """compute() with archfe's quadrature replaced by reference_quad."""
+def with_quad(rule, compute):
+    """compute() with archfe's quadrature replaced by rule."""
     quad = archfe._complex_quad
-    archfe._complex_quad = reference_quad
+    archfe._complex_quad = rule
     try:
         return compute()
     finally:
         archfe._complex_quad = quad
+
+
+def outcome(compute):
+    """compute(), or ArithmeticError if it raises one."""
+    try:
+        return compute()
+    except ArithmeticError:
+        return ArithmeticError
 
 
 class TestNodeTable:
@@ -60,10 +110,35 @@ class TestNodeTable:
         cold = self.values()
         # == on floats: the table moves where each node is computed, not
         # one bit of any sum, with the table cold or warm
-        assert cold == self.values() == with_reference_quad(self.values)
-        for run in (lambda compute: compute(), with_reference_quad):
+        reference = partial(with_quad, reference_quad)
+        assert cold == self.values() == reference(self.values)
+        for run in (lambda compute: compute(), reference):
             with pytest.raises(ArithmeticError):
                 run(lambda: zeta_numeric(gaussian_nabla, 1, 0.05))
+
+    def test_agrees_with_the_full_window_rule(self):
+        # takes no fixtures: tests/test_mutants.py runs it as a named check;
+        # the cut window and the early stop move no value by more than the
+        # rule's own tolerances, and raise on the same inputs (s = 0.05)
+        clear_caches()
+
+        def agree(compute, within):
+            new = outcome(compute)
+            old = outcome(partial(with_quad, full_window_quad, compute))
+            if ArithmeticError in (new, old):
+                return new is old
+            return abs(new - old) <= within(old)
+
+        for f in (gaussian, gaussian_nabla):
+            for k in range(-40, 41):
+                assert agree(partial(star_numeric, f, 0.075 * k),
+                             lambda old: 1e-10), (f.__name__, k)
+            for omega in (1, "sign"):
+                for s in (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.8, 1, 1.5, 2, 3,
+                          4, 5, 6, 8, 1 + 0.3j, 1 - 0.3j, 2 + 1j, 0.5 + 2j):
+                    assert agree(partial(zeta_numeric, f, omega, s),
+                                 lambda old: 1e-12 * max(1, abs(old))), \
+                        (f.__name__, omega, s)
 
 
 class TestStar:

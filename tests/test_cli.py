@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import liftzeta
-from liftzeta import cli, zeta1d, zeta2d
+from liftzeta import archfe, cli, zeta1d, zeta2d
 from liftzeta.cli import SUITE_FUNCS, SUITES, _row, build_parser, main
 from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.localfield import AdditiveCharacter, KElement
@@ -116,6 +116,25 @@ class TestArgs:
             run([command, "--q", "3", "--p", "2", "--rmax", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --p 2" in capsys.readouterr().err
+
+    def test_main_builds_one_parser(self, tmp_path, capsys):
+        clear_caches()
+        argv = ["verify", "--q", "2", "--suite", "archfe",
+                "--out-dir", str(tmp_path)]
+        assert run(argv) == run(argv) == 0
+        assert build_parser.cache_info().misses == 1
+        # a good run leaves the kept parser able to reject bad input
+        capsys.readouterr()
+        assert run(["verify", "--q", "4"]) == 2
+        assert "q must be prime" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--p", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p 2" in capsys.readouterr().err
+        assert run(argv) == 0
+        assert build_parser.cache_info().misses == 1
+        clear_caches()
+        assert not build_parser.cache_info().currsize
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--q", "23", "--rmax", "3", "--suite", "zeta1d-epsilon"],
@@ -296,6 +315,23 @@ class TestVerify:
         # are distinct
         assert len(built) == len({id(g) for g in built}) == \
             len(normal_forms) == tables
+
+    def test_archfe_integrand_evaluations(self, tmp_path, monkeypatch):
+        # the finer halving levels sum only where the level-0 terms reach
+        # 1e-20 of the largest, and the rule stops a level early on the
+        # DE error estimate; the full-window rule evaluated 20,671
+        calls = Counter()
+        quad = archfe._complex_quad
+
+        def counted_quad(fn, tol):
+            def counted_fn(x):
+                calls["integrand"] += 1
+                return fn(x)
+            return quad(counted_fn, tol)
+        monkeypatch.setattr(archfe, "_complex_quad", counted_quad)
+        assert main(["verify", "--q", "3", "--suite", "archfe",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert calls["integrand"] == 7752
 
     def test_fe2_passes_at_a_measure_other_than_one(self):
         cfg = build_parser().parse_args(["verify", "--q", "3", "--mu", "5/4"])

@@ -131,6 +131,8 @@ CHECKS = {
     "test_archfe-test_quadratures_match_the_reference_bit_for_bit":
         named_test(test_archfe.TestNodeTable,
                    "test_quadratures_match_the_reference_bit_for_bit"),
+    "test_archfe-test_agrees_with_the_full_window_rule": named_test(
+        test_archfe.TestNodeTable, "test_agrees_with_the_full_window_rule"),
     "test_exactnum-test_values_with_one_trace_compare_unequal": named_test(
         test_exactnum.TestCycRat, "test_values_with_one_trace_compare_unequal"),
     "test_exactnum-test_sqrt_q_lies_in_the_field": named_test(
@@ -441,8 +443,17 @@ MUTANTS = [
      "range(1, round(10 / h), 2)", "range(2, round(10 / h), 2)",
      "test_archfe-test_quadratures_match_the_reference_bit_for_bit"),
     ("quad-error-without-end-terms", archfe, "_complex_quad",
-     "return total, diff + abs(end_lo) + abs(end_hi)", "return total, diff",
+     "diff + abs(end_lo) + abs(end_hi) + dropped", "diff + dropped",
      "test_archfe-test_quadrature_edges"),
+    # finer levels skip terms that still count
+    ("quad-window-cut-at-1e-3", archfe, "_complex_quad",
+     "cut = 1e-20 *", "cut = 1e-3 *",
+     "test_archfe-test_agrees_with_the_full_window_rule"),
+    # the first level has no earlier difference to shrink from
+    ("quad-early-stop-without-shrinking-guard", archfe, "_complex_quad",
+     "if diff < prev and diff * diff / prev <= bound:",
+     "if diff * diff / prev <= bound:",
+     "test_archfe-test_agrees_with_the_full_window_rule"),
     ("row-passes-everything", cli, "_row",
      '"pass": expected == got', '"pass": True',
      "test_cli-test_raising_suite_becomes_an_error_row"),
