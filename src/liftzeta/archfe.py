@@ -79,6 +79,8 @@ def _complex_quad(fn, tol):
 
     end_lo, end_hi = terms([_node(-6), _node(4)])
     coarse = terms(_nodes(0))
+    if not all(map(cmath.isfinite, coarse)):
+        raise ArithmeticError("integrand not finite at a level-0 node")
     cut = 1e-20 * max(map(abs, coarse))
     kept = [k for k, v in enumerate(coarse, 1) if abs(v) >= cut]
     a, b = kept[0] - 1, kept[-1] + 1
@@ -99,6 +101,8 @@ def _complex_quad(fn, tol):
             diff = diff * diff / prev
             break
         prev = diff
+    if not cmath.isfinite(total):
+        raise ArithmeticError("quadrature sum not finite")
     return total, diff + abs(end_lo) + abs(end_hi) + dropped
 
 
@@ -120,7 +124,7 @@ def star_numeric(f, y):
         return f(r) * phase + f(-r) * phase.conjugate()
 
     val, err = _complex_quad(integrand, 1e-10)
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise ArithmeticError("quadrature did not converge")
     return val
 
@@ -145,7 +149,7 @@ def zeta_numeric(f, omega, s):
         return (f(x) + sign_at_minus * f(-x)) * weight
 
     val, err = _complex_quad(integrand, 1e-12)
-    if err > 1e-9:
+    if not err <= 1e-9:
         raise ArithmeticError("quadrature did not converge")
     return val
 

@@ -136,7 +136,7 @@ def suite_identity_a(cfg):
     q, d = cfg.q, cfg.d
     psi = AdditiveCharacter(q, d)
     pi = KElement.uniformizer(q)
-    basis = [(f, f.star(psi, pi).star(psi, pi))
+    basis = [(f, f.double_star(psi, pi))
              for f in _coset_basis(q, cfg.level, cfg.mu)]
     return [("basis-%s" % om.label, {"q": q, "d": d, "r": om.r}, True,
              all(zeta1d.check_identity_A(f, om, psi, ff)

@@ -17,7 +17,13 @@ equal key and twist.  fourier swaps key and twist (the translation rule
 of Tate's thesis).  W and nabla are one shell rule, x -> g(pi^power(s) x)
 on the shell s = w(x), with power(s) = -ceil(s/2) for W and s for nabla:
 it moves each coset and its twist by a power of pi, and splits a twisted
-ideal into twisted shells and an untwisted tail.  With pi = u U, a map
+ideal into twisted shells and an untwisted tail.  A double star runs
+five maps, not six: the nabla of the first star and the W of the second
+are the one shell map with power(s) = -(s mod 2), as W reads nabla g at
+y = pi^-ceil(s/2) x, where nabla y = pi^(floor(s/2) - ceil(s/2)) x.  In
+a star the input of fourier is a shell map's output, whose pairs of key
+and twist are distinct; fourier keeps them distinct, so there its terms
+are not summed.  With pi = u U, a map
 reads the digits of U^k from `_unit_power` and fourier its Haar scales
 mu q^-L from `_haar_scale`: both are lru caches that live as long as
 the process, at most 4096 entries each, so W, nabla and dilate compute
@@ -63,7 +69,10 @@ def _coerce_coeff(c):
 
 def _lead(key):
     """Index of the first nonzero digit of key, len(key) if there is none."""
-    return next((i for i, x in enumerate(key) if x), len(key))
+    for i, x in enumerate(key):
+        if x:
+            return i
+    return len(key)
 
 
 def _twist_pairs(q, d, base, key, b, width):
@@ -183,6 +192,12 @@ def _summed(q, mu, base, terms):
         kt = (key, twist)
         acc[kt] = acc[kt] + c if kt in acc else c
     return _keyed(q, mu, base, [(k, tw, c) for (k, tw), c in acc.items() if c])
+
+
+def _hat(g, psi):
+    """fourier of the output of a shell map, whose (key, twist) pairs are
+    distinct: their images are distinct too, so none is summed."""
+    return _keyed(g.q, g.mu, *g._fourier_terms(psi))
 
 
 def _canonical(q, keymap):
@@ -369,10 +384,17 @@ class SBFunction:
     # -- transforms ---------------------------------------------------------------------
     def fourier(self, psi):
         """g-hat(y) = integral of g(x) psi(xy) dx, term by term by the
-        translation rule: c psi_0(b x) Char(a + pi^L O) goes to c mu q^-L
-        psi_0(u^-d a y) Char(-u^d b + pi^(d-L) O)(y), as psi_0(a b) = 1
-        for b below -L.  So the new key is the twist negated and the new
-        twist is the key, cut of its leading zeros."""
+        translation rule (see `_fourier_terms`), the terms of equal key
+        and twist summed."""
+        return _summed(self.q, self.mu, *self._fourier_terms(psi))
+
+    def _fourier_terms(self, psi):
+        """The base and the terms of g-hat: c psi_0(b x) Char(a + pi^L O)
+        goes to c mu q^-L psi_0(u^-d a y) Char(-u^d b + pi^(d-L) O)(y), as
+        psi_0(a b) = 1 for b below -L.  So the new key is the twist negated
+        and the new twist is the key, cut of its leading zeros.  Distinct
+        (key, twist) pairs go to distinct pairs: the length of the new key
+        gives L, and the lead digit of a twist, nonzero, where it starts."""
         if psi.q != self.q:
             raise ValueError("mixed residue sizes")
         q, d, base, terms = self.q, psi.d, self._base, self._keys
@@ -387,7 +409,7 @@ class SBFunction:
                 twist, c = key[_lead(key):], c * scale[lev]
                 yield ((0,) * (d - lev - len(tw) - out)
                        + tuple(-x % q for x in tw), twist, c)
-        return _summed(q, self.mu, out, image())
+        return out, image()
 
     def _shell_map(self, pi, power, first):
         """x -> g(pi^power(s) x) on each shell s = w(x), where first(n) is
@@ -436,10 +458,26 @@ class SBFunction:
         pi^ceil(L/2) O."""
         return self._shell_map(pi, lambda s: s, lambda n: -(-n // 2))
 
+    def _w_after_nabla(self, pi):
+        """x -> (W (g o nabla))(x) = g(pi^-(s mod 2) x) on the shell s = w(x):
+        W reads g o nabla at y = pi^-ceil(s/2) x, where w(y) = floor(s/2)
+        and nabla y = pi^(floor(s/2) - ceil(s/2)) x.  Every shell maps to an
+        even one, so a coset of odd valuation is never read; a coset of
+        even valuation v comes back from the shells v and v + 1, pi^L O
+        from pi^(L + L mod 2) O."""
+        return self._shell_map(pi, lambda s: -(s % 2), lambda n: n + n % 2)
+
     def star(self, psi, pi):
         """g* = (W g)-hat composed with nabla.  Each map sends terms to
         terms, so a star builds no normal form."""
-        return self.w_operator(pi).fourier(psi).nabla_compose(pi)
+        return _hat(self.w_operator(pi), psi).nabla_compose(pi)
+
+    def double_star(self, psi, pi):
+        """g** = (g*)*, the same psi and pi in both stars, as five term
+        maps: W, fourier, the nabla of the first star and the W of the
+        second as one shell map (`_w_after_nabla`), fourier, nabla."""
+        g = _hat(self.w_operator(pi), psi)._w_after_nabla(pi)
+        return _hat(g, psi).nabla_compose(pi)
 
     # -- geometry -----------------------------------------------------------------------
     def dilate(self, alpha):

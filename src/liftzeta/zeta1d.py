@@ -172,15 +172,13 @@ def double_star_invariance(f, pi1, pi2, psi1, psi2):
     q = f.q
     d1, d2 = psi1.d, psi2.d
 
-    def dd(fn, psi, pi):
-        return fn.star(psi, pi).star(psi, pi)
-
-    a = dd(f, psi1, pi1)
-    if not a.equals(dd(f, psi1, pi2)):
+    a = f.double_star(psi1, pi1)
+    if not a.equals(f.double_star(psi1, pi2)):
         return False
     if (d1 - d2) % 2 == 0:
-        return dd(f, psi2, pi1).equals(a.scale(Fraction(q) ** (d1 - d2)))
-    composed = dd(a, psi2, pi1)
+        return f.double_star(psi2, pi1).equals(
+            a.scale(Fraction(q) ** (d1 - d2)))
+    composed = a.double_star(psi2, pi1)
     expect = f.scale(f.mu ** 4 * Fraction(q) ** (-d1 - d2 - 1))
     return composed.equals(expect)
 

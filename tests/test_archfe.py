@@ -155,6 +155,10 @@ class TestStar:
     def test_zero_function(self):
         assert star_numeric(zero_function, 1.3) == 0
 
+    def test_nan_integrand_raises(self):
+        with pytest.raises(ArithmeticError):
+            star_numeric(lambda x: float("nan"), 1.0)
+
     def test_scaling_law(self):
         for alpha in (2.0, 1 / 3):
             for y in (0.0, 0.7, 1.3):
@@ -177,6 +181,15 @@ class TestZeta:
             assert abs(got - gamma_zeta_closed_form(s)) < 1e-9
         with pytest.raises(ArithmeticError):
             zeta_numeric(gaussian_nabla, 1, 0.05)
+
+    def test_nan_integrand_raises(self):
+        # NaN at every node, and NaN only near x = 1.49 (t = 1/4), a
+        # node of the first halving level and of no level-0 one
+        def nan_near_one(x):
+            return float("nan") if 1.2 < x < 1.8 else gaussian_nabla(x)
+        for f in (lambda x: float("nan"), nan_near_one):
+            with pytest.raises(ArithmeticError):
+                zeta_numeric(f, 1, 2)
 
     def test_half_gamma_half(self):
         # s = 2: (1/2) pi^(-1/2) Gamma(1/2) = 1/2

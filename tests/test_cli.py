@@ -316,6 +316,31 @@ class TestVerify:
         assert len(built) == len({id(g) for g in built}) == \
             len(normal_forms) == tables
 
+    @pytest.mark.parametrize("suite,shell_maps,fouriers", [
+        ("double-star", 117, 78), ("identity-A", 39, 26)])
+    def test_a_double_star_runs_five_term_maps(
+            self, suite, shell_maps, fouriers, tmp_path, monkeypatch):
+        # 39 and 13 double stars, each W, fourier, one shell map for the
+        # nabla of the first star and the W of the second, fourier and
+        # nabla; as two stars they ran four shell maps each (156 and 52)
+        counts = Counter()
+        shell_map, fourier_terms = SBFunction._shell_map, \
+            SBFunction._fourier_terms
+
+        def counted_shell_map(*args):
+            counts["_shell_map"] += 1
+            return shell_map(*args)
+
+        def counted_fourier_terms(*args):
+            counts["fourier"] += 1
+            return fourier_terms(*args)
+        monkeypatch.setattr(SBFunction, "_shell_map", counted_shell_map)
+        monkeypatch.setattr(SBFunction, "_fourier_terms",
+                            counted_fourier_terms)
+        assert main(["verify", "--q", "3", "--suite", suite,
+                     "--out-dir", str(tmp_path)]) == 0
+        assert counts == {"_shell_map": shell_maps, "fourier": fouriers}
+
     def test_archfe_integrand_evaluations(self, tmp_path, monkeypatch):
         # the finer halving levels sum only where the level-0 terms reach
         # 1e-20 of the largest, and the rule stops a level early on the

@@ -239,6 +239,13 @@ MUTANTS = [
     ("unit-shortcut-for-every-unit", schwartz, "_times_unit_powers",
      "if unit == ((0, 1),):", "if True:",
      "test_schwartz-test_w_nabla_star_match_untruncated-d8"),
+    # the W of a second star reads the nabla of the first only at even
+    # valuations; a coset of odd valuation taken as read
+    ("w-after-nabla-reaches-odd-valuations", SBFunction, "_w_after_nabla",
+     "n + n % 2", "n", "verify-q2-double-star-d1"),
+    # an odd shell moved out by pi, not in
+    ("w-after-nabla-moves-the-wrong-way", SBFunction, "_w_after_nabla",
+     "-(s % 2)", "s % 2", "verify-q2-double-star-d1"),
     ("nabla-rounds-down", SBFunction, "nabla_compose",
      "-(-n // 2)", "n // 2", "verify-q2-schwartz-oracle-d1"),
     ("translate-adds-tau", SBFunction, "translate",

@@ -663,6 +663,32 @@ class TestKeyPathReference:
 
     @given(keyed_functions())
     @settings(max_examples=80, deadline=None)
+    def test_w_after_nabla_is_one_shell_map(self, case):
+        """W reads nabla g at pi^-ceil(s/2) x, of valuation floor(s/2),
+        so the pair is x -> g(pi^-(s mod 2) x): one shell map."""
+        f, _, pi = case
+        assert f.nabla_compose(pi).w_operator(pi).equals(
+            f._w_after_nabla(pi))
+
+    @given(keyed_functions())
+    @settings(max_examples=80, deadline=None)
+    def test_double_star_is_two_stars(self, case):
+        """The five maps of a double star against two stars, and against
+        two stars of the key path; on a normal form, as the reports
+        double-star, its normal form prints as that of two stars."""
+        f, psi, pi = case
+        got = f.double_star(psi, pi)
+        assert got.equals(f.star(psi, pi).star(psi, pi))
+        assert got.equals(staroracle.star(staroracle.star(f, psi, pi),
+                                          psi, pi))
+        if f._has_twist():
+            return
+        g = f.normalize()
+        assert str(g.double_star(psi, pi).normalize()) == \
+            str(g.star(psi, pi).star(psi, pi).normalize())
+
+    @given(keyed_functions())
+    @settings(max_examples=80, deadline=None)
     def test_twisted_terms_as_their_expansion(self, case):
         """Translation, dilation (by pi and by a monomial) and the Haar
         integral read twisted terms as the plain keys of their normal

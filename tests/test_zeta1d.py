@@ -578,22 +578,23 @@ class TestDoubleStar:
 
     @pytest.mark.parametrize("d2", [1, 2])
     def test_six_star_transforms_in_either_parity(self, d2, monkeypatch):
-        # two double stars with pi1 and pi2 for psi1, then one more for
-        # psi2: the scaled one (d2 even) or the composed one (d2 odd)
+        # six star transforms as three double stars: two with pi1 and pi2
+        # for psi1, then one more for psi2, the scaled one (d2 even) or
+        # the composed one (d2 odd)
         q = 3
         u = KElement.uniformizer(q)
         calls = []
-        star = SBFunction.star
+        double_star = SBFunction.double_star
 
         def counted(self, psi, pi):
             calls.append(psi.d)
-            return star(self, psi, pi)
-        monkeypatch.setattr(SBFunction, "star", counted)
+            return double_star(self, psi, pi)
+        monkeypatch.setattr(SBFunction, "double_star", counted)
         f = SBFunction.char(KCoset(q, KElement.one(q), 2))
         assert double_star_invariance(f, u, u * (KElement.one(q) + u),
                                       AdditiveCharacter(q, 0),
                                       AdditiveCharacter(q, d2))
-        assert calls == [0, 0, 0, 0, d2, d2]
+        assert calls == [0, 0, d2]
 
     def test_non_uniformizer_pi1_rejected(self):
         q = 3
