@@ -237,20 +237,23 @@ def suite_fe2(cfg):
     chars = _characters(q, min(cfg.rmax, 1))
     basis = _coset_basis(q, min(cfg.level, 2), cfg.mu)[:4]
     stars = [f.star(psi, pi) for f in basis]
-    # per character omega: Z(f, omega)/L(omega) for each basis function f
-    # and Z(f*, omega^-1)/L(omega^-1) for its star, the factors of every
-    # tensor a (x) b and of its starred pair under every chi
-    tables = []
+    # per character omega, the two sides of its functional equation for
+    # each basis function f: the dual side subst_dual(Z(f*, omega^-1) /
+    # L(omega^-1)) and the epsilon side epsilon_star(omega) Z(f, omega) /
+    # L(omega); a tensor a (x) b under chi = (omega1, omega2) has the
+    # products of the sides of a under omega1 and of b under omega2
+    sides = []
     for om in chars:
         inv = om.inverse()
-        tables.append(([zeta1d.z_normalized(f, om) for f in basis],
-                       [zeta1d.z_normalized(fs, inv) for fs in stars]))
+        eps = zeta1d.epsilon_star(om, psi, pi, cfg.mu)
+        sides.append((
+            [zeta1d.z_normalized(fs, inv).subst_dual() for fs in stars],
+            [eps * zeta1d.z_normalized(f, om) for f in basis]))
     cases = []
-    for om1, (z1, zs1) in zip(chars, tables):
-        for om2, (z2, zs2) in zip(chars[:2], tables):
-            eps = zeta2d.epsilon2(om1, om2, psi, pi, cfg.mu)
-            ok = all(zeta2d.verify_FE2([(a, b)], [(sa, sb)], eps)
-                     for a, sa in zip(z1, zs1) for b, sb in zip(z2, zs2))
+    for om1, (d1, e1) in zip(chars, sides):
+        for om2, (d2, e2) in zip(chars[:2], sides):
+            ok = all(zeta2d.verify_FE2([(da, db)], [(ea, eb)])
+                     for da, ea in zip(d1, e1) for db, eb in zip(d2, e2))
             cases.append(("chi-%s-%s" % (om1.label, om2.label),
                           {"q": q, "d": d, "r": (om1.r, om2.r)}, True, ok))
     return cases

@@ -324,14 +324,19 @@ class CycRat:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycRat.from_rational(1)
+        if not n:
+            return CycRat.from_rational(1)
+        # square up to the lowest set bit of n, and start the product there
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        while n > 1:
+            n >>= 1
+            base = base * base
             if n & 1:
                 out = out * base
-            n >>= 1
-            if n:
-                base = base * base
         return out
 
     def galois(self, k):

@@ -4,13 +4,15 @@ A character of the symbol group that factors through the residue map is
 a pair of quasi-characters on K; the zeta integral of a lifted tensor
 then reduces to a product of one-variable integrals, so L and epsilon
 factors are products and the functional equation in s -> 2-s follows
-from the one-variable theory.  verify_FE2 takes the normalized
-one-variable factors of each pure summand, so a caller computes each
-once per (function, character) and shares it over every tensor and
-character pair that uses it.  The shell decomposition here writes a
-one-variable integral as a sum over the shells of valuation k of g; the
-oracle zeta2_direct of tests/test_zeta2d.py is the product of the two
-shell decompositions of each pure summand.  A second construction,
+from the one-variable theory.  Since T -> q^-2 T^-1 is a ring
+homomorphism, both sides of that equation factor per variable as well:
+verify_FE2 takes the one-variable dual and epsilon sides of each pure
+summand, so a caller builds each once per (function, character) and
+shares it over every tensor and character pair that uses it.  The shell
+decomposition here writes a one-variable integral as a sum over the
+shells of valuation k of g; the oracle zeta2_direct of
+tests/test_zeta2d.py is the product of the two shell decompositions of
+each pure summand.  A second construction,
 zeta_rho2, lifts a single K-integral along the border map; the resulting
 boundary-lifting identity is verified by the same shell decomposition.
 """
@@ -72,28 +74,31 @@ def _shell_zeta(g, omega):
 def epsilon2(omega1, omega2, psi, pi, mu=Fraction(1)):
     """The exponential factor of the character (omega1, omega2): the
     product of the two one-variable factors at the measure mu;
-    ValueError("mixed residue sizes") if the two q differ."""
+    ValueError("mixed residue sizes") if the two q differ.  The FE2 suite
+    multiplies one epsilon_star per character into its epsilon sides
+    instead, so no library code calls this."""
     return (epsilon_star(omega1, psi, pi, mu)
             * epsilon_star(omega2, psi, pi, mu))
 
 
-def verify_FE2(pairs, starred_pairs, eps):
+def verify_FE2(duals, epsilons):
     """Does the normalized zeta of the starred tensor at the dual point
     equal epsilon times the normalized zeta of the tensor?
 
-    pairs holds the normalized factors (Z(f, omega1)/L(omega1),
-    Z(g, omega2)/L(omega2)) of each pure summand f (x) g of the tensor
-    under the character (omega1, omega2), and starred_pairs those of
-    f* (x) g* under its inverse, in the same order; eps is
-    epsilon2(omega1, omega2, psi, pi, mu) at the tensor's measure mu.
-    The two-variable values are formed from the factors before the two
-    sides are compared, so one equation of two-variable values is
-    decided, not one per variable; a caller computes each factor and eps
+    Both sides factor per variable, since T -> q^-2 T^-1 is a ring
+    homomorphism and eps(omega1, omega2) = eps(omega1) eps(omega2).  For
+    each pure summand f (x) g of the tensor under the character
+    (omega1, omega2), duals holds the pair (d(f, omega1), d(g, omega2))
+    of dual sides d(h, omega) = subst_dual(Z(h*, omega^-1)/L(omega^-1)),
+    and epsilons, in the same order, the pair (e(f, omega1),
+    e(g, omega2)) of epsilon sides e(h, omega) =
+    epsilon_star(omega) Z(h, omega)/L(omega), each epsilon_star at the
+    tensor's measure mu.  The two-variable values are formed from the
+    sides before they are compared, so one equation of two-variable
+    values is decided, not one per variable; a caller builds each side
     once for many checks."""
-    if not pairs:
-        return True
-    lhs = sum(a * b for a, b in starred_pairs).subst_dual()
-    return lhs == eps * sum(a * b for a, b in pairs)
+    return (sum(d1 * d2 for d1, d2 in duals)
+            == sum(e1 * e2 for e1, e2 in epsilons))
 
 
 def _boundary_prefactor(omega, mu):

@@ -10,8 +10,8 @@ tuples.  The tests also write them as text or from a few numbers:
 - ``coset_basis`` is the basis of ideals and cosets refining pi^-1 O,
   or another ideal;
 - ``from_fraction`` is the ZetaValue num/den X^k from coefficient lists;
-- ``fe2_factors`` gives ``zeta2d.verify_FE2`` its two factor lists for a
-  sum of pure tensors.
+- ``fe2_factors`` gives ``zeta2d.verify_FE2`` its dual and epsilon side
+  lists for a sum of pure tensors.
 
 ``clear_caches`` empties the library's caches, so that a check computes
 afresh what an earlier call may have kept.
@@ -26,7 +26,7 @@ from liftzeta.exactnum import CycRat, ZetaValue
 from liftzeta.lift2d import FElement
 from liftzeta.localfield import KCoset, KElement
 from liftzeta.schwartz import SBFunction
-from liftzeta.zeta1d import z_normalized
+from liftzeta.zeta1d import epsilon_star, z_normalized
 
 
 def parse_k(q, text):
@@ -147,15 +147,19 @@ def from_fraction(q, num_coeffs, den_coeffs, x_exp=0):
     return ZetaValue(q, {x_exp: (mk(num_coeffs), mk(den_coeffs))})
 
 
-def fe2_factors(pairs, w1, w2, psi, pi):
-    """The factor lists of zeta2d.verify_FE2 for the sum of the pure
-    tensors f (x) g of pairs under the character (w1, w2): the normalized
-    one-variable zetas of each f (x) g under it, and of f* (x) g*, both
-    stars for psi and pi, under its inverse."""
-    v1, v2 = w1.inverse(), w2.inverse()
-    return ([(z_normalized(f, w1), z_normalized(g, w2)) for f, g in pairs],
-            [(z_normalized(f.star(psi, pi), v1),
-              z_normalized(g.star(psi, pi), v2)) for f, g in pairs])
+def fe2_factors(pairs, w1, w2, psi, pi, mu=Fraction(1)):
+    """The two side lists of zeta2d.verify_FE2 for the sum of the pure
+    tensors f (x) g of pairs under the character (w1, w2): per summand,
+    the dual sides subst_dual(Z(h*, w^-1)/L(w^-1)) of f under w1 and of g
+    under w2, both stars for psi and pi, and the epsilon sides
+    epsilon_star(w) Z(h, w)/L(w), each epsilon_star at the measure mu."""
+    def dual(h, w):
+        return z_normalized(h.star(psi, pi), w.inverse()).subst_dual()
+
+    def side(h, w):
+        return epsilon_star(w, psi, pi, mu) * z_normalized(h, w)
+    return ([(dual(f, w1), dual(g, w2)) for f, g in pairs],
+            [(side(f, w1), side(g, w2)) for f, g in pairs])
 
 
 def clear_caches():

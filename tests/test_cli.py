@@ -243,16 +243,18 @@ class TestVerify:
         of_basis = [f for f in starred if any(f is b for b in basis)]
         assert len(of_basis) == len({id(f) for f in of_basis}) == 4
 
-    @pytest.mark.parametrize("q,zetas,tables,epsilons,checks", [
-        ("3", 48, 16, 8, 64), ("11", 240, 80, 40, 320)])
+    @pytest.mark.parametrize("q,zetas,tables,epsilons,duals,checks", [
+        ("3", 24, 16, 2, 12, 64), ("11", 120, 80, 10, 60, 320)])
     def test_fe2_computes_each_zeta_factor_once(
-            self, q, zetas, tables, epsilons, checks, monkeypatch):
+            self, q, zetas, tables, epsilons, duals, checks, monkeypatch):
         # the suite integrates each basis function under each character
-        # and each star under its inverse once; epsilon_star integrates
-        # its own test functions
+        # and each star under its inverse once, and takes one epsilon_star
+        # per character; epsilon_star integrates its own test functions
+        # and substitutes into two of them.  Each check multiplies sides
+        # built once per (function, character)
         counts, in_epsilon, table_inputs = Counter(), [], []
         zeta, epsilon_star = zeta1d.zeta, zeta1d.epsilon_star
-        verify_FE2 = zeta2d.verify_FE2
+        verify_FE2, subst_dual = zeta2d.verify_FE2, ZetaValue.subst_dual
 
         def counted_zeta(g, omega):
             counts["zeta"] += 1
@@ -271,17 +273,22 @@ class TestVerify:
         def counted_check(*args):
             counts["verify_FE2"] += 1
             return verify_FE2(*args)
+
+        def counted_dual(value):
+            counts["subst_dual"] += 1
+            return subst_dual(value)
         for module, attr, fn in (
                 (zeta1d, "zeta", counted_zeta),
                 (zeta2d, "zeta_k", counted_zeta),
                 (zeta1d, "epsilon_star", counted_epsilon),
                 (zeta2d, "epsilon_star", counted_epsilon),
-                (zeta2d, "verify_FE2", counted_check)):
+                (zeta2d, "verify_FE2", counted_check),
+                (ZetaValue, "subst_dual", counted_dual)):
             monkeypatch.setattr(module, attr, fn)
         cfg = build_parser().parse_args(["verify", "--q", q])
         assert all(case[3] for case in cli.suite_fe2(cfg))
         assert counts == {"zeta": zetas, "epsilon_star": epsilons,
-                          "verify_FE2": checks}
+                          "subst_dual": duals, "verify_FE2": checks}
         # table_inputs keeps every input alive, so their ids are distinct
         assert len({tuple(map(id, args)) for args in table_inputs}) == \
             len(table_inputs) == tables

@@ -641,6 +641,36 @@ class TestModularImage:
             assert got == modoracle.same_image(a, b, pts), (str(a), str(b))
 
 
+@st.composite
+def l_fractions(draw):
+    """A sum of one or two fractions c(T) X^g over an L-factor
+    denominator 1 - aT or (1 - aT)(1 - bT), over c T^k or over 1, with
+    every coefficient and root a, b drawn from the cyclotomic NONZERO."""
+    c = st.sampled_from(NONZERO)
+    total = ZetaValue.zero(Q)
+    for _ in range(draw(st.integers(1, 2))):
+        a, b = draw(c), draw(c)
+        den = draw(st.sampled_from([
+            (1, -a), (1, -a - b, a * b),
+            (0,) * draw(st.integers(0, 2)) + (b,)]))
+        total = total + from_fraction(
+            Q, draw(st.lists(c, min_size=1, max_size=3)), den,
+            x_exp=draw(st.integers(-1, 1)))
+    return total
+
+
+class TestDualSubstitution:
+    # T -> q^-2 T^-1 is a ring homomorphism and an involution; FE2's
+    # check multiplies the dual sides of two variables on this ground
+    @given(l_fractions(), l_fractions())
+    @settings(max_examples=40, deadline=None)
+    def test_ring_homomorphism_and_involution(self, u, v):
+        assert (u + v).subst_dual() == u.subst_dual() + v.subst_dual()
+        assert (u * v).subst_dual() == u.subst_dual() * v.subst_dual()
+        assert u.subst_dual().subst_dual() == u
+        assert ZetaValue.constant(Q, 1).subst_dual() == 1
+
+
 # a zero among the scalars, so that sum_scaled and constant see one
 SCALARS = NONZERO + [CycRat.from_rational(0)]
 ONE = CycRat.from_rational(1)

@@ -14,8 +14,10 @@ holds the suites, and test_lift2d imports `measure_F` by name); no
 source file changes.  Each must make a named fast check fail, either a
 `liftzeta verify` run at small parameters or a named test function, and
 each check passes on the program as it is.  A check that raises counts
-as failed.  Every cache of every liftzeta module is emptied before and
-after each mutant (`builders.clear_caches`), so that a mutant computes
+as failed, and a hypothesis property run as a check under a mutant ends
+at its first failing example (first_failure_ends).  Every cache of
+every liftzeta module is emptied before and after each mutant
+(`builders.clear_caches`), so that a mutant computes
 its own cyclotomic polynomials, roots, unit powers, Haar scales, epsilon
 test-function stars and quadrature nodes, is never hidden by values kept
 before it was patched in, and leaves none behind.  A function keeps its
@@ -26,11 +28,14 @@ This is mutation analysis in the sense of DeMillo, Lipton and Sayward,
 "Hints on test data selection" (IEEE Computer, 1978).
 """
 
+import contextlib
+import functools
 import inspect
 import re
 import textwrap
 
 import pytest
+from hypothesis.errors import HypothesisException
 
 import test_archfe
 import test_cli
@@ -81,6 +86,46 @@ def verify(*argv):
     return check
 
 
+class FirstFailure(BaseException):
+    """The first failing example of a property under a mutant.  Hypothesis
+    takes an Exception, an exit or pytest's Failed for a test failure, and
+    this is none of them, so it leaves the run at once, before the shrink
+    and explain phases."""
+
+
+@contextlib.contextmanager
+def first_failure_ends(test):
+    """For the time of the block, run the hypothesis property test with
+    only its explicit, reuse and generate phases, whatever its settings:
+    its first failing example raises FirstFailure.  A mutant check needs
+    the verdict that some example failed, not a shrunk and explained
+    counterexample.  Hypothesis calls the inner test that the public
+    attribute test.hypothesis.inner_test names when the property runs, so
+    the block puts a wrapper there and restores the test after it.  Its
+    max_examples, strategies and examples are unchanged, and so is a run
+    outside the block.  A plain test runs as it is."""
+    hyp = getattr(test, "hypothesis", None)
+    if hyp is None:
+        yield
+        return
+    inner = hyp.inner_test
+
+    @functools.wraps(inner)
+    def stop_at_failure(*args, **kwargs):
+        try:
+            return inner(*args, **kwargs)
+        except HypothesisException:
+            # assume() and the engine's own signals
+            raise
+        except (Exception, pytest.fail.Exception) as err:
+            raise FirstFailure from err
+    hyp.inner_test = stop_at_failure
+    try:
+        yield
+    finally:
+        hyp.inner_test = inner
+
+
 def named_test(cls, name, **params):
     def check(tmp_path):
         try:
@@ -88,11 +133,12 @@ def named_test(cls, name, **params):
             if hasattr(obj, "setup_method"):
                 obj.setup_method()
             getattr(obj, name)(**params)
-        except (Exception, pytest.fail.Exception):
+        except (Exception, pytest.fail.Exception, FirstFailure):
             # pytest.raises reports a missing raise as pytest's Failed,
             # which is no Exception
             return False
         return True
+    check.test = getattr(cls, name)
     return check
 
 
@@ -529,7 +575,8 @@ def test_mutant_killed(owner, attr, old, new, check, monkeypatch, tmp_path):
                                     if v is real]:
                             patch.setitem(value, key, fake)
             clear_caches()
-            passed = CHECKS[check](tmp_path)
+            with first_failure_ends(getattr(CHECKS[check], "test", None)):
+                passed = CHECKS[check](tmp_path)
     finally:
         clear_caches()
     assert not passed

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftzeta import zeta2d
 from liftzeta.exactnum import CycRat, ZetaValue
@@ -35,8 +36,9 @@ def zeta2_direct(pairs, w1, w2):
     """The two-variable zeta of the sum of the pure tensors f (x) g of
     pairs under the character (w1, w2) as the sum of the products of the
     two shell decompositions of each summand; an independent path used
-    as an oracle for the factors verify_FE2 multiplies.  _shell_zeta is
-    read through its module, so that a patched one is seen."""
+    as an oracle for the one-variable factors that the sides of
+    verify_FE2 are built from.  _shell_zeta is read through its module,
+    so that a patched one is seen."""
     total = ZetaValue.zero(w1.q)
     for f, g in pairs:
         total = total + zeta2d._shell_zeta(f, w1) * zeta2d._shell_zeta(g, w2)
@@ -44,9 +46,32 @@ def zeta2_direct(pairs, w1, w2):
 
 
 def normalized_value(pairs, w1, w2):
-    """The sum of the products of the normalized one-variable factors,
-    as verify_FE2 forms it."""
+    """The sum of the products of the normalized one-variable factors of
+    each pure summand."""
     return sum(z_normalized(f, w1) * z_normalized(g, w2) for f, g in pairs)
+
+
+def product_form(pairs, w1, w2, psi, pi, mu):
+    """Both sides of the functional equation of the sum of the pure
+    tensors f (x) g of pairs under the character (w1, w2), formed as two
+    two-variable values before anything is factored: subst_dual of the
+    normalized zeta of the starred tensor under the inverse character, and
+    epsilon_star(w1) epsilon_star(w2), at the measure mu, times the
+    normalized zeta of the tensor."""
+    v1, v2 = w1.inverse(), w2.inverse()
+    starred = sum(z_normalized(f.star(psi, pi), v1)
+                  * z_normalized(g.star(psi, pi), v2) for f, g in pairs)
+    eps = epsilon_star(w1, psi, pi, mu) * epsilon_star(w2, psi, pi, mu)
+    return starred.subst_dual(), eps * normalized_value(pairs, w1, w2)
+
+
+def measured_basis(q, mu):
+    """The ideals pi^-1 O, O and pi O and the nonzero cosets refining O
+    at level 1, each at the measure mu."""
+    cosets = [KCoset.ideal(q, n) for n in (-1, 0, 1)]
+    cosets += [c for c in KCoset.ideal(q, 0).subcosets(1)
+               if not c.rep.is_zero()]
+    return [SBFunction.char(c, 1, mu) for c in cosets]
 
 
 def t_mon(q, c=1, k=1):
@@ -190,10 +215,9 @@ class TestFE2:
         pairs += [(basis[-1], basis[1]), (basis[2], basis[-1])]
         for om1 in chars:
             for om2 in chars[:2]:
-                eps = epsilon2(om1, om2, psi, pi)
                 for pair in pairs:
                     assert verify_FE2(
-                        *fe2_factors([pair], om1, om2, psi, pi), eps)
+                        *fe2_factors([pair], om1, om2, psi, pi))
 
     def test_sums_of_tensors(self):
         q = 3
@@ -204,27 +228,46 @@ class TestFE2:
                   SBFunction.char(KCoset(q, KElement.one(q), 1))),
                  (SBFunction.char_ideal(q, 1, -2),
                   SBFunction.char_ideal(q, 0))]
-        assert verify_FE2(*fe2_factors(pairs, *chi, psi, pi),
-                          epsilon2(*chi, psi, pi))
+        assert verify_FE2(*fe2_factors(pairs, *chi, psi, pi))
 
     def test_empty_tensor(self):
-        q = 3
-        psi = AdditiveCharacter(q, 0)
-        pi = KElement.uniformizer(q)
-        assert verify_FE2([], [], epsilon2(trivial(q), trivial(q), psi, pi))
+        assert verify_FE2([], [])
 
     def test_mixed_measures_rejected(self):
-        # the factors carry no measure, and eps is linear in mu: a summand
-        # at mu = 2 under the eps of mu = 1 breaks the equation
+        # the epsilon sides take the measure of their epsilon_star, which
+        # is linear in mu: a summand at mu = 2 under the epsilon_star of
+        # mu = 1 breaks the equation
         q = 3
         psi, pi = AdditiveCharacter(q, 0), KElement.uniformizer(q)
         chi = trivial(q), trivial(q)
         pairs = [(SBFunction.char_ideal(q, 0), SBFunction.char_ideal(q, 0)),
                  (SBFunction.char_ideal(q, 0, 1, Fraction(2)),
                   SBFunction.char_ideal(q, 0))]
-        eps = epsilon2(*chi, psi, pi)
-        assert verify_FE2(*fe2_factors(pairs[:1], *chi, psi, pi), eps)
-        assert not verify_FE2(*fe2_factors(pairs, *chi, psi, pi), eps)
+        assert verify_FE2(*fe2_factors(pairs[:1], *chi, psi, pi))
+        assert not verify_FE2(*fe2_factors(pairs, *chi, psi, pi))
+
+    @given(st.sampled_from([2, 3]), st.sampled_from([0, 1]),
+           st.sampled_from([Fraction(1), Fraction(5, 4)]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_the_product_form(self, q, d, mu, data):
+        # the factored sides give the two values of the product form, and
+        # so its verdict; a summand whose functions are not at the measure
+        # of epsilon_star makes both forms fail
+        psi, pi = AdditiveCharacter(q, d), KElement.uniformizer(q)
+        char = st.sampled_from(all_chars(q, 1, CycRat.root_of_unity(4)))
+        w1, w2 = data.draw(char), data.draw(char)
+
+        def summand(nu):
+            function = st.sampled_from(measured_basis(q, nu))
+            return st.tuples(function, function)
+        pairs = data.draw(st.lists(
+            st.sampled_from([Fraction(1), Fraction(5, 4)]).flatmap(summand),
+            min_size=1, max_size=3))
+        duals, epsilons = fe2_factors(pairs, w1, w2, psi, pi, mu)
+        lhs, rhs = product_form(pairs, w1, w2, psi, pi, mu)
+        assert sum(d1 * d2 for d1, d2 in duals) == lhs
+        assert sum(e1 * e2 for e1, e2 in epsilons) == rhs
+        assert verify_FE2(duals, epsilons) == (lhs == rhs)
 
 
 class TestZetaRho2:
